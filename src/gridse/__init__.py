@@ -45,8 +45,10 @@ from .estimation import (
     weights_from_config,
 )
 from .measurement import (
+    MeterModel,
     StateVector,
     ac_jacobian,
+    build_meter_model,
     dc_jacobian,
     flat_state,
     free_vector,

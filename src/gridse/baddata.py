@@ -28,9 +28,13 @@ from .errors import (
     MalformedDocument,
     NoRedundancy,
     NumericallySingularOmega,
-    UnobservableNetwork,
 )
-from .estimation import EstimationResult, _check_weights, weighted_objective
+from .estimation import (
+    EstimationResult,
+    _check_weights,
+    _checked_gain,
+    weighted_objective,
+)
 
 OMEGA_FLOOR = 1e-14
 TIE_TOLERANCE = 1e-9
@@ -157,12 +161,7 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
     if r.shape != (m,):
         raise LengthMismatch(f"residual has shape {r.shape} but H has {m} rows")
 
-    gain = h.T @ (w[:, None] * h)
-    cond = np.linalg.cond(gain)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise UnobservableNetwork(
-            f"gain matrix condition estimate {cond:.3g} is too large"
-        )
+    gain = _checked_gain(h, w)
     # Only the diagonal of Omega = S R is needed: (S R)_ii = S_ii / w_i.
     projector = h @ np.linalg.solve(gain, h.T) * w[None, :]
     omega_diag = (1.0 - np.diag(projector)) / w

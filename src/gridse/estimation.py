@@ -17,14 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, LengthMismatch, UnobservableNetwork
-from .measurement import (
-    StateVector,
-    ac_jacobian,
-    flat_state,
-    free_vector,
-    h_eval_ac,
-    state_from_free,
-)
+from .measurement import StateVector, build_meter_model, flat_state, free_vector
 from .network import AdmittanceMatrix, MeasurementConfig, NetworkModel
 
 CONDITION_LIMIT = 1e12
@@ -62,15 +55,22 @@ def _check_weights(weights: np.ndarray, m: int) -> np.ndarray:
     return w
 
 
-def _solve_normal_equations(h: np.ndarray, w: np.ndarray,
-                            rhs_vec: np.ndarray) -> np.ndarray:
-    """Solve (H^T W H) x = H^T W rhs via Cholesky with a conditioning guard."""
+def _checked_gain(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The gain matrix H^T W H; UnobservableNetwork when its condition
+    number is not finite or exceeds CONDITION_LIMIT."""
     gain = h.T @ (w[:, None] * h)
     cond = np.linalg.cond(gain)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise UnobservableNetwork(
             f"gain matrix condition estimate {cond:.3g} exceeds {CONDITION_LIMIT:.0e}"
         )
+    return gain
+
+
+def _solve_normal_equations(h: np.ndarray, w: np.ndarray,
+                            rhs_vec: np.ndarray) -> np.ndarray:
+    """Solve (H^T W H) x = H^T W rhs via Cholesky with a conditioning guard."""
+    gain = _checked_gain(h, w)
     try:
         factor = scipy.linalg.cho_factor(gain)
     except scipy.linalg.LinAlgError as exc:
@@ -128,7 +128,8 @@ def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
     when the step's max component drops below ``tol`` or after ``max_iter``
     iterations. On non-convergence the best iterate seen (lowest weighted
     objective) is returned with ``converged=False``; a singular gain matrix
-    at any iterate raises UnobservableNetwork.
+    at any iterate raises UnobservableNetwork. The meter model is built once
+    and every iterate is evaluated against it. ``admittance`` is not read.
     """
     z = np.asarray(z, dtype=float)
     m = len(config.specs)
@@ -137,22 +138,20 @@ def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
     w = _check_weights(weights, m)
     x = free_vector(network, init if init is not None else flat_state(network),
                     "ac")
+    model = build_meter_model(network, config)
 
     def evaluate(vec):
-        state = state_from_free(network, vec, "ac")
-        h_val = h_eval_ac(network, admittance, state, config)
-        r = z - h_val
-        return state, r, float(w @ (r * r))
+        r = z - model.values(vec)
+        return r, float(w @ (r * r))
 
-    state, r, obj = evaluate(x)
+    r, obj = evaluate(x)
     best = (obj, x, r)
     converged = False
     iterations = 0
     for it in range(max_iter):
-        jac = ac_jacobian(network, admittance, state, config)
-        dx = _solve_normal_equations(jac, w, r)
+        dx = _solve_normal_equations(model.jacobian(x), w, r)
         x = x + dx
-        state, r, obj = evaluate(x)
+        r, obj = evaluate(x)
         iterations = it + 1
         if obj < best[0]:
             best = (obj, x, r)

@@ -12,12 +12,29 @@ Two modes share one meter vocabulary:
 State ordering everywhere: angles of non-reference buses ascending by id,
 then (in ac mode) voltage magnitudes of all buses ascending by id. Meter
 vectors are plain float arrays index-aligned with the MeasurementConfig.
+
+Both modes evaluate one compiled :class:`MeterModel`, which
+:func:`build_meter_model` makes from a (network, meter set) pair in
+O(m + branches). It holds one term per flow or current meter (the first
+branch joining its ends, in file order) and one per branch incident to an
+injection meter's bus (in file order), each with its meter row, its two
+ends and the branch parameters; voltage meters are a separate row/bus
+list. The dc matrix H and the ac h(x) and J(x) are numpy expressions over
+these arrays, summed into rows with ``np.bincount`` in term order, so each
+row adds its terms in the same order as a meter-by-meter loop would.
+
+``dc_jacobian``, ``h_eval_ac``, ``ac_jacobian`` and
+``simulate_measurements`` build a model per call. The entry points that
+evaluate many times build one and reuse it: ``estimate_ac`` for every
+Gauss-Newton iterate, ``run_scenario`` for readings, attack and detection,
+and ``run_monte_carlo`` computes H and H x once for all its trials.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -28,9 +45,13 @@ from .errors import (
     MissingMagnitudes,
     UnsupportedKindForDC,
 )
-from .network import AdmittanceMatrix, Branch, MeasurementConfig, NetworkModel
+from .network import FLOW_KINDS, AdmittanceMatrix, MeasurementConfig, NetworkModel
 
 DC_KINDS = ("flow_p", "injection_p")
+# What a meter term contributes to its row.
+_P, _Q, _CURRENT = 0, 1, 2
+_TERM_CODES = {"flow_p": _P, "injection_p": _P, "flow_q": _Q,
+               "injection_q": _Q, "current_magnitude": _CURRENT}
 
 
 @dataclass(frozen=True)
@@ -122,17 +143,188 @@ def flat_state(network: NetworkModel, mode: str = "ac") -> StateVector:
                        magnitudes={b.id: 1.0 for b in network.buses})
 
 
-def _column_index(network: NetworkModel, mode: str) -> dict[tuple[str, int], int]:
-    return {label: i for i, label in enumerate(state_order(network, mode))}
+@dataclass(frozen=True, eq=False)
+class MeterModel:
+    """One meter set compiled against one network, as flat per-term arrays.
+
+    Build it with :func:`build_meter_model`. Term t is one branch read by
+    meter ``row[t]`` from bus ``i[t]`` towards bus ``j[t]`` (0-based bus
+    indices); ``code[t]`` says whether it yields P, Q or the current
+    magnitude, and ``g``/``b``/``gs``/``bs``/``inv_x`` hold that branch's
+    series admittance, shunt and 1/X. ``columns[t]`` holds the state columns
+    of (angle i, angle j, magnitude i, magnitude j), with -1 for the
+    reference angle.
+    """
+
+    network: NetworkModel
+    config: MeasurementConfig
+    row: np.ndarray
+    code: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    columns: np.ndarray
+    g: np.ndarray
+    b: np.ndarray
+    gs: np.ndarray
+    bs: np.ndarray
+    inv_x: np.ndarray
+    voltage_rows: np.ndarray
+    voltage_buses: np.ndarray
+
+    @cached_property
+    def dc_matrix(self) -> np.ndarray:
+        """The constant linear meter matrix H, m x (n-1); computed once."""
+        for row, spec in enumerate(self.config.specs):
+            if spec.kind not in DC_KINDS:
+                raise UnsupportedKindForDC(
+                    f"{spec.kind} has no linear model (row {row})"
+                )
+        m, k = len(self.config), self.network.n_buses - 1
+        cols = self.columns[:, :2]
+        keep = cols >= 0
+        coeff = np.stack([self.inv_x, -self.inv_x], axis=1)
+        index = (self.row[:, None] * k + cols)[keep]
+        return _sum_at(index, coeff[keep], m * k).reshape(m, k)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """h(x) at an ac free vector x (see :func:`state_order`)."""
+        v, vi, _, p, q, _, _ = self._branch_flows(x)
+        term = np.where(self.code == _P, p, q)
+        current, apparent = self._apparent(p, q)
+        term[current] = apparent / vi[current]
+        out = _sum_at(self.row, term, len(self.config))
+        out[self.voltage_rows] = v[self.voltage_buses]
+        return out
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Analytic dh/dx at an ac free vector x, m x (2n-1)."""
+        _, vi, vj, p, q, gc_bs, gs_bc = self._branch_flows(x)
+        g, b, gs, bs = self.g, self.b, self.gs, self.bs
+        vv = vi * vj
+        dp = np.stack([vv * gs_bc, -vv * gs_bc,
+                       2.0 * vi * (gs + g) - vj * gc_bs, -vi * gc_bs], axis=1)
+        dq = np.stack([-vv * gc_bs, vv * gc_bs,
+                       -2.0 * vi * (bs + b) - vj * gs_bc, -vi * gs_bc], axis=1)
+        grad = np.where((self.code == _P)[:, None], dp, dq)
+        current, apparent = self._apparent(p, q)
+        # |S| is not differentiable at 0: those current rows stay zero.
+        grad[current] = 0.0
+        live = apparent != 0.0
+        current, apparent = current[live], apparent[live]
+        v_cur = vi[current]
+        d_cur = (p[current, None] * dp[current] + q[current, None] * dq[current]) \
+            / (apparent * v_cur)[:, None]
+        d_cur[:, 2] -= apparent / (v_cur * v_cur)
+        grad[current] = d_cur
+
+        m, n = len(self.config), self.network.n_buses
+        k = 2 * n - 1
+        keep = self.columns >= 0
+        index = (self.row[:, None] * k + self.columns)[keep]
+        jac = _sum_at(index, grad[keep], m * k).reshape(m, k)
+        jac[self.voltage_rows, n - 1 + self.voltage_buses] = 1.0
+        return jac
+
+    def _branch_flows(self, x):
+        """Bus magnitudes v, then per term v_i, v_j, the P and Q leaving the
+        i end, and the factors g cos + b sin and g sin - b cos:
+
+            p =  vi^2 (gs + g) - vi vj (g cos dij + b sin dij)
+            q = -vi^2 (bs + b) - vi vj (g sin dij - b cos dij)
+        """
+        n = self.network.n_buses
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2 * n - 1,):
+            raise DimensionMismatch(
+                f"state vector must have length {2 * n - 1}, got {x.shape}"
+            )
+        theta = np.insert(x[:n - 1], self.network.reference_bus - 1, 0.0)
+        v = x[n - 1:]
+        vi, vj = v[self.i], v[self.j]
+        dij = theta[self.i] - theta[self.j]
+        c, s = np.cos(dij), np.sin(dij)
+        g, b = self.g, self.b
+        gc_bs = g * c + b * s
+        gs_bc = g * s - b * c
+        p = vi * vi * (self.gs + g) - vi * vj * gc_bs
+        q = -vi * vi * (self.bs + b) - vi * vj * gs_bc
+        return v, vi, vj, p, q, gc_bs, gs_bc
+
+    def _apparent(self, p, q):
+        """The current-magnitude terms and their |S| = hypot(P, Q)."""
+        current = np.flatnonzero(self.code == _CURRENT)
+        # math.hypot is correctly rounded in more cases than np.hypot.
+        apparent = np.array([math.hypot(a, b) for a, b in
+                             zip(p[current].tolist(), q[current].tolist())])
+        return current, apparent
 
 
-def _meter_branch(network: NetworkModel, spec) -> Branch:
-    branch = network.branch_between(spec.from_bus, spec.to_bus)
-    if branch is None:
-        raise DanglingReference(
-            f"no branch joins {spec.from_bus} and {spec.to_bus}"
-        )
-    return branch
+def _sum_at(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """out[index[t]] += weights[t] for t in order, into zeros(size).
+
+    Sequential in t, so each entry adds its terms in term order. (bincount
+    returns integers when there are no terms, hence the cast.)
+    """
+    return np.bincount(index, weights=weights, minlength=size).astype(float, copy=False)
+
+
+def build_meter_model(network: NetworkModel,
+                      config: MeasurementConfig) -> MeterModel:
+    """Compile a meter set against a network in O(m + branches).
+
+    A flow or current meter reads the first branch joining its ends, in file
+    order, from its ``from`` end; an injection reads every branch at its bus
+    in file order. A flow meter whose ends no branch joins, or a voltage
+    meter on an unknown bus, raises DanglingReference.
+    """
+    n = network.n_buses
+    ref = network.reference_bus - 1
+    angle_col = np.arange(n) - (np.arange(n) > ref)
+    angle_col[ref] = -1
+    rows, codes, ends, branches = [], [], [], []
+    voltage_rows, voltage_buses = [], []
+    for row, spec in enumerate(config.specs):
+        if spec.kind == "voltage_magnitude":
+            if not 1 <= spec.bus <= n:
+                raise DanglingReference(f"unknown bus {spec.bus}")
+            voltage_rows.append(row)
+            voltage_buses.append(spec.bus - 1)
+            continue
+        if spec.kind in FLOW_KINDS:
+            branch = network.branch_between(spec.from_bus, spec.to_bus)
+            if branch is None:
+                raise DanglingReference(
+                    f"no branch joins {spec.from_bus} and {spec.to_bus}"
+                )
+            reads = [(branch, spec.from_bus, spec.to_bus)]
+        else:
+            reads = [(br, spec.bus, other)
+                     for br, other in network.branches_at(spec.bus)]
+        for branch, i, j in reads:
+            rows.append(row)
+            codes.append(_TERM_CODES[spec.kind])
+            ends.append((i - 1, j - 1))
+            branches.append(branch)
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    i, j = ends[:, 0], ends[:, 1]
+    series = np.array([br.series_admittance for br in branches]).reshape(-1, 2)
+    return MeterModel(
+        network=network,
+        config=config,
+        row=np.array(rows, dtype=np.intp),
+        code=np.array(codes, dtype=np.intp),
+        i=i,
+        j=j,
+        columns=np.stack([angle_col[i], angle_col[j], n - 1 + i, n - 1 + j],
+                         axis=1),
+        g=series[:, 0].copy(),
+        b=series[:, 1].copy(),
+        gs=np.array([br.shunt_conductance_gs for br in branches], dtype=float),
+        bs=np.array([br.shunt_susceptance_bs for br in branches], dtype=float),
+        inv_x=np.array([1.0 / br.reactance_x for br in branches], dtype=float),
+        voltage_rows=np.array(voltage_rows, dtype=np.intp),
+        voltage_buses=np.array(voltage_buses, dtype=np.intp),
+    )
 
 
 def dc_jacobian(network: NetworkModel, admittance: AdmittanceMatrix,
@@ -143,144 +335,30 @@ def dc_jacobian(network: NetworkModel, admittance: AdmittanceMatrix,
     angle of j (reference columns dropped), so a reversed meter is the exact
     negation. An injection row is the sum of the flow rows of every branch
     leaving that bus. Resistance and shunts play no role here.
+    ``admittance`` is not read.
     """
-    cols = _column_index(network, "dc")
-    m = len(config.specs)
-    h = np.zeros((m, state_dimension(network, "dc")))
-    for row, spec in enumerate(config.specs):
-        if spec.kind == "flow_p":
-            branch = _meter_branch(network, spec)
-            _add_dc_flow(h, row, cols, spec.from_bus, spec.to_bus,
-                         branch.reactance_x)
-        elif spec.kind == "injection_p":
-            for branch, other in network.branches_at(spec.bus):
-                _add_dc_flow(h, row, cols, spec.bus, other, branch.reactance_x)
-        else:
-            raise UnsupportedKindForDC(
-                f"{spec.kind} has no linear model (row {row})"
-            )
-    return h
-
-
-def _add_dc_flow(h, row, cols, i, j, reactance):
-    coeff = 1.0 / reactance
-    if ("angle", i) in cols:
-        h[row, cols[("angle", i)]] += coeff
-    if ("angle", j) in cols:
-        h[row, cols[("angle", j)]] -= coeff
-
-
-def _flow_with_grad(branch: Branch, vi: float, vj: float, dij: float):
-    """Active/reactive flow leaving the i side of a branch, plus partials.
-
-    Returns (p, q, dp, dq) with the gradients ordered (d_i, d_j, v_i, v_j):
-
-        p =  vi^2 (gs + g) - vi vj (g cos dij + b sin dij)
-        q = -vi^2 (bs + b) - vi vj (g sin dij - b cos dij)
-
-    where g + jb is the series admittance and gs + j*bs the i-end shunt.
-    """
-    g, b = branch.series_admittance
-    gs = branch.shunt_conductance_gs
-    bs = branch.shunt_susceptance_bs
-    c, s = math.cos(dij), math.sin(dij)
-    p = vi * vi * (gs + g) - vi * vj * (g * c + b * s)
-    q = -vi * vi * (bs + b) - vi * vj * (g * s - b * c)
-    dp = np.array([
-        vi * vj * (g * s - b * c),
-        -vi * vj * (g * s - b * c),
-        2.0 * vi * (gs + g) - vj * (g * c + b * s),
-        -vi * (g * c + b * s),
-    ])
-    dq = np.array([
-        -vi * vj * (g * c + b * s),
-        vi * vj * (g * c + b * s),
-        -2.0 * vi * (bs + b) - vj * (g * s - b * c),
-        -vi * (g * s - b * c),
-    ])
-    return p, q, dp, dq
-
-
-def _eval_rows(network: NetworkModel, state: StateVector,
-               config: MeasurementConfig, want_grad: bool):
-    """Shared traversal for h(x) and its Jacobian in ac mode."""
-    _check_state(network, state, "ac")
-    angles = state.angles
-    mags = state.magnitudes
-    cols = _column_index(network, "ac")
-    m = len(config.specs)
-    k = state_dimension(network, "ac")
-    values = np.zeros(m)
-    jac = np.zeros((m, k)) if want_grad else None
-
-    def scatter(row, i, j, grad):
-        for label, dv in zip((("angle", i), ("angle", j), ("mag", i), ("mag", j)),
-                             grad):
-            if label in cols:
-                jac[row, cols[label]] += dv
-
-    for row, spec in enumerate(config.specs):
-        if spec.kind == "voltage_magnitude":
-            values[row] = mags[spec.bus]
-            if want_grad:
-                jac[row, cols[("mag", spec.bus)]] = 1.0
-            continue
-        if spec.kind in ("flow_p", "flow_q", "current_magnitude"):
-            branch = _meter_branch(network, spec)
-            i, j = spec.from_bus, spec.to_bus
-            p, q, dp, dq = _flow_with_grad(branch, mags[i], mags[j],
-                                           angles[i] - angles[j])
-            if spec.kind == "flow_p":
-                values[row] = p
-                if want_grad:
-                    scatter(row, i, j, dp)
-            elif spec.kind == "flow_q":
-                values[row] = q
-                if want_grad:
-                    scatter(row, i, j, dq)
-            else:
-                apparent = math.hypot(p, q)
-                values[row] = apparent / mags[i]
-                if want_grad:
-                    if apparent == 0.0:
-                        continue  # |S| is not differentiable at 0; leave zeros
-                    di = (p * dp + q * dq) / (apparent * mags[i])
-                    di[2] -= apparent / (mags[i] * mags[i])
-                    scatter(row, i, j, di)
-            continue
-        # injection_p / injection_q: the sum of flows leaving the bus
-        i = spec.bus
-        for branch, j in network.branches_at(i):
-            p, q, dp, dq = _flow_with_grad(branch, mags[i], mags[j],
-                                           angles[i] - angles[j])
-            if spec.kind == "injection_p":
-                values[row] += p
-                if want_grad:
-                    scatter(row, i, j, dp)
-            else:
-                values[row] += q
-                if want_grad:
-                    scatter(row, i, j, dq)
-    return values, jac
+    return build_meter_model(network, config).dc_matrix
 
 
 def h_eval_ac(network: NetworkModel, admittance: AdmittanceMatrix,
               state: StateVector, config: MeasurementConfig) -> np.ndarray:
     """Evaluate every meter function at an ac state.
 
-    Flows follow the pi-model equations (see ``_flow_with_grad``), an
-    injection is the sum of the flows leaving its bus, current magnitude is
-    sqrt(P^2 + Q^2) / v_i, and a voltage meter reads v_i directly.
+    Flows follow the pi-model equations (see ``MeterModel._branch_flows``),
+    an injection is the sum of the flows leaving its bus, current magnitude
+    is sqrt(P^2 + Q^2) / v_i, and a voltage meter reads v_i directly.
+    ``admittance`` is not read.
     """
-    values, _ = _eval_rows(network, state, config, want_grad=False)
-    return values
+    x = free_vector(network, state, "ac")
+    return build_meter_model(network, config).values(x)
 
 
 def ac_jacobian(network: NetworkModel, admittance: AdmittanceMatrix,
                 state: StateVector, config: MeasurementConfig) -> np.ndarray:
-    """Analytic dh/dx at the given state, m x (2n-1)."""
-    _, jac = _eval_rows(network, state, config, want_grad=True)
-    return jac
+    """Analytic dh/dx at the given state, m x (2n-1). ``admittance`` is not
+    read."""
+    x = free_vector(network, state, "ac")
+    return build_meter_model(network, config).jacobian(x)
 
 
 def simulate_measurements(network: NetworkModel, admittance: AdmittanceMatrix,
@@ -291,16 +369,29 @@ def simulate_measurements(network: NetworkModel, admittance: AdmittanceMatrix,
 
     Meter i draws from its own stream keyed on (seed, i), so adding or
     removing meters never perturbs the draws of the others. ``noise_scale``
-    multiplies every sigma; 0 returns h(true state) exactly.
+    multiplies every sigma; 0 returns h(true state) exactly. ``admittance``
+    is not read.
     """
     _check_mode(mode)
+    return _simulate(build_meter_model(network, config), true_state, mode,
+                     seed, noise_scale)
+
+
+def _simulate(model: MeterModel, true_state: StateVector, mode: str,
+              seed: int, noise_scale: float) -> np.ndarray:
+    """simulate_measurements against a model already built."""
     if mode == "dc":
-        h = dc_jacobian(network, admittance, config)
-        z = h @ free_vector(network, true_state, "dc")
+        clean = model.dc_matrix @ free_vector(model.network, true_state, "dc")
     else:
-        z = h_eval_ac(network, admittance, true_state, config)
-    noisy = z.copy()
-    for i, spec in enumerate(config.specs):
-        rng = np.random.default_rng([seed, i])
-        noisy[i] += rng.normal(0.0, spec.sigma * noise_scale)
+        clean = model.values(free_vector(model.network, true_state, "ac"))
+    return _with_noise(clean, model.config.sigmas(), seed, noise_scale)
+
+
+def _with_noise(clean: np.ndarray, sigmas: np.ndarray, seed: int,
+                noise_scale: float) -> np.ndarray:
+    """clean plus N(0, (sigma_i noise_scale)^2) on meter i, drawn from the
+    meter's own stream default_rng([seed, i])."""
+    noisy = clean.copy()
+    for i, sigma in enumerate(sigmas):
+        noisy[i] += np.random.default_rng([seed, i]).normal(0.0, sigma * noise_scale)
     return noisy

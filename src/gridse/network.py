@@ -19,12 +19,15 @@ Meter kinds are ``flow_p``, ``flow_q``, ``injection_p``, ``injection_q``,
 by the ordered pair ``from``/``to`` (an existing branch, either orientation);
 injection and voltage meters locate by ``bus``. ``value`` is optional but must
 be present on all meters or on none; ``r``/``gs``/``bs`` default to 0,
-``ref`` to false and ``v`` to 1.0. Unknown keys anywhere are rejected.
+``ref`` to false and ``v`` to 1.0. Unknown keys anywhere are rejected, and
+so are non-finite numbers (NaN, Infinity, or a literal too large for a
+float).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,12 +150,16 @@ class NetworkModel:
     """The physical grid: buses plus branches, validated on construction.
 
     Construction enforces dense 1..n bus ids, exactly one reference bus,
-    branch endpoints that exist, and a connected branch graph.
+    branch endpoints that exist, and a connected branch graph. It also
+    indexes the branches once, so branch and reference lookups take O(1).
     """
 
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
-    base_mva: float = 100.0
+    _reference: int = field(init=False, repr=False, compare=False)
+    _non_reference: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _pair_branch: dict = field(init=False, repr=False, compare=False)
+    _incident: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "buses", tuple(self.buses))
@@ -165,26 +172,33 @@ class NetworkModel:
             raise NoReferenceBus("no bus is flagged as reference")
         if len(refs) > 1:
             raise MultipleReferenceBuses(f"reference flagged on buses {refs}")
+        pair_branch: dict[tuple[int, int], Branch] = {}
+        incident: dict[int, list[tuple[Branch, int]]] = {i: [] for i in ids}
         for br in self.branches:
             for end in (br.from_bus, br.to_bus):
                 if not 1 <= end <= len(ids):
                     raise DanglingReference(
                         f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}"
                     )
+            pair_branch.setdefault(_pair(br.from_bus, br.to_bus), br)
+            incident[br.from_bus].append((br, br.to_bus))
+            incident[br.to_bus].append((br, br.from_bus))
+        object.__setattr__(self, "_reference", refs[0])
+        object.__setattr__(self, "_non_reference",
+                           tuple(i for i in ids if i != refs[0]))
+        object.__setattr__(self, "_pair_branch", pair_branch)
+        object.__setattr__(self, "_incident",
+                           {i: tuple(at) for i, at in incident.items()})
         self._check_connected()
 
     def _check_connected(self):
         n = len(self.buses)
         if n <= 1:
             return
-        adjacency: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}
-        for br in self.branches:
-            adjacency[br.from_bus].add(br.to_bus)
-            adjacency[br.to_bus].add(br.from_bus)
         seen = {1}
         stack = [1]
         while stack:
-            for j in adjacency[stack.pop()]:
+            for _, j in self._incident[stack.pop()]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -198,12 +212,11 @@ class NetworkModel:
 
     @property
     def reference_bus(self) -> int:
-        return next(b.id for b in self.buses if b.is_reference)
+        return self._reference
 
     def non_reference_ids(self) -> tuple[int, ...]:
         """Non-reference bus ids, ascending: the angle state ordering."""
-        return tuple(b.id for b in sorted(self.buses, key=lambda b: b.id)
-                     if not b.is_reference)
+        return self._non_reference
 
     def bus(self, bus_id: int) -> Bus:
         for b in self.buses:
@@ -213,20 +226,16 @@ class NetworkModel:
 
     def branch_between(self, i: int, j: int) -> Branch | None:
         """First branch joining i and j in either orientation, else None."""
-        for br in self.branches:
-            if {br.from_bus, br.to_bus} == {i, j}:
-                return br
-        return None
+        return self._pair_branch.get(_pair(i, j))
 
     def branches_at(self, bus_id: int) -> list[tuple[Branch, int]]:
-        """Branches incident to a bus, each with the id of the far end."""
-        out = []
-        for br in self.branches:
-            if br.from_bus == bus_id:
-                out.append((br, br.to_bus))
-            elif br.to_bus == bus_id:
-                out.append((br, br.from_bus))
-        return out
+        """Branches incident to a bus in file order, each with the id of the
+        far end."""
+        return list(self._incident.get(bus_id, ()))
+
+
+def _pair(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i <= j else (j, i)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,11 +276,23 @@ _BRANCH_KEYS = {"from", "to", "r", "x", "gs", "bs"}
 _MEAS_KEYS = {"kind", "from", "to", "bus", "sigma", "value"}
 
 
-def _require_number(record: dict, key: str, context: str) -> float:
-    v = record.get(key)
+def _finite_number(v) -> float | None:
+    """A JSON number as a finite float, else None (also for literals such as
+    1e999 or a 400-digit integer, which no finite float holds)."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise MalformedDocument(f"{context}: field {key!r} must be a number")
-    return float(v)
+        return None
+    try:
+        f = float(v)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
+
+
+def _require_number(record: dict, key: str, context: str) -> float:
+    f = _finite_number(record.get(key))
+    if f is None:
+        raise MalformedDocument(f"{context}: field {key!r} must be a finite number")
+    return f
 
 
 def _require_int(record: dict, key: str, context: str) -> int:
@@ -279,6 +300,12 @@ def _require_int(record: dict, key: str, context: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise MalformedDocument(f"{context}: field {key!r} must be an integer")
     return v
+
+
+def _reject_constant(name: str):
+    """``parse_constant`` hook for json.loads: NaN and +-Infinity are not
+    numbers a document may carry."""
+    raise MalformedDocument(f"non-finite number {name} is not allowed")
 
 
 def _check_keys(record: dict, allowed: set[str], required: set[str], context: str):
@@ -300,7 +327,7 @@ def parse_case(text: str) -> ParsedCase:
     DisconnectedNetwork / ZeroReactance errors for semantic ones.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     _check_keys(doc, set(_TOP_KEYS), set(_TOP_KEYS), "case document")
@@ -454,10 +481,9 @@ def check_observability(network: NetworkModel,
     Observable means the rank equals the angle state count n - 1, i.e. the
     linear estimator's gain matrix is invertible for this meter set.
     """
-    from .measurement import dc_jacobian
+    from .measurement import build_meter_model
 
-    admittance = build_admittance(network)
-    h = dc_jacobian(network, admittance, config)
+    h = build_meter_model(network, config).dc_matrix
     state_dim = network.n_buses - 1
     rank = int(np.linalg.matrix_rank(h)) if h.size else 0
     return ObservabilityReport(rank=rank, observable=rank == state_dim)

@@ -20,7 +20,8 @@ the case file), ``{"values": [...]}`` (explicit readings), or
 ``none``, ``explicit_deltas`` (key ``deltas``, or ``replacement`` holding the
 raw substituted readings), ``stealth_shift`` (key ``c``), ``random_stealth``
 (``magnitude``, ``seed``), or ``constrained`` (``accessible``, optional
-``magnitude``). Relative case paths resolve against the scenario file's
+``magnitude``). Every number must be finite, and seeds and meter numbers
+are integers. Relative case paths resolve against the scenario file's
 directory. Defaults: no attack, case-file readings, dc mode, one chi-square
 detector at alpha 0.05.
 
@@ -49,14 +50,24 @@ from .baddata import DetectionResult, DetectorConfig, run_detector
 from .errors import DimensionMismatch, LengthMismatch, MalformedDocument
 from .estimation import estimate_ac, estimate_dc, weights_from_config
 from .measurement import (
+    MeterModel,
     StateVector,
-    ac_jacobian,
+    _simulate,
+    _with_noise,
+    build_meter_model,
     dc_jacobian,
-    simulate_measurements,
     state_dimension,
-    state_from_free,
 )
-from .network import ParsedCase, build_admittance, parse_case
+from .network import (
+    ParsedCase,
+    _check_keys,
+    _finite_number,
+    _reject_constant,
+    _require_int,
+    _require_number,
+    build_admittance,
+    parse_case,
+)
 
 _SCENARIO_KEYS = {"name", "case", "measurements", "attack", "detectors", "mode"}
 _ATTACK_KEYS = {
@@ -162,23 +173,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _check_keys(record, allowed: set, required: set, context: str):
-    if not isinstance(record, dict):
-        raise MalformedDocument(f"{context}: expected an object")
-    unknown = set(record) - allowed
-    if unknown:
-        raise MalformedDocument(f"{context}: unknown keys {sorted(unknown)}")
-    missing = required - set(record)
-    if missing:
-        raise MalformedDocument(f"{context}: missing keys {sorted(missing)}")
-
-
 def _number_list(value, context: str) -> list[float]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise MalformedDocument(f"{context}: expected an array of numbers")
-    return [float(v) for v in value]
+    numbers = [_finite_number(v) for v in value] if isinstance(value, list) else [None]
+    if None in numbers:
+        raise MalformedDocument(f"{context}: expected an array of finite numbers")
+    return numbers
 
 
 def _validate_measurements(spec, context: str) -> dict:
@@ -194,9 +193,17 @@ def _validate_measurements(spec, context: str) -> dict:
         _number_list(spec["values"], context)
     else:
         sim = spec["simulate"]
-        _check_keys(sim, _SIMULATE_KEYS, {"angles", "seed"}, f"{context}.simulate")
-        if not isinstance(sim["angles"], dict):
-            raise MalformedDocument(f"{context}: 'angles' must map bus -> radians")
+        context = f"{context}.simulate"
+        _check_keys(sim, _SIMULATE_KEYS, {"angles", "seed"}, context)
+        _require_int(sim, "seed", context)
+        if "noise_scale" in sim:
+            _require_number(sim, "noise_scale", context)
+        for key in ("angles", "magnitudes"):
+            table = sim.get(key, {})
+            if not isinstance(table, dict) or not all(b.isdigit() for b in table):
+                raise MalformedDocument(f"{context}: {key!r} must map bus -> number")
+            for bus in table:
+                _require_number(table, bus, f"{context}.{key}")
     return spec
 
 
@@ -223,14 +230,26 @@ def _validate_attack(spec, context: str) -> dict:
             raise MalformedDocument(
                 f"{context}: random_stealth needs 'magnitude' and 'seed'"
             )
+        _require_number(spec, "magnitude", context)
+        _require_int(spec, "seed", context)
     elif kind == "constrained":
-        if "accessible" not in spec:
-            raise MalformedDocument(f"{context}: constrained needs 'accessible'")
+        accessible = spec.get("accessible")
+        if not isinstance(accessible, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in accessible
+        ):
+            raise MalformedDocument(
+                f"{context}: constrained needs 'accessible', an array of meter numbers"
+            )
+        if "magnitude" in spec:
+            _require_number(spec, "magnitude", context)
     return spec
 
 
 def _detector_from_dict(record, context: str) -> DetectorConfig:
     _check_keys(record, _DETECTOR_KEYS, {"method"}, context)
+    for key in ("tau", "alpha", "lnr_threshold"):
+        if key in record:
+            _require_number(record, key, context)
     return DetectorConfig(
         method=record["method"],
         tau=record.get("tau"),
@@ -243,7 +262,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read and validate one scenario file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path}: invalid JSON: {exc}") from exc
     _check_keys(doc, _SCENARIO_KEYS, {"name", "case"}, str(path))
@@ -255,6 +274,8 @@ def load_scenario(path: str | Path) -> Scenario:
     case_path = Path(doc["case"])
     if not case_path.is_absolute():
         case_path = path.parent / case_path
+    if not isinstance(doc.get("detectors", []), list):
+        raise MalformedDocument(f"{path}: 'detectors' must be an array")
     detectors = tuple(
         _detector_from_dict(d, f"{path}: detectors[{i}]")
         for i, d in enumerate(doc.get("detectors", []))
@@ -273,7 +294,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def _scenario_readings(scenario: Scenario, parsed: ParsedCase,
-                       admittance) -> np.ndarray:
+                       model: MeterModel) -> np.ndarray:
     spec = scenario.measurements
     m = len(parsed.config)
     if "source" in spec:
@@ -295,19 +316,17 @@ def _scenario_readings(scenario: Scenario, parsed: ParsedCase,
     if "magnitudes" in sim:
         mags = {int(k): float(v) for k, v in sim["magnitudes"].items()}
     state = StateVector(angles=angles, magnitudes=mags)
-    return simulate_measurements(
-        parsed.network, admittance, state, parsed.config, scenario.mode,
-        int(sim["seed"]), float(sim.get("noise_scale", 1.0))
-    )
+    return _simulate(model, state, scenario.mode, int(sim["seed"]),
+                     float(sim.get("noise_scale", 1.0)))
 
 
-def _scenario_attack_vector(scenario: Scenario, parsed: ParsedCase,
-                            admittance, z: np.ndarray) -> np.ndarray | None:
+def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
+                            z: np.ndarray) -> np.ndarray | None:
     spec = scenario.attack
     kind = spec["type"]
     if kind == "none":
         return None
-    m = len(parsed.config)
+    m = len(model.config)
     if kind == "explicit_deltas":
         if "deltas" in spec:
             a = np.array(spec["deltas"], dtype=float)
@@ -325,7 +344,7 @@ def _scenario_attack_vector(scenario: Scenario, parsed: ParsedCase,
             )
         return a
     # The remaining attack families are defined against the linear model.
-    h = dc_jacobian(parsed.network, admittance, parsed.config)
+    h = model.dc_matrix
     if kind == "stealth_shift":
         c = np.array(spec["c"], dtype=float)
         if c.shape != (h.shape[1],):
@@ -348,26 +367,27 @@ def _scenario_attack_vector(scenario: Scenario, parsed: ParsedCase,
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Build readings, apply the attack, estimate, and run every detector.
 
+    One meter model serves the readings, the attack and the detectors.
     Deterministic given the scenario content. A constrained attack with no
     feasible direction degrades to an unattacked run (reported as such).
     """
     parsed = parse_case(Path(scenario.case_path).read_text())
     network, config = parsed.network, parsed.config
-    admittance = build_admittance(network)
     weights = weights_from_config(config)
+    model = build_meter_model(network, config)
 
-    z = _scenario_readings(scenario, parsed, admittance)
-    a = _scenario_attack_vector(scenario, parsed, admittance, z)
+    z = _scenario_readings(scenario, parsed, model)
+    a = _scenario_attack_vector(scenario, model, z)
     z_final = apply_attack(z, a) if a is not None else z
 
     state_dim = state_dimension(network, scenario.mode)
     if scenario.mode == "dc":
-        h_detect = dc_jacobian(network, admittance, config)
+        h_detect = model.dc_matrix
         result = estimate_dc(h_detect, z_final, weights)
     else:
-        result = estimate_ac(network, admittance, z_final, config, weights)
-        solution = state_from_free(network, result.state, "ac")
-        h_detect = ac_jacobian(network, admittance, solution, config)
+        result = estimate_ac(network, build_admittance(network), z_final,
+                             config, weights)
+        h_detect = model.jacobian(result.state)
 
     verdicts = tuple(
         run_detector(d, h_detect, z_final, weights, result, state_dim)
@@ -395,8 +415,10 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     adds a random stealth attack of the given magnitude (same per-trial
     seed), estimates, and runs the detector. The unattacked arm always runs
     on the same noisy readings, so with ``attack="stealth"`` the two arms
-    differ only by the added Hc. Serial and deterministic; trials are
-    independent, so any parallel split over t aggregates identically.
+    differ only by the added Hc. H and the noiseless readings are computed
+    once per call; each trial adds its own noise to them. Serial and
+    deterministic; trials are independent, so any parallel split over t
+    aggregates identically.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -415,7 +437,8 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
         truth_free = estimate_dc(h, parsed.values, weights).state
     else:
         truth_free = np.zeros(k)
-    truth = state_from_free(network, truth_free, "dc")
+    clean = h @ truth_free
+    sigmas = config.sigmas()
 
     base_detected = 0
     attack_detected = 0
@@ -423,8 +446,7 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     attack_stats = []
     for t in range(trials):
         seed = noise_seed_base + t
-        z = simulate_measurements(network, admittance, truth, config, "dc",
-                                  seed, noise_scale)
+        z = _with_noise(clean, sigmas, seed, noise_scale)
         base = run_detector(detector, h, z, weights,
                             estimate_dc(h, z, weights), k)
         base_detected += base.detected

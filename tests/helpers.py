@@ -37,20 +37,26 @@ def load_three_bus():
 
 
 def random_network(rng: np.random.Generator, n: int, lossy: bool = False,
-                   shunts: bool = False) -> NetworkModel:
-    """Connected network on n buses: a random spanning tree plus extras."""
+                   shunts: bool = False, parallel: int = 0) -> NetworkModel:
+    """Connected network on n buses: a random spanning tree plus extras.
+
+    ``parallel`` more branches each run beside an earlier one, in the
+    opposite orientation and with their own parameters; with shunts they
+    also carry a shunt conductance.
+    """
     ref = int(rng.integers(1, n + 1))
     buses = tuple(Bus(id=i, is_reference=(i == ref)) for i in range(1, n + 1))
     edges = set()
     branches = []
 
-    def add_branch(i, j):
+    def add_branch(i, j, gs=0.0):
         edges.add(frozenset((i, j)))
         branches.append(Branch(
             from_bus=i,
             to_bus=j,
             resistance_r=float(rng.uniform(0.01, 0.08)) if lossy else 0.0,
             reactance_x=float(rng.uniform(0.1, 0.5)),
+            shunt_conductance_gs=gs,
             shunt_susceptance_bs=float(rng.uniform(0.0, 0.04)) if shunts else 0.0,
         ))
 
@@ -60,6 +66,10 @@ def random_network(rng: np.random.Generator, n: int, lossy: bool = False,
         i, j = rng.choice(n, size=2, replace=False) + 1
         if frozenset((int(i), int(j))) not in edges:
             add_branch(int(i), int(j))
+    for _ in range(parallel):
+        twin = branches[int(rng.integers(len(branches)))]
+        add_branch(twin.to_bus, twin.from_bus,
+                   gs=float(rng.uniform(0.0, 0.004)) if shunts else 0.0)
     return NetworkModel(buses=buses, branches=tuple(branches))
 
 
@@ -98,8 +108,10 @@ def random_observable_config(rng: np.random.Generator, network: NetworkModel,
             return config
 
 
-def full_ac_config(network: NetworkModel, sigma: float = 0.01) -> MeasurementConfig:
-    """Flows (p and q, both ends), injections (p and q), and voltages."""
+def full_ac_config(network: NetworkModel, sigma: float = 0.01,
+                   currents: bool = False) -> MeasurementConfig:
+    """Flows (p and q, both ends), injections (p and q), and voltages; with
+    ``currents``, then a current meter at both ends of every branch."""
     specs = []
     for br in network.branches:
         for i, j in ((br.from_bus, br.to_bus), (br.to_bus, br.from_bus)):
@@ -109,6 +121,11 @@ def full_ac_config(network: NetworkModel, sigma: float = 0.01) -> MeasurementCon
         specs.append(MeasurementSpec(kind="injection_p", bus=bus.id, sigma=sigma))
         specs.append(MeasurementSpec(kind="injection_q", bus=bus.id, sigma=sigma))
         specs.append(MeasurementSpec(kind="voltage_magnitude", bus=bus.id, sigma=sigma))
+    if currents:
+        for br in network.branches:
+            for i, j in ((br.from_bus, br.to_bus), (br.to_bus, br.from_bus)):
+                specs.append(MeasurementSpec(kind="current_magnitude", from_bus=i,
+                                             to_bus=j, sigma=sigma))
     return MeasurementConfig(specs=tuple(specs))
 
 

@@ -1,13 +1,14 @@
 """Independent oracle routines for the test suite.
 
 Deliberately written from scratch, without the package's linear-algebra
-paths: inversion by Gauss-Jordan elimination, rank by row reduction, and the
-chi-square distribution through the classic erf/exponential recurrence. Slow
-and simple on purpose.
+paths: inversion by Gauss-Jordan elimination, rank by row reduction, the
+chi-square distribution through the classic erf/exponential recurrence, and
+branch power flows from complex phasors. Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -99,3 +100,14 @@ def chi2_quantile(p: float, dof: int) -> float:
         else:
             high = mid
     return 0.5 * (low + high)
+
+
+def branch_power(branch, state, i: int, j: int) -> complex:
+    """Complex power leaving bus i on a pi-model branch between i and j,
+    from phasors: S = V_i conj((y + y_sh) V_i - y V_j) with y = 1/(r + jX)
+    and y_sh = gs + j*bs the shunt at each end."""
+    v_i = state.magnitudes[i] * cmath.exp(1j * state.angles[i])
+    v_j = state.magnitudes[j] * cmath.exp(1j * state.angles[j])
+    y = 1.0 / complex(branch.resistance_r, branch.reactance_x)
+    y_sh = complex(branch.shunt_conductance_gs, branch.shunt_susceptance_bs)
+    return v_i * ((y + y_sh) * v_i - y * v_j).conjugate()

@@ -153,3 +153,21 @@ def test_scenario_file_with_unknown_keys(tmp_path, capsys):
                                 "mystery": True}))
     code, _, err = run_cli(capsys, "scenario", "run", str(path))
     assert code == 2
+
+
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys):
+    case = THREE_BUS.read_text().replace('"sigma": 0.01', '"sigma": Infinity', 1)
+    assert "Infinity" in case
+    case_path = tmp_path / "infinite.json"
+    case_path.write_text(case)
+    code, _, err = run_cli(capsys, "estimate", "--case", str(case_path))
+    assert code == 2
+    assert "error" in err
+
+    scenario_path = tmp_path / "nan.json"
+    scenario_path.write_text(
+        '{"name": "x", "case": "%s", '
+        '"attack": {"type": "stealth_shift", "c": [NaN, 0.0]}}' % THREE_BUS)
+    code, _, err = run_cli(capsys, "scenario", "run", str(scenario_path))
+    assert code == 2
+    assert "error" in err

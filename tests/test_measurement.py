@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridse import (
+    DimensionMismatch,
     MeasurementConfig,
     MeasurementSpec,
     MissingMagnitudes,
@@ -11,6 +12,7 @@ from gridse import (
     UnsupportedKindForDC,
     ac_jacobian,
     build_admittance,
+    build_meter_model,
     dc_jacobian,
     flat_state,
     free_vector,
@@ -25,6 +27,7 @@ from helpers import (
     random_network,
     random_observable_config,
 )
+from oracles import branch_power
 
 # hand-solved three-bus quantities (see test_estimation for the derivation)
 TRUE_ANGLES = {1: 0.02857142857142857, 2: -0.09428571428571429, 3: 0.0}
@@ -315,3 +318,120 @@ def test_simulated_noise_is_zero_mean():
     ])
     bound = 4 * 0.01 / np.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0)) <= bound)
+
+
+def test_meter_functions_match_phasor_oracle_on_parallel_branches():
+    # flow and current meters read the first branch joining their ends, in
+    # file order, from their 'from' end; injections sum every branch at
+    # their bus
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        net = random_network(rng, int(rng.integers(3, 7)), lossy=True,
+                             shunts=True, parallel=3)
+        pairs = {frozenset((br.from_bus, br.to_bus)) for br in net.branches}
+        assert len(pairs) < len(net.branches)  # some branches run in parallel
+        config = full_ac_config(net, currents=True)
+        state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
+        values = h_eval_ac(net, build_admittance(net), state, config)
+        expected = []
+        for spec in config.specs:
+            if spec.kind == "voltage_magnitude":
+                expected.append(state.magnitudes[spec.bus])
+                continue
+            if spec.kind in ("injection_p", "injection_q"):
+                s = sum(branch_power(br, state, spec.bus,
+                                     br.to_bus if br.from_bus == spec.bus else br.from_bus)
+                        for br in net.branches if spec.bus in (br.from_bus, br.to_bus))
+            else:
+                first = next(br for br in net.branches
+                             if {br.from_bus, br.to_bus} == {spec.from_bus, spec.to_bus})
+                s = branch_power(first, state, spec.from_bus, spec.to_bus)
+            if spec.kind == "current_magnitude":
+                expected.append(abs(s) / state.magnitudes[spec.from_bus])
+            else:
+                expected.append(s.real if spec.kind.endswith("_p") else s.imag)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_ac_jacobian_matches_finite_differences_on_parallel_branches():
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        net = random_network(rng, int(rng.integers(3, 7)), lossy=True,
+                             shunts=True, parallel=2)
+        adm = build_admittance(net)
+        config = full_ac_config(net, currents=True)
+        state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
+        x0 = free_vector(net, state, "ac")
+        jac = ac_jacobian(net, adm, state, config)
+        fd = finite_difference_jacobian(net, adm, config, x0)
+        assert np.max(np.abs(jac - fd)) <= 1e-6
+
+
+def test_current_rows_vanish_at_flat_lossless_state():
+    # |S| = 0 on every branch here, so each current meter reads 0 with a
+    # zero Jacobian row, while the other meters keep their sensitivities
+    rng = np.random.default_rng(31)
+    net = random_network(rng, 5, parallel=2)
+    adm = build_admittance(net)
+    config = full_ac_config(net, currents=True)
+    current = np.array([s.kind == "current_magnitude" for s in config.specs])
+    values = h_eval_ac(net, adm, flat_state(net), config)
+    jac = ac_jacobian(net, adm, flat_state(net), config)
+    assert np.all(np.isfinite(jac))
+    np.testing.assert_array_equal(values[current], 0.0)
+    np.testing.assert_array_equal(jac[current], 0.0)
+    assert np.all(np.any(jac[~current] != 0.0, axis=1))
+
+
+def test_dc_rows_on_parallel_branches():
+    # a reversed flow meter's row is the exact negation; a flow meter uses
+    # the first of two parallel branches; an injection sums all of them
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        net = random_network(rng, int(rng.integers(3, 8)), parallel=3)
+        adm = build_admittance(net)
+        cols = {b: c for c, b in enumerate(net.non_reference_ids())}
+
+        def row(terms):
+            out = np.zeros(net.n_buses - 1)
+            for i, j, x in terms:
+                if i in cols:
+                    out[cols[i]] += 1.0 / x
+                if j in cols:
+                    out[cols[j]] -= 1.0 / x
+            return out
+
+        forward = [MeasurementSpec(kind="flow_p", from_bus=br.from_bus,
+                                   to_bus=br.to_bus, sigma=0.01)
+                   for br in net.branches]
+        backward = [MeasurementSpec(kind="flow_p", from_bus=br.to_bus,
+                                    to_bus=br.from_bus, sigma=0.01)
+                    for br in net.branches]
+        hf = dc_jacobian(net, adm, MeasurementConfig(specs=tuple(forward)))
+        hb = dc_jacobian(net, adm, MeasurementConfig(specs=tuple(backward)))
+        np.testing.assert_array_equal(hb, -hf)
+        for h_row, br in zip(hf, net.branches):
+            first = net.branch_between(br.from_bus, br.to_bus)
+            np.testing.assert_array_equal(
+                h_row, row([(br.from_bus, br.to_bus, first.reactance_x)]))
+        injections = MeasurementConfig(specs=tuple(
+            MeasurementSpec(kind="injection_p", bus=b.id, sigma=0.01)
+            for b in net.buses))
+        h_inj = dc_jacobian(net, adm, injections)
+        for h_row, bus in zip(h_inj, net.buses):
+            expected = row([(bus.id, br.to_bus if br.from_bus == bus.id else br.from_bus,
+                             br.reactance_x)
+                            for br in net.branches if bus.id in (br.from_bus, br.to_bus)])
+            np.testing.assert_allclose(h_row, expected, rtol=1e-15)
+
+
+def test_meter_model_checks_its_inputs():
+    rng = np.random.default_rng(33)
+    net = random_network(rng, 4, lossy=True)
+    model = build_meter_model(net, full_ac_config(net))
+    with pytest.raises(UnsupportedKindForDC):
+        model.dc_matrix
+    with pytest.raises(DimensionMismatch):
+        model.values(np.zeros(net.n_buses))
+    with pytest.raises(DimensionMismatch):
+        model.jacobian(np.zeros(2 * net.n_buses))

@@ -85,6 +85,26 @@ def test_parse_rejects_bad_documents(mutate, error):
         parse_case(json.dumps(doc))
 
 
+NON_FINITE_LITERALS = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+                       "1" + "0" * 400)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE_LITERALS)
+@pytest.mark.parametrize("section, index, key", [
+    ("buses", 0, "v"),
+    ("branches", 0, "x"),
+    ("branches", 1, "r"),
+    ("measurements", 0, "sigma"),
+    ("measurements", 2, "value"),
+])
+def test_parse_rejects_non_finite_numbers(literal, section, index, key):
+    doc = three_bus_doc()
+    doc[section][index][key] = "PLACEHOLDER"
+    text = json.dumps(doc).replace('"PLACEHOLDER"', literal)
+    with pytest.raises(MalformedDocument):
+        parse_case(text)
+
+
 def test_parse_not_json_is_malformed():
     with pytest.raises(MalformedDocument):
         parse_case("buses: []")

@@ -12,11 +12,16 @@ from gridse import (
     MonteCarloStats,
     Scenario,
     emit_report,
+    estimate_dc,
     load_scenario,
+    run_detector,
     run_monte_carlo,
     run_scenario,
+    simulate_measurements,
+    state_from_free,
+    weights_from_config,
 )
-from helpers import CASES_DIR, SCENARIO_FILES, THREE_BUS
+from helpers import CASES_DIR, SCENARIO_FILES, THREE_BUS, load_three_bus
 
 EXPECTED_ROWS = {
     "base-case": (False, (0.02857142857142857, -0.09428571428571429),
@@ -139,6 +144,34 @@ def test_scenario_attack_validation(tmp_path, attack):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
+                                     '"text"'])
+@pytest.mark.parametrize("doc", [
+    {"attack": {"type": "stealth_shift", "c": [0.001, "PLACEHOLDER"]}},
+    {"attack": {"type": "explicit_deltas", "deltas": [0.0, "PLACEHOLDER", 0.0]}},
+    {"attack": {"type": "random_stealth", "magnitude": "PLACEHOLDER", "seed": 1}},
+    {"attack": {"type": "constrained", "accessible": [1, "PLACEHOLDER"]}},
+    {"attack": {"type": "constrained", "accessible": [1], "magnitude": "PLACEHOLDER"}},
+    {"measurements": {"values": ["PLACEHOLDER", 0.06, 0.37]}},
+    {"measurements": {"simulate": {"angles": {"1": "PLACEHOLDER"}, "seed": 1}}},
+    {"measurements": {"simulate": {"angles": {}, "magnitudes": {"2": "PLACEHOLDER"},
+                                   "seed": 1}}},
+    {"measurements": {"simulate": {"angles": {}, "seed": "PLACEHOLDER"}}},
+    {"measurements": {"simulate": {"angles": {}, "seed": 1,
+                                   "noise_scale": "PLACEHOLDER"}}},
+    {"detectors": [{"method": "norm_threshold", "tau": "PLACEHOLDER"}]},
+    {"detectors": [{"method": "chi_square", "alpha": "PLACEHOLDER"}]},
+    {"detectors": [{"method": "lnr", "lnr_threshold": "PLACEHOLDER"}]},
+    {"detectors": "PLACEHOLDER"},
+])
+def test_scenario_rejects_bad_numbers(tmp_path, literal, doc):
+    doc = {"name": "x", "case": str(THREE_BUS)} | doc
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    with pytest.raises(MalformedDocument):
+        load_scenario(path)
+
+
 def test_scenario_shift_length_checked(tmp_path):
     doc = {"name": "x", "case": str(THREE_BUS),
            "attack": {"type": "stealth_shift", "c": [0.1, 0.2, 0.3]}}
@@ -242,6 +275,24 @@ def test_monte_carlo_stealth_statistics_match_per_seed():
     assert all(abs(a - b) <= 1e-10 for a, b in paired)
     assert stats.detection_rate == stats.false_alarm_rate
     assert stats.interval_low <= stats.detection_rate <= stats.interval_high
+
+
+def test_monte_carlo_trials_read_simulated_measurements():
+    # trial t sees exactly the readings simulate_measurements gives for
+    # seed noise_seed_base + t
+    parsed, admittance, h = load_three_bus()
+    weights = weights_from_config(parsed.config)
+    truth = state_from_free(
+        parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
+    detector = DetectorConfig(method="chi_square")
+    stats = run_monte_carlo(THREE_BUS, trials=5, noise_seed_base=7,
+                            detector=detector)
+    for t, statistic in enumerate(stats.unattacked_statistics):
+        z = simulate_measurements(parsed.network, admittance, truth,
+                                  parsed.config, "dc", 7 + t)
+        expected = run_detector(detector, h, z, weights,
+                                estimate_dc(h, z, weights), h.shape[1])
+        assert statistic == expected.statistic
 
 
 def test_monte_carlo_determinism():
