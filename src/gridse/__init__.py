@@ -25,6 +25,7 @@ from .errors import (
     DisconnectedNetwork,
     GridError,
     InputError,
+    InvalidArgument,
     LengthMismatch,
     MalformedDocument,
     MissingMagnitudes,
@@ -39,8 +40,10 @@ from .errors import (
 )
 from .estimation import (
     EstimationResult,
+    GainFactor,
     estimate_ac,
     estimate_dc,
+    factor_gain,
     weighted_objective,
     weights_from_config,
 )

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch
+from .errors import DimensionMismatch, InvalidArgument, LengthMismatch
 
 RANK_RTOL = 1e-9
 STEALTH_RTOL = 1e-9
@@ -70,8 +70,8 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
 
     Deterministic in the seed; returns (c, Hc).
     """
-    if magnitude <= 0:
-        raise ValueError("magnitude must be > 0")
+    if not 0.0 < magnitude < np.inf:
+        raise InvalidArgument("magnitude must be positive and finite")
     h = _as_matrix(h_matrix)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=h.shape[1])

@@ -10,6 +10,9 @@ Three single-pass detectors over the estimation residual r = z - h(x'):
   S = I - H (H^T W H)^-1 H^T W and residual covariance Omega = S R
   (R = diag(sigma^2)), each r_i^N = |r_i| / sqrt(Omega_ii); flag when the
   largest exceeds the threshold (default 3.0) and name the argmax meter.
+  Only the diagonal Omega_ii = (1 - w_i (H G^-1 H^T)_ii) / w_i is computed,
+  from the gain factor the estimate already holds when it was built from the
+  same H and W; the m x m matrices S and Omega are never formed.
 
 Meters whose Omega_ii vanishes are critical: their residual is structurally
 zero, so they are excluded from the lnr argmax and reported instead. All
@@ -19,6 +22,7 @@ meter indices in results and configurations are 1-based file order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import chi2
@@ -32,7 +36,7 @@ from .errors import (
 from .estimation import (
     EstimationResult,
     _check_weights,
-    _checked_gain,
+    factor_gain,
     weighted_objective,
 )
 
@@ -119,6 +123,12 @@ def norm_threshold_test(r: np.ndarray, tau: float) -> DetectionResult:
     )
 
 
+@lru_cache
+def _chi2_threshold(alpha: float, dof: int) -> float:
+    """The upper-alpha quantile of chi-square with dof degrees of freedom."""
+    return float(chi2.ppf(1.0 - alpha, dof))
+
+
 def chi_square_test(z: np.ndarray, h_of_x: np.ndarray, weights: np.ndarray,
                     state_dim: int, alpha: float = 0.05) -> DetectionResult:
     """Weighted objective against the chi-square upper-alpha quantile.
@@ -132,7 +142,7 @@ def chi_square_test(z: np.ndarray, h_of_x: np.ndarray, weights: np.ndarray,
             f"{m} meters cannot test a {state_dim}-dimensional state"
         )
     statistic = weighted_objective(z, h_of_x, weights)
-    threshold = float(chi2.ppf(1.0 - alpha, m - state_dim))
+    threshold = _chi2_threshold(alpha, m - state_dim)
     return DetectionResult(
         method="chi_square",
         detected=statistic > threshold,
@@ -147,9 +157,13 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
                                 lnr_threshold: float = 3.0) -> DetectionResult:
     """Normalize each residual by its own standard deviation and rank them.
 
-    Omega_ii = S_ii * sigma_i^2 with S = I - H (H^T W H)^-1 H^T W. Meters with
-    Omega_ii <= 1e-14 are critical and skipped; if every meter is critical
-    there is nothing to normalize and NumericallySingularOmega is raised.
+    Omega_ii = S_ii * sigma_i^2 with S = I - H (H^T W H)^-1 H^T W, computed
+    as (1 - w_i * hat_ii) / w_i from the hat diagonal hat_ii of
+    H (H^T W H)^-1 H^T. The estimate's gain factor is reused when it was
+    built from this H and these weights; otherwise the gain is factored
+    here, once. Meters with Omega_ii <= 1e-14 are critical and skipped; if
+    every meter is critical there is nothing to normalize and
+    NumericallySingularOmega is raised.
     """
     h = np.asarray(h_matrix, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -161,10 +175,10 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
     if r.shape != (m,):
         raise LengthMismatch(f"residual has shape {r.shape} but H has {m} rows")
 
-    gain = _checked_gain(h, w)
-    # Only the diagonal of Omega = S R is needed: (S R)_ii = S_ii / w_i.
-    projector = h @ np.linalg.solve(gain, h.T) * w[None, :]
-    omega_diag = (1.0 - np.diag(projector)) / w
+    factor = estimate.factor
+    if factor is None or not factor.matches(h, w):
+        factor = factor_gain(h, w)
+    omega_diag = (1.0 - w * factor.hat_diagonal) / w
 
     critical = omega_diag <= OMEGA_FLOOR
     critical_meters = tuple(int(i) + 1 for i in np.flatnonzero(critical))

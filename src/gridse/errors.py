@@ -62,6 +62,12 @@ class NoRedundancy(InputError):
     """Meter count does not exceed the state dimension."""
 
 
+class InvalidArgument(InputError, ValueError):
+    """An argument value is out of range: a non-positive trial count, attack
+    magnitude or weight, or a state that does not fit the network. Also a
+    ValueError, the class these cases raised before."""
+
+
 class UnobservableNetwork(NumericalError):
     """The gain matrix is singular or numerically rank-deficient."""
 

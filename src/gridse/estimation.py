@@ -3,24 +3,91 @@
 The linear (dc) problem z = Hx + e solves in closed form through the normal
 equations x' = (H^T W H)^-1 H^T W z; the nonlinear (ac) problem iterates
 Gauss-Newton steps dx = (H^T W H)^-1 H^T W (z - h(x)) with H re-evaluated at
-every iterate. W is diagonal with entries 1/sigma_i^2. Normal equations are
-solved by Cholesky factorization, never by forming the inverse, and a gain
-matrix with condition estimate above 1e12 raises UnobservableNetwork instead
-of returning garbage.
+every iterate. W is diagonal with entries 1/sigma_i^2. Each (H, W) pair is
+factored once into a :class:`GainFactor`: the upper Cholesky factor of the
+gain H^T W H (LAPACK ``potrf``) and LAPACK's 1-norm condition estimate of
+the gain (``pocon``). A gain that is not positive definite or whose
+condition estimate exceeds 1e12 raises UnobservableNetwork instead of
+returning garbage. The factor serves every solve with that (H, W), and the
+largest-normalized-residual detector reads its hat diagonal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack, solve_triangular
 
-from .errors import DimensionMismatch, LengthMismatch, UnobservableNetwork
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    LengthMismatch,
+    UnobservableNetwork,
+)
 from .measurement import StateVector, build_meter_model, flat_state, free_vector
 from .network import AdmittanceMatrix, MeasurementConfig, NetworkModel
 
 CONDITION_LIMIT = 1e12
+
+
+@dataclass(frozen=True, eq=False)
+class GainFactor:
+    """The gain matrix H^T W H of one (H, W) pair, factored once.
+
+    ``upper`` is the upper Cholesky factor U (G = U^T U) as LAPACK ``potrf``
+    leaves it: the strict lower triangle still holds the gain and is never
+    read. ``condition`` is 1/rcond, LAPACK's estimate of the gain's 1-norm
+    condition number. H and W are kept by reference and must not be
+    modified while the factor is in use. Build one with :func:`factor_gain`.
+    """
+
+    h: np.ndarray
+    weights: np.ndarray
+    upper: np.ndarray
+    condition: float
+
+    def matches(self, h: np.ndarray, weights: np.ndarray) -> bool:
+        """True when (h, weights) is the pair this factor was built from."""
+        return (np.array_equal(h, self.h)
+                and np.array_equal(weights, self.weights))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The weighted least-squares solve of a meter-space vector:
+        (H^T W H)^-1 H^T W rhs."""
+        b = self.h.T @ (self.weights * rhs)
+        if not np.all(np.isfinite(b)):
+            raise InvalidArgument("readings or model values are not finite")
+        x, _ = lapack.dpotrs(self.upper, b, lower=0)
+        return x
+
+    def estimate(self, z: np.ndarray) -> EstimationResult:
+        """The exact linear WLS estimate from readings z."""
+        z = np.asarray(z, dtype=float)
+        if z.shape != (self.h.shape[0],):
+            raise DimensionMismatch(
+                f"z has shape {z.shape} but H has {self.h.shape[0]} rows"
+            )
+        x = self.solve(z)
+        r = z - self.h @ x
+        return EstimationResult(
+            state=x,
+            residual=r,
+            squared_error_raw=float(r @ r),
+            objective_weighted=float(self.weights @ (r * r)),
+            converged=True,
+            iterations=1,
+            condition=self.condition,
+            factor=self,
+        )
+
+    @cached_property
+    def hat_diagonal(self) -> np.ndarray:
+        """diag(H G^-1 H^T), from Y = U^-T H^T as the column sums of Y * Y;
+        the m x m matrix is never formed."""
+        y = solve_triangular(self.upper, self.h.T, trans="T", lower=False)
+        return np.einsum("ij,ij->j", y, y)
 
 
 @dataclass(frozen=True)
@@ -31,6 +98,9 @@ class EstimationResult:
     (use measurement.state_from_free to label it by bus). ``residual`` is
     z - h(state), ``squared_error_raw`` its plain squared norm and
     ``objective_weighted`` the weighted sum actually minimized.
+    ``condition`` is the gain's condition estimate (for ac, the gain of the
+    last Gauss-Newton step; None when no step ran) and ``factor`` the
+    factored gain behind it, which detectors reuse.
     """
 
     state: np.ndarray
@@ -39,6 +109,8 @@ class EstimationResult:
     objective_weighted: float
     converged: bool
     iterations: int
+    condition: float | None = None
+    factor: GainFactor | None = field(default=None, compare=False, repr=False)
 
 
 def weights_from_config(config: MeasurementConfig) -> np.ndarray:
@@ -51,31 +123,38 @@ def _check_weights(weights: np.ndarray, m: int) -> np.ndarray:
     if w.shape != (m,):
         raise DimensionMismatch(f"expected {m} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise ValueError("weights must be positive and finite")
+        raise InvalidArgument("weights must be positive and finite")
     return w
 
 
-def _checked_gain(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The gain matrix H^T W H; UnobservableNetwork when its condition
-    number is not finite or exceeds CONDITION_LIMIT."""
+def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
+    """Factor the gain H^T W H once, guarded against ill-conditioning.
+
+    Raises UnobservableNetwork when the gain is not numerically positive
+    definite or its 1-norm condition estimate exceeds CONDITION_LIMIT. No
+    singular value decomposition is taken.
+    """
+    h = np.asarray(h_matrix, dtype=float)
+    if h.ndim != 2:
+        raise DimensionMismatch(f"H must be a matrix, got ndim {h.ndim}")
+    w = _check_weights(weights, h.shape[0])
     gain = h.T @ (w[:, None] * h)
-    cond = np.linalg.cond(gain)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    anorm = float(np.max(np.sum(np.abs(gain), axis=0), initial=0.0))
+    if not 0.0 < anorm < np.inf:
+        raise UnobservableNetwork("gain matrix is empty, zero or not finite")
+    upper, info = lapack.dpotrf(gain, lower=0, clean=0)
+    if info != 0:
         raise UnobservableNetwork(
-            f"gain matrix condition estimate {cond:.3g} exceeds {CONDITION_LIMIT:.0e}"
+            f"gain matrix is not positive definite (potrf info {info})"
         )
-    return gain
-
-
-def _solve_normal_equations(h: np.ndarray, w: np.ndarray,
-                            rhs_vec: np.ndarray) -> np.ndarray:
-    """Solve (H^T W H) x = H^T W rhs via Cholesky with a conditioning guard."""
-    gain = _checked_gain(h, w)
-    try:
-        factor = scipy.linalg.cho_factor(gain)
-    except scipy.linalg.LinAlgError as exc:
-        raise UnobservableNetwork(f"gain matrix is not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, h.T @ (w * rhs_vec))
+    rcond, _ = lapack.dpocon(upper, anorm)
+    condition = 1.0 / rcond if rcond > 0.0 else np.inf
+    if not condition <= CONDITION_LIMIT:
+        raise UnobservableNetwork(
+            f"gain matrix condition estimate {condition:.3g} exceeds "
+            f"{CONDITION_LIMIT:.0e}"
+        )
+    return GainFactor(h=h, weights=w, upper=upper, condition=condition)
 
 
 def weighted_objective(z: np.ndarray, h_of_x: np.ndarray,
@@ -97,25 +176,7 @@ def estimate_dc(h_matrix: np.ndarray, z: np.ndarray,
     Requires full column rank (an observable meter set); a singular or
     ill-conditioned gain matrix raises UnobservableNetwork.
     """
-    h = np.asarray(h_matrix, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if h.ndim != 2:
-        raise DimensionMismatch(f"H must be a matrix, got ndim {h.ndim}")
-    if z.shape != (h.shape[0],):
-        raise DimensionMismatch(
-            f"z has shape {z.shape} but H has {h.shape[0]} rows"
-        )
-    w = _check_weights(weights, h.shape[0])
-    x = _solve_normal_equations(h, w, z)
-    r = z - h @ x
-    return EstimationResult(
-        state=x,
-        residual=r,
-        squared_error_raw=float(r @ r),
-        objective_weighted=float(w @ (r * r)),
-        converged=True,
-        iterations=1,
-    )
+    return factor_gain(h_matrix, weights).estimate(z)
 
 
 def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
@@ -129,7 +190,8 @@ def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
     iterations. On non-convergence the best iterate seen (lowest weighted
     objective) is returned with ``converged=False``; a singular gain matrix
     at any iterate raises UnobservableNetwork. The meter model is built once
-    and every iterate is evaluated against it. ``admittance`` is not read.
+    and every iterate is evaluated against it; each step factors the gain at
+    its own iterate once. ``admittance`` is not read.
     """
     z = np.asarray(z, dtype=float)
     m = len(config.specs)
@@ -148,8 +210,10 @@ def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
     best = (obj, x, r)
     converged = False
     iterations = 0
+    factor = None
     for it in range(max_iter):
-        dx = _solve_normal_equations(model.jacobian(x), w, r)
+        factor = factor_gain(model.jacobian(x), w)
+        dx = factor.solve(r)
         x = x + dx
         r, obj = evaluate(x)
         iterations = it + 1
@@ -168,4 +232,6 @@ def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
         objective_weighted=float(w @ (r * r)),
         converged=converged,
         iterations=iterations,
+        condition=None if factor is None else factor.condition,
+        factor=factor,
     )

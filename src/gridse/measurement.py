@@ -42,6 +42,7 @@ import numpy as np
 from .errors import (
     DanglingReference,
     DimensionMismatch,
+    InvalidArgument,
     MissingMagnitudes,
     UnsupportedKindForDC,
 )
@@ -87,16 +88,16 @@ def state_order(network: NetworkModel, mode: str) -> tuple[tuple[str, int], ...]
 
 def _check_mode(mode: str):
     if mode not in ("dc", "ac"):
-        raise ValueError(f"mode must be 'dc' or 'ac', got {mode!r}")
+        raise InvalidArgument(f"mode must be 'dc' or 'ac', got {mode!r}")
 
 
 def _check_state(network: NetworkModel, state: StateVector, mode: str):
     for b in network.buses:
         if b.id not in state.angles:
-            raise ValueError(f"state has no angle for bus {b.id}")
+            raise InvalidArgument(f"state has no angle for bus {b.id}")
     ref = network.reference_bus
     if state.angles[ref] != 0.0:
-        raise ValueError(f"reference bus {ref} angle must be exactly 0")
+        raise InvalidArgument(f"reference bus {ref} angle must be exactly 0")
     if mode == "ac":
         if state.magnitudes is None:
             raise MissingMagnitudes("ac state requires voltage magnitudes")

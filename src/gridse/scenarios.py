@@ -47,8 +47,13 @@ from .attack import (
     random_stealth_attack,
 )
 from .baddata import DetectionResult, DetectorConfig, run_detector
-from .errors import DimensionMismatch, LengthMismatch, MalformedDocument
-from .estimation import estimate_ac, estimate_dc, weights_from_config
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    LengthMismatch,
+    MalformedDocument,
+)
+from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_config
 from .measurement import (
     MeterModel,
     StateVector,
@@ -415,13 +420,14 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     adds a random stealth attack of the given magnitude (same per-trial
     seed), estimates, and runs the detector. The unattacked arm always runs
     on the same noisy readings, so with ``attack="stealth"`` the two arms
-    differ only by the added Hc. H and the noiseless readings are computed
-    once per call; each trial adds its own noise to them. Serial and
-    deterministic; trials are independent, so any parallel split over t
-    aggregates identically.
+    differ only by the added Hc. H, its gain factor and the noiseless
+    readings are computed once per call; each trial adds its own noise to
+    them and estimates through that one factor, which the lnr detector
+    reuses. Serial and deterministic; trials are independent, so any
+    parallel split over t aggregates identically.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidArgument("trials must be >= 1")
     if attack not in ("none", "stealth"):
         raise MalformedDocument(f"unknown attack arm {attack!r}")
     detector = detector or DetectorConfig(method="chi_square")
@@ -434,9 +440,10 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     k = state_dimension(network, "dc")
 
     if parsed.values is not None:
-        truth_free = estimate_dc(h, parsed.values, weights).state
+        truth = estimate_dc(h, parsed.values, weights)
+        factor, truth_free = truth.factor, truth.state
     else:
-        truth_free = np.zeros(k)
+        factor, truth_free = factor_gain(h, weights), np.zeros(k)
     clean = h @ truth_free
     sigmas = config.sigmas()
 
@@ -447,15 +454,14 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     for t in range(trials):
         seed = noise_seed_base + t
         z = _with_noise(clean, sigmas, seed, noise_scale)
-        base = run_detector(detector, h, z, weights,
-                            estimate_dc(h, z, weights), k)
+        base = run_detector(detector, h, z, weights, factor.estimate(z), k)
         base_detected += base.detected
         base_stats.append(base.statistic)
         if attack == "stealth":
             _, a = random_stealth_attack(h, magnitude, seed)
             z_a = apply_attack(z, a)
             hit = run_detector(detector, h, z_a, weights,
-                               estimate_dc(h, z_a, weights), k)
+                               factor.estimate(z_a), k)
         else:
             hit = base
         attack_detected += hit.detected
@@ -529,7 +535,7 @@ def emit_report(report, format: str = "table") -> str:
     object with stable keys. Identical inputs give byte-identical output.
     """
     if format not in ("table", "machine"):
-        raise ValueError(f"format must be 'table' or 'machine', got {format!r}")
+        raise InvalidArgument(f"format must be 'table' or 'machine', got {format!r}")
     if isinstance(report, MonteCarloStats):
         if format == "machine":
             return json.dumps(report.as_dict()) + "\n"

@@ -7,6 +7,8 @@ residual equals |r_1| * sqrt(6.5625) / sigma. Base readings give
 6.343350474165465 on all meters (single-degree redundancy forces the tie).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,13 @@ from gridse import (
     UnobservableNetwork,
     build_admittance,
     chi_square_test,
+    Branch,
+    Bus,
+    NetworkModel,
     craft_stealth_attack,
     dc_jacobian,
     estimate_dc,
+    factor_gain,
     largest_normalized_residual,
     norm_threshold_test,
     residual,
@@ -251,3 +257,62 @@ def test_detector_config_validation():
         DetectorConfig(method="lnr", alpha=0.05)
     assert DetectorConfig(method="chi_square").alpha == 0.05
     assert DetectorConfig(method="lnr").lnr_threshold == 3.0
+
+
+def with_radial_bus(rng, parallel):
+    """A random network plus one bus hanging off bus 1 by a single line.
+
+    The meters are an observable random set with no injection meter at
+    bus 1, plus one flow meter on the radial line, placed last: the only
+    meter that sees the new bus, so it is critical.
+    """
+    while True:
+        net = random_network(rng, int(rng.integers(4, 9)), parallel=parallel)
+        n = net.n_buses
+        radial = NetworkModel(
+            buses=net.buses + (Bus(id=n + 1, is_reference=False),),
+            branches=net.branches + (Branch(from_bus=1, to_bus=n + 1,
+                                            resistance_r=0.0, reactance_x=0.2,
+                                            shunt_conductance_gs=0.0,
+                                            shunt_susceptance_bs=0.0),),
+        )
+        config = random_observable_config(rng, net, min_redundancy=3)
+        specs = tuple(s for s in config.specs
+                      if not (s.kind == "injection_p" and s.bus == 1))
+        specs += (MeasurementSpec(kind="flow_p", from_bus=n + 1, to_bus=1,
+                                  sigma=0.01),)
+        h = dc_jacobian(radial, build_admittance(radial),
+                        MeasurementConfig(specs=specs))
+        if np.linalg.matrix_rank(h) == h.shape[1]:
+            return h
+
+
+def test_lnr_reports_radial_flow_meter_as_critical():
+    rng = np.random.default_rng(43)
+    for parallel in (0, 2, 0, 2):
+        h = with_radial_bus(rng, parallel)
+        m = h.shape[0]
+        w = np.full(m, 1e4)
+        z = rng.uniform(-0.5, 0.5, size=m)
+        verdict = largest_normalized_residual(h, z, w, estimate_dc(h, z, w))
+        assert m in verdict.critical_meters
+        assert verdict.suspect_meter != m
+
+
+def test_lnr_reuses_or_rebuilds_the_gain_factor_alike():
+    rng = np.random.default_rng(44)
+    for parallel in (0, 3):
+        for _ in range(4):
+            net = random_network(rng, int(rng.integers(4, 10)), parallel=parallel)
+            config = random_observable_config(rng, net, min_redundancy=2)
+            h = dc_jacobian(net, build_admittance(net), config)
+            w = rng.uniform(1e3, 1e5, size=h.shape[0])
+            z = rng.uniform(-0.5, 0.5, size=h.shape[0])
+            est = estimate_dc(h, z, w)
+            reused = largest_normalized_residual(h, z, w, est)
+            rebuilt = largest_normalized_residual(
+                h, z, w, dataclasses.replace(est, factor=None))
+            other_w = largest_normalized_residual(
+                h, z, w, factor_gain(h, 2.0 * w).estimate(z))
+            assert reused == rebuilt
+            assert other_w.statistic == pytest.approx(reused.statistic, rel=1e-12)

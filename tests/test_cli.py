@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gridse.cli import main
 from helpers import CASES_DIR, THREE_BUS
 
@@ -171,3 +173,37 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scenario", "run", str(scenario_path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--trials", "0"),
+    ("--trials", "3", "--attack", "stealth", "--magnitude", "-1"),
+    ("--trials", "3", "--attack", "stealth", "--magnitude", "nan"),
+], ids=["zero-trials", "negative-magnitude", "nan-magnitude"])
+def test_bad_montecarlo_arguments_are_input_errors(capsys, extra):
+    code, _, err = run_cli(capsys, "montecarlo", "--case", str(THREE_BUS),
+                           *extra)
+    assert code == 2
+    assert "error" in err
+
+
+def test_simulated_state_without_angle_is_input_error(tmp_path, capsys):
+    path = tmp_path / "missing_angle.json"
+    path.write_text(json.dumps({
+        "name": "x", "case": str(THREE_BUS),
+        "measurements": {"simulate": {"angles": {"1": 0.01, "3": 0.0},
+                                      "seed": 1}}}))
+    code, _, err = run_cli(capsys, "scenario", "run", str(path))
+    assert code == 2
+    assert "no angle for bus 2" in err
+
+
+def test_simulated_state_with_nonzero_reference_is_input_error(tmp_path, capsys):
+    path = tmp_path / "reference_angle.json"
+    path.write_text(json.dumps({
+        "name": "x", "case": str(THREE_BUS),
+        "measurements": {"simulate": {"angles": {"1": 0.01, "2": -0.09,
+                                                 "3": 0.02}, "seed": 1}}}))
+    code, _, err = run_cli(capsys, "scenario", "run", str(path))
+    assert code == 2
+    assert "reference bus 3" in err

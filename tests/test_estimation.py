@@ -16,11 +16,14 @@ import pytest
 
 from gridse import (
     DimensionMismatch,
+    InvalidArgument,
     LengthMismatch,
     UnobservableNetwork,
     build_admittance,
+    dc_jacobian,
     estimate_ac,
     estimate_dc,
+    factor_gain,
     flat_state,
     free_vector,
     simulate_measurements,
@@ -236,3 +239,109 @@ def test_gauss_newton_fixed_point():
                           max_iter=1)
     assert resumed.converged
     assert np.max(np.abs(resumed.state - first.state)) < tol
+
+
+def random_dc_problem(seed, parallel=0, min_redundancy=2):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, int(rng.integers(4, 10)), parallel=parallel)
+    config = random_observable_config(rng, net, min_redundancy=min_redundancy)
+    h = dc_jacobian(net, build_admittance(net), config)
+    w = rng.uniform(1e3, 1e5, size=h.shape[0])
+    return rng, h, w
+
+
+def test_hat_diagonal_matches_explicit_projector():
+    for seed in range(6):
+        for parallel in (0, 3):
+            _, h, w = random_dc_problem(seed, parallel)
+            gain = h.T @ (w[:, None] * h)
+            hat = np.diag(h @ np.linalg.solve(gain, h.T))
+            factor = factor_gain(h, w)
+            np.testing.assert_allclose(factor.hat_diagonal, hat, rtol=1e-10)
+            omega = (1.0 - w * factor.hat_diagonal) / w
+            omega_ref = (1.0 - w * hat) / w
+            np.testing.assert_allclose(omega, omega_ref, rtol=1e-10,
+                                       atol=1e-12 * float(np.max(1.0 / w)))
+
+
+def test_factor_estimate_is_estimate_dc():
+    for seed in range(4):
+        rng, h, w = random_dc_problem(seed, parallel=2)
+        z = rng.uniform(-0.5, 0.5, size=h.shape[0])
+        factor = factor_gain(h, w)
+        direct = estimate_dc(h, z, w)
+        reused = factor.estimate(z)
+        np.testing.assert_array_equal(direct.state, reused.state)
+        np.testing.assert_array_equal(direct.residual, reused.residual)
+        assert direct.condition == reused.condition == factor.condition
+        assert direct.factor.matches(h, w)
+        np.testing.assert_allclose(direct.state, brute_force_wls(h, z, w),
+                                   atol=1e-10)
+
+
+def test_condition_estimate_tracks_one_norm_condition():
+    for seed in range(4):
+        _, h, w = random_dc_problem(seed)
+        gain = h.T @ (w[:, None] * h)
+        exact = np.linalg.cond(gain, 1)
+        # LAPACK's estimate never exceeds the 1-norm condition number
+        assert exact / 10 <= factor_gain(h, w).condition <= exact * (1 + 1e-9)
+
+
+def scaled_first_column(h, w, target):
+    """H with its first column scaled so the gain's 1-norm condition number
+    lands near target; returns it with that condition number."""
+    base = np.linalg.cond(h.T @ (w[:, None] * h), 1)
+    scaled = h.copy()
+    scaled[:, 0] *= np.sqrt(target / base)
+    return scaled, np.linalg.cond(scaled.T @ (w[:, None] * scaled), 1)
+
+
+def test_condition_guard_threshold():
+    for seed in range(3):
+        _, h, w = random_dc_problem(seed, parallel=1)
+        ill, cond = scaled_first_column(h, w, 1e13)
+        assert cond > 1e12
+        with pytest.raises(UnobservableNetwork):
+            factor_gain(ill, w)
+        with pytest.raises(UnobservableNetwork):
+            estimate_dc(ill, np.zeros(h.shape[0]), w)
+        usable, cond = scaled_first_column(h, w, 1e10)
+        assert 1e9 < cond < 1e11
+        assert 1e9 < factor_gain(usable, w).condition < 1e11
+
+
+def test_condition_guard_rejects_rank_deficiency():
+    _, h, w = random_dc_problem(11)
+    deficient = h.copy()
+    deficient[:, 1] = deficient[:, 0]
+    with pytest.raises(UnobservableNetwork):
+        factor_gain(deficient, w)
+    deficient[:, 1] = 0.0
+    with pytest.raises(UnobservableNetwork):
+        factor_gain(deficient, w)
+
+
+def test_factor_rejects_non_finite_input():
+    _, _, h = load_three_bus()
+    w = np.full(3, 1e4)
+    with pytest.raises(InvalidArgument):
+        estimate_dc(h, np.array([0.62, np.nan, 0.37]), w)
+    with pytest.raises(UnobservableNetwork), np.errstate(invalid="ignore"):
+        factor_gain(np.where(h == 0.0, np.inf, h), w)
+
+
+def test_estimate_ac_reports_last_step_condition():
+    rng = np.random.default_rng(36)
+    net = random_network(rng, 5, lossy=True, parallel=1)
+    adm = build_admittance(net)
+    config = full_ac_config(net)
+    truth = random_ac_state(rng, net)
+    z = simulate_measurements(net, adm, truth, config, "ac", seed=6)
+    w = weights_from_config(config)
+    result = estimate_ac(net, adm, z, config, w)
+    assert result.converged
+    assert result.factor is not None
+    assert result.condition == result.factor.condition
+    assert 1.0 <= result.condition < 1e12
+    assert estimate_ac(net, adm, z, config, w, max_iter=0).condition is None

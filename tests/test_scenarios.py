@@ -13,7 +13,9 @@ from gridse import (
     Scenario,
     emit_report,
     estimate_dc,
+    largest_normalized_residual,
     load_scenario,
+    random_stealth_attack,
     run_detector,
     run_monte_carlo,
     run_scenario,
@@ -293,6 +295,27 @@ def test_monte_carlo_trials_read_simulated_measurements():
         expected = run_detector(detector, h, z, weights,
                                 estimate_dc(h, z, weights), h.shape[1])
         assert statistic == expected.statistic
+
+
+def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
+    # trials estimate through one gain factor per call; each statistic must
+    # equal the detector run on a fresh estimate_dc of the same readings
+    parsed, admittance, h = load_three_bus()
+    weights = weights_from_config(parsed.config)
+    truth = state_from_free(
+        parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
+    stats = run_monte_carlo(THREE_BUS, trials=6, noise_seed_base=11,
+                            attack="stealth", magnitude=0.02,
+                            detector=DetectorConfig(method="lnr"))
+    for t in range(stats.trials):
+        z = simulate_measurements(parsed.network, admittance, truth,
+                                  parsed.config, "dc", 11 + t)
+        z_a = z + random_stealth_attack(h, 0.02, 11 + t)[1]
+        for readings, statistic in ((z, stats.unattacked_statistics[t]),
+                                    (z_a, stats.attacked_statistics[t])):
+            expected = largest_normalized_residual(
+                h, readings, weights, estimate_dc(h, readings, weights))
+            assert statistic == expected.statistic
 
 
 def test_monte_carlo_determinism():
