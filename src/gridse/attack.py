@@ -102,8 +102,9 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
         c_dir = np.zeros(k)
         c_dir[-1] = 1.0
     else:
-        sub = h[blocked, :]
-        _, s, vh = np.linalg.svd(sub)
+        # With k or more rows the thin vh is already k x k (the full SVD only
+        # adds unread columns of U); with fewer, only the full vh is.
+        _, s, vh = np.linalg.svd(h[blocked, :], full_matrices=len(blocked) < k)
         tol = RANK_RTOL * s[0] if s.size else 0.0
         rank = int(np.sum(s > tol))
         if rank == k:

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .errors import (
+    DimensionMismatch,
     LengthMismatch,
     MalformedDocument,
     NoRedundancy,
@@ -204,13 +205,20 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
 
 
 def run_detector(config: DetectorConfig, h_matrix: np.ndarray, z: np.ndarray,
-                 weights: np.ndarray, estimate: EstimationResult,
-                 state_dim: int) -> DetectionResult:
-    """Dispatch one DetectorConfig against an estimation result."""
+                 weights: np.ndarray,
+                 estimate: EstimationResult) -> DetectionResult:
+    """Dispatch one DetectorConfig against an estimation result.
+
+    H is the matrix the estimate was solved with (for ac, the Jacobian at
+    the estimate); chi-square takes its column count as the state dimension.
+    """
     if config.method == "norm_threshold":
         return norm_threshold_test(estimate.residual, config.tau)
     if config.method == "chi_square":
+        shape = np.shape(h_matrix)
+        if len(shape) != 2:
+            raise DimensionMismatch(f"H must be a matrix, got shape {shape}")
         h_of_x = np.asarray(z, dtype=float) - estimate.residual
-        return chi_square_test(z, h_of_x, weights, state_dim, config.alpha)
+        return chi_square_test(z, h_of_x, weights, shape[1], config.alpha)
     return largest_normalized_residual(h_matrix, z, weights, estimate,
                                        config.lnr_threshold)

@@ -17,8 +17,8 @@ from .attack import apply_attack, craft_stealth_attack
 from .baddata import DetectorConfig, run_detector
 from .errors import InputError, MalformedDocument, NumericalError
 from .estimation import estimate_ac, estimate_dc, weights_from_config
-from .measurement import dc_jacobian, state_dimension, state_from_free
-from .network import build_admittance, parse_case
+from .measurement import build_meter_model, state_from_free
+from .network import parse_case
 from .scenarios import emit_report, load_scenario, run_monte_carlo, run_scenario
 
 EXIT_INPUT = 2
@@ -37,11 +37,6 @@ def _vector(text: str) -> np.ndarray:
         raise MalformedDocument(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _load_case(path: str):
-    parsed = parse_case(Path(path).read_text())
-    return parsed, build_admittance(parsed.network)
-
-
 def _require_values(parsed, path: str) -> np.ndarray:
     if parsed.values is None:
         raise MalformedDocument(f"{path} carries no measurement values")
@@ -49,15 +44,15 @@ def _require_values(parsed, path: str) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
-    parsed, admittance = _load_case(args.case)
+    parsed = parse_case(Path(args.case).read_text())
     z = _require_values(parsed, args.case)
     weights = weights_from_config(parsed.config)
     network = parsed.network
     if args.mode == "dc":
-        h = dc_jacobian(network, admittance, parsed.config)
+        h = build_meter_model(network, parsed.config).dc_matrix
         result = estimate_dc(h, z, weights)
     else:
-        result = estimate_ac(network, admittance, z, parsed.config, weights,
+        result = estimate_ac(network, z, parsed.config, weights,
                              tol=args.tol, max_iter=args.max_iter)
     state = state_from_free(network, result.state, args.mode)
     print(f"mode: {args.mode}")
@@ -75,9 +70,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    parsed, admittance = _load_case(args.case)
+    parsed = parse_case(Path(args.case).read_text())
     z = _require_values(parsed, args.case)
-    h = dc_jacobian(parsed.network, admittance, parsed.config)
+    h = build_meter_model(parsed.network, parsed.config).dc_matrix
     a = craft_stealth_attack(h, _vector(args.shift))
     z_a = apply_attack(z, a)
     print("a   = " + " ".join(_fmt(v) for v in a))
@@ -86,7 +81,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    parsed, admittance = _load_case(args.case)
+    parsed = parse_case(Path(args.case).read_text())
     z = _vector(args.z)
     config = parsed.config
     if len(z) != len(config):
@@ -94,7 +89,7 @@ def _cmd_detect(args) -> int:
             f"--z carries {len(z)} readings for {len(config)} meters"
         )
     weights = weights_from_config(config)
-    h = dc_jacobian(parsed.network, admittance, config)
+    h = build_meter_model(parsed.network, config).dc_matrix
     detector = DetectorConfig(
         method=args.method,
         tau=args.tau,
@@ -102,8 +97,7 @@ def _cmd_detect(args) -> int:
         lnr_threshold=args.lnr_threshold,
     )
     result = estimate_dc(h, z, weights)
-    verdict = run_detector(detector, h, z, weights, result,
-                           state_dimension(parsed.network, "dc"))
+    verdict = run_detector(detector, h, z, weights, result)
     print(f"method = {verdict.method}")
     print(f"statistic = {_fmt(verdict.statistic)}")
     print(f"threshold = {_fmt(verdict.threshold_used)}")

@@ -27,7 +27,7 @@ from .errors import (
     UnobservableNetwork,
 )
 from .measurement import StateVector, build_meter_model, flat_state, free_vector
-from .network import AdmittanceMatrix, MeasurementConfig, NetworkModel
+from .network import MeasurementConfig, NetworkModel
 
 CONDITION_LIMIT = 1e12
 
@@ -179,10 +179,10 @@ def estimate_dc(h_matrix: np.ndarray, z: np.ndarray,
     return factor_gain(h_matrix, weights).estimate(z)
 
 
-def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
-                z: np.ndarray, config: MeasurementConfig,
-                weights: np.ndarray, *, init: StateVector | None = None,
-                tol: float = 1e-8, max_iter: int = 50) -> EstimationResult:
+def estimate_ac(network: NetworkModel, z: np.ndarray,
+                config: MeasurementConfig, weights: np.ndarray, *,
+                init: StateVector | None = None, tol: float = 1e-8,
+                max_iter: int = 50) -> EstimationResult:
     """Gauss-Newton WLS on the nonlinear meter functions.
 
     Starts from ``init`` (default: flat start, v = 1 and angles 0) and stops
@@ -191,7 +191,7 @@ def estimate_ac(network: NetworkModel, admittance: AdmittanceMatrix,
     objective) is returned with ``converged=False``; a singular gain matrix
     at any iterate raises UnobservableNetwork. The meter model is built once
     and every iterate is evaluated against it; each step factors the gain at
-    its own iterate once. ``admittance`` is not read.
+    its own iterate once.
     """
     z = np.asarray(z, dtype=float)
     m = len(config.specs)

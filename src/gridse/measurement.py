@@ -336,42 +336,42 @@ def dc_jacobian(network: NetworkModel, admittance: AdmittanceMatrix,
     angle of j (reference columns dropped), so a reversed meter is the exact
     negation. An injection row is the sum of the flow rows of every branch
     leaving that bus. Resistance and shunts play no role here.
-    ``admittance`` is not read.
+
+    ``admittance`` is not read; it stays because the benchmark workloads
+    pass three positional arguments. The package itself uses
+    ``build_meter_model(network, config).dc_matrix``.
     """
     return build_meter_model(network, config).dc_matrix
 
 
-def h_eval_ac(network: NetworkModel, admittance: AdmittanceMatrix,
-              state: StateVector, config: MeasurementConfig) -> np.ndarray:
+def h_eval_ac(network: NetworkModel, state: StateVector,
+              config: MeasurementConfig) -> np.ndarray:
     """Evaluate every meter function at an ac state.
 
     Flows follow the pi-model equations (see ``MeterModel._branch_flows``),
     an injection is the sum of the flows leaving its bus, current magnitude
     is sqrt(P^2 + Q^2) / v_i, and a voltage meter reads v_i directly.
-    ``admittance`` is not read.
     """
     x = free_vector(network, state, "ac")
     return build_meter_model(network, config).values(x)
 
 
-def ac_jacobian(network: NetworkModel, admittance: AdmittanceMatrix,
-                state: StateVector, config: MeasurementConfig) -> np.ndarray:
-    """Analytic dh/dx at the given state, m x (2n-1). ``admittance`` is not
-    read."""
+def ac_jacobian(network: NetworkModel, state: StateVector,
+                config: MeasurementConfig) -> np.ndarray:
+    """Analytic dh/dx at the given state, m x (2n-1)."""
     x = free_vector(network, state, "ac")
     return build_meter_model(network, config).jacobian(x)
 
 
-def simulate_measurements(network: NetworkModel, admittance: AdmittanceMatrix,
-                          true_state: StateVector, config: MeasurementConfig,
-                          mode: str, seed: int,
+def simulate_measurements(network: NetworkModel, true_state: StateVector,
+                          config: MeasurementConfig, mode: str, seed: int,
                           noise_scale: float = 1.0) -> np.ndarray:
     """h(true state) plus independent zero-mean Gaussian meter noise.
 
     Meter i draws from its own stream keyed on (seed, i), so adding or
     removing meters never perturbs the draws of the others. ``noise_scale``
-    multiplies every sigma; 0 returns h(true state) exactly. ``admittance``
-    is not read.
+    multiplies every sigma; 0 returns h(true state) exactly, and a negative
+    or non-finite scale raises InvalidArgument.
     """
     _check_mode(mode)
     return _simulate(build_meter_model(network, config), true_state, mode,
@@ -381,11 +381,17 @@ def simulate_measurements(network: NetworkModel, admittance: AdmittanceMatrix,
 def _simulate(model: MeterModel, true_state: StateVector, mode: str,
               seed: int, noise_scale: float) -> np.ndarray:
     """simulate_measurements against a model already built."""
+    _check_noise_scale(noise_scale)
     if mode == "dc":
         clean = model.dc_matrix @ free_vector(model.network, true_state, "dc")
     else:
         clean = model.values(free_vector(model.network, true_state, "ac"))
     return _with_noise(clean, model.config.sigmas(), seed, noise_scale)
+
+
+def _check_noise_scale(noise_scale: float):
+    if not 0.0 <= noise_scale < np.inf:
+        raise InvalidArgument("noise_scale must be non-negative and finite")
 
 
 def _with_noise(clean: np.ndarray, sigmas: np.ndarray, seed: int,

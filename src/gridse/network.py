@@ -50,8 +50,10 @@ MEASUREMENT_KINDS = FLOW_KINDS + BUS_KINDS
 class Bus:
     """A network node.
 
-    ``voltage_magnitude`` is the fixed per-unit voltage used wherever the
-    linear model needs one; the nonlinear model treats voltage as a state.
+    ``voltage_magnitude`` is the case file's ``v``. It is parsed, checked
+    and written back by ``serialize_case``, but no model reads it: the
+    linear model takes every voltage as 1 pu and the nonlinear model treats
+    voltages as states.
     """
 
     id: int
@@ -218,12 +220,6 @@ class NetworkModel:
         """Non-reference bus ids, ascending: the angle state ordering."""
         return self._non_reference
 
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise DanglingReference(f"unknown bus {bus_id}")
-
     def branch_between(self, i: int, j: int) -> Branch | None:
         """First branch joining i and j in either orientation, else None."""
         return self._pair_branch.get(_pair(i, j))
@@ -240,7 +236,7 @@ def _pair(i: int, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class AdmittanceMatrix:
-    """Bus conductance/susceptance tables plus the adjacency sets.
+    """Bus conductance/susceptance tables.
 
     ``g`` is the real part of the standard bus-admittance assembly. ``b``
     carries the susceptance with the sign convention of the linear power-flow
@@ -251,7 +247,6 @@ class AdmittanceMatrix:
 
     g: np.ndarray
     b: np.ndarray
-    neighbors: dict[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -449,7 +444,7 @@ def serialize_case(network: NetworkModel, config: MeasurementConfig,
 
 
 def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
-    """Assemble the bus conductance/susceptance tables and adjacency sets.
+    """Assemble the bus conductance/susceptance tables.
 
     Per branch i-j with series admittance y = 1/(r + jX) and per-end shunt
     gs + j*bs: the off-diagonal assembly entry is -y and each diagonal picks
@@ -458,7 +453,6 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
     """
     n = network.n_buses
     y_bus = np.zeros((n, n), dtype=complex)
-    neighbor_sets: dict[int, set[int]] = {b.id: set() for b in network.buses}
     for br in network.branches:
         i, j = br.from_bus - 1, br.to_bus - 1
         y = 1.0 / complex(br.resistance_r, br.reactance_x)
@@ -467,11 +461,7 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
         y_bus[j, j] += y + shunt
         y_bus[i, j] -= y
         y_bus[j, i] -= y
-        neighbor_sets[br.from_bus].add(br.to_bus)
-        neighbor_sets[br.to_bus].add(br.from_bus)
-    neighbors = {i: tuple(sorted(s)) for i, s in neighbor_sets.items()}
-    return AdmittanceMatrix(g=y_bus.real.copy(), b=(-y_bus.imag).copy(),
-                            neighbors=neighbors)
+    return AdmittanceMatrix(g=y_bus.real.copy(), b=(-y_bus.imag).copy())
 
 
 def check_observability(network: NetworkModel,

@@ -57,11 +57,10 @@ from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_conf
 from .measurement import (
     MeterModel,
     StateVector,
+    _check_noise_scale,
     _simulate,
     _with_noise,
     build_meter_model,
-    dc_jacobian,
-    state_dimension,
 )
 from .network import (
     ParsedCase,
@@ -70,7 +69,6 @@ from .network import (
     _reject_constant,
     _require_int,
     _require_number,
-    build_admittance,
     parse_case,
 )
 
@@ -385,17 +383,15 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     a = _scenario_attack_vector(scenario, model, z)
     z_final = apply_attack(z, a) if a is not None else z
 
-    state_dim = state_dimension(network, scenario.mode)
     if scenario.mode == "dc":
         h_detect = model.dc_matrix
         result = estimate_dc(h_detect, z_final, weights)
     else:
-        result = estimate_ac(network, build_admittance(network), z_final,
-                             config, weights)
+        result = estimate_ac(network, z_final, config, weights)
         h_detect = model.jacobian(result.state)
 
     verdicts = tuple(
-        run_detector(d, h_detect, z_final, weights, result, state_dim)
+        run_detector(d, h_detect, z_final, weights, result)
         for d in scenario.detectors
     )
     return ScenarioReport(
@@ -424,26 +420,29 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     readings are computed once per call; each trial adds its own noise to
     them and estimates through that one factor, which the lnr detector
     reuses. Serial and deterministic; trials are independent, so any
-    parallel split over t aggregates identically.
+    parallel split over t aggregates identically. A ``magnitude`` that is
+    not positive and finite (on either arm) or a negative or non-finite
+    ``noise_scale`` raises InvalidArgument before the case is read.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
+    if not 0.0 < magnitude < np.inf:
+        raise InvalidArgument("magnitude must be positive and finite")
+    _check_noise_scale(noise_scale)
     if attack not in ("none", "stealth"):
         raise MalformedDocument(f"unknown attack arm {attack!r}")
     detector = detector or DetectorConfig(method="chi_square")
 
     parsed = parse_case(Path(case_path).read_text())
     network, config = parsed.network, parsed.config
-    admittance = build_admittance(network)
     weights = weights_from_config(config)
-    h = dc_jacobian(network, admittance, config)
-    k = state_dimension(network, "dc")
+    h = build_meter_model(network, config).dc_matrix
 
     if parsed.values is not None:
         truth = estimate_dc(h, parsed.values, weights)
         factor, truth_free = truth.factor, truth.state
     else:
-        factor, truth_free = factor_gain(h, weights), np.zeros(k)
+        factor, truth_free = factor_gain(h, weights), np.zeros(h.shape[1])
     clean = h @ truth_free
     sigmas = config.sigmas()
 
@@ -454,14 +453,13 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     for t in range(trials):
         seed = noise_seed_base + t
         z = _with_noise(clean, sigmas, seed, noise_scale)
-        base = run_detector(detector, h, z, weights, factor.estimate(z), k)
+        base = run_detector(detector, h, z, weights, factor.estimate(z))
         base_detected += base.detected
         base_stats.append(base.statistic)
         if attack == "stealth":
             _, a = random_stealth_attack(h, magnitude, seed)
             z_a = apply_attack(z, a)
-            hit = run_detector(detector, h, z_a, weights,
-                               factor.estimate(z_a), k)
+            hit = run_detector(detector, h, z_a, weights, factor.estimate(z_a))
         else:
             hit = base
         attack_detected += hit.detected

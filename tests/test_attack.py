@@ -7,6 +7,7 @@ from gridse import (
     DetectorConfig,
     DimensionMismatch,
     LengthMismatch,
+    MeasurementConfig,
     apply_attack,
     build_admittance,
     constrained_stealth_attack,
@@ -18,7 +19,12 @@ from gridse import (
     run_detector,
     verify_stealth,
 )
-from helpers import load_three_bus, random_network, random_observable_config
+from helpers import (
+    dc_meter_candidates,
+    load_three_bus,
+    random_network,
+    random_observable_config,
+)
 from oracles import row_reduction_rank
 
 BASE_Z = np.array([0.62, 0.06, 0.37])
@@ -99,7 +105,7 @@ def test_random_stealth_attack_is_invisible():
     z_attacked = apply_attack(BASE_Z, a)
     detector = DetectorConfig(method="chi_square")
     verdict = run_detector(detector, h, z_attacked, W,
-                           estimate_dc(h, z_attacked, W), 2)
+                           estimate_dc(h, z_attacked, W))
     assert verdict.statistic == pytest.approx(CHI2_BASE, abs=1e-10)
 
 
@@ -155,6 +161,26 @@ def test_constrained_attack_random_instances():
             assert verify_stealth(h, a)
             if blocked:
                 assert np.max(np.abs(a[blocked])) <= 1e-12
+
+
+def test_constrained_attack_with_many_blocked_rows_matches_full_svd():
+    # with at least k blocked rows the attack takes the thin SVD; its
+    # direction must be exactly the full SVD's last right singular vector
+    rng = np.random.default_rng(61)
+    net = random_network(rng, 40)
+    h = dc_jacobian(net, build_admittance(net),
+                    MeasurementConfig(specs=tuple(dc_meter_candidates(net))))
+    m, k = h.shape
+    # blocked rows never see this angle, so a stealth direction exists
+    col = int(rng.integers(k))
+    accessible = set(int(i) + 1 for i in np.flatnonzero(h[:, col]))
+    blocked = [i for i in range(m) if i + 1 not in accessible]
+    assert len(blocked) >= k
+    c, a = constrained_stealth_attack(h, accessible, magnitude=0.02)
+    vh = np.linalg.svd(h[blocked, :], full_matrices=True)[2]
+    expected = vh[-1] / np.linalg.norm(vh[-1]) * 0.02
+    np.testing.assert_array_equal(c, expected)
+    np.testing.assert_array_equal(a, h @ expected)
 
 
 def test_verify_stealth_judgements():

@@ -14,6 +14,7 @@ import pytest
 
 from gridse import (
     DetectorConfig,
+    DimensionMismatch,
     LengthMismatch,
     MalformedDocument,
     MeasurementConfig,
@@ -114,6 +115,17 @@ def test_chi_square_requires_redundancy():
         chi_square_test(np.zeros(2), np.zeros(2), np.ones(2), state_dim=2)
 
 
+def test_run_detector_takes_the_state_dimension_from_h():
+    _, _, h = load_three_bus()
+    est = base_estimate(h)
+    detector = DetectorConfig(method="chi_square")
+    verdict = run_detector(detector, h, BASE_Z, W, est)
+    assert verdict == chi_square_test(BASE_Z, BASE_Z - est.residual, W,
+                                      state_dim=2)
+    with pytest.raises(DimensionMismatch):
+        run_detector(detector, h[0], BASE_Z, W, est)
+
+
 def test_chi_square_quantiles_match_oracle():
     from scipy.stats import chi2
 
@@ -186,11 +198,11 @@ def test_normalized_residuals_invariant_under_sigma_rescaling():
     # identical factor, so the normalized statistic cannot move
     from gridse import StateVector, simulate_measurements
 
-    parsed, admittance, h = load_three_bus()
+    parsed, _, h = load_three_bus()
     truth = StateVector(angles={1: 0.03, 2: -0.09, 3: 0.0})
     reference = None
     for scale in (1.0, 0.1, 3.0, 42.0):
-        z = simulate_measurements(parsed.network, admittance, truth,
+        z = simulate_measurements(parsed.network, truth,
                                   parsed.config, "dc", seed=77,
                                   noise_scale=scale)
         w_scaled = W / scale**2
@@ -239,8 +251,8 @@ def test_detectors_are_blind_to_stealth_shifts():
         hit = estimate_dc(h, z_attacked, w)
         np.testing.assert_allclose(hit.residual, clean.residual, atol=1e-10)
         for det in detectors:
-            s_clean = run_detector(det, h, z, w, clean, k).statistic
-            s_hit = run_detector(det, h, z_attacked, w, hit, k).statistic
+            s_clean = run_detector(det, h, z, w, clean).statistic
+            s_hit = run_detector(det, h, z_attacked, w, hit).statistic
             assert abs(s_clean - s_hit) <= 1e-10
 
 

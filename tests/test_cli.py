@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import gridse
 from gridse.cli import main
 from helpers import CASES_DIR, THREE_BUS
 
@@ -179,7 +180,10 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys):
     ("--trials", "0"),
     ("--trials", "3", "--attack", "stealth", "--magnitude", "-1"),
     ("--trials", "3", "--attack", "stealth", "--magnitude", "nan"),
-], ids=["zero-trials", "negative-magnitude", "nan-magnitude"])
+    ("--trials", "3", "--attack", "none", "--magnitude", "-1"),
+    ("--trials", "3", "--attack", "none", "--magnitude", "nan"),
+], ids=["zero-trials", "negative-magnitude", "nan-magnitude",
+        "clean-arm-negative-magnitude", "clean-arm-nan-magnitude"])
 def test_bad_montecarlo_arguments_are_input_errors(capsys, extra):
     code, _, err = run_cli(capsys, "montecarlo", "--case", str(THREE_BUS),
                            *extra)
@@ -207,3 +211,41 @@ def test_simulated_state_with_nonzero_reference_is_input_error(tmp_path, capsys)
     code, _, err = run_cli(capsys, "scenario", "run", str(path))
     assert code == 2
     assert "reference bus 3" in err
+
+
+def test_negative_noise_scale_is_input_error(tmp_path, capsys):
+    path = tmp_path / "negative_noise.json"
+    path.write_text(json.dumps({
+        "name": "x", "case": str(THREE_BUS),
+        "measurements": {"simulate": {"angles": {"1": 0.01, "2": -0.09,
+                                                 "3": 0.0},
+                                      "seed": 1, "noise_scale": -1}}}))
+    code, _, err = run_cli(capsys, "scenario", "run", str(path))
+    assert code == 2
+    assert "noise_scale" in err
+
+
+def test_no_path_builds_the_admittance(tmp_path, capsys, monkeypatch):
+    # nothing reads the bus admittance, so no internal path may build it
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bus admittance was built")
+
+    monkeypatch.setattr(gridse.network, "AdmittanceMatrix", refuse)
+    with pytest.raises(AssertionError):
+        gridse.build_admittance(gridse.parse_case(THREE_BUS.read_text()).network)
+
+    ac_case = ac_case_path(tmp_path)
+    scenario = tmp_path / "ac.json"
+    scenario.write_text(json.dumps({"name": "ac", "case": str(ac_case),
+                                    "mode": "ac"}))
+    assert gridse.run_scenario(gridse.load_scenario(scenario)).converged
+    assert gridse.run_monte_carlo(THREE_BUS, trials=3,
+                                  attack="stealth").trials == 3
+    for argv in (
+        ("estimate", "--case", str(ac_case), "--mode", "ac"),
+        ("estimate", "--case", str(THREE_BUS)),
+        ("detect", "--case", str(THREE_BUS), "--z", "0.63,0.05,0.35"),
+        ("attack", "--case", str(THREE_BUS), "--shift", "0.005,0.001"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err

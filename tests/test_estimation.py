@@ -166,13 +166,12 @@ def test_estimate_ac_recovers_noiseless_state():
     rng = np.random.default_rng(34)
     for _ in range(5):
         net = random_network(rng, int(rng.integers(3, 7)), lossy=True, shunts=True)
-        adm = build_admittance(net)
         config = full_ac_config(net)
         truth = random_ac_state(rng, net)
-        z = simulate_measurements(net, adm, truth, config, "ac", seed=0,
+        z = simulate_measurements(net, truth, config, "ac", seed=0,
                                   noise_scale=0.0)
         w = weights_from_config(config)
-        result = estimate_ac(net, adm, z, config, w, tol=1e-10)
+        result = estimate_ac(net, z, config, w, tol=1e-10)
         assert result.converged
         assert np.max(np.abs(result.state - free_vector(net, truth, "ac"))) <= 1e-8
 
@@ -181,14 +180,14 @@ def test_estimate_ac_agrees_with_linear_angles():
     # lossless flows plus tight voltage pins reproduce the linear solution
     from gridse import MeasurementConfig, MeasurementSpec
 
-    parsed, adm, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     specs = parsed.config.specs + tuple(
         MeasurementSpec(kind="voltage_magnitude", bus=b, sigma=1e-4)
         for b in (1, 2, 3)
     )
     config = MeasurementConfig(specs=specs)
     z = np.concatenate([BASE_Z, np.ones(3)])
-    result = estimate_ac(parsed.network, adm, z, config,
+    result = estimate_ac(parsed.network, z, config,
                          weights_from_config(config))
     assert result.converged
     assert result.state[0] == pytest.approx(BASE_STATE[0], rel=0.02)
@@ -196,13 +195,13 @@ def test_estimate_ac_agrees_with_linear_angles():
 
 
 def test_estimate_ac_zero_iterations_returns_start():
-    parsed, adm, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     config = full_ac_config(parsed.network)
     truth = flat_state(parsed.network)
-    z = simulate_measurements(parsed.network, adm, truth, config, "ac",
+    z = simulate_measurements(parsed.network, truth, config, "ac",
                               seed=1, noise_scale=0.0)
     w = weights_from_config(config)
-    result = estimate_ac(parsed.network, adm, z + 0.05, config, w, max_iter=0)
+    result = estimate_ac(parsed.network, z + 0.05, config, w, max_iter=0)
     assert not result.converged
     assert result.iterations == 0
     np.testing.assert_array_equal(
@@ -213,28 +212,27 @@ def test_estimate_ac_zero_iterations_returns_start():
 def test_estimate_ac_unobservable_raises():
     from gridse import MeasurementConfig, MeasurementSpec
 
-    parsed, adm, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="voltage_magnitude", bus=1, sigma=0.01),
     ))
     with pytest.raises(UnobservableNetwork):
-        estimate_ac(parsed.network, adm, np.array([1.0]), config, np.array([1e4]))
+        estimate_ac(parsed.network, np.array([1.0]), config, np.array([1e4]))
 
 
 def test_gauss_newton_fixed_point():
     # one extra iteration after convergence moves the state by less than tol
     rng = np.random.default_rng(35)
     net = random_network(rng, 4, lossy=True)
-    adm = build_admittance(net)
     config = full_ac_config(net)
     truth = random_ac_state(rng, net)
-    z = simulate_measurements(net, adm, truth, config, "ac", seed=5)
+    z = simulate_measurements(net, truth, config, "ac", seed=5)
     w = weights_from_config(config)
     tol = 1e-8
-    first = estimate_ac(net, adm, z, config, w, tol=tol)
+    first = estimate_ac(net, z, config, w, tol=tol)
     assert first.converged
     from gridse import state_from_free
-    resumed = estimate_ac(net, adm, z, config, w,
+    resumed = estimate_ac(net, z, config, w,
                           init=state_from_free(net, first.state, "ac"),
                           max_iter=1)
     assert resumed.converged
@@ -334,14 +332,13 @@ def test_factor_rejects_non_finite_input():
 def test_estimate_ac_reports_last_step_condition():
     rng = np.random.default_rng(36)
     net = random_network(rng, 5, lossy=True, parallel=1)
-    adm = build_admittance(net)
     config = full_ac_config(net)
     truth = random_ac_state(rng, net)
-    z = simulate_measurements(net, adm, truth, config, "ac", seed=6)
+    z = simulate_measurements(net, truth, config, "ac", seed=6)
     w = weights_from_config(config)
-    result = estimate_ac(net, adm, z, config, w)
+    result = estimate_ac(net, z, config, w)
     assert result.converged
     assert result.factor is not None
     assert result.condition == result.factor.condition
     assert 1.0 <= result.condition < 1e12
-    assert estimate_ac(net, adm, z, config, w, max_iter=0).condition is None
+    assert estimate_ac(net, z, config, w, max_iter=0).condition is None

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gridse import (
+    DetectorConfig,
     DimensionMismatch,
+    InvalidArgument,
     MeasurementConfig,
     MeasurementSpec,
     MissingMagnitudes,
@@ -14,9 +16,12 @@ from gridse import (
     build_admittance,
     build_meter_model,
     dc_jacobian,
+    estimate_ac,
+    estimate_dc,
     flat_state,
     free_vector,
     h_eval_ac,
+    run_detector,
     simulate_measurements,
     state_from_free,
 )
@@ -82,40 +87,39 @@ def test_dc_rejects_nonlinear_kinds(kind, where):
 def test_flat_state_zeroes_lossless_flows():
     rng = np.random.default_rng(21)
     net = random_network(rng, 5)
-    adm = build_admittance(net)
     specs = []
     for br in net.branches:
         specs.append(MeasurementSpec(kind="flow_p", from_bus=br.from_bus,
                                      to_bus=br.to_bus, sigma=0.01))
         specs.append(MeasurementSpec(kind="flow_q", from_bus=br.from_bus,
                                      to_bus=br.to_bus, sigma=0.01))
-    values = h_eval_ac(net, adm, flat_state(net), MeasurementConfig(specs=tuple(specs)))
+    values = h_eval_ac(net, flat_state(net), MeasurementConfig(specs=tuple(specs)))
     np.testing.assert_allclose(values, 0.0, atol=1e-15)
 
 
 def test_voltage_meter_reads_the_state():
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     state = StateVector(angles={1: 0.0, 2: 0.0, 3: 0.0},
                         magnitudes={1: 1.03, 2: 0.96, 3: 1.0})
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="voltage_magnitude", bus=2, sigma=0.01),
     ))
-    assert h_eval_ac(parsed.network, admittance, state, config)[0] == 0.96
+    assert h_eval_ac(parsed.network, state, config)[0] == 0.96
 
 
 def test_ac_flow_matches_linear_model_near_flat():
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES, magnitudes={1: 1.0, 2: 1.0, 3: 1.0})
-    values = h_eval_ac(parsed.network, admittance, state, parsed.config)
+    values = h_eval_ac(parsed.network, state, parsed.config)
     assert values[0] == pytest.approx(0.614, rel=0.02)
     np.testing.assert_allclose(values, H_AT_TRUE, rtol=0.02)
 
 
 def test_h_eval_requires_magnitudes():
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
     with pytest.raises(MissingMagnitudes):
-        h_eval_ac(parsed.network, admittance, state, parsed.config)
+        h_eval_ac(parsed.network, state, parsed.config)
 
 
 def test_free_vector_rejects_nonzero_reference_angle():
@@ -128,7 +132,6 @@ def test_free_vector_rejects_nonzero_reference_angle():
 def test_current_magnitude_is_apparent_power_over_voltage():
     rng = np.random.default_rng(26)
     net = random_network(rng, 4, lossy=True, shunts=True)
-    adm = build_admittance(net)
     br = net.branches[0]
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="flow_p", from_bus=br.from_bus, to_bus=br.to_bus, sigma=0.01),
@@ -137,7 +140,7 @@ def test_current_magnitude_is_apparent_power_over_voltage():
                         to_bus=br.to_bus, sigma=0.01),
     ))
     state = random_ac_state(rng, net)
-    p, q, current = h_eval_ac(net, adm, state, config)
+    p, q, current = h_eval_ac(net, state, config)
     assert current == pytest.approx(
         np.hypot(p, q) / state.magnitudes[br.from_bus], abs=1e-14
     )
@@ -148,27 +151,26 @@ def test_current_magnitude_flat_lossless_guard():
     # zero, never NaN
     rng = np.random.default_rng(27)
     net = random_network(rng, 3)
-    adm = build_admittance(net)
     br = net.branches[0]
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="current_magnitude", from_bus=br.from_bus,
                         to_bus=br.to_bus, sigma=0.01),
     ))
-    value = h_eval_ac(net, adm, flat_state(net), config)
-    jac = ac_jacobian(net, adm, flat_state(net), config)
+    value = h_eval_ac(net, flat_state(net), config)
+    jac = ac_jacobian(net, flat_state(net), config)
     assert value[0] == 0.0
     np.testing.assert_array_equal(jac, 0.0)
 
 
-def finite_difference_jacobian(net, adm, config, x0, step=1e-6):
+def finite_difference_jacobian(net, config, x0, step=1e-6):
     fd = np.zeros((len(config.specs), len(x0)))
     for k in range(len(x0)):
         xp, xm = x0.copy(), x0.copy()
         xp[k] += step
         xm[k] -= step
         fd[:, k] = (
-            h_eval_ac(net, adm, state_from_free(net, xp, "ac"), config)
-            - h_eval_ac(net, adm, state_from_free(net, xm, "ac"), config)
+            h_eval_ac(net, state_from_free(net, xp, "ac"), config)
+            - h_eval_ac(net, state_from_free(net, xm, "ac"), config)
         ) / (2.0 * step)
     return fd
 
@@ -177,19 +179,17 @@ def test_ac_jacobian_matches_finite_differences():
     rng = np.random.default_rng(22)
     for _ in range(10):
         net = random_network(rng, int(rng.integers(3, 7)), lossy=True, shunts=True)
-        adm = build_admittance(net)
         config = full_ac_config(net)
         state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
         x0 = free_vector(net, state, "ac")
-        jac = ac_jacobian(net, adm, state, config)
-        fd = finite_difference_jacobian(net, adm, config, x0)
+        jac = ac_jacobian(net, state, config)
+        fd = finite_difference_jacobian(net, config, x0)
         assert np.max(np.abs(jac - fd)) <= 1e-6
 
 
 def test_current_magnitude_jacobian_matches_finite_differences():
     rng = np.random.default_rng(23)
     net = random_network(rng, 4, lossy=True)
-    adm = build_admittance(net)
     specs = tuple(
         MeasurementSpec(kind="current_magnitude", from_bus=br.from_bus,
                         to_bus=br.to_bus, sigma=0.01)
@@ -198,18 +198,17 @@ def test_current_magnitude_jacobian_matches_finite_differences():
     config = MeasurementConfig(specs=specs)
     state = random_ac_state(rng, net, angle_span=0.2)
     x0 = free_vector(net, state, "ac")
-    jac = ac_jacobian(net, adm, state, config)
-    fd = finite_difference_jacobian(net, adm, config, x0)
+    jac = ac_jacobian(net, state, config)
+    fd = finite_difference_jacobian(net, config, x0)
     assert np.max(np.abs(jac - fd)) <= 1e-6
 
 
 def test_voltage_jacobian_row_is_a_unit_vector():
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="voltage_magnitude", bus=2, sigma=0.01),
     ))
-    jac = ac_jacobian(parsed.network, admittance,
-                      flat_state(parsed.network), config)
+    jac = ac_jacobian(parsed.network, flat_state(parsed.network), config)
     expected = np.zeros(5)
     expected[2 + 1] = 1.0  # columns: angle 1, angle 2, mag 1, mag 2, mag 3
     np.testing.assert_array_equal(jac[0], expected)
@@ -217,9 +216,8 @@ def test_voltage_jacobian_row_is_a_unit_vector():
 
 def test_flat_lossless_flow_sensitivity_equals_linear_coefficient():
     # at v = 1, angles 0: dP(i->j)/d(angle_i) = -b_series = 1/X
-    parsed, admittance, h = load_three_bus()
-    jac = ac_jacobian(parsed.network, admittance,
-                      flat_state(parsed.network), parsed.config)
+    parsed, _, h = load_three_bus()
+    jac = ac_jacobian(parsed.network, flat_state(parsed.network), parsed.config)
     np.testing.assert_allclose(jac[:, :2], h, atol=1e-12)
 
 
@@ -235,7 +233,7 @@ def test_small_angle_dc_consistency():
         state = StateVector(angles=angles,
                             magnitudes={b.id: 1.0 for b in net.buses})
         linear = h @ free_vector(net, state, "dc")
-        exact = h_eval_ac(net, adm, state, config)
+        exact = h_eval_ac(net, state, config)
         assert np.max(np.abs(exact - linear)) <= 1e-4
 
 
@@ -274,18 +272,18 @@ def test_dc_flow_antisymmetry():
 
 
 def test_simulate_noiseless_matches_h():
-    parsed, admittance, h = load_three_bus()
+    parsed, _, h = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
-    z = simulate_measurements(parsed.network, admittance, state,
+    z = simulate_measurements(parsed.network, state,
                               parsed.config, "dc", seed=0, noise_scale=0.0)
     np.testing.assert_array_equal(z, h @ free_vector(parsed.network, state, "dc"))
     np.testing.assert_allclose(z, H_AT_TRUE, atol=1e-6)
 
 
 def test_simulate_seed_determinism():
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
-    args = (parsed.network, admittance, state, parsed.config, "dc")
+    args = (parsed.network, state, parsed.config, "dc")
     z1 = simulate_measurements(*args, seed=42)
     z2 = simulate_measurements(*args, seed=42)
     z3 = simulate_measurements(*args, seed=43)
@@ -295,29 +293,62 @@ def test_simulate_seed_determinism():
 
 def test_simulate_streams_are_stable_under_meter_insertion():
     # appending a meter must not change the draws of the earlier meters
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
     longer = MeasurementConfig(specs=parsed.config.specs + (
         MeasurementSpec(kind="injection_p", bus=1, sigma=0.01),
     ))
-    z_short = simulate_measurements(parsed.network, admittance, state,
+    z_short = simulate_measurements(parsed.network, state,
                                     parsed.config, "dc", seed=9)
-    z_long = simulate_measurements(parsed.network, admittance, state,
+    z_long = simulate_measurements(parsed.network, state,
                                    longer, "dc", seed=9)
     np.testing.assert_array_equal(z_long[:3], z_short)
 
 
 def test_simulated_noise_is_zero_mean():
-    parsed, admittance, h = load_three_bus()
+    parsed, _, h = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
     clean = h @ free_vector(parsed.network, state, "dc")
     draws = np.array([
-        simulate_measurements(parsed.network, admittance, state,
+        simulate_measurements(parsed.network, state,
                               parsed.config, "dc", seed=s) - clean
         for s in range(10_000)
     ])
     bound = 4 * 0.01 / np.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0)) <= bound)
+
+
+@pytest.mark.parametrize("noise_scale", [-1.0, float("nan"), float("inf")])
+def test_simulate_rejects_bad_noise_scale(noise_scale):
+    parsed, _, _ = load_three_bus()
+    with pytest.raises(InvalidArgument, match="noise_scale"):
+        simulate_measurements(parsed.network, StateVector(angles=TRUE_ANGLES),
+                              parsed.config, "dc", seed=0,
+                              noise_scale=noise_scale)
+
+
+def test_calls_with_the_removed_arguments_fail_loudly():
+    # the admittance was dropped from the ac meter functions and estimate_ac,
+    # and the state dimension from run_detector: a call written for the old
+    # signatures must raise, never bind its arguments to the wrong names
+    parsed, admittance, h = load_three_bus()
+    net, config = parsed.network, parsed.config
+    state = flat_state(net)
+    w = np.full(len(config), 1e4)
+    estimate = estimate_dc(h, parsed.values, w)
+    old_calls = [
+        lambda: h_eval_ac(net, admittance, state, config),
+        lambda: ac_jacobian(net, admittance, state, config),
+        lambda: simulate_measurements(net, admittance, state, config, "ac", 0),
+        lambda: simulate_measurements(net, admittance, state, config, "ac",
+                                      seed=0),
+        lambda: estimate_ac(net, admittance, parsed.values, config, w),
+        lambda: run_detector(DetectorConfig(method="chi_square"), h,
+                             parsed.values, w, estimate, 2),
+    ]
+    for call in old_calls:
+        with pytest.raises((TypeError, InvalidArgument)):
+            call()
 
 
 def test_meter_functions_match_phasor_oracle_on_parallel_branches():
@@ -332,7 +363,7 @@ def test_meter_functions_match_phasor_oracle_on_parallel_branches():
         assert len(pairs) < len(net.branches)  # some branches run in parallel
         config = full_ac_config(net, currents=True)
         state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
-        values = h_eval_ac(net, build_admittance(net), state, config)
+        values = h_eval_ac(net, state, config)
         expected = []
         for spec in config.specs:
             if spec.kind == "voltage_magnitude":
@@ -358,12 +389,11 @@ def test_ac_jacobian_matches_finite_differences_on_parallel_branches():
     for _ in range(5):
         net = random_network(rng, int(rng.integers(3, 7)), lossy=True,
                              shunts=True, parallel=2)
-        adm = build_admittance(net)
         config = full_ac_config(net, currents=True)
         state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
         x0 = free_vector(net, state, "ac")
-        jac = ac_jacobian(net, adm, state, config)
-        fd = finite_difference_jacobian(net, adm, config, x0)
+        jac = ac_jacobian(net, state, config)
+        fd = finite_difference_jacobian(net, config, x0)
         assert np.max(np.abs(jac - fd)) <= 1e-6
 
 
@@ -372,11 +402,10 @@ def test_current_rows_vanish_at_flat_lossless_state():
     # zero Jacobian row, while the other meters keep their sensitivities
     rng = np.random.default_rng(31)
     net = random_network(rng, 5, parallel=2)
-    adm = build_admittance(net)
     config = full_ac_config(net, currents=True)
     current = np.array([s.kind == "current_magnitude" for s in config.specs])
-    values = h_eval_ac(net, adm, flat_state(net), config)
-    jac = ac_jacobian(net, adm, flat_state(net), config)
+    values = h_eval_ac(net, flat_state(net), config)
+    jac = ac_jacobian(net, flat_state(net), config)
     assert np.all(np.isfinite(jac))
     np.testing.assert_array_equal(values[current], 0.0)
     np.testing.assert_array_equal(jac[current], 0.0)

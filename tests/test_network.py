@@ -166,7 +166,6 @@ def test_admittance_three_bus_values():
     assert admittance.b[0, 2] == pytest.approx(-2.5)
     assert admittance.b[1, 2] == pytest.approx(-4.0)
     np.testing.assert_allclose(admittance.g, 0.0)
-    assert admittance.neighbors == {1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
 
 def test_admittance_single_branch_structure():

@@ -7,6 +7,7 @@ import pytest
 
 from gridse import (
     DetectorConfig,
+    InvalidArgument,
     LengthMismatch,
     MalformedDocument,
     MonteCarloStats,
@@ -282,7 +283,7 @@ def test_monte_carlo_stealth_statistics_match_per_seed():
 def test_monte_carlo_trials_read_simulated_measurements():
     # trial t sees exactly the readings simulate_measurements gives for
     # seed noise_seed_base + t
-    parsed, admittance, h = load_three_bus()
+    parsed, _, h = load_three_bus()
     weights = weights_from_config(parsed.config)
     truth = state_from_free(
         parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
@@ -290,17 +291,17 @@ def test_monte_carlo_trials_read_simulated_measurements():
     stats = run_monte_carlo(THREE_BUS, trials=5, noise_seed_base=7,
                             detector=detector)
     for t, statistic in enumerate(stats.unattacked_statistics):
-        z = simulate_measurements(parsed.network, admittance, truth,
+        z = simulate_measurements(parsed.network, truth,
                                   parsed.config, "dc", 7 + t)
         expected = run_detector(detector, h, z, weights,
-                                estimate_dc(h, z, weights), h.shape[1])
+                                estimate_dc(h, z, weights))
         assert statistic == expected.statistic
 
 
 def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
     # trials estimate through one gain factor per call; each statistic must
     # equal the detector run on a fresh estimate_dc of the same readings
-    parsed, admittance, h = load_three_bus()
+    parsed, _, h = load_three_bus()
     weights = weights_from_config(parsed.config)
     truth = state_from_free(
         parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
@@ -308,7 +309,7 @@ def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
                             attack="stealth", magnitude=0.02,
                             detector=DetectorConfig(method="lnr"))
     for t in range(stats.trials):
-        z = simulate_measurements(parsed.network, admittance, truth,
+        z = simulate_measurements(parsed.network, truth,
                                   parsed.config, "dc", 11 + t)
         z_a = z + random_stealth_attack(h, 0.02, 11 + t)[1]
         for readings, statistic in ((z, stats.unattacked_statistics[t]),
@@ -340,6 +341,17 @@ def test_monte_carlo_rejects_bad_arguments():
         run_monte_carlo(THREE_BUS, trials=0)
     with pytest.raises(MalformedDocument):
         run_monte_carlo(THREE_BUS, trials=1, attack="subtle")
+    # magnitude is checked on both arms, and both checks come before the
+    # case is read
+    for attack in ("none", "stealth"):
+        for magnitude in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidArgument, match="magnitude"):
+                run_monte_carlo("no_such_case.json", trials=3, attack=attack,
+                                magnitude=magnitude)
+    for noise_scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument, match="noise_scale"):
+            run_monte_carlo("no_such_case.json", trials=3,
+                            noise_scale=noise_scale)
 
 
 def test_emit_report_rejects_unknown_format():
