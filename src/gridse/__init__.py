@@ -59,7 +59,6 @@ from .measurement import (
     simulate_measurements,
     state_dimension,
     state_from_free,
-    state_order,
 )
 from .network import (
     AdmittanceMatrix,

@@ -53,14 +53,24 @@ def _meter_rows(meters: Iterable[int], m: int) -> np.ndarray:
     return np.array(rows, dtype=int) - 1
 
 
+def _check_magnitude(magnitude: float):
+    if not 0.0 < magnitude < np.inf:
+        raise InvalidArgument("magnitude must be positive and finite")
+
+
 def craft_stealth_attack(h_matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a = Hc: the corruption that shifts the estimate by exactly c."""
+    """a = Hc: the corruption that shifts the estimate by exactly c.
+
+    A non-finite entry of c raises InvalidArgument.
+    """
     h = _as_matrix(h_matrix)
     c = np.asarray(c, dtype=float)
     if c.shape != (h.shape[1],):
         raise DimensionMismatch(
             f"c has shape {c.shape} but H has {h.shape[1]} columns"
         )
+    if not np.all(np.isfinite(c)):
+        raise InvalidArgument("c must be finite")
     return h @ c
 
 
@@ -68,10 +78,10 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
                           seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random stealth direction: c on the sphere of the given radius.
 
-    Deterministic in the seed; returns (c, Hc).
+    Deterministic in the seed; returns (c, Hc). A magnitude that is not
+    positive and finite raises InvalidArgument.
     """
-    if not 0.0 < magnitude < np.inf:
-        raise InvalidArgument("magnitude must be positive and finite")
+    _check_magnitude(magnitude)
     h = _as_matrix(h_matrix)
     rng = np.random.default_rng(seed)
     direction = rng.normal(size=h.shape[1])
@@ -91,9 +101,11 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
     accessible set, i.e. c in the null space of the inaccessible-row
     submatrix, via SVD. When several directions survive, the one attached to
     the smallest singular value is returned (deterministic SVD ordering),
-    unit-normalized and scaled to ``magnitude``. Returns None when only c = 0
-    satisfies the constraints; that is a legitimate outcome, not an error.
+    unit-normalized and scaled to ``magnitude``, which must be positive and
+    finite (else InvalidArgument). Returns None when only c = 0 satisfies
+    the constraints; that is a legitimate outcome, not an error.
     """
+    _check_magnitude(magnitude)
     h = _as_matrix(h_matrix)
     m, k = h.shape
     accessible = set(_meter_rows(accessible_meters, m).tolist())

@@ -64,8 +64,8 @@ class DetectorConfig:
         if self.method not in DETECTOR_METHODS:
             raise MalformedDocument(f"unknown detector method {self.method!r}")
         if self.method == "norm_threshold":
-            if self.tau is None or self.tau <= 0:
-                raise MalformedDocument("norm_threshold requires tau > 0")
+            if self.tau is None or not 0.0 < self.tau < np.inf:
+                raise MalformedDocument("norm_threshold requires 0 < tau < inf")
             extras = (self.alpha, self.lnr_threshold)
         elif self.method == "chi_square":
             if self.alpha is None:
@@ -76,8 +76,8 @@ class DetectorConfig:
         else:
             if self.lnr_threshold is None:
                 object.__setattr__(self, "lnr_threshold", 3.0)
-            if self.lnr_threshold <= 0:
-                raise MalformedDocument("lnr requires a positive threshold")
+            if not 0.0 < self.lnr_threshold < np.inf:
+                raise MalformedDocument("lnr requires 0 < lnr_threshold < inf")
             extras = (self.tau, self.alpha)
         if any(v is not None for v in extras):
             raise MalformedDocument(

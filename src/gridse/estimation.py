@@ -191,8 +191,13 @@ def estimate_ac(network: NetworkModel, z: np.ndarray,
     objective) is returned with ``converged=False``; a singular gain matrix
     at any iterate raises UnobservableNetwork. The meter model is built once
     and every iterate is evaluated against it; each step factors the gain at
-    its own iterate once.
+    its own iterate once. ``max_iter`` must be an integer >= 0 and ``tol``
+    positive and finite, else InvalidArgument before any iteration.
     """
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise InvalidArgument("max_iter must be an integer >= 0")
+    if not 0.0 < tol < np.inf:
+        raise InvalidArgument("tol must be positive and finite")
     z = np.asarray(z, dtype=float)
     m = len(config.specs)
     if z.shape != (m,):

@@ -40,13 +40,18 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    DanglingReference,
     DimensionMismatch,
     InvalidArgument,
     MissingMagnitudes,
     UnsupportedKindForDC,
 )
-from .network import FLOW_KINDS, AdmittanceMatrix, MeasurementConfig, NetworkModel
+from .network import (
+    FLOW_KINDS,
+    AdmittanceMatrix,
+    MeasurementConfig,
+    NetworkModel,
+    _check_measurement_references,
+)
 
 DC_KINDS = ("flow_p", "injection_p")
 # What a meter term contributes to its row.
@@ -75,15 +80,6 @@ class StateVector:
 def state_dimension(network: NetworkModel, mode: str) -> int:
     n = network.n_buses
     return n - 1 if mode == "dc" else 2 * n - 1
-
-
-def state_order(network: NetworkModel, mode: str) -> tuple[tuple[str, int], ...]:
-    """Free-variable labels, in column order: ('angle', bus) then ('mag', bus)."""
-    _check_mode(mode)
-    labels = [("angle", b) for b in network.non_reference_ids()]
-    if mode == "ac":
-        labels += [("mag", b.id) for b in sorted(network.buses, key=lambda b: b.id)]
-    return tuple(labels)
 
 
 def _check_mode(mode: str):
@@ -188,7 +184,7 @@ class MeterModel:
         return _sum_at(index, coeff[keep], m * k).reshape(m, k)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """h(x) at an ac free vector x (see :func:`state_order`)."""
+        """h(x) at an ac free vector x (see :func:`free_vector`)."""
         v, vi, _, p, q, _, _ = self._branch_flows(x)
         term = np.where(self.code == _P, p, q)
         current, apparent = self._apparent(p, q)
@@ -275,9 +271,10 @@ def build_meter_model(network: NetworkModel,
 
     A flow or current meter reads the first branch joining its ends, in file
     order, from its ``from`` end; an injection reads every branch at its bus
-    in file order. A flow meter whose ends no branch joins, or a voltage
-    meter on an unknown bus, raises DanglingReference.
+    in file order. A meter on an unknown bus, or a flow meter whose ends no
+    branch joins, raises DanglingReference.
     """
+    _check_measurement_references(network, config)
     n = network.n_buses
     ref = network.reference_bus - 1
     angle_col = np.arange(n) - (np.arange(n) > ref)
@@ -286,18 +283,12 @@ def build_meter_model(network: NetworkModel,
     voltage_rows, voltage_buses = [], []
     for row, spec in enumerate(config.specs):
         if spec.kind == "voltage_magnitude":
-            if not 1 <= spec.bus <= n:
-                raise DanglingReference(f"unknown bus {spec.bus}")
             voltage_rows.append(row)
             voltage_buses.append(spec.bus - 1)
             continue
         if spec.kind in FLOW_KINDS:
-            branch = network.branch_between(spec.from_bus, spec.to_bus)
-            if branch is None:
-                raise DanglingReference(
-                    f"no branch joins {spec.from_bus} and {spec.to_bus}"
-                )
-            reads = [(branch, spec.from_bus, spec.to_bus)]
+            reads = [(network.branch_between(spec.from_bus, spec.to_bus),
+                      spec.from_bus, spec.to_bus)]
         else:
             reads = [(br, spec.bus, other)
                      for br, other in network.branches_at(spec.bus)]

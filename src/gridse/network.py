@@ -124,11 +124,6 @@ class MeasurementSpec:
             if self.bus is None or self.from_bus is not None or self.to_bus is not None:
                 raise MalformedDocument(f"{self.kind} meter locates by 'bus'")
 
-    def location(self) -> str:
-        if self.kind in FLOW_KINDS:
-            return f"{self.from_bus}->{self.to_bus}"
-        return f"bus {self.bus}"
-
 
 @dataclass(frozen=True)
 class MeasurementConfig:

@@ -23,7 +23,10 @@ raw substituted readings), ``stealth_shift`` (key ``c``), ``random_stealth``
 ``magnitude``). Every number must be finite, and seeds and meter numbers
 are integers. Relative case paths resolve against the scenario file's
 directory. Defaults: no attack, case-file readings, dc mode, one chi-square
-detector at alpha 0.05.
+detector at alpha 0.05. A :class:`Scenario` checks all of this itself, also
+when built in code. ``stealth_shift``, ``random_stealth`` and ``constrained``
+build a = Hc from the linear H and are dc-only: in ac mode Hc is not invisible
+to the nonlinear estimator, so an ac scenario with one of them is rejected.
 
 Reports render as a fixed-width table (columns: Case, False Data Injection
 Attack, State Variables, Squared Error, Bad Data Detection, followed by
@@ -34,25 +37,22 @@ are printed with 6 significant digits in both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .attack import (
+    DEFAULT_MAGNITUDE,
+    _check_magnitude,
     apply_attack,
     constrained_stealth_attack,
     craft_stealth_attack,
     random_stealth_attack,
 )
 from .baddata import DetectionResult, DetectorConfig, run_detector
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    LengthMismatch,
-    MalformedDocument,
-)
+from .errors import InvalidArgument, LengthMismatch, MalformedDocument
 from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_config
 from .measurement import (
     MeterModel,
@@ -73,13 +73,6 @@ from .network import (
 )
 
 _SCENARIO_KEYS = {"name", "case", "measurements", "attack", "detectors", "mode"}
-_ATTACK_KEYS = {
-    "none": set(),
-    "explicit_deltas": {"deltas", "replacement"},
-    "stealth_shift": {"c"},
-    "random_stealth": {"magnitude", "seed"},
-    "constrained": {"accessible", "magnitude"},
-}
 _MEASUREMENT_KEYS = {"source", "values", "simulate"}
 _SIMULATE_KEYS = {"angles", "magnitudes", "seed", "noise_scale"}
 _DETECTOR_KEYS = {"method", "tau", "alpha", "lnr_threshold"}
@@ -87,24 +80,29 @@ _DETECTOR_KEYS = {"method", "tau", "alpha", "lnr_threshold"}
 
 @dataclass(frozen=True)
 class Scenario:
-    """One validated scenario: where the readings come from, what corruption
-    is applied, and which detectors judge the outcome."""
+    """One scenario: where the readings come from, what corruption is applied
+    and which detectors judge the outcome. Construction checks every field
+    (MalformedDocument); empty ``detectors`` means one chi-square detector."""
 
     name: str
     case_path: Path
     mode: str = "dc"
-    measurements: dict = None
-    attack: dict = None
+    measurements: dict = field(default_factory=lambda: {"source": "case"})
+    attack: dict = field(default_factory=lambda: {"type": "none"})
     detectors: tuple[DetectorConfig, ...] = ()
 
     def __post_init__(self):
-        if self.measurements is None:
-            object.__setattr__(self, "measurements", {"source": "case"})
-        if self.attack is None:
-            object.__setattr__(self, "attack", {"type": "none"})
-        if not self.detectors:
-            object.__setattr__(self, "detectors",
-                               (DetectorConfig(method="chi_square"),))
+        if self.mode not in ("dc", "ac"):
+            raise MalformedDocument(f"mode must be 'dc' or 'ac', got {self.mode!r}")
+        _validate_measurements(self.measurements, "measurements")
+        _validate_attack(self.attack, "attack")
+        if self.mode == "ac" and self.attack["type"] in _LINEAR_ATTACKS:
+            raise MalformedDocument(f"attack: {self.attack['type']} is dc-only")
+        if not isinstance(self.detectors, (tuple, list)) or not all(
+                isinstance(d, DetectorConfig) for d in self.detectors):
+            raise MalformedDocument("detectors must be DetectorConfig objects")
+        object.__setattr__(self, "detectors", tuple(self.detectors)
+                           or (DetectorConfig(method="chi_square"),))
 
 
 @dataclass(frozen=True)
@@ -176,14 +174,41 @@ def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def _number_list(value, context: str) -> list[float]:
+# Each attack family's keys besides "type": (required, optional).
+_ATTACKS = {
+    "none": (set(), set()),
+    "explicit_deltas": (set(), {"deltas", "replacement"}),
+    "stealth_shift": ({"c"}, set()),
+    "random_stealth": ({"magnitude", "seed"}, set()),
+    "constrained": ({"accessible"}, {"magnitude"}),
+}
+# The families built as a = Hc from the linear meter matrix: dc-only.
+_LINEAR_ATTACKS = {"stealth_shift", "random_stealth", "constrained"}
+
+
+def _numbers(record: dict, key: str, context: str) -> list[float]:
+    value = record[key]
     numbers = [_finite_number(v) for v in value] if isinstance(value, list) else [None]
     if None in numbers:
-        raise MalformedDocument(f"{context}: expected an array of finite numbers")
+        raise MalformedDocument(f"{context}: {key!r} must be an array of finite numbers")
     return numbers
 
 
-def _validate_measurements(spec, context: str) -> dict:
+def _meter_numbers(record: dict, key: str, context: str):
+    value = record[key]
+    if not isinstance(value, list) or not all(
+        isinstance(i, int) and not isinstance(i, bool) for i in value
+    ):
+        raise MalformedDocument(f"{context}: {key!r} must be an array of meter numbers")
+
+
+# How each attack value is checked, in this order.
+_ATTACK_VALUES = {"deltas": _numbers, "replacement": _numbers, "c": _numbers,
+                  "magnitude": _require_number, "seed": _require_int,
+                  "accessible": _meter_numbers}
+
+
+def _validate_measurements(spec, context: str):
     _check_keys(spec, _MEASUREMENT_KEYS, set(), context)
     if len(spec) != 1:
         raise MalformedDocument(
@@ -193,7 +218,7 @@ def _validate_measurements(spec, context: str) -> dict:
         if spec["source"] != "case":
             raise MalformedDocument(f"{context}: the only source is 'case'")
     elif "values" in spec:
-        _number_list(spec["values"], context)
+        _numbers(spec, "values", context)
     else:
         sim = spec["simulate"]
         context = f"{context}.simulate"
@@ -203,49 +228,28 @@ def _validate_measurements(spec, context: str) -> dict:
             _require_number(sim, "noise_scale", context)
         for key in ("angles", "magnitudes"):
             table = sim.get(key, {})
-            if not isinstance(table, dict) or not all(b.isdigit() for b in table):
+            if not isinstance(table, dict) or not all(
+                isinstance(b, str) and b.isdigit() for b in table
+            ):
                 raise MalformedDocument(f"{context}: {key!r} must map bus -> number")
             for bus in table:
                 _require_number(table, bus, f"{context}.{key}")
-    return spec
 
 
-def _validate_attack(spec, context: str) -> dict:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise MalformedDocument(f"{context}: attack needs a 'type'")
-    kind = spec["type"]
-    if kind not in _ATTACK_KEYS:
-        raise MalformedDocument(f"{context}: unknown attack type {kind!r}")
-    _check_keys(spec, _ATTACK_KEYS[kind] | {"type"}, {"type"}, context)
-    if kind == "explicit_deltas":
-        present = [k for k in ("deltas", "replacement") if k in spec]
-        if len(present) != 1:
-            raise MalformedDocument(
-                f"{context}: explicit_deltas needs 'deltas' or 'replacement'"
-            )
-        _number_list(spec[present[0]], context)
-    elif kind == "stealth_shift":
-        if "c" not in spec:
-            raise MalformedDocument(f"{context}: stealth_shift needs 'c'")
-        _number_list(spec["c"], context)
-    elif kind == "random_stealth":
-        if "magnitude" not in spec or "seed" not in spec:
-            raise MalformedDocument(
-                f"{context}: random_stealth needs 'magnitude' and 'seed'"
-            )
-        _require_number(spec, "magnitude", context)
-        _require_int(spec, "seed", context)
-    elif kind == "constrained":
-        accessible = spec.get("accessible")
-        if not isinstance(accessible, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in accessible
-        ):
-            raise MalformedDocument(
-                f"{context}: constrained needs 'accessible', an array of meter numbers"
-            )
-        if "magnitude" in spec:
-            _require_number(spec, "magnitude", context)
-    return spec
+def _validate_attack(spec, context: str):
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _ATTACKS:
+        raise MalformedDocument(
+            f"{context}: 'type' must be one of {sorted(_ATTACKS)}, got {kind!r}"
+        )
+    required, optional = _ATTACKS[kind]
+    _check_keys(spec, required | optional | {"type"}, required | {"type"}, context)
+    if kind == "explicit_deltas" and len(spec) != 2:
+        raise MalformedDocument(
+            f"{context}: explicit_deltas needs 'deltas' or 'replacement'")
+    for key, check in _ATTACK_VALUES.items():
+        if key in spec:
+            check(spec, key, context)
 
 
 def _detector_from_dict(record, context: str) -> DetectorConfig:
@@ -253,47 +257,33 @@ def _detector_from_dict(record, context: str) -> DetectorConfig:
     for key in ("tau", "alpha", "lnr_threshold"):
         if key in record:
             _require_number(record, key, context)
-    return DetectorConfig(
-        method=record["method"],
-        tau=record.get("tau"),
-        alpha=record.get("alpha"),
-        lnr_threshold=record.get("lnr_threshold"),
-    )
+    return DetectorConfig(**record)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate one scenario file."""
+    """Read one scenario file into a :class:`Scenario`, which checks it. A
+    relative ``case`` resolves against the file's directory; every
+    MalformedDocument raised here names the file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+        _check_keys(doc, _SCENARIO_KEYS, {"name", "case"}, "scenario document")
+        if not isinstance(doc["name"], str) or not isinstance(doc["case"], str):
+            raise MalformedDocument("'name' and 'case' must be strings")
+        fields = {k: doc[k] for k in ("mode", "measurements", "attack") if k in doc}
+        if "detectors" in doc:
+            if not isinstance(doc["detectors"], list):
+                raise MalformedDocument("'detectors' must be an array")
+            fields["detectors"] = tuple(
+                _detector_from_dict(d, f"detectors[{i}]")
+                for i, d in enumerate(doc["detectors"])
+            )
+        return Scenario(name=doc["name"], case_path=path.parent / doc["case"],
+                        **fields)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path}: invalid JSON: {exc}") from exc
-    _check_keys(doc, _SCENARIO_KEYS, {"name", "case"}, str(path))
-    if not isinstance(doc["name"], str) or not isinstance(doc["case"], str):
-        raise MalformedDocument(f"{path}: 'name' and 'case' must be strings")
-    mode = doc.get("mode", "dc")
-    if mode not in ("dc", "ac"):
-        raise MalformedDocument(f"{path}: mode must be 'dc' or 'ac'")
-    case_path = Path(doc["case"])
-    if not case_path.is_absolute():
-        case_path = path.parent / case_path
-    if not isinstance(doc.get("detectors", []), list):
-        raise MalformedDocument(f"{path}: 'detectors' must be an array")
-    detectors = tuple(
-        _detector_from_dict(d, f"{path}: detectors[{i}]")
-        for i, d in enumerate(doc.get("detectors", []))
-    )
-    return Scenario(
-        name=doc["name"],
-        case_path=case_path,
-        mode=mode,
-        measurements=_validate_measurements(
-            doc.get("measurements", {"source": "case"}), f"{path}: measurements"
-        ),
-        attack=_validate_attack(doc.get("attack", {"type": "none"}),
-                                f"{path}: attack"),
-        detectors=detectors,
-    )
+    except MalformedDocument as exc:
+        raise MalformedDocument(f"{path}: {exc}") from exc
 
 
 def _scenario_readings(scenario: Scenario, parsed: ParsedCase,
@@ -331,38 +321,25 @@ def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
         return None
     m = len(model.config)
     if kind == "explicit_deltas":
-        if "deltas" in spec:
-            a = np.array(spec["deltas"], dtype=float)
-        else:
-            replacement = np.array(spec["replacement"], dtype=float)
-            if replacement.shape != z.shape:
-                raise LengthMismatch(
-                    f"{scenario.name}: replacement length {len(replacement)}"
-                    f" for {m} meters"
-                )
-            a = replacement - z
+        # z has one reading per meter, so a replacement of that length gives
+        # deltas of that length too.
+        a = np.array(spec.get("deltas", spec.get("replacement")), dtype=float)
         if a.shape != (m,):
             raise LengthMismatch(
                 f"{scenario.name}: attack length {len(a)} for {m} meters"
             )
-        return a
+        return a if "deltas" in spec else a - z
     # The remaining attack families are defined against the linear model.
     h = model.dc_matrix
     if kind == "stealth_shift":
-        c = np.array(spec["c"], dtype=float)
-        if c.shape != (h.shape[1],):
-            raise DimensionMismatch(
-                f"{scenario.name}: shift length {len(c)} for "
-                f"{h.shape[1]} state variables"
-            )
-        return craft_stealth_attack(h, c)
+        return craft_stealth_attack(h, spec["c"])
     if kind == "random_stealth":
         _, a = random_stealth_attack(h, float(spec["magnitude"]),
                                      int(spec["seed"]))
         return a
     found = constrained_stealth_attack(
         h, [int(i) for i in spec["accessible"]],
-        float(spec.get("magnitude", 0.01))
+        float(spec.get("magnitude", DEFAULT_MAGNITUDE))
     )
     return None if found is None else found[1]
 
@@ -407,7 +384,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 
 def run_monte_carlo(case_path: str | Path, *, trials: int,
                     noise_seed_base: int = 0, attack: str = "none",
-                    magnitude: float = 0.01,
+                    magnitude: float = DEFAULT_MAGNITUDE,
                     detector: DetectorConfig | None = None,
                     noise_scale: float = 1.0) -> MonteCarloStats:
     """Seeded detection-rate experiment on the linear model.
@@ -426,8 +403,7 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
-    if not 0.0 < magnitude < np.inf:
-        raise InvalidArgument("magnitude must be positive and finite")
+    _check_magnitude(magnitude)
     _check_noise_scale(noise_scale)
     if attack not in ("none", "stealth"):
         raise MalformedDocument(f"unknown attack arm {attack!r}")

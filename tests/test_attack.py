@@ -6,6 +6,7 @@ import pytest
 from gridse import (
     DetectorConfig,
     DimensionMismatch,
+    InvalidArgument,
     LengthMismatch,
     MeasurementConfig,
     apply_attack,
@@ -51,6 +52,13 @@ def test_craft_dimension_check():
     _, _, h = load_three_bus()
     with pytest.raises(DimensionMismatch):
         craft_stealth_attack(h, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_craft_rejects_a_non_finite_shift(bad):
+    _, _, h = load_three_bus()
+    with pytest.raises(InvalidArgument):
+        craft_stealth_attack(h, np.array([bad, 0.0]))
 
 
 def test_apply_attack_values():
@@ -127,6 +135,13 @@ def test_constrained_attack_infeasible():
     # meters 2 and 3 protected: rows (2.5, 0) and (0, -4) have rank 2
     _, _, h = load_three_bus()
     assert constrained_stealth_attack(h, accessible_meters=(1,)) is None
+
+
+@pytest.mark.parametrize("magnitude", [0.0, -1.0, np.nan, np.inf])
+def test_constrained_attack_rejects_bad_magnitude(magnitude):
+    _, _, h = load_three_bus()
+    with pytest.raises(InvalidArgument, match="magnitude"):
+        constrained_stealth_attack(h, (1, 3), magnitude)
 
 
 def test_constrained_attack_unconstrained():

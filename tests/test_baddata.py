@@ -271,6 +271,14 @@ def test_detector_config_validation():
     assert DetectorConfig(method="lnr").lnr_threshold == 3.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("method,key", [("norm_threshold", "tau"),
+                                        ("lnr", "lnr_threshold")])
+def test_detector_config_rejects_non_finite_thresholds(method, key, value):
+    with pytest.raises(MalformedDocument):
+        DetectorConfig(method=method, **{key: value})
+
+
 def with_radial_bus(rng, parallel):
     """A random network plus one bus hanging off bus 1 by a single line.
 

@@ -60,12 +60,29 @@ def test_estimate_non_convergence_exit_code(capsys):
     assert "converged = no" in out
 
 
+@pytest.mark.parametrize("extra", [
+    ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--max-iter", "-1"),
+], ids=["zero-tol", "negative-tol", "nan-tol", "negative-max-iter"])
+def test_bad_ac_estimate_arguments_are_input_errors(tmp_path, capsys, extra):
+    code, _, err = run_cli(capsys, "estimate", "--case",
+                           str(ac_case_path(tmp_path)), "--mode", "ac", *extra)
+    assert code == 2
+    assert "error" in err
+
+
 def test_attack_prints_vectors(capsys):
     code, out, _ = run_cli(capsys, "attack", "--case", str(THREE_BUS),
                            "--shift", "0.005,0.001")
     assert code == 0
     assert "a   = 0.02 0.0125 -0.004" in out
     assert "z_a = 0.64 0.0725 0.366" in out
+
+
+def test_attack_with_a_non_finite_shift_is_an_input_error(capsys):
+    code, _, err = run_cli(capsys, "attack", "--case", str(THREE_BUS),
+                           "--shift", "nan,0")
+    assert code == 2
+    assert "finite" in err
 
 
 def test_detect_chi_square(capsys):
@@ -90,6 +107,19 @@ def test_detect_lnr(capsys):
     assert code == 0
     assert "detected = yes" in out
     assert "suspect_meter = 1 (ambiguous)" in out
+
+
+@pytest.mark.parametrize("extra", [
+    ("--method", "lnr", "--lnr-threshold", "nan"),
+    ("--method", "lnr", "--lnr-threshold", "inf"),
+    ("--method", "norm_threshold", "--tau", "nan"),
+    ("--method", "norm_threshold", "--tau", "inf"),
+], ids=["nan-lnr-threshold", "inf-lnr-threshold", "nan-tau", "inf-tau"])
+def test_non_finite_detector_thresholds_are_input_errors(capsys, extra):
+    code, _, err = run_cli(capsys, "detect", "--case", str(THREE_BUS),
+                           "--z", "0.62,0.06,0.37", *extra)
+    assert code == 2
+    assert "error" in err
 
 
 def test_scenario_run_table(capsys):
@@ -156,6 +186,17 @@ def test_scenario_file_with_unknown_keys(tmp_path, capsys):
                                 "mystery": True}))
     code, _, err = run_cli(capsys, "scenario", "run", str(path))
     assert code == 2
+
+
+def test_ac_scenario_with_a_stealth_attack_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "ac_stealth.json"
+    path.write_text(json.dumps({
+        "name": "x", "case": str(ac_case_path(tmp_path)), "mode": "ac",
+        "attack": {"type": "stealth_shift", "c": [0.005, 0.001]}}))
+    code, out, err = run_cli(capsys, "scenario", "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in err
 
 
 def test_non_finite_numbers_are_input_errors(tmp_path, capsys):

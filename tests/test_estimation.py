@@ -209,6 +209,26 @@ def test_estimate_ac_zero_iterations_returns_start():
     )
 
 
+@pytest.mark.parametrize("bad", [
+    {"max_iter": -1}, {"max_iter": 1.5},
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+], ids=["negative-max-iter", "fractional-max-iter", "zero-tol", "negative-tol",
+        "nan-tol", "inf-tol"])
+def test_estimate_ac_checks_its_arguments_up_front(bad, monkeypatch):
+    parsed, _, _ = load_three_bus()
+    config = full_ac_config(parsed.network)
+    z = simulate_measurements(parsed.network, flat_state(parsed.network),
+                              config, "ac", seed=1, noise_scale=0.0)
+
+    def refuse(*args):
+        raise AssertionError("a gain was factored")
+
+    monkeypatch.setattr("gridse.estimation.factor_gain", refuse)
+    with pytest.raises(InvalidArgument):
+        estimate_ac(parsed.network, z, config, weights_from_config(config),
+                    **bad)
+
+
 def test_estimate_ac_unobservable_raises():
     from gridse import MeasurementConfig, MeasurementSpec
 

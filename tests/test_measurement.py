@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridse import (
+    DanglingReference,
     DetectorConfig,
     DimensionMismatch,
     InvalidArgument,
@@ -82,6 +83,20 @@ def test_dc_rejects_nonlinear_kinds(kind, where):
         spec = MeasurementSpec(kind=kind, bus=1, sigma=0.01)
     with pytest.raises(UnsupportedKindForDC):
         dc_jacobian(parsed.network, admittance, MeasurementConfig(specs=(spec,)))
+
+
+@pytest.mark.parametrize("spec", [
+    MeasurementSpec(kind="injection_p", bus=99, sigma=0.01),
+    MeasurementSpec(kind="injection_q", bus=0, sigma=0.01),
+    MeasurementSpec(kind="voltage_magnitude", bus=99, sigma=0.01),
+    MeasurementSpec(kind="flow_p", from_bus=1, to_bus=99, sigma=0.01),
+    MeasurementSpec(kind="current_magnitude", from_bus=99, to_bus=1, sigma=0.01),
+], ids=lambda spec: spec.kind)
+def test_meter_model_rejects_dangling_meters(spec):
+    # a hand-built meter set is checked as a parsed one is
+    parsed, _, _ = load_three_bus()
+    with pytest.raises(DanglingReference):
+        build_meter_model(parsed.network, MeasurementConfig(specs=(spec,)))
 
 
 def test_flat_state_zeroes_lossless_flows():

@@ -72,6 +72,52 @@ def test_scenario_defaults():
     assert report.verdicts[0].method == "chi_square"
 
 
+LINEAR_ATTACKS = [
+    {"type": "stealth_shift", "c": [0.005, 0.001]},
+    {"type": "random_stealth", "magnitude": 0.01, "seed": 1},
+    {"type": "constrained", "accessible": [1, 3]},
+]
+
+
+@pytest.mark.parametrize("fields", [
+    {"mode": "bogus"},
+    {"attack": {"type": "bogus"}},
+    {"attack": {"type": ["stealth_shift"]}},
+    {"attack": {"type": "stealth_shift", "c": ["x", 0.0]}},
+    {"attack": {"type": "constrained", "magnitude": 0.01}},
+    {"measurements": {"simulate": {"angles": {1: 0.0}, "seed": 1}}},
+    {"detectors": ({"method": "chi_square"},)},
+    {"detectors": "chi_square"},
+] + [{"mode": "ac", "attack": attack} for attack in LINEAR_ATTACKS], ids=[
+    "bad-mode", "unknown-attack", "unhashable-attack", "non-numeric-shift",
+    "missing-accessible", "integer-bus-key", "detector-dict", "detector-string",
+] + [f"ac-{attack['type']}" for attack in LINEAR_ATTACKS])
+def test_scenario_built_in_code_checks_itself(fields):
+    with pytest.raises(MalformedDocument):
+        Scenario(name="x", case_path=THREE_BUS, **fields)
+
+
+@pytest.mark.parametrize("attack", LINEAR_ATTACKS,
+                         ids=[attack["type"] for attack in LINEAR_ATTACKS])
+def test_ac_scenario_with_a_linear_attack_is_rejected_at_load(tmp_path, attack):
+    path = tmp_path / "ac_stealth.json"
+    path.write_text(json.dumps({"name": "x", "case": str(THREE_BUS),
+                                "mode": "ac", "attack": attack}))
+    with pytest.raises(MalformedDocument, match="dc-only") as info:
+        load_scenario(path)
+    assert str(path) in str(info.value)
+
+
+def test_constrained_scenario_rejects_a_zero_magnitude(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "name": "x", "case": str(THREE_BUS),
+        "attack": {"type": "constrained", "accessible": [1, 3],
+                   "magnitude": 0}}))
+    with pytest.raises(InvalidArgument, match="magnitude"):
+        run_scenario(load_scenario(path))
+
+
 def test_machine_report_is_deterministic_and_round_trips():
     report = run_scenario(load_scenario(CASES_DIR / "stealth_small.json"))
     text1 = emit_report(report, format="machine")
