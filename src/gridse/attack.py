@@ -19,6 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, LengthMismatch
+from .measurement import _check_seed
 
 RANK_RTOL = 1e-9
 STEALTH_RTOL = 1e-9
@@ -79,11 +80,12 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
     """Uniform random stealth direction: c on the sphere of the given radius.
 
     Deterministic in the seed; returns (c, Hc). A magnitude that is not
-    positive and finite raises InvalidArgument.
+    positive and finite, or a seed that is not a non-negative integer,
+    raises InvalidArgument.
     """
     _check_magnitude(magnitude)
     h = _as_matrix(h_matrix)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     direction = rng.normal(size=h.shape[1])
     while not np.linalg.norm(direction) > 0:
         direction = rng.normal(size=h.shape[1])

@@ -21,6 +21,7 @@ meter indices in results and configurations are 1-based file order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +53,8 @@ class DetectorConfig:
     """Method selector plus exactly the parameters that method needs.
 
     chi_square defaults alpha to 0.05 and lnr defaults its threshold to 3.0;
-    norm_threshold has no default tau.
+    norm_threshold has no default tau. A parameter that is given must be
+    a real number (not a bool); anything else raises MalformedDocument.
     """
 
     method: str
@@ -63,6 +65,11 @@ class DetectorConfig:
     def __post_init__(self):
         if self.method not in DETECTOR_METHODS:
             raise MalformedDocument(f"unknown detector method {self.method!r}")
+        for key in ("tau", "alpha", "lnr_threshold"):
+            value = getattr(self, key)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise MalformedDocument(f"{key} must be a number, got {value!r}")
         if self.method == "norm_threshold":
             if self.tau is None or not 0.0 < self.tau < np.inf:
                 raise MalformedDocument("norm_threshold requires 0 < tau < inf")

@@ -359,10 +359,15 @@ def simulate_measurements(network: NetworkModel, true_state: StateVector,
                           noise_scale: float = 1.0) -> np.ndarray:
     """h(true state) plus independent zero-mean Gaussian meter noise.
 
-    Meter i draws from its own stream keyed on (seed, i), so adding or
-    removing meters never perturbs the draws of the others. ``noise_scale``
-    multiplies every sigma; 0 returns h(true state) exactly, and a negative
-    or non-finite scale raises InvalidArgument.
+    Meter i (0-based) reads ``np.random.default_rng([seed, i]).normal(0.0,
+    sigma_i * noise_scale)``, bit for bit, so adding or removing meters never
+    perturbs the draws of the others. The draws do not go through
+    ``default_rng``: the (seed, meter) streams are seeded in one vectorized
+    pass that follows NEP 19, under which numpy keeps ``SeedSequence``
+    hashing and PCG64 seeding stable across versions, and then read through
+    numpy's own ``normal``. ``noise_scale`` multiplies every sigma; 0 returns
+    h(true state) exactly, and a negative or non-finite scale raises
+    InvalidArgument, as does a seed that is not a non-negative integer.
     """
     _check_mode(mode)
     return _simulate(build_meter_model(network, config), true_state, mode,
@@ -372,12 +377,14 @@ def simulate_measurements(network: NetworkModel, true_state: StateVector,
 def _simulate(model: MeterModel, true_state: StateVector, mode: str,
               seed: int, noise_scale: float) -> np.ndarray:
     """simulate_measurements against a model already built."""
+    seed = _check_seed(seed)
     _check_noise_scale(noise_scale)
     if mode == "dc":
         clean = model.dc_matrix @ free_vector(model.network, true_state, "dc")
     else:
         clean = model.values(free_vector(model.network, true_state, "ac"))
-    return _with_noise(clean, model.config.sigmas(), seed, noise_scale)
+    scales = model.config.sigmas() * noise_scale
+    return clean + _meter_noise([seed], range(len(scales)), scales)[0]
 
 
 def _check_noise_scale(noise_scale: float):
@@ -385,11 +392,118 @@ def _check_noise_scale(noise_scale: float):
         raise InvalidArgument("noise_scale must be non-negative and finite")
 
 
-def _with_noise(clean: np.ndarray, sigmas: np.ndarray, seed: int,
-                noise_scale: float) -> np.ndarray:
-    """clean plus N(0, (sigma_i noise_scale)^2) on meter i, drawn from the
-    meter's own stream default_rng([seed, i])."""
-    noisy = clean.copy()
-    for i, sigma in enumerate(sigmas):
-        noisy[i] += np.random.default_rng([seed, i]).normal(0.0, sigma * noise_scale)
-    return noisy
+def _check_seed(seed) -> int:
+    """A noise or attack seed as a Python int; bools, non-integers and
+    negative values raise InvalidArgument."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(
+            seed, (int, np.integer)) or seed < 0:
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+# SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants, fixed
+# by NEP 19: numpy/random/bit_generator.pyx and the pcg64 sources.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..count, as a read-only uint32 array."""
+    out = np.array([init * pow(mult, k, 1 << 32) % (1 << 32)
+                    for k in range(count + 1)], dtype=np.uint32)
+    out.setflags(write=False)
+    return out
+
+
+# SeedSequence calls its entropy hash 4 + 12 times and its output hash
+# 8 times (4 uint64 words); call k xors constant k and multiplies by k + 1.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS ** 2)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> _XSHIFT)
+
+
+def _words(values: list[int], count: int) -> np.ndarray:
+    """The low ``count`` 32-bit words of each value, least significant first."""
+    return np.array([[(v >> (32 * w)) & 0xFFFFFFFF for w in range(count)]
+                     for v in values], dtype=np.uint32).reshape(len(values), count)
+
+
+def _word_count(value: int) -> int:
+    """How many uint32 words SeedSequence makes of a non-negative int."""
+    return max(1, -(-value.bit_length() // 32))
+
+
+def _pcg64_states(entropy: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64 (state, inc) of ``default_rng(entropy words)`` for each row of
+    a zero-padded (P, 4) uint32 entropy array.
+
+    The pool mixing and ``generate_state(4, uint64)`` of SeedSequence, then
+    the two ``pcg_setseq_128_srandom_r`` steps. With at most 4 entropy words
+    the zero padding is exactly what the pool mixing hashes in their place.
+    """
+    a, b = _HASH_A, _HASH_B
+    pool = _xorshift((entropy ^ a[:_POOL_WORDS]) * a[1:_POOL_WORDS + 1])
+    k = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        # each other word takes in this one, hashed with its own constant
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        hashed = _xorshift((pool[:, src, None] ^ a[k:k + 3]) * a[k + 1:k + 4])
+        pool[:, dst] = _xorshift(pool[:, dst] * _MIX_MULT_L - hashed * _MIX_MULT_R)
+        k += 3
+    out = _xorshift((np.tile(pool, 2) ^ b[:-1]) * b[1:])
+    # as generate_state does: little-endian uint32 pairs to uint64
+    seed_words = out.astype("<u4").view("<u8").astype(np.uint64).tolist()
+    states, incs = [], []
+    for s_hi, s_lo, i_hi, i_lo in seed_words:
+        inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
+        states.append(((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return states, incs
+
+
+def _meter_noise(seeds, meters, scales: np.ndarray) -> np.ndarray:
+    """out[r, c] = default_rng([seeds[r], meters[c]]).normal(0.0, scales[c]).
+
+    Bit-identical to that expression for non-negative integer seeds and
+    meters. SeedSequence turns each into 32-bit words (one word below 2**32,
+    two below 2**64, ...). Pairs with at most 4 words in all, which fill at
+    most its 4-word pool, are seeded in one vectorized pass and read through
+    one PCG64 generator; longer entropy goes through default_rng itself.
+    """
+    seeds, meters = [int(s) for s in seeds], [int(i) for i in meters]
+    scales = np.asarray(scales, dtype=float).tolist()
+    seed_counts = np.array([_word_count(s) for s in seeds], dtype=np.intp)
+    meter_counts = np.array([_word_count(i) for i in meters], dtype=np.intp)
+    fits = seed_counts[:, None] + meter_counts <= _POOL_WORDS
+    # A pair's entropy is its seed's words, then its meter's: meter_at[n]
+    # holds the meter words shifted past an n-word seed.
+    meter_words = _words(meters, _POOL_WORDS - 1)
+    meter_at = np.zeros((_POOL_WORDS, len(meters), _POOL_WORDS), dtype=np.uint32)
+    for n in range(1, _POOL_WORDS):
+        meter_at[n, :, n:] = meter_words[:, :_POOL_WORDS - n]
+    entropy = _words(seeds, _POOL_WORDS)[:, None] \
+        | meter_at[np.where(seed_counts < _POOL_WORDS, seed_counts, 0)]
+    states, incs = _pcg64_states(entropy.reshape(-1, _POOL_WORDS))
+
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    stream = {"state": 0, "inc": 0}
+    pcg_state = {"bit_generator": "PCG64", "state": stream,
+                 "has_uint32": 0, "uinteger": 0}
+    noise = []
+    for state, inc, scale in zip(states, incs, scales * len(seeds)):
+        stream["state"], stream["inc"] = state, inc
+        bit_generator.state = pcg_state
+        noise.append(generator.normal(0.0, scale))
+    noise = np.array(noise, dtype=float).reshape(len(seeds), len(meters))
+    for r, c in zip(*np.nonzero(~fits)):
+        noise[r, c] = np.random.default_rng([seeds[r], meters[c]]).normal(0.0, scales[c])
+    return noise

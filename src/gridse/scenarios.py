@@ -37,6 +37,7 @@ are printed with 6 significant digits in both.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -58,8 +59,9 @@ from .measurement import (
     MeterModel,
     StateVector,
     _check_noise_scale,
+    _check_seed,
+    _meter_noise,
     _simulate,
-    _with_noise,
     build_meter_model,
 )
 from .network import (
@@ -92,6 +94,9 @@ class Scenario:
     detectors: tuple[DetectorConfig, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not isinstance(
+                self.case_path, (str, os.PathLike)):
+            raise MalformedDocument("name must be a string and case_path a path")
         if self.mode not in ("dc", "ac"):
             raise MalformedDocument(f"mode must be 'dc' or 'ac', got {self.mode!r}")
         _validate_measurements(self.measurements, "measurements")
@@ -131,9 +136,13 @@ class ScenarioReport:
                     "detected": v.detected,
                     "statistic": _round6(v.statistic),
                     "threshold": _round6(v.threshold_used),
+                    "suspect_meter": v.suspect_meter,
+                    "ambiguous": v.ambiguous,
+                    "critical_meters": list(v.critical_meters),
                 }
                 for v in self.verdicts
             ],
+            "converged": self.converged,
         }
 
 
@@ -202,9 +211,15 @@ def _meter_numbers(record: dict, key: str, context: str):
         raise MalformedDocument(f"{context}: {key!r} must be an array of meter numbers")
 
 
+def _require_seed(record: dict, key: str, context: str):
+    if _require_int(record, key, context) < 0:
+        raise MalformedDocument(
+            f"{context}: field {key!r} must be a non-negative integer")
+
+
 # How each attack value is checked, in this order.
 _ATTACK_VALUES = {"deltas": _numbers, "replacement": _numbers, "c": _numbers,
-                  "magnitude": _require_number, "seed": _require_int,
+                  "magnitude": _require_number, "seed": _require_seed,
                   "accessible": _meter_numbers}
 
 
@@ -223,7 +238,7 @@ def _validate_measurements(spec, context: str):
         sim = spec["simulate"]
         context = f"{context}.simulate"
         _check_keys(sim, _SIMULATE_KEYS, {"angles", "seed"}, context)
-        _require_int(sim, "seed", context)
+        _require_seed(sim, "seed", context)
         if "noise_scale" in sim:
             _require_number(sim, "noise_scale", context)
         for key in ("angles", "magnitudes"):
@@ -382,6 +397,10 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     )
 
 
+# At most this many meter-noise draws are made at once in run_monte_carlo.
+_NOISE_BLOCK_DRAWS = 1 << 16
+
+
 def run_monte_carlo(case_path: str | Path, *, trials: int,
                     noise_seed_base: int = 0, attack: str = "none",
                     magnitude: float = DEFAULT_MAGNITUDE,
@@ -397,12 +416,26 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     readings are computed once per call; each trial adds its own noise to
     them and estimates through that one factor, which the lnr detector
     reuses. Serial and deterministic; trials are independent, so any
-    parallel split over t aggregates identically. A ``magnitude`` that is
-    not positive and finite (on either arm) or a negative or non-finite
-    ``noise_scale`` raises InvalidArgument before the case is read.
+    parallel split over t aggregates identically.
+
+    Trial t reads exactly what ``simulate_measurements`` gives for seed
+    ``noise_seed_base + t`` at the state estimated from the case's readings
+    (the flat state when it has none): meter i's noise
+    is ``np.random.default_rng([noise_seed_base + t, i]).normal(0.0,
+    sigma_i * noise_scale)`` bit for bit. Under NEP 19 numpy keeps that
+    stream's seeding stable, and the noise of a block of trials is seeded
+    in one vectorized pass instead of one ``default_rng`` per draw.
+
+    A ``trials`` that is not an integer >= 1, a ``noise_seed_base`` that is
+    not a non-negative integer, a ``magnitude`` that is not positive and
+    finite (on either arm) or a negative or non-finite ``noise_scale``
+    raises InvalidArgument before the case is read.
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) \
+            or trials < 1:
+        raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
+    trials = int(trials)
+    noise_seed_base = _check_seed(noise_seed_base)
     _check_magnitude(magnitude)
     _check_noise_scale(noise_scale)
     if attack not in ("none", "stealth"):
@@ -420,26 +453,30 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     else:
         factor, truth_free = factor_gain(h, weights), np.zeros(h.shape[1])
     clean = h @ truth_free
-    sigmas = config.sigmas()
 
     base_detected = 0
     attack_detected = 0
     base_stats = []
     attack_stats = []
-    for t in range(trials):
-        seed = noise_seed_base + t
-        z = _with_noise(clean, sigmas, seed, noise_scale)
-        base = run_detector(detector, h, z, weights, factor.estimate(z))
-        base_detected += base.detected
-        base_stats.append(base.statistic)
-        if attack == "stealth":
-            _, a = random_stealth_attack(h, magnitude, seed)
-            z_a = apply_attack(z, a)
-            hit = run_detector(detector, h, z_a, weights, factor.estimate(z_a))
-        else:
-            hit = base
-        attack_detected += hit.detected
-        attack_stats.append(hit.statistic)
+    scales = config.sigmas() * noise_scale
+    block = max(1, _NOISE_BLOCK_DRAWS // len(scales))
+    for start in range(0, trials, block):
+        seeds = range(noise_seed_base + start,
+                      noise_seed_base + min(trials, start + block))
+        noise = _meter_noise(seeds, range(len(scales)), scales)
+        for seed, trial_noise in zip(seeds, noise):
+            z = clean + trial_noise
+            base = run_detector(detector, h, z, weights, factor.estimate(z))
+            base_detected += base.detected
+            base_stats.append(base.statistic)
+            if attack == "stealth":
+                _, a = random_stealth_attack(h, magnitude, seed)
+                z_a = apply_attack(z, a)
+                hit = run_detector(detector, h, z_a, weights, factor.estimate(z_a))
+            else:
+                hit = base
+            attack_detected += hit.detected
+            attack_stats.append(hit.statistic)
 
     rate = attack_detected / trials
     half_width = 1.96 * float(np.sqrt(rate * (1.0 - rate) / trials))

@@ -105,6 +105,9 @@ def test_random_stealth_attack_contract():
     np.testing.assert_array_equal(c, c_again)
     with pytest.raises(ValueError):
         random_stealth_attack(h, magnitude=0.0, seed=1)
+    for seed in (-1, True, 1.5):
+        with pytest.raises(InvalidArgument, match="seed"):
+            random_stealth_attack(h, magnitude=0.01, seed=seed)
 
 
 def test_random_stealth_attack_is_invisible():

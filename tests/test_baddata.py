@@ -279,6 +279,16 @@ def test_detector_config_rejects_non_finite_thresholds(method, key, value):
         DetectorConfig(method=method, **{key: value})
 
 
+@pytest.mark.parametrize("method,key,value", [
+    ("norm_threshold", "tau", "0.1"), ("norm_threshold", "tau", True),
+    ("chi_square", "alpha", "0.05"), ("chi_square", "alpha", [0.05]),
+    ("lnr", "lnr_threshold", "3"), ("chi_square", "tau", "0.1"),
+])
+def test_detector_config_rejects_non_numbers(method, key, value):
+    with pytest.raises(MalformedDocument, match="number"):
+        DetectorConfig(method=method, **{key: value})
+
+
 def with_radial_bus(rng, parallel):
     """A random network plus one bus hanging off bus 1 by a single line.
 

@@ -266,6 +266,24 @@ def test_negative_noise_scale_is_input_error(tmp_path, capsys):
     assert "noise_scale" in err
 
 
+def test_negative_seeds_are_input_errors(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "montecarlo", "--case", str(THREE_BUS),
+                           "--trials", "3", "--seed", "-1")
+    assert code == 2
+    assert "seed" in err
+    for fields in (
+        {"measurements": {"simulate": {"angles": {"1": 0.01, "2": -0.09,
+                                                  "3": 0.0}, "seed": -1}}},
+        {"attack": {"type": "random_stealth", "magnitude": 0.01, "seed": -1}},
+    ):
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps({"name": "x", "case": str(THREE_BUS),
+                                    **fields}))
+        code, _, err = run_cli(capsys, "scenario", "run", str(path))
+        assert code == 2
+        assert "'seed' must be a non-negative integer" in err
+
+
 def test_no_path_builds_the_admittance(tmp_path, capsys, monkeypatch):
     # nothing reads the bus admittance, so no internal path may build it
     def refuse(*args, **kwargs):

@@ -26,6 +26,7 @@ from gridse import (
     simulate_measurements,
     state_from_free,
 )
+from gridse.measurement import _meter_noise
 from helpers import (
     full_ac_config,
     load_three_bus,
@@ -331,6 +332,50 @@ def test_simulated_noise_is_zero_mean():
     ])
     bound = 4 * 0.01 / np.sqrt(10_000)
     assert np.all(np.abs(draws.mean(axis=0)) <= bound)
+
+
+def default_rng_noise(seeds, meters, scales):
+    """The reference stream: one default_rng per (seed, meter) pair."""
+    return np.array([[np.random.default_rng([s, i]).normal(0.0, scale)
+                      for i, scale in zip(meters, scales)] for s in seeds])
+
+
+@pytest.mark.parametrize("seeds,meters", [
+    (range(0, 40), range(67)),
+    (range(2**32 - 20, 2**32 + 20), range(67)),
+    # the benchmark's seeds: 3 entropy words with the meter
+    (range(901 * 10**9, 901 * 10**9 + 40), range(67)),
+    ([0, 5, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
+     [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]),
+    # 5 or more entropy words: the default_rng fallback
+    ([2**64, 2**80 + 9, 2**96 - 1, 2**96, 2**100 + 7],
+     [0, 7, 2**32 - 1, 2**32, 2**64]),
+], ids=["small", "word-boundary", "bench-sized", "wide-meters", "fallback"])
+def test_meter_noise_is_the_default_rng_stream(seeds, meters):
+    # the batched noise must equal default_rng([seed, i]).normal bit for bit
+    rng = np.random.default_rng(34)
+    scales = rng.uniform(0.001, 0.1, len(meters))
+    np.testing.assert_array_equal(
+        _meter_noise(seeds, meters, scales),
+        default_rng_noise(seeds, meters, scales))
+
+
+def test_zero_noise_scale_gives_exact_readings():
+    assert not np.any(_meter_noise(range(3), range(4), np.zeros(4)))
+    rng = np.random.default_rng(35)
+    net = random_network(rng, 8)
+    config = full_ac_config(net)
+    state = random_ac_state(rng, net)
+    z = simulate_measurements(net, state, config, "ac", seed=3, noise_scale=0.0)
+    np.testing.assert_array_equal(z, h_eval_ac(net, state, config))
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "1", None])
+def test_simulate_rejects_bad_seeds(seed):
+    parsed, _, _ = load_three_bus()
+    with pytest.raises(InvalidArgument, match="seed"):
+        simulate_measurements(parsed.network, StateVector(angles=TRUE_ANGLES),
+                              parsed.config, "dc", seed=seed)
 
 
 @pytest.mark.parametrize("noise_scale", [-1.0, float("nan"), float("inf")])

@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import gridse.scenarios
 from gridse import (
+    DetectionResult,
     DetectorConfig,
     InvalidArgument,
     LengthMismatch,
     MalformedDocument,
     MonteCarloStats,
     Scenario,
+    ScenarioReport,
     emit_report,
     estimate_dc,
     largest_normalized_residual,
@@ -88,13 +91,24 @@ LINEAR_ATTACKS = [
     {"measurements": {"simulate": {"angles": {1: 0.0}, "seed": 1}}},
     {"detectors": ({"method": "chi_square"},)},
     {"detectors": "chi_square"},
+    {"measurements": {"simulate": {"angles": {"1": 0.0}, "seed": -1}}},
+    {"attack": {"type": "random_stealth", "magnitude": 0.01, "seed": -1}},
+    {"attack": {"type": "random_stealth", "magnitude": 0.01, "seed": True}},
 ] + [{"mode": "ac", "attack": attack} for attack in LINEAR_ATTACKS], ids=[
     "bad-mode", "unknown-attack", "unhashable-attack", "non-numeric-shift",
     "missing-accessible", "integer-bus-key", "detector-dict", "detector-string",
+    "negative-simulate-seed", "negative-attack-seed", "bool-attack-seed",
 ] + [f"ac-{attack['type']}" for attack in LINEAR_ATTACKS])
 def test_scenario_built_in_code_checks_itself(fields):
     with pytest.raises(MalformedDocument):
         Scenario(name="x", case_path=THREE_BUS, **fields)
+
+
+@pytest.mark.parametrize("name,case_path", [(5, THREE_BUS), ("x", 3),
+                                            (None, str(THREE_BUS))])
+def test_scenario_checks_its_name_and_case_path(name, case_path):
+    with pytest.raises(MalformedDocument):
+        Scenario(name=name, case_path=case_path)
 
 
 @pytest.mark.parametrize("attack", LINEAR_ATTACKS,
@@ -129,9 +143,30 @@ def test_machine_report_is_deterministic_and_round_trips():
     parsed = json.loads(text1)
     assert parsed == report.as_dict()
     assert list(parsed) == ["name", "attacked", "state", "squared_error_raw",
-                            "objective_weighted", "verdicts"]
+                            "objective_weighted", "verdicts", "converged"]
     assert list(parsed["verdicts"][0]) == ["method", "detected", "statistic",
-                                           "threshold"]
+                                           "threshold", "suspect_meter",
+                                           "ambiguous", "critical_meters"]
+
+
+def test_machine_report_keeps_convergence_and_lnr_details():
+    verdict = DetectionResult(method="lnr", detected=True, statistic=6.3,
+                              threshold_used=3.0, suspect_meter=2,
+                              ambiguous=True, critical_meters=(3, 5))
+    report = ScenarioReport(name="ac", attacked=False, state=(0.1,),
+                            squared_error_raw=1.0, objective_weighted=2.0,
+                            verdicts=(verdict,), converged=False)
+    parsed = json.loads(emit_report(report, format="machine"))
+    assert parsed["converged"] is False
+    assert parsed["verdicts"][0]["suspect_meter"] == 2
+    assert parsed["verdicts"][0]["ambiguous"] is True
+    assert parsed["verdicts"][0]["critical_meters"] == [3, 5]
+    clean = json.loads(emit_report(
+        run_scenario(load_scenario(CASES_DIR / "base_case.json")),
+        format="machine"))
+    assert clean["converged"] is True
+    assert clean["verdicts"][0]["suspect_meter"] is None
+    assert clean["verdicts"][0]["critical_meters"] == []
 
 
 def test_table_report_matches_known_rows():
@@ -398,6 +433,31 @@ def test_monte_carlo_rejects_bad_arguments():
         with pytest.raises(InvalidArgument, match="noise_scale"):
             run_monte_carlo("no_such_case.json", trials=3,
                             noise_scale=noise_scale)
+
+
+@pytest.mark.parametrize("arguments", [
+    {"trials": 2.5}, {"trials": True}, {"trials": "3"},
+    {"trials": 3, "noise_seed_base": -1},
+    {"trials": 3, "noise_seed_base": 1.0},
+    {"trials": 3, "noise_seed_base": False},
+])
+def test_monte_carlo_checks_trials_and_seed_before_reading_the_case(arguments):
+    with pytest.raises(InvalidArgument):
+        run_monte_carlo("no_such_case.json", **arguments)
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 0.5, 0.0])
+def test_monte_carlo_noise_blocks_do_not_change_any_trial(
+        monkeypatch, noise_scale):
+    # trials are drawn in blocks; a block boundary must not change the
+    # readings any trial sees
+    monkeypatch.setattr(gridse.scenarios, "_NOISE_BLOCK_DRAWS", 7)
+    blocked = run_monte_carlo(THREE_BUS, trials=7, noise_seed_base=2**32 - 3,
+                              attack="stealth", noise_scale=noise_scale)
+    monkeypatch.undo()
+    whole = run_monte_carlo(THREE_BUS, trials=7, noise_seed_base=2**32 - 3,
+                            attack="stealth", noise_scale=noise_scale)
+    assert blocked == whole
 
 
 def test_emit_report_rejects_unknown_format():
