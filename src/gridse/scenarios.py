@@ -20,8 +20,8 @@ the case file), ``{"values": [...]}`` (explicit readings), or
 ``none``, ``explicit_deltas`` (key ``deltas``, or ``replacement`` holding the
 raw substituted readings), ``stealth_shift`` (key ``c``), ``random_stealth``
 (``magnitude``, ``seed``), or ``constrained`` (``accessible``, optional
-``magnitude``). Every number must be finite, and seeds and meter numbers
-are integers. Relative case paths resolve against the scenario file's
+``magnitude``). Every number must be finite, seeds are non-negative
+integers and meter numbers are integers. Relative case paths resolve against the scenario file's
 directory. Defaults: no attack, case-file readings, dc mode, one chi-square
 detector at alpha 0.05. A :class:`Scenario` checks all of this itself, also
 when built in code. ``stealth_shift``, ``random_stealth`` and ``constrained``
