@@ -5,20 +5,33 @@ residual-based detector exactly when a = Hc for some state shift c: the
 estimate moves by c while the residual, and therefore every detection
 statistic, stays identical. All constructions here work against the constant
 linear meter matrix H (m x k, k = angle state dimension); meter index sets
-are 1-based file order.
+are 1-based file order. A non-finite H, or a meter index that is not an
+integer (a bool is not), raises InvalidArgument.
 
 Rank decisions use singular values: anything below 1e-9 times the largest
-singular value counts as zero.
+singular value counts as zero. The two yes/no questions, "is a = Hc?"
+(:func:`verify_stealth`) and "do these rows have full column rank?"
+(:func:`protection_check`), are first answered from the gain Cholesky that
+estimation already uses (:func:`estimation.factor_gain`, condition limit
+1e12). Only when that certificate fails do they take the least-squares fit
+or the SVD, whose rules are unchanged, so every answer equals theirs.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, LengthMismatch
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    LengthMismatch,
+    UnobservableNetwork,
+)
+from .estimation import factor_gain
 from .measurement import _check_seed
 
 RANK_RTOL = 1e-9
@@ -43,20 +56,37 @@ def _as_matrix(h_matrix: np.ndarray) -> np.ndarray:
     h = np.asarray(h_matrix, dtype=float)
     if h.ndim != 2:
         raise DimensionMismatch(f"H must be a matrix, got ndim {h.ndim}")
+    if not np.isfinite(h).all():
+        raise InvalidArgument("H must be finite")
     return h
 
 
 def _meter_rows(meters: Iterable[int], m: int) -> np.ndarray:
-    rows = sorted(set(int(i) for i in meters))
+    try:
+        indices = list(meters)
+    except TypeError:
+        raise InvalidArgument(
+            f"meter indices must be iterable, got {meters!r}") from None
+    for i in indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise InvalidArgument(f"meter index must be an integer, got {i!r}")
+    rows = sorted(set(int(i) for i in indices))
     for i in rows:
         if not 1 <= i <= m:
             raise DimensionMismatch(f"meter index {i} outside 1..{m}")
     return np.array(rows, dtype=int) - 1
 
 
+def _svd_rank(s: np.ndarray) -> int:
+    """Number of singular values s (descending) above RANK_RTOL * s[0]."""
+    return int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
+
+
 def _check_magnitude(magnitude: float):
-    if not 0.0 < magnitude < np.inf:
-        raise InvalidArgument("magnitude must be positive and finite")
+    if isinstance(magnitude, bool) or not isinstance(magnitude, numbers.Real) \
+            or not 0.0 < magnitude < np.inf:
+        raise InvalidArgument(
+            f"magnitude must be a positive finite number, got {magnitude!r}")
 
 
 def craft_stealth_attack(h_matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -119,9 +149,7 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
         # With k or more rows the thin vh is already k x k (the full SVD only
         # adds unread columns of U); with fewer, only the full vh is.
         _, s, vh = np.linalg.svd(h[blocked, :], full_matrices=len(blocked) < k)
-        tol = RANK_RTOL * s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol))
-        if rank == k:
+        if _svd_rank(s) == k:
             return None
         c_dir = vh[-1]
     c = c_dir / np.linalg.norm(c_dir) * magnitude
@@ -140,8 +168,13 @@ def apply_attack(z: np.ndarray, a: np.ndarray) -> np.ndarray:
 def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     """True iff a lies in the column space of H.
 
-    Checked by least squares: the projection residual must be at most
-    1e-9 * max(1, ||a||).
+    The projection residual ||a - Hc|| must be at most
+    1e-9 * max(1, ||a||). c comes first from the unit-weight gain Cholesky
+    (:func:`estimation.factor_gain`); a gap within the bound proves the
+    answer True, since the least-squares minimum is no larger. When the
+    gain is rejected or the gap exceeds the bound, c is the least-squares
+    fit (``np.linalg.lstsq``) and its gap decides. A non-finite H or a
+    non-finite attack vector raises InvalidArgument.
     """
     h = _as_matrix(h_matrix)
     a = np.asarray(a, dtype=float)
@@ -149,9 +182,18 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
         raise DimensionMismatch(
             f"attack has shape {a.shape} but H has {h.shape[0]} rows"
         )
+    if not np.isfinite(a).all():
+        raise InvalidArgument("attack vector must be finite")
+    bound = STEALTH_RTOL * max(1.0, np.linalg.norm(a))
+    try:
+        c = factor_gain(h, np.ones(h.shape[0])).solve(a)
+    except (UnobservableNetwork, InvalidArgument):
+        pass  # a rejected gain, or H^T a overflowing: least squares decides
+    else:
+        if np.linalg.norm(a - h @ c) <= bound:
+            return True
     c, *_ = np.linalg.lstsq(h, a, rcond=None)
-    gap = np.linalg.norm(a - h @ c)
-    return bool(gap <= STEALTH_RTOL * max(1.0, np.linalg.norm(a)))
+    return bool(np.linalg.norm(a - h @ c) <= bound)
 
 
 def protection_check(h_matrix: np.ndarray,
@@ -161,14 +203,24 @@ def protection_check(h_matrix: np.ndarray,
     A stealth shift must vanish on the protected rows, so the surviving
     attack directions form the null space of the protected-row submatrix:
     dimension k - rank. Full rank means no nonzero shift survives.
+
+    The rank is that of the singular-value rule in the module docstring.
+    Each all-zero column of the submatrix is one exact null direction.
+    When :func:`estimation.factor_gain` accepts the remaining columns
+    (gain condition at most 1e12, so their smallest singular value is
+    about 1e-6 of the largest or more), those columns all count; otherwise
+    the singular values of the submatrix decide.
     """
     h = _as_matrix(h_matrix)
     m, k = h.shape
-    rows = _meter_rows(protected_meters, m)
-    if len(rows) == 0:
+    sub = h[_meter_rows(protected_meters, m), :]
+    live = np.flatnonzero(np.any(sub, axis=0))
+    if live.size == 0:
         rank = 0
     else:
-        s = np.linalg.svd(h[rows, :], compute_uv=False)
-        tol = RANK_RTOL * s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol))
+        try:
+            factor_gain(sub[:, live], np.ones(sub.shape[0]))
+            rank = live.size
+        except UnobservableNetwork:
+            rank = _svd_rank(np.linalg.svd(sub, compute_uv=False))
     return ProtectionReport(protected=rank == k, residual_attack_dim=k - rank)

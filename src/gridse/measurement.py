@@ -33,6 +33,7 @@ and ``run_monte_carlo`` computes H and H x once for all its trials.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -366,8 +367,9 @@ def simulate_measurements(network: NetworkModel, true_state: StateVector,
     pass that follows NEP 19, under which numpy keeps ``SeedSequence``
     hashing and PCG64 seeding stable across versions, and then read through
     numpy's own ``normal``. ``noise_scale`` multiplies every sigma; 0 returns
-    h(true state) exactly, and a negative or non-finite scale raises
-    InvalidArgument, as does a seed that is not a non-negative integer.
+    h(true state) exactly, and a scale that is not a non-negative finite
+    number (a bool is not one) raises InvalidArgument, as does a seed that is
+    not a non-negative integer.
     """
     _check_mode(mode)
     return _simulate(build_meter_model(network, config), true_state, mode,
@@ -388,8 +390,10 @@ def _simulate(model: MeterModel, true_state: StateVector, mode: str,
 
 
 def _check_noise_scale(noise_scale: float):
-    if not 0.0 <= noise_scale < np.inf:
-        raise InvalidArgument("noise_scale must be non-negative and finite")
+    if isinstance(noise_scale, bool) or not isinstance(
+            noise_scale, numbers.Real) or not 0.0 <= noise_scale < np.inf:
+        raise InvalidArgument(
+            f"noise_scale must be a non-negative finite number, got {noise_scale!r}")
 
 
 def _check_seed(seed) -> int:

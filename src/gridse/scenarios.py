@@ -427,9 +427,10 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     in one vectorized pass instead of one ``default_rng`` per draw.
 
     A ``trials`` that is not an integer >= 1, a ``noise_seed_base`` that is
-    not a non-negative integer, a ``magnitude`` that is not positive and
-    finite (on either arm) or a negative or non-finite ``noise_scale``
-    raises InvalidArgument before the case is read.
+    not a non-negative integer, a ``magnitude`` that is not a positive
+    finite number (on either arm), a ``noise_scale`` that is not a
+    non-negative finite number (a bool is neither) or a ``detector`` that
+    is not a DetectorConfig raises InvalidArgument before the case is read.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) \
             or trials < 1:
@@ -440,7 +441,11 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     _check_noise_scale(noise_scale)
     if attack not in ("none", "stealth"):
         raise MalformedDocument(f"unknown attack arm {attack!r}")
-    detector = detector or DetectorConfig(method="chi_square")
+    if detector is None:
+        detector = DetectorConfig(method="chi_square")
+    elif not isinstance(detector, DetectorConfig):
+        raise InvalidArgument(
+            f"detector must be a DetectorConfig, got {detector!r}")
 
     parsed = parse_case(Path(case_path).read_text())
     network, config = parsed.network, parsed.config

@@ -1,14 +1,21 @@
 """Stealth attack construction, verification, and protection analysis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridse import (
+    Branch,
+    Bus,
     DetectorConfig,
     DimensionMismatch,
     InvalidArgument,
     LengthMismatch,
     MeasurementConfig,
+    MeasurementSpec,
+    NetworkModel,
+    UnobservableNetwork,
     apply_attack,
     build_admittance,
     constrained_stealth_attack,
@@ -36,6 +43,21 @@ SHIFT_SMALL = np.array([0.005, 0.001])
 ATTACK_SMALL = np.array([0.02, 0.0125, -0.004])
 SHIFT_LARGE = np.array([0.01, 0.04])
 ATTACK_LARGE = np.array([-0.15, 0.025, -0.16])
+
+# The rules the attack module promises, taken here straight from numpy's SVD
+# and least squares. Bound before any test patches np.linalg.
+_SVD, _LSTSQ = np.linalg.svd, np.linalg.lstsq
+
+
+def _reference_rank(sub):
+    s = _SVD(sub, compute_uv=False)
+    return int(np.sum(s > 1e-9 * s[0])) if s.size else 0
+
+
+def _reference_in_range(h, a):
+    c, *_ = _LSTSQ(h, a, rcond=None)
+    return bool(np.linalg.norm(a - h @ c) <= 1e-9 * max(1.0, np.linalg.norm(a)))
+
 
 
 def test_craft_known_attack_vectors():
@@ -108,6 +130,9 @@ def test_random_stealth_attack_contract():
     for seed in (-1, True, 1.5):
         with pytest.raises(InvalidArgument, match="seed"):
             random_stealth_attack(h, magnitude=0.01, seed=seed)
+    for magnitude in ("0.01", True, None):
+        with pytest.raises(InvalidArgument, match="magnitude"):
+            random_stealth_attack(h, magnitude=magnitude, seed=1)
 
 
 def test_random_stealth_attack_is_invisible():
@@ -140,7 +165,7 @@ def test_constrained_attack_infeasible():
     assert constrained_stealth_attack(h, accessible_meters=(1,)) is None
 
 
-@pytest.mark.parametrize("magnitude", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("magnitude", [0.0, -1.0, np.nan, np.inf, "0.01", True])
 def test_constrained_attack_rejects_bad_magnitude(magnitude):
     _, _, h = load_three_bus()
     with pytest.raises(InvalidArgument, match="magnitude"):
@@ -237,3 +262,155 @@ def test_protection_check_monotone():
             dim = protection_check(h, meters[:cut]).residual_attack_dim
             assert dim <= previous_dim
             previous_dim = dim
+
+
+def test_decisions_equal_the_svd_and_lstsq_rules_over_a_reactance_sweep(
+        monkeypatch):
+    # one reactance swept over 1e-3..1e9 drives the gain from well to badly
+    # conditioned, so both the certificate and the fallback decide
+    calls = {"svd": 0, "lstsq": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", _SVD))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", _LSTSQ))
+    rng = np.random.default_rng(71)
+    cases = 0
+    for _ in range(40):
+        net = random_network(rng, int(rng.integers(3, 31)))
+        config = random_observable_config(rng, net)
+        j = int(rng.integers(len(net.branches)))
+        for x in 10.0 ** np.arange(-3, 10):
+            branches = list(net.branches)
+            branches[j] = replace(branches[j], reactance_x=float(x))
+            swept = replace(net, branches=tuple(branches))
+            h = dc_jacobian(swept, build_admittance(swept), config)
+            m, k = h.shape
+            protected = rng.choice(m, size=int(rng.integers(1, m + 1)),
+                                   replace=False) + 1
+            report = protection_check(h, protected)
+            rank = _reference_rank(h[protected - 1])
+            assert report.residual_attack_dim == k - rank
+            assert report.protected == (rank == k)
+            a = h @ rng.normal(0.0, 0.05, k)
+            assert verify_stealth(h, a) == _reference_in_range(h, a)
+            a_out = a + rng.normal(0.0, 1e-3, m)
+            assert verify_stealth(h, a_out) == _reference_in_range(h, a_out)
+            cases += 1
+    assert cases == 520
+    assert 0 < calls["svd"] < cases
+    assert 0 < calls["lstsq"] < 2 * cases
+
+
+def test_protection_with_a_nearly_open_line_takes_the_svd_rule():
+    # chain 1-2-3 with x_23 = 1e7, metering flows 1-2 and 2-3 and
+    # injection 1: the estimator rejects the gain (condition about 1e16),
+    # but the smallest singular value is about 7e-9 of the largest, above
+    # the 1e-9 rule, so the rows still protect
+    net = NetworkModel(
+        buses=(Bus(id=1), Bus(id=2), Bus(id=3, is_reference=True)),
+        branches=(Branch(from_bus=1, to_bus=2, reactance_x=0.2),
+                  Branch(from_bus=2, to_bus=3, reactance_x=1e7)))
+    config = MeasurementConfig(specs=(
+        MeasurementSpec(kind="flow_p", from_bus=1, to_bus=2, sigma=0.01),
+        MeasurementSpec(kind="flow_p", from_bus=2, to_bus=3, sigma=0.01),
+        MeasurementSpec(kind="injection_p", bus=1, sigma=0.01)))
+    h = dc_jacobian(net, build_admittance(net), config)
+    with pytest.raises(UnobservableNetwork):
+        estimate_dc(h, np.zeros(3), np.full(3, 1e4))
+    assert _reference_rank(h) == 2
+    report = protection_check(h, (1, 2, 3))
+    assert report.protected and report.residual_attack_dim == 0
+
+
+def _hundred_bus_h(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, 100)
+    h = dc_jacobian(net, build_admittance(net),
+                    MeasurementConfig(specs=tuple(dc_meter_candidates(net))))
+    return rng, h
+
+
+def test_protection_counts_zero_columns_as_stealth_directions():
+    # rows that never see one angle leave that column zero; dropping a bus's
+    # meters can strand a neighbour too, so more directions may survive
+    for seed in (71, 72, 73):
+        _, h = _hundred_bus_h(seed)
+        m, k = h.shape
+        for col in (0, k // 2, k - 1):
+            rows = np.flatnonzero(h[:, col] == 0)
+            zero_columns = int(np.sum(~np.any(h[rows], axis=0)))
+            report = protection_check(h, rows + 1)
+            assert report.residual_attack_dim == k - _reference_rank(h[rows])
+            assert report.residual_attack_dim >= zero_columns >= 1
+
+
+def test_well_conditioned_answers_take_neither_svd_nor_lstsq(monkeypatch):
+    rng, h = _hundred_bus_h(72)
+    m, k = h.shape
+    # on this grid the rows that never see this angle leave every other
+    # column at full rank, so the only deficiency is the zero column
+    rows = np.flatnonzero(h[:, int(rng.integers(k))] == 0) + 1
+    assert _reference_rank(h[rows - 1]) == k - 1
+    a = h @ rng.normal(0.0, 0.05, k)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD or least squares taken on the fast path")
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    assert verify_stealth(h, a)
+    assert verify_stealth(h, np.zeros(m))
+    full = protection_check(h, range(1, m + 1))
+    assert full.protected and full.residual_attack_dim == 0
+    assert protection_check(h, rows).residual_attack_dim == 1
+    assert protection_check(h, ()).residual_attack_dim == k
+
+
+def test_verify_stealth_falls_back_when_the_gain_solve_overflows():
+    # H^T a overflows, so the gain solve rejects its right side; least
+    # squares still decides, as it did before the gain path existed
+    _, _, h = load_three_bus()
+    huge = np.full(3, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert verify_stealth(h, huge) == _reference_in_range(h, huge)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_attack_functions_reject_non_finite_inputs(bad):
+    _, _, h = load_three_bus()
+    with pytest.raises(InvalidArgument, match="attack vector must be finite"):
+        verify_stealth(h, np.array([0.0, bad, 0.0]))
+    h = h.copy()
+    h[1, 0] = bad
+    with pytest.raises(InvalidArgument, match="H must be finite"):
+        verify_stealth(h, np.zeros(3))
+    with pytest.raises(InvalidArgument, match="H must be finite"):
+        protection_check(h, (1, 2, 3))
+    with pytest.raises(InvalidArgument, match="H must be finite"):
+        constrained_stealth_attack(h, (1, 3))
+    with pytest.raises(InvalidArgument, match="H must be finite"):
+        craft_stealth_attack(h, SHIFT_SMALL)
+    with pytest.raises(InvalidArgument, match="H must be finite"):
+        random_stealth_attack(h, magnitude=0.01, seed=1)
+
+
+@pytest.mark.parametrize("meters", ["12", [1.5], [True], [np.bool_(True)],
+                                    [1, None], 3])
+def test_meter_indices_must_be_integers(meters):
+    _, _, h = load_three_bus()
+    with pytest.raises(InvalidArgument, match="meter ind"):
+        protection_check(h, meters)
+    with pytest.raises(InvalidArgument, match="meter ind"):
+        constrained_stealth_attack(h, meters)
+
+
+def test_numpy_integer_meter_indices_are_accepted():
+    _, _, h = load_three_bus()
+    assert protection_check(h, np.array([2, 3])) == protection_check(h, (2, 3))
+    assert protection_check(h, [np.int32(2)]).residual_attack_dim == 1
+    c, _ = constrained_stealth_attack(h, np.array([1, 3], dtype=np.int64))
+    np.testing.assert_array_equal(c, constrained_stealth_attack(h, (1, 3))[0])

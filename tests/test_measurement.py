@@ -378,7 +378,8 @@ def test_simulate_rejects_bad_seeds(seed):
                               parsed.config, "dc", seed=seed)
 
 
-@pytest.mark.parametrize("noise_scale", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("noise_scale", [-1.0, float("nan"), float("inf"),
+                                         "1", True])
 def test_simulate_rejects_bad_noise_scale(noise_scale):
     parsed, _, _ = load_three_bus()
     with pytest.raises(InvalidArgument, match="noise_scale"):

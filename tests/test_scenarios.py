@@ -425,11 +425,11 @@ def test_monte_carlo_rejects_bad_arguments():
     # magnitude is checked on both arms, and both checks come before the
     # case is read
     for attack in ("none", "stealth"):
-        for magnitude in (-1.0, 0.0, float("nan"), float("inf")):
+        for magnitude in (-1.0, 0.0, float("nan"), float("inf"), "0.01", True):
             with pytest.raises(InvalidArgument, match="magnitude"):
                 run_monte_carlo("no_such_case.json", trials=3, attack=attack,
                                 magnitude=magnitude)
-    for noise_scale in (-1.0, float("nan"), float("inf")):
+    for noise_scale in (-1.0, float("nan"), float("inf"), "1", True):
         with pytest.raises(InvalidArgument, match="noise_scale"):
             run_monte_carlo("no_such_case.json", trials=3,
                             noise_scale=noise_scale)
@@ -440,6 +440,8 @@ def test_monte_carlo_rejects_bad_arguments():
     {"trials": 3, "noise_seed_base": -1},
     {"trials": 3, "noise_seed_base": 1.0},
     {"trials": 3, "noise_seed_base": False},
+    {"trials": 3, "detector": "chi_square"},
+    {"trials": 3, "detector": {"method": "lnr"}},
 ])
 def test_monte_carlo_checks_trials_and_seed_before_reading_the_case(arguments):
     with pytest.raises(InvalidArgument):
