@@ -9,12 +9,16 @@ are 1-based file order. A non-finite H, or a meter index that is not an
 integer (a bool is not), raises InvalidArgument.
 
 Rank decisions use singular values: anything below 1e-9 times the largest
-singular value counts as zero. The two yes/no questions, "is a = Hc?"
-(:func:`verify_stealth`) and "do these rows have full column rank?"
-(:func:`protection_check`), are first answered from the gain Cholesky that
-estimation already uses (:func:`estimation.factor_gain`, condition limit
-1e12). Only when that certificate fails do they take the least-squares fit
-or the SVD, whose rules are unchanged, so every answer equals theirs.
+singular value counts as zero. Three questions are first answered from the
+gain Cholesky that estimation already uses (:func:`estimation.factor_gain`,
+condition limit 1e12): "is a = Hc?" (:func:`verify_stealth`), "do these
+rows have full column rank?" (:func:`protection_check`) and "which shift
+do these rows not see?" (:func:`constrained_stealth_attack`). The last two
+share one certificate: each all-zero column of the rows is an exact null
+direction, and when the gain of the other columns is accepted (a gain
+whose product overflows is not) those columns have full rank. Only when a
+certificate fails do they take the least-squares fit or the SVD, whose
+rules are unchanged, so every decision equals theirs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     LengthMismatch,
     UnobservableNetwork,
 )
-from .estimation import factor_gain
+from .estimation import GainFactor, factor_gain
 from .measurement import _check_seed
 
 RANK_RTOL = 1e-9
@@ -82,6 +86,28 @@ def _svd_rank(s: np.ndarray) -> int:
     return int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
 
 
+def _unit_gain(h: np.ndarray) -> GainFactor | None:
+    """factor_gain(h, ones), or None when it rejects the gain; a gain whose
+    product overflows is rejected without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return factor_gain(h, np.ones(h.shape[0]))
+        except UnobservableNetwork:
+            return None
+
+
+def _zero_column_certificate(sub: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The all-zero columns of sub (a boolean mask), and whether they span
+    its whole null space under the singular-value rule.
+
+    That holds when no other column is left or the gain of the others is
+    accepted: its condition is then at most 1e12, so their smallest singular
+    value is about 1e-6 of the largest or more, well above RANK_RTOL.
+    """
+    zero = ~np.any(sub, axis=0)
+    return zero, bool(zero.all()) or _unit_gain(sub[:, ~zero]) is not None
+
+
 def _check_magnitude(magnitude: float):
     if isinstance(magnitude, bool) or not isinstance(magnitude, numbers.Real) \
             or not 0.0 < magnitude < np.inf:
@@ -130,29 +156,37 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
     """Stealth attack touching only the accessible meters.
 
     Finds a nonzero shift c with (Hc)_i = 0 on every meter outside the
-    accessible set, i.e. c in the null space of the inaccessible-row
-    submatrix, via SVD. When several directions survive, the one attached to
-    the smallest singular value is returned (deterministic SVD ordering),
-    unit-normalized and scaled to ``magnitude``, which must be positive and
-    finite (else InvalidArgument). Returns None when only c = 0 satisfies
-    the constraints; that is a legitimate outcome, not an error.
+    accessible set, i.e. c in the null space of the blocked-row submatrix,
+    scaled to ``magnitude``, which must be positive and finite (else
+    InvalidArgument). Returns None when only c = 0 satisfies the
+    constraints; that is a legitimate outcome, not an error.
+
+    When the zero-column certificate in the module docstring holds, the
+    null space is spanned by the all-zero columns of the blocked rows, and c
+    is ``magnitude`` times the unit vector of the last of them (exactly zero
+    on every blocked meter); with no blocked meter that is the last state.
+    Otherwise the SVD of the blocked rows decides, and c is the right
+    singular vector of the smallest singular value (deterministic SVD
+    ordering), unit-normalized.
     """
     _check_magnitude(magnitude)
     h = _as_matrix(h_matrix)
     m, k = h.shape
-    accessible = set(_meter_rows(accessible_meters, m).tolist())
-    blocked = np.array([i for i in range(m) if i not in accessible], dtype=int)
-    if len(blocked) == 0:
-        c_dir = np.zeros(k)
-        c_dir[-1] = 1.0
+    blocked = np.setdiff1d(np.arange(m), _meter_rows(accessible_meters, m))
+    sub = h[blocked, :]
+    zero, certified = _zero_column_certificate(sub)
+    if certified:
+        if not zero.any():
+            return None
+        c = np.zeros(k)
+        c[np.flatnonzero(zero)[-1]] = magnitude
     else:
         # With k or more rows the thin vh is already k x k (the full SVD only
         # adds unread columns of U); with fewer, only the full vh is.
-        _, s, vh = np.linalg.svd(h[blocked, :], full_matrices=len(blocked) < k)
+        _, s, vh = np.linalg.svd(sub, full_matrices=len(blocked) < k)
         if _svd_rank(s) == k:
             return None
-        c_dir = vh[-1]
-    c = c_dir / np.linalg.norm(c_dir) * magnitude
+        c = vh[-1] / np.linalg.norm(vh[-1]) * magnitude
     return c, h @ c
 
 
@@ -169,12 +203,15 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     """True iff a lies in the column space of H.
 
     The projection residual ||a - Hc|| must be at most
-    1e-9 * max(1, ||a||). c comes first from the unit-weight gain Cholesky
-    (:func:`estimation.factor_gain`); a gap within the bound proves the
-    answer True, since the least-squares minimum is no larger. When the
-    gain is rejected or the gap exceeds the bound, c is the least-squares
-    fit (``np.linalg.lstsq``) and its gap decides. A non-finite H or a
-    non-finite attack vector raises InvalidArgument.
+    1e-9 * max(1, ||a||). An a with an entry above 1 in magnitude is first
+    rescaled by a power of two to below 1: the bound is then relative, so
+    the scale changes no decision, and no product can overflow. c comes
+    first from the unit-weight gain Cholesky (:func:`estimation.factor_gain`);
+    a gap within the bound proves the answer True, since the least-squares
+    minimum is no larger. When the gain is rejected or the gap exceeds the
+    bound, c is the least-squares fit (``np.linalg.lstsq``) and its gap
+    decides. A non-finite H or a non-finite attack vector raises
+    InvalidArgument.
     """
     h = _as_matrix(h_matrix)
     a = np.asarray(a, dtype=float)
@@ -184,14 +221,16 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
         )
     if not np.isfinite(a).all():
         raise InvalidArgument("attack vector must be finite")
-    bound = STEALTH_RTOL * max(1.0, np.linalg.norm(a))
-    try:
-        c = factor_gain(h, np.ones(h.shape[0])).solve(a)
-    except (UnobservableNetwork, InvalidArgument):
-        pass  # a rejected gain, or H^T a overflowing: least squares decides
+    peak = np.max(np.abs(a), initial=0.0)
+    if peak > 1.0:
+        a = np.ldexp(a, -np.frexp(peak)[1])  # exact: a power-of-two scale
+        bound = STEALTH_RTOL * np.linalg.norm(a)
     else:
-        if np.linalg.norm(a - h @ c) <= bound:
-            return True
+        bound = STEALTH_RTOL * max(1.0, np.linalg.norm(a))
+    # With every |a_i| at most 1 and a finite gain, H^T a cannot overflow.
+    gain = _unit_gain(h)
+    if gain is not None and np.linalg.norm(a - h @ gain.solve(a)) <= bound:
+        return True
     c, *_ = np.linalg.lstsq(h, a, rcond=None)
     return bool(np.linalg.norm(a - h @ c) <= bound)
 
@@ -204,23 +243,17 @@ def protection_check(h_matrix: np.ndarray,
     attack directions form the null space of the protected-row submatrix:
     dimension k - rank. Full rank means no nonzero shift survives.
 
-    The rank is that of the singular-value rule in the module docstring.
-    Each all-zero column of the submatrix is one exact null direction.
-    When :func:`estimation.factor_gain` accepts the remaining columns
-    (gain condition at most 1e12, so their smallest singular value is
-    about 1e-6 of the largest or more), those columns all count; otherwise
-    the singular values of the submatrix decide.
+    The rank is that of the singular-value rule in the module docstring,
+    counted from the zero-column certificate when it holds (each all-zero
+    column is one exact null direction) and otherwise from the singular
+    values of the submatrix.
     """
     h = _as_matrix(h_matrix)
     m, k = h.shape
     sub = h[_meter_rows(protected_meters, m), :]
-    live = np.flatnonzero(np.any(sub, axis=0))
-    if live.size == 0:
-        rank = 0
+    zero, certified = _zero_column_certificate(sub)
+    if certified:
+        rank = k - int(zero.sum())
     else:
-        try:
-            factor_gain(sub[:, live], np.ones(sub.shape[0]))
-            rank = live.size
-        except UnobservableNetwork:
-            rank = _svd_rank(np.linalg.svd(sub, compute_uv=False))
+        rank = _svd_rank(np.linalg.svd(sub, compute_uv=False))
     return ProtectionReport(protected=rank == k, residual_attack_dim=k - rank)

@@ -177,7 +177,8 @@ def test_constrained_attack_unconstrained():
     found = constrained_stealth_attack(h, accessible_meters=(1, 2, 3))
     assert found is not None
     c, a = found
-    assert np.linalg.norm(c) > 0
+    # with no blocked meter every column is free; the last state moves
+    np.testing.assert_array_equal(c, [0.0, 0.01])
     assert verify_stealth(h, a)
 
 
@@ -206,24 +207,52 @@ def test_constrained_attack_random_instances():
                 assert np.max(np.abs(a[blocked])) <= 1e-12
 
 
-def test_constrained_attack_with_many_blocked_rows_matches_full_svd():
-    # with at least k blocked rows the attack takes the thin SVD; its
-    # direction must be exactly the full SVD's last right singular vector
+def _forty_bus_h():
     rng = np.random.default_rng(61)
     net = random_network(rng, 40)
     h = dc_jacobian(net, build_admittance(net),
                     MeasurementConfig(specs=tuple(dc_meter_candidates(net))))
+    return rng, net, h
+
+
+def test_constrained_attack_with_many_blocked_rows_matches_full_svd():
+    # blocked rows that see two adjacent buses only through their common
+    # shift leave 1_S free but no column zero, so the gain certificate fails
+    # and the thin SVD decides; its direction must be exactly the full SVD's
+    # last right singular vector
+    _, net, h = _forty_bus_h()
     m, k = h.shape
-    # blocked rows never see this angle, so a stealth direction exists
-    col = int(rng.integers(k))
-    accessible = set(int(i) + 1 for i in np.flatnonzero(h[:, col]))
+    states = [b.id for b in net.buses if not b.is_reference]
+    pair = next(br for br in net.branches
+                if br.from_bus in states and br.to_bus in states)
+    region = np.zeros(k)
+    region[[states.index(pair.from_bus), states.index(pair.to_bus)]] = 1.0
+    accessible = set(int(i) + 1 for i in np.flatnonzero(h @ region))
     blocked = [i for i in range(m) if i + 1 not in accessible]
     assert len(blocked) >= k
+    assert np.all(np.any(h[blocked], axis=0))
+    assert _reference_rank(h[blocked]) == k - 1
     c, a = constrained_stealth_attack(h, accessible, magnitude=0.02)
     vh = np.linalg.svd(h[blocked, :], full_matrices=True)[2]
     expected = vh[-1] / np.linalg.norm(vh[-1]) * 0.02
     np.testing.assert_array_equal(c, expected)
     np.testing.assert_array_equal(a, h @ expected)
+
+
+def test_constrained_attack_on_a_zero_column_shifts_only_that_state():
+    # the targeted attack: the accessible meters are every meter that sees
+    # one angle, so the blocked rows leave exactly that column zero
+    rng, _, h = _forty_bus_h()
+    m, k = h.shape
+    col = int(rng.integers(k))
+    accessible = set(int(i) + 1 for i in np.flatnonzero(h[:, col]))
+    blocked = [i for i in range(m) if i + 1 not in accessible]
+    np.testing.assert_array_equal(
+        np.flatnonzero(~np.any(h[blocked], axis=0)), [col])
+    c, a = constrained_stealth_attack(h, accessible, magnitude=0.02)
+    np.testing.assert_array_equal(c, 0.02 * np.eye(k)[col])
+    np.testing.assert_array_equal(a, 0.02 * h[:, col])
+    assert not np.any(a[blocked])
 
 
 def test_verify_stealth_judgements():
@@ -279,7 +308,7 @@ def test_decisions_equal_the_svd_and_lstsq_rules_over_a_reactance_sweep(
     monkeypatch.setattr(np.linalg, "svd", counted("svd", _SVD))
     monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", _LSTSQ))
     rng = np.random.default_rng(71)
-    cases = 0
+    cases = attack_fallbacks = 0
     for _ in range(40):
         net = random_network(rng, int(rng.integers(3, 31)))
         config = random_observable_config(rng, net)
@@ -296,13 +325,22 @@ def test_decisions_equal_the_svd_and_lstsq_rules_over_a_reactance_sweep(
             rank = _reference_rank(h[protected - 1])
             assert report.residual_attack_dim == k - rank
             assert report.protected == (rank == k)
+            # the same rows, blocked from an attacker who holds the rest
+            svd_calls = calls["svd"]
+            found = constrained_stealth_attack(
+                h, np.setdiff1d(np.arange(1, m + 1), protected))
+            attack_fallbacks += calls["svd"] > svd_calls
+            assert (found is None) == (rank == k)
+            if found is not None:
+                assert verify_stealth(h, found[1])
             a = h @ rng.normal(0.0, 0.05, k)
             assert verify_stealth(h, a) == _reference_in_range(h, a)
             a_out = a + rng.normal(0.0, 1e-3, m)
             assert verify_stealth(h, a_out) == _reference_in_range(h, a_out)
             cases += 1
     assert cases == 520
-    assert 0 < calls["svd"] < cases
+    assert 0 < attack_fallbacks < cases
+    assert 0 < calls["svd"] - attack_fallbacks < cases
     assert 0 < calls["lstsq"] < 2 * cases
 
 
@@ -354,7 +392,8 @@ def test_well_conditioned_answers_take_neither_svd_nor_lstsq(monkeypatch):
     m, k = h.shape
     # on this grid the rows that never see this angle leave every other
     # column at full rank, so the only deficiency is the zero column
-    rows = np.flatnonzero(h[:, int(rng.integers(k))] == 0) + 1
+    col = int(rng.integers(k))
+    rows = np.flatnonzero(h[:, col] == 0) + 1
     assert _reference_rank(h[rows - 1]) == k - 1
     a = h @ rng.normal(0.0, 0.05, k)
 
@@ -368,15 +407,34 @@ def test_well_conditioned_answers_take_neither_svd_nor_lstsq(monkeypatch):
     assert full.protected and full.residual_attack_dim == 0
     assert protection_check(h, rows).residual_attack_dim == 1
     assert protection_check(h, ()).residual_attack_dim == k
+    c, _ = constrained_stealth_attack(h, np.flatnonzero(h[:, col]) + 1)
+    np.testing.assert_array_equal(c, 0.01 * np.eye(k)[col])
+    assert constrained_stealth_attack(h, ()) is None
 
 
-def test_verify_stealth_falls_back_when_the_gain_solve_overflows():
-    # H^T a overflows, so the gain solve rejects its right side; least
-    # squares still decides, as it did before the gain path existed
+def test_verify_stealth_rescales_attacks_that_would_overflow():
+    # ||a|| and H^T a overflow unless a is rescaled first; the relative bound
+    # makes the decision that of the rescaled vector
     _, _, h = load_three_bus()
     huge = np.full(3, 1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert verify_stealth(h, huge) == _reference_in_range(h, huge)
+    assert verify_stealth(h, huge) is False
+    assert not _reference_in_range(h, np.ldexp(huge, -1024))
+    assert verify_stealth(h, h @ np.array([1e307, 2e307])) is True
+
+
+def test_certificates_treat_an_overflowing_gain_as_rejected():
+    # H^T H overflows, so the SVD and least squares decide, as for H itself
+    _, _, h = load_three_bus()
+    big = h * 1e200
+    assert protection_check(big, (1, 2, 3)) == protection_check(h, (1, 2, 3))
+    assert protection_check(big, (2,)) == protection_check(h, (2,))
+    assert constrained_stealth_attack(big, ()) is None
+    c, a = constrained_stealth_attack(big, (1, 3))
+    np.testing.assert_array_equal(c, constrained_stealth_attack(h, (1, 3))[0])
+    assert a[1] == 0.0
+    assert verify_stealth(big, a)
+    assert verify_stealth(big, big @ SHIFT_SMALL)
+    assert not verify_stealth(big, big @ SHIFT_SMALL + np.array([1e195, 0, 0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
