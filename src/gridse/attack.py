@@ -8,17 +8,13 @@ linear meter matrix H (m x k, k = angle state dimension); meter index sets
 are 1-based file order. A non-finite H, or a meter index that is not an
 integer (a bool is not), raises InvalidArgument.
 
-Rank decisions use singular values: anything below 1e-9 times the largest
-singular value counts as zero. Three questions are first answered from the
-gain Cholesky that estimation already uses (:func:`estimation.factor_gain`,
-condition limit 1e12): "is a = Hc?" (:func:`verify_stealth`), "do these
-rows have full column rank?" (:func:`protection_check`) and "which shift
-do these rows not see?" (:func:`constrained_stealth_attack`). The last two
-share one certificate: each all-zero column of the rows is an exact null
-direction, and when the gain of the other columns is accepted (a gain
-whose product overflows is not) those columns have full rank. Only when a
-certificate fails do they take the least-squares fit or the SVD, whose
-rules are unchanged, so every decision equals theirs.
+Every rank question is the estimator's: one pivoted Cholesky of the rows'
+unit-weight gain under the condition guard of :func:`estimation.factor_gain`
+(limit 1e12), so rows have full column rank exactly when
+``factor_gain(rows, ones)`` accepts them, and a direction whose singular
+value is below about 1e-6 of the largest counts as unseen. Its rank answers
+:func:`protection_check`, its null vectors :func:`constrained_stealth_attack`
+and its solve :func:`verify_stealth`.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg import lapack, solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -35,10 +32,9 @@ from .errors import (
     LengthMismatch,
     UnobservableNetwork,
 )
-from .estimation import GainFactor, factor_gain
+from .estimation import _pivoted_gain, _unit_scale
 from .measurement import _check_seed
 
-RANK_RTOL = 1e-9
 STEALTH_RTOL = 1e-9
 DEFAULT_MAGNITUDE = 0.01
 
@@ -81,33 +77,6 @@ def _meter_rows(meters: Iterable[int], m: int) -> np.ndarray:
     return np.array(rows, dtype=int) - 1
 
 
-def _svd_rank(s: np.ndarray) -> int:
-    """Number of singular values s (descending) above RANK_RTOL * s[0]."""
-    return int(np.sum(s > RANK_RTOL * s[0])) if s.size else 0
-
-
-def _unit_gain(h: np.ndarray) -> GainFactor | None:
-    """factor_gain(h, ones), or None when it rejects the gain; a gain whose
-    product overflows is rejected without a numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return factor_gain(h, np.ones(h.shape[0]))
-        except UnobservableNetwork:
-            return None
-
-
-def _zero_column_certificate(sub: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The all-zero columns of sub (a boolean mask), and whether they span
-    its whole null space under the singular-value rule.
-
-    That holds when no other column is left or the gain of the others is
-    accepted: its condition is then at most 1e12, so their smallest singular
-    value is about 1e-6 of the largest or more, well above RANK_RTOL.
-    """
-    zero = ~np.any(sub, axis=0)
-    return zero, bool(zero.all()) or _unit_gain(sub[:, ~zero]) is not None
-
-
 def _check_magnitude(magnitude: float):
     if isinstance(magnitude, bool) or not isinstance(magnitude, numbers.Real) \
             or not 0.0 < magnitude < np.inf:
@@ -137,10 +106,12 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
 
     Deterministic in the seed; returns (c, Hc). A magnitude that is not
     positive and finite, or a seed that is not a non-negative integer,
-    raises InvalidArgument.
+    raises InvalidArgument; an H with no columns raises DimensionMismatch.
     """
     _check_magnitude(magnitude)
     h = _as_matrix(h_matrix)
+    if not h.shape[1]:
+        raise DimensionMismatch("H has no columns, so there is no state to shift")
     rng = np.random.default_rng(_check_seed(seed))
     direction = rng.normal(size=h.shape[1])
     while not np.linalg.norm(direction) > 0:
@@ -158,35 +129,34 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
     Finds a nonzero shift c with (Hc)_i = 0 on every meter outside the
     accessible set, i.e. c in the null space of the blocked-row submatrix,
     scaled to ``magnitude``, which must be positive and finite (else
-    InvalidArgument). Returns None when only c = 0 satisfies the
-    constraints; that is a legitimate outcome, not an error.
+    InvalidArgument). Returns None exactly when the blocked rows are
+    protected (:func:`protection_check`); that is not an error.
 
-    When the zero-column certificate in the module docstring holds, the
-    null space is spanned by the all-zero columns of the blocked rows, and c
-    is ``magnitude`` times the unit vector of the last of them (exactly zero
-    on every blocked meter); with no blocked meter that is the last state.
-    Otherwise the SVD of the blocked rows decides, and c is the right
-    singular vector of the smallest singular value (deterministic SVD
-    ordering), unit-normalized.
+    If a free column j of the blocked rows' pivoted Cholesky U is all zero
+    (the last such; with no blocked meter, the last state), c is exactly
+    ``magnitude`` e_j and a is exactly zero on every blocked meter. Else j
+    is the last column in pivot order and c is the null vector
+    [-U11^-1 U12 e_j; e_j], scaled. Its footprint is the pivot the factor
+    cut: ||H_blocked c|| is within a small multiple of
+    sigma_1(H_blocked) ||c|| / sqrt(CONDITION_LIMIT), a multiple above 1
+    only where the condition guard cut the rank below ``pstrf``'s.
     """
     _check_magnitude(magnitude)
     h = _as_matrix(h_matrix)
     m, k = h.shape
-    blocked = np.setdiff1d(np.arange(m), _meter_rows(accessible_meters, m))
-    sub = h[blocked, :]
-    zero, certified = _zero_column_certificate(sub)
-    if certified:
-        if not zero.any():
-            return None
-        c = np.zeros(k)
-        c[np.flatnonzero(zero)[-1]] = magnitude
+    sub = h[np.setdiff1d(np.arange(m), _meter_rows(accessible_meters, m))]
+    rank, upper, piv = _pivoted_gain(sub)
+    if rank == k:
+        return None
+    free = piv[rank:]
+    zero = free[~np.any(sub[:, free], axis=0)]
+    c = np.zeros(k)
+    if zero.size:
+        c[zero.max()] = magnitude
     else:
-        # With k or more rows the thin vh is already k x k (the full SVD only
-        # adds unread columns of U); with fewer, only the full vh is.
-        _, s, vh = np.linalg.svd(sub, full_matrices=len(blocked) < k)
-        if _svd_rank(s) == k:
-            return None
-        c = vh[-1] / np.linalg.norm(vh[-1]) * magnitude
+        c[free[-1]] = 1.0
+        c[piv[:rank]] = -solve_triangular(upper[:rank, :rank], upper[:rank, -1])
+        c *= magnitude / np.linalg.norm(c)
     return c, h @ c
 
 
@@ -203,17 +173,15 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     """True iff a lies in the column space of H.
 
     The projection residual ||a - Hc|| must be at most
-    1e-9 * max(1, ||a||). An a with an entry above 1 in magnitude is first
-    rescaled by a power of two to below 1: the bound is then relative, so
-    the scale changes no decision, and no product can overflow. c comes
-    first from the unit-weight gain Cholesky (:func:`estimation.factor_gain`);
-    a gap within the bound proves the answer True, since the least-squares
-    minimum is no larger. When the gain is rejected or the gap exceeds the
-    bound, c is the least-squares fit (``np.linalg.lstsq``) and its gap
-    decides. A non-finite H or a non-finite attack vector raises
-    InvalidArgument.
+    1e-9 * max(1, ||a||), with c solved on the pivoted Cholesky of H's
+    unit-weight gain. An a with an entry above 1 in magnitude, and H, are
+    first scaled by powers of two to below 1: the bound is then relative,
+    so no scale changes a decision, and no product can overflow. An H the
+    estimator rejects (rank below k, or k = 0) raises UnobservableNetwork,
+    as :func:`estimation.estimate_dc` does; a non-finite H or attack vector
+    raises InvalidArgument.
     """
-    h = _as_matrix(h_matrix)
+    h = _unit_scale(_as_matrix(h_matrix))
     a = np.asarray(a, dtype=float)
     if a.shape != (h.shape[0],):
         raise DimensionMismatch(
@@ -221,17 +189,17 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
         )
     if not np.isfinite(a).all():
         raise InvalidArgument("attack vector must be finite")
-    peak = np.max(np.abs(a), initial=0.0)
-    if peak > 1.0:
-        a = np.ldexp(a, -np.frexp(peak)[1])  # exact: a power-of-two scale
+    if np.max(np.abs(a), initial=0.0) > 1.0:
+        a = _unit_scale(a)
         bound = STEALTH_RTOL * np.linalg.norm(a)
     else:
         bound = STEALTH_RTOL * max(1.0, np.linalg.norm(a))
-    # With every |a_i| at most 1 and a finite gain, H^T a cannot overflow.
-    gain = _unit_gain(h)
-    if gain is not None and np.linalg.norm(a - h @ gain.solve(a)) <= bound:
-        return True
-    c, *_ = np.linalg.lstsq(h, a, rcond=None)
+    k = h.shape[1]
+    rank, upper, piv = _pivoted_gain(h)
+    if not 0 < rank == k:
+        raise UnobservableNetwork(f"H has numerical rank {rank} of {k}")
+    c = np.empty(k)
+    c[piv], _ = lapack.dpotrs(upper, (h.T @ a)[piv], lower=0)
     return bool(np.linalg.norm(a - h @ c) <= bound)
 
 
@@ -241,19 +209,11 @@ def protection_check(h_matrix: np.ndarray,
 
     A stealth shift must vanish on the protected rows, so the surviving
     attack directions form the null space of the protected-row submatrix:
-    dimension k - rank. Full rank means no nonzero shift survives.
-
-    The rank is that of the singular-value rule in the module docstring,
-    counted from the zero-column certificate when it holds (each all-zero
-    column is one exact null direction) and otherwise from the singular
-    values of the submatrix.
+    dimension k - rank. Full rank means no nonzero shift survives; with
+    the rank rule of the module docstring, exactly when
+    ``factor_gain(rows, ones)`` accepts the protected rows.
     """
     h = _as_matrix(h_matrix)
     m, k = h.shape
-    sub = h[_meter_rows(protected_meters, m), :]
-    zero, certified = _zero_column_certificate(sub)
-    if certified:
-        rank = k - int(zero.sum())
-    else:
-        rank = _svd_rank(np.linalg.svd(sub, compute_uv=False))
+    rank = _pivoted_gain(h[_meter_rows(protected_meters, m), :])[0]
     return ProtectionReport(protected=rank == k, residual_attack_dim=k - rank)

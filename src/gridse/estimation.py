@@ -9,7 +9,10 @@ gain H^T W H (LAPACK ``potrf``) and LAPACK's 1-norm condition estimate of
 the gain (``pocon``). A gain that is not positive definite or whose
 condition estimate exceeds 1e12 raises UnobservableNetwork instead of
 returning garbage. The factor serves every solve with that (H, W), and the
-largest-normalized-residual detector reads its hat diagonal.
+largest-normalized-residual detector reads its hat diagonal. The same guard
+decides every rank question of the package (observability, protection and
+stealth) on a pivoted Cholesky (``pstrf``) of the unit-weight gain: full
+rank there means that factor_gain accepts the matrix.
 """
 
 from __future__ import annotations
@@ -127,6 +130,12 @@ def _check_weights(weights: np.ndarray, m: int) -> np.ndarray:
     return w
 
 
+def _condition(upper: np.ndarray, anorm: float) -> float:
+    """LAPACK's condition estimate (pocon) of U^T U, of 1-norm anorm."""
+    rcond, _ = lapack.dpocon(upper, anorm)
+    return 1.0 / rcond if rcond > 0.0 else np.inf
+
+
 def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
     """Factor the gain H^T W H once, guarded against ill-conditioning.
 
@@ -147,14 +156,43 @@ def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
         raise UnobservableNetwork(
             f"gain matrix is not positive definite (potrf info {info})"
         )
-    rcond, _ = lapack.dpocon(upper, anorm)
-    condition = 1.0 / rcond if rcond > 0.0 else np.inf
+    condition = _condition(upper, anorm)
     if not condition <= CONDITION_LIMIT:
         raise UnobservableNetwork(
             f"gain matrix condition estimate {condition:.3g} exceeds "
             f"{CONDITION_LIMIT:.0e}"
         )
     return GainFactor(h=h, weights=w, upper=upper, condition=condition)
+
+
+def _unit_scale(x: np.ndarray) -> np.ndarray:
+    """x scaled exactly by the power of two that brings max |x| to [0.5, 1)."""
+    exponent = np.frexp(np.max(np.abs(x), initial=0.0))[1]
+    return np.ldexp(x, -exponent) if exponent else x
+
+
+def _pivoted_gain(h: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(rank, U, piv): the column rank of h under the guard of factor_gain.
+
+    The pivoted Cholesky (LAPACK ``pstrf``) of the unit gain G of h, scaled
+    by _unit_scale so G cannot overflow, stops at a pivot of at most
+    max diag(G) / CONDITION_LIMIT; the rank then drops until the leading
+    block passes the guard. The first rank rows of U hold U11 and U12 of
+    P^T G P = U^T U, and piv is the 0-based column order (zero columns last).
+    """
+    scaled = _unit_scale(h)
+    gain = scaled.T @ scaled
+    top = float(np.max(np.diag(gain), initial=0.0))
+    if top == 0.0:
+        return 0, gain, np.arange(h.shape[1])
+    upper, piv, rank, _ = lapack.dpstrf(gain, tol=top / CONDITION_LIMIT, lower=0)
+    piv -= 1
+    while rank:
+        anorm = np.abs(gain[np.ix_(piv[:rank], piv[:rank])]).sum(axis=0).max()
+        if _condition(upper[:rank, :rank], anorm) <= CONDITION_LIMIT:
+            break
+        rank -= 1
+    return rank, upper, piv
 
 
 def weighted_objective(z: np.ndarray, h_of_x: np.ndarray,

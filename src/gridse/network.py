@@ -461,14 +461,15 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
 
 def check_observability(network: NetworkModel,
                         config: MeasurementConfig) -> ObservabilityReport:
-    """Numerical rank of the linear meter-to-angle matrix.
+    """Numerical rank of the linear meter-to-angle matrix H.
 
-    Observable means the rank equals the angle state count n - 1, i.e. the
-    linear estimator's gain matrix is invertible for this meter set.
+    The rank is the estimator's (see :mod:`estimation`): observable means it
+    equals the angle state count n - 1 and is positive, i.e. exactly when
+    ``factor_gain(H, ones)`` accepts H.
     """
+    from .estimation import _pivoted_gain
     from .measurement import build_meter_model
 
-    h = build_meter_model(network, config).dc_matrix
-    state_dim = network.n_buses - 1
-    rank = int(np.linalg.matrix_rank(h)) if h.size else 0
-    return ObservabilityReport(rank=rank, observable=rank == state_dim)
+    rank = _pivoted_gain(build_meter_model(network, config).dc_matrix)[0]
+    return ObservabilityReport(rank=rank,
+                               observable=0 < rank == network.n_buses - 1)

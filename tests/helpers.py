@@ -13,8 +13,10 @@ from gridse import (
     MeasurementConfig,
     MeasurementSpec,
     NetworkModel,
+    UnobservableNetwork,
     build_admittance,
     dc_jacobian,
+    factor_gain,
     parse_case,
 )
 
@@ -34,6 +36,15 @@ def load_three_bus():
     admittance = build_admittance(parsed.network)
     h = dc_jacobian(parsed.network, admittance, parsed.config)
     return parsed, admittance, h
+
+
+def estimator_accepts(h: np.ndarray) -> bool:
+    """Whether the estimator's gain guard accepts h with unit weights."""
+    try:
+        factor_gain(h, np.ones(h.shape[0]))
+    except UnobservableNetwork:
+        return False
+    return True
 
 
 def random_network(rng: np.random.Generator, n: int, lossy: bool = False,

@@ -1,5 +1,6 @@
 """Stealth attack construction, verification, and protection analysis."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from gridse import (
     UnobservableNetwork,
     apply_attack,
     build_admittance,
+    check_observability,
     constrained_stealth_attack,
     craft_stealth_attack,
     dc_jacobian,
@@ -29,6 +31,7 @@ from gridse import (
 )
 from helpers import (
     dc_meter_candidates,
+    estimator_accepts,
     load_three_bus,
     random_network,
     random_observable_config,
@@ -44,8 +47,9 @@ ATTACK_SMALL = np.array([0.02, 0.0125, -0.004])
 SHIFT_LARGE = np.array([0.01, 0.04])
 ATTACK_LARGE = np.array([-0.15, 0.025, -0.16])
 
-# The rules the attack module promises, taken here straight from numpy's SVD
-# and least squares. Bound before any test patches np.linalg.
+# References taken straight from numpy's SVD and least squares, bound
+# before any test patches np.linalg: the singular-value rank rule (1e-9 of
+# the largest) and the least-squares range test of verify_stealth.
 _SVD, _LSTSQ = np.linalg.svd, np.linalg.lstsq
 
 
@@ -57,6 +61,17 @@ def _reference_rank(sub):
 def _reference_in_range(h, a):
     c, *_ = _LSTSQ(h, a, rcond=None)
     return bool(np.linalg.norm(a - h @ c) <= 1e-9 * max(1.0, np.linalg.norm(a)))
+
+
+@contextmanager
+def _without_svd_or_lstsq():
+    """np.linalg.svd, lstsq and matrix_rank raise inside the block."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("SVD, least squares or matrix_rank taken")
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("svd", "lstsq", "matrix_rank"):
+            patch.setattr(np.linalg, name, forbidden)
+        yield
 
 
 
@@ -133,6 +148,22 @@ def test_random_stealth_attack_contract():
     for magnitude in ("0.01", True, None):
         with pytest.raises(InvalidArgument, match="magnitude"):
             random_stealth_attack(h, magnitude=magnitude, seed=1)
+
+
+def test_random_stealth_attack_on_h_without_columns_is_rejected():
+    # a one-bus network has no angle state: H is m x 0, and no direction
+    # can be drawn from a zero-dimensional sphere
+    with pytest.raises(DimensionMismatch):
+        random_stealth_attack(np.zeros((1, 0)), magnitude=0.01, seed=1)
+
+
+def test_verify_stealth_raises_where_the_estimator_rejects_h():
+    _, _, h = load_three_bus()
+    for thin in (h[1:2], np.zeros((3, 2)), np.zeros((1, 0))):
+        with pytest.raises(UnobservableNetwork):
+            estimate_dc(thin, np.zeros(len(thin)), np.ones(len(thin)))
+        with pytest.raises(UnobservableNetwork):
+            verify_stealth(thin, np.zeros(len(thin)))
 
 
 def test_random_stealth_attack_is_invisible():
@@ -215,28 +246,36 @@ def _forty_bus_h():
     return rng, net, h
 
 
-def test_constrained_attack_with_many_blocked_rows_matches_full_svd():
-    # blocked rows that see two adjacent buses only through their common
-    # shift leave 1_S free but no column zero, so the gain certificate fails
-    # and the thin SVD decides; its direction must be exactly the full SVD's
-    # last right singular vector
-    _, net, h = _forty_bus_h()
-    m, k = h.shape
+def _region_of_a_branch(net, k):
+    """The indicator of the two angle states joined by the first branch
+    between two non-reference buses."""
     states = [b.id for b in net.buses if not b.is_reference]
     pair = next(br for br in net.branches
                 if br.from_bus in states and br.to_bus in states)
     region = np.zeros(k)
     region[[states.index(pair.from_bus), states.index(pair.to_bus)]] = 1.0
+    return region
+
+
+def test_constrained_attack_with_many_blocked_rows_finds_the_region_shift():
+    # blocked rows that see two adjacent buses only through their common
+    # shift leave 1_S free but no column zero, so the null vector comes from
+    # the pivoted factor; it is the region's shift up to rounding and sign
+    _, net, h = _forty_bus_h()
+    m, k = h.shape
+    region = _region_of_a_branch(net, k)
     accessible = set(int(i) + 1 for i in np.flatnonzero(h @ region))
     blocked = [i for i in range(m) if i + 1 not in accessible]
     assert len(blocked) >= k
     assert np.all(np.any(h[blocked], axis=0))
     assert _reference_rank(h[blocked]) == k - 1
-    c, a = constrained_stealth_attack(h, accessible, magnitude=0.02)
-    vh = np.linalg.svd(h[blocked, :], full_matrices=True)[2]
-    expected = vh[-1] / np.linalg.norm(vh[-1]) * 0.02
-    np.testing.assert_array_equal(c, expected)
-    np.testing.assert_array_equal(a, h @ expected)
+    with _without_svd_or_lstsq():
+        c, a = constrained_stealth_attack(h, accessible, magnitude=0.02)
+    expected = 0.02 * region / np.linalg.norm(region)
+    np.testing.assert_allclose(c * np.sign(c @ region), expected,
+                               rtol=0, atol=1e-16)
+    np.testing.assert_array_equal(a, h @ c)
+    assert np.max(np.abs(a[blocked])) <= 1e-12
 
 
 def test_constrained_attack_on_a_zero_column_shifts_only_that_state():
@@ -253,6 +292,22 @@ def test_constrained_attack_on_a_zero_column_shifts_only_that_state():
     np.testing.assert_array_equal(c, 0.02 * np.eye(k)[col])
     np.testing.assert_array_equal(a, 0.02 * h[:, col])
     assert not np.any(a[blocked])
+
+
+def test_constrained_attack_prefers_a_zero_column_to_other_free_shifts():
+    # with the region's shift free as well, the attack is still the exact
+    # unit shift of the last zero column, never a blend with the region
+    _, net, h = _forty_bus_h()
+    m, k = h.shape
+    region = _region_of_a_branch(net, k)
+    for col in range(k):
+        seen = (h[:, col] != 0) | (h @ region != 0)
+        blocked = np.flatnonzero(~seen)
+        last_zero = np.flatnonzero(~np.any(h[blocked], axis=0))[-1]
+        c, a = constrained_stealth_attack(h, np.flatnonzero(seen) + 1,
+                                          magnitude=0.02)
+        np.testing.assert_array_equal(c, 0.02 * np.eye(k)[last_zero])
+        assert not np.any(a[blocked])
 
 
 def test_verify_stealth_judgements():
@@ -293,22 +348,12 @@ def test_protection_check_monotone():
             previous_dim = dim
 
 
-def test_decisions_equal_the_svd_and_lstsq_rules_over_a_reactance_sweep(
-        monkeypatch):
+def test_rank_decisions_follow_the_estimator_over_a_reactance_sweep():
     # one reactance swept over 1e-3..1e9 drives the gain from well to badly
-    # conditioned, so both the certificate and the fallback decide
-    calls = {"svd": 0, "lstsq": 0}
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", _SVD))
-    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", _LSTSQ))
+    # conditioned; every decision must be the estimator's, with no SVD,
+    # least squares or matrix_rank taken
     rng = np.random.default_rng(71)
-    cases = attack_fallbacks = 0
+    cases = rejected = moved = 0
     for _ in range(40):
         net = random_network(rng, int(rng.integers(3, 31)))
         config = random_observable_config(rng, net)
@@ -321,34 +366,54 @@ def test_decisions_equal_the_svd_and_lstsq_rules_over_a_reactance_sweep(
             m, k = h.shape
             protected = rng.choice(m, size=int(rng.integers(1, m + 1)),
                                    replace=False) + 1
-            report = protection_check(h, protected)
-            rank = _reference_rank(h[protected - 1])
-            assert report.residual_attack_dim == k - rank
-            assert report.protected == (rank == k)
-            # the same rows, blocked from an attacker who holds the rest
-            svd_calls = calls["svd"]
-            found = constrained_stealth_attack(
-                h, np.setdiff1d(np.arange(1, m + 1), protected))
-            attack_fallbacks += calls["svd"] > svd_calls
-            assert (found is None) == (rank == k)
-            if found is not None:
-                assert verify_stealth(h, found[1])
+            rows = h[protected - 1]
             a = h @ rng.normal(0.0, 0.05, k)
-            assert verify_stealth(h, a) == _reference_in_range(h, a)
             a_out = a + rng.normal(0.0, 1e-3, m)
-            assert verify_stealth(h, a_out) == _reference_in_range(h, a_out)
+            with _without_svd_or_lstsq():
+                report = protection_check(h, protected)
+                observable = check_observability(swept, config).observable
+                # the same rows, blocked from an attacker who holds the rest
+                found = constrained_stealth_attack(
+                    h, np.setdiff1d(np.arange(1, m + 1), protected))
+                answers = []
+                for vec in (a, a_out) + (() if found is None else (found[1],)):
+                    try:
+                        answers.append(verify_stealth(h, vec))
+                    except UnobservableNetwork:
+                        answers.append(None)
+            assert report.protected == estimator_accepts(rows)
+            accepted = estimator_accepts(h)
+            assert observable == accepted
+            assert (None in answers) == (not accepted)
+            if accepted:
+                assert answers[0] == _reference_in_range(h, a)
+                assert answers[1] == _reference_in_range(h, a_out)
+            assert (found is None) == report.protected
+            if found is not None:
+                c = found[0]
+                assert answers[2] is not False
+                sigma_1 = _SVD(rows, compute_uv=False)[0]
+                assert (np.linalg.norm(rows @ c)
+                        <= 2.0 * sigma_1 * np.linalg.norm(c) / np.sqrt(1e12))
+            # where the rank moved from the singular-value rule, the
+            # dropped direction lies between 1e-9 and about 1e-6 of sigma_1
+            rank = k - report.residual_attack_dim
+            if rank != _reference_rank(rows):
+                s = _SVD(rows, compute_uv=False)
+                assert 1e-9 < s[rank] / s[0] < 2e-6
+                moved += 1
+            rejected += not accepted
             cases += 1
     assert cases == 520
-    assert 0 < attack_fallbacks < cases
-    assert 0 < calls["svd"] - attack_fallbacks < cases
-    assert 0 < calls["lstsq"] < 2 * cases
+    assert 0 < moved < cases
+    assert 0 < rejected < cases
 
 
-def test_protection_with_a_nearly_open_line_takes_the_svd_rule():
+def test_protection_with_a_nearly_open_line_follows_the_estimator():
     # chain 1-2-3 with x_23 = 1e7, metering flows 1-2 and 2-3 and
-    # injection 1: the estimator rejects the gain (condition about 1e16),
-    # but the smallest singular value is about 7e-9 of the largest, above
-    # the 1e-9 rule, so the rows still protect
+    # injection 1: the estimator rejects the gain (condition about 1e16).
+    # The smallest singular value is about 7e-9 of the largest, above the
+    # old 1e-9 rule, but the rows no longer count as protecting
     net = NetworkModel(
         buses=(Bus(id=1), Bus(id=2), Bus(id=3, is_reference=True)),
         branches=(Branch(from_bus=1, to_bus=2, reactance_x=0.2),
@@ -362,7 +427,11 @@ def test_protection_with_a_nearly_open_line_takes_the_svd_rule():
         estimate_dc(h, np.zeros(3), np.full(3, 1e4))
     assert _reference_rank(h) == 2
     report = protection_check(h, (1, 2, 3))
-    assert report.protected and report.residual_attack_dim == 0
+    assert not report.protected and report.residual_attack_dim == 1
+    assert check_observability(net, config).rank == 1
+    assert constrained_stealth_attack(h, ()) is not None
+    with pytest.raises(UnobservableNetwork):
+        verify_stealth(h, np.zeros(3))
 
 
 def _hundred_bus_h(seed):
@@ -387,7 +456,7 @@ def test_protection_counts_zero_columns_as_stealth_directions():
             assert report.residual_attack_dim >= zero_columns >= 1
 
 
-def test_well_conditioned_answers_take_neither_svd_nor_lstsq(monkeypatch):
+def test_well_conditioned_answers_take_neither_svd_nor_lstsq():
     rng, h = _hundred_bus_h(72)
     m, k = h.shape
     # on this grid the rows that never see this angle leave every other
@@ -396,20 +465,16 @@ def test_well_conditioned_answers_take_neither_svd_nor_lstsq(monkeypatch):
     rows = np.flatnonzero(h[:, col] == 0) + 1
     assert _reference_rank(h[rows - 1]) == k - 1
     a = h @ rng.normal(0.0, 0.05, k)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("SVD or least squares taken on the fast path")
-    monkeypatch.setattr(np.linalg, "svd", forbidden)
-    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-    assert verify_stealth(h, a)
-    assert verify_stealth(h, np.zeros(m))
-    full = protection_check(h, range(1, m + 1))
-    assert full.protected and full.residual_attack_dim == 0
-    assert protection_check(h, rows).residual_attack_dim == 1
-    assert protection_check(h, ()).residual_attack_dim == k
-    c, _ = constrained_stealth_attack(h, np.flatnonzero(h[:, col]) + 1)
-    np.testing.assert_array_equal(c, 0.01 * np.eye(k)[col])
-    assert constrained_stealth_attack(h, ()) is None
+    with _without_svd_or_lstsq():
+        assert verify_stealth(h, a)
+        assert verify_stealth(h, np.zeros(m))
+        full = protection_check(h, range(1, m + 1))
+        assert full.protected and full.residual_attack_dim == 0
+        assert protection_check(h, rows).residual_attack_dim == 1
+        assert protection_check(h, ()).residual_attack_dim == k
+        c, _ = constrained_stealth_attack(h, np.flatnonzero(h[:, col]) + 1)
+        np.testing.assert_array_equal(c, 0.01 * np.eye(k)[col])
+        assert constrained_stealth_attack(h, ()) is None
 
 
 def test_verify_stealth_rescales_attacks_that_would_overflow():
@@ -423,7 +488,8 @@ def test_verify_stealth_rescales_attacks_that_would_overflow():
 
 
 def test_certificates_treat_an_overflowing_gain_as_rejected():
-    # H^T H overflows, so the SVD and least squares decide, as for H itself
+    # H^T H would overflow; the rank rule scales H by a power of two first,
+    # so every answer is that of H itself
     _, _, h = load_three_bus()
     big = h * 1e200
     assert protection_check(big, (1, 2, 3)) == protection_check(h, (1, 2, 3))

@@ -199,6 +199,27 @@ def test_ac_scenario_with_a_stealth_attack_is_an_input_error(tmp_path, capsys):
     assert str(path) in err
 
 
+def test_one_bus_network(tmp_path, capsys):
+    # no angle state: estimation is a numerical error and a random stealth
+    # attack an input error, raised before any direction is drawn
+    case = tmp_path / "one_bus.json"
+    case.write_text(json.dumps({
+        "buses": [{"id": 1, "ref": True, "v": 1.0}], "branches": [],
+        "measurements": [{"kind": "injection_p", "bus": 1, "sigma": 0.01,
+                          "value": 0.0}]}))
+    code, _, err = run_cli(capsys, "estimate", "--case", str(case))
+    assert code == 3
+    assert "numerical error" in err
+    scenario = tmp_path / "one_bus_random.json"
+    scenario.write_text(json.dumps({
+        "name": "one-bus", "case": case.name, "mode": "dc",
+        "attack": {"type": "random_stealth", "magnitude": 0.01, "seed": 1}}))
+    code, out, err = run_cli(capsys, "scenario", "run", str(scenario))
+    assert code == 2
+    assert out == ""
+    assert "no columns" in err
+
+
 def test_non_finite_numbers_are_input_errors(tmp_path, capsys):
     case = THREE_BUS.read_text().replace('"sigma": 0.01', '"sigma": Infinity', 1)
     assert "Infinity" in case

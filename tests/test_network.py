@@ -16,9 +16,11 @@ from gridse import (
     MultipleReferenceBuses,
     NetworkModel,
     NoReferenceBus,
+    UnobservableNetwork,
     ZeroReactance,
     build_admittance,
     check_observability,
+    estimate_dc,
     parse_case,
     serialize_case,
 )
@@ -219,6 +221,19 @@ def test_observability_single_flow_meter():
     report = check_observability(parsed.network, config)
     assert report.rank == 1
     assert not report.observable
+
+
+def test_observability_of_a_network_without_angle_state():
+    # one reference bus and one injection meter: H is 1 x 0, which the
+    # estimator rejects, so the network is not observable
+    net = NetworkModel(buses=(Bus(id=1, is_reference=True),), branches=())
+    config = MeasurementConfig(specs=(
+        MeasurementSpec(kind="injection_p", bus=1, sigma=0.01),))
+    report = check_observability(net, config)
+    assert report.rank == 0
+    assert not report.observable
+    with pytest.raises(UnobservableNetwork):
+        estimate_dc(np.zeros((1, 0)), np.zeros(1), np.ones(1))
 
 
 def test_observability_empty_config():
