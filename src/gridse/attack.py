@@ -5,8 +5,9 @@ residual-based detector exactly when a = Hc for some state shift c: the
 estimate moves by c while the residual, and therefore every detection
 statistic, stays identical. All constructions here work against the constant
 linear meter matrix H (m x k, k = angle state dimension); meter index sets
-are 1-based file order. A non-finite H, or a meter index that is not an
-integer (a bool is not), raises InvalidArgument.
+are 1-based file order. An H or vector whose entries are not finite
+numbers, or a meter index that is not a non-negative integer (a bool is
+not one), raises InvalidArgument.
 
 Every rank question is the estimator's: one pivoted Cholesky of the rows'
 unit-weight gain under the condition guard of :func:`estimation.factor_gain`
@@ -19,7 +20,6 @@ and its solve :func:`verify_stealth`.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,9 +31,11 @@ from .errors import (
     InvalidArgument,
     LengthMismatch,
     UnobservableNetwork,
+    _array,
+    _count,
+    _real,
 )
 from .estimation import _pivoted_gain, _unit_scale
-from .measurement import _check_seed
 
 STEALTH_RTOL = 1e-9
 DEFAULT_MAGNITUDE = 0.01
@@ -52,36 +54,17 @@ class ProtectionReport:
     residual_attack_dim: int
 
 
-def _as_matrix(h_matrix: np.ndarray) -> np.ndarray:
-    h = np.asarray(h_matrix, dtype=float)
-    if h.ndim != 2:
-        raise DimensionMismatch(f"H must be a matrix, got ndim {h.ndim}")
-    if not np.isfinite(h).all():
-        raise InvalidArgument("H must be finite")
-    return h
-
-
 def _meter_rows(meters: Iterable[int], m: int) -> np.ndarray:
     try:
         indices = list(meters)
     except TypeError:
         raise InvalidArgument(
             f"meter indices must be iterable, got {meters!r}") from None
-    for i in indices:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise InvalidArgument(f"meter index must be an integer, got {i!r}")
-    rows = sorted(set(int(i) for i in indices))
+    rows = sorted({_count(i, "meter index") for i in indices})
     for i in rows:
         if not 1 <= i <= m:
             raise DimensionMismatch(f"meter index {i} outside 1..{m}")
     return np.array(rows, dtype=int) - 1
-
-
-def _check_magnitude(magnitude: float):
-    if isinstance(magnitude, bool) or not isinstance(magnitude, numbers.Real) \
-            or not 0.0 < magnitude < np.inf:
-        raise InvalidArgument(
-            f"magnitude must be a positive finite number, got {magnitude!r}")
 
 
 def craft_stealth_attack(h_matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -89,15 +72,8 @@ def craft_stealth_attack(h_matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     A non-finite entry of c raises InvalidArgument.
     """
-    h = _as_matrix(h_matrix)
-    c = np.asarray(c, dtype=float)
-    if c.shape != (h.shape[1],):
-        raise DimensionMismatch(
-            f"c has shape {c.shape} but H has {h.shape[1]} columns"
-        )
-    if not np.all(np.isfinite(c)):
-        raise InvalidArgument("c must be finite")
-    return h @ c
+    h = _array(h_matrix, "H", ndim=2, finite=True)
+    return h @ _array(c, "c", (h.shape[1],), finite=True)
 
 
 def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
@@ -108,11 +84,11 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
     positive and finite, or a seed that is not a non-negative integer,
     raises InvalidArgument; an H with no columns raises DimensionMismatch.
     """
-    _check_magnitude(magnitude)
-    h = _as_matrix(h_matrix)
+    magnitude = _real(magnitude, "magnitude", 0.0)
+    h = _array(h_matrix, "H", ndim=2, finite=True)
     if not h.shape[1]:
         raise DimensionMismatch("H has no columns, so there is no state to shift")
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_count(seed, "seed"))
     direction = rng.normal(size=h.shape[1])
     while not np.linalg.norm(direction) > 0:
         direction = rng.normal(size=h.shape[1])
@@ -141,8 +117,8 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
     sigma_1(H_blocked) ||c|| / sqrt(CONDITION_LIMIT), a multiple above 1
     only where the condition guard cut the rank below ``pstrf``'s.
     """
-    _check_magnitude(magnitude)
-    h = _as_matrix(h_matrix)
+    magnitude = _real(magnitude, "magnitude", 0.0)
+    h = _array(h_matrix, "H", ndim=2, finite=True)
     m, k = h.shape
     sub = h[np.setdiff1d(np.arange(m), _meter_rows(accessible_meters, m))]
     rank, upper, piv = _pivoted_gain(sub)
@@ -162,11 +138,8 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
 
 def apply_attack(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """z_a = z + a."""
-    z = np.asarray(z, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if z.shape != a.shape:
-        raise LengthMismatch(f"z has shape {z.shape}, attack has shape {a.shape}")
-    return z + a
+    z = _array(z, "z")
+    return z + _array(a, "attack", z.shape, error=LengthMismatch)
 
 
 def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
@@ -181,14 +154,8 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     as :func:`estimation.estimate_dc` does; a non-finite H or attack vector
     raises InvalidArgument.
     """
-    h = _unit_scale(_as_matrix(h_matrix))
-    a = np.asarray(a, dtype=float)
-    if a.shape != (h.shape[0],):
-        raise DimensionMismatch(
-            f"attack has shape {a.shape} but H has {h.shape[0]} rows"
-        )
-    if not np.isfinite(a).all():
-        raise InvalidArgument("attack vector must be finite")
+    h = _unit_scale(_array(h_matrix, "H", ndim=2, finite=True))
+    a = _array(a, "attack vector", (h.shape[0],), finite=True)
     if np.max(np.abs(a), initial=0.0) > 1.0:
         a = _unit_scale(a)
         bound = STEALTH_RTOL * np.linalg.norm(a)
@@ -213,7 +180,7 @@ def protection_check(h_matrix: np.ndarray,
     the rank rule of the module docstring, exactly when
     ``factor_gain(rows, ones)`` accepts the protected rows.
     """
-    h = _as_matrix(h_matrix)
+    h = _array(h_matrix, "H", ndim=2, finite=True)
     m, k = h.shape
     rank = _pivoted_gain(h[_meter_rows(protected_meters, m), :])[0]
     return ProtectionReport(protected=rank == k, residual_attack_dim=k - rank)

@@ -21,7 +21,7 @@ meter indices in results and configurations are 1-based file order.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,23 +29,26 @@ import numpy as np
 from scipy.stats import chi2
 
 from .errors import (
-    DimensionMismatch,
+    InvalidArgument,
     LengthMismatch,
     MalformedDocument,
     NoRedundancy,
     NumericallySingularOmega,
+    _array,
+    _count,
+    _real,
 )
-from .estimation import (
-    EstimationResult,
-    _check_weights,
-    factor_gain,
-    weighted_objective,
-)
+from .estimation import EstimationResult, factor_gain, weighted_objective
 
 OMEGA_FLOOR = 1e-14
 TIE_TOLERANCE = 1e-9
 
 DETECTOR_METHODS = ("norm_threshold", "chi_square", "lnr")
+# Each method's own parameter: its name, its default (norm_threshold has
+# none) and the upper end of its open range, whose lower end is 0.
+_PARAMETERS = {"norm_threshold": ("tau", None, math.inf),
+               "chi_square": ("alpha", 0.05, 1.0),
+               "lnr": ("lnr_threshold", 3.0, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,9 @@ class DetectorConfig:
 
     chi_square defaults alpha to 0.05 and lnr defaults its threshold to 3.0;
     norm_threshold has no default tau. A parameter that is given must be
-    a real number (not a bool); anything else raises MalformedDocument.
+    a finite real number (not a bool), and the method's own one within
+    0 < tau, lnr_threshold < inf or 0 < alpha < 1; anything else raises
+    MalformedDocument.
     """
 
     method: str
@@ -65,31 +70,19 @@ class DetectorConfig:
     def __post_init__(self):
         if self.method not in DETECTOR_METHODS:
             raise MalformedDocument(f"unknown detector method {self.method!r}")
+        own, default, high = _PARAMETERS[self.method]
         for key in ("tau", "alpha", "lnr_threshold"):
             value = getattr(self, key)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)):
-                raise MalformedDocument(f"{key} must be a number, got {value!r}")
-        if self.method == "norm_threshold":
-            if self.tau is None or not 0.0 < self.tau < np.inf:
-                raise MalformedDocument("norm_threshold requires 0 < tau < inf")
-            extras = (self.alpha, self.lnr_threshold)
-        elif self.method == "chi_square":
-            if self.alpha is None:
-                object.__setattr__(self, "alpha", 0.05)
-            if not 0.0 < self.alpha < 1.0:
-                raise MalformedDocument("chi_square requires alpha in (0, 1)")
-            extras = (self.tau, self.lnr_threshold)
-        else:
-            if self.lnr_threshold is None:
-                object.__setattr__(self, "lnr_threshold", 3.0)
-            if not 0.0 < self.lnr_threshold < np.inf:
-                raise MalformedDocument("lnr requires 0 < lnr_threshold < inf")
-            extras = (self.tau, self.alpha)
-        if any(v is not None for v in extras):
-            raise MalformedDocument(
-                f"{self.method} accepts only its own parameter"
-            )
+            if value is not None:
+                _real(value, key, error=MalformedDocument)
+                if key != own:
+                    raise MalformedDocument(
+                        f"{self.method} accepts only its own parameter")
+        value = default if getattr(self, own) is None else getattr(self, own)
+        if value is None:
+            raise MalformedDocument(f"{self.method} requires {own}")
+        object.__setattr__(self, own, _real(value, own, 0.0, high,
+                                            error=MalformedDocument))
 
 
 @dataclass(frozen=True)
@@ -113,21 +106,20 @@ class DetectionResult:
 
 def residual(z: np.ndarray, h_of_x: np.ndarray) -> np.ndarray:
     """r = z - h(x'), elementwise."""
-    z = np.asarray(z, dtype=float)
-    h_of_x = np.asarray(h_of_x, dtype=float)
-    if z.shape != h_of_x.shape:
-        raise LengthMismatch(f"z has shape {z.shape}, h(x) has shape {h_of_x.shape}")
-    return z - h_of_x
+    z = _array(z, "z")
+    return z - _array(h_of_x, "h(x)", z.shape, error=LengthMismatch)
 
 
 def norm_threshold_test(r: np.ndarray, tau: float) -> DetectionResult:
-    """Detected iff the Euclidean norm of the residual exceeds tau."""
-    statistic = float(np.linalg.norm(np.asarray(r, dtype=float)))
+    """Detected iff the Euclidean norm of the residual exceeds tau, which
+    must be positive and finite (else InvalidArgument)."""
+    tau = _real(tau, "tau", 0.0)
+    statistic = float(np.linalg.norm(_array(r, "r")))
     return DetectionResult(
         method="norm_threshold",
         detected=statistic > tau,
         statistic=statistic,
-        threshold_used=float(tau),
+        threshold_used=tau,
     )
 
 
@@ -142,9 +134,13 @@ def chi_square_test(z: np.ndarray, h_of_x: np.ndarray, weights: np.ndarray,
     """Weighted objective against the chi-square upper-alpha quantile.
 
     Degrees of freedom are m - state_dim; without redundancy (m <= state_dim)
-    the test is undefined and NoRedundancy is raised.
+    the test is undefined and NoRedundancy is raised. A ``state_dim`` that
+    is not a non-negative integer, or an ``alpha`` outside (0, 1), raises
+    InvalidArgument.
     """
-    m = len(np.asarray(z))
+    state_dim = _count(state_dim, "state_dim")
+    alpha = _real(alpha, "alpha", 0.0, 1.0)
+    m = len(_array(z, "z", ndim=1))
     if m <= state_dim:
         raise NoRedundancy(
             f"{m} meters cannot test a {state_dim}-dimensional state"
@@ -171,17 +167,15 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
     built from this H and these weights; otherwise the gain is factored
     here, once. Meters with Omega_ii <= 1e-14 are critical and skipped; if
     every meter is critical there is nothing to normalize and
-    NumericallySingularOmega is raised.
+    NumericallySingularOmega is raised. An ``lnr_threshold`` that is not
+    positive and finite raises InvalidArgument.
     """
-    h = np.asarray(h_matrix, dtype=float)
-    z = np.asarray(z, dtype=float)
+    lnr_threshold = _real(lnr_threshold, "lnr_threshold", 0.0)
+    h = _array(h_matrix, "H", ndim=2)
     m = h.shape[0]
-    if z.shape != (m,):
-        raise LengthMismatch(f"z has shape {z.shape} but H has {m} rows")
-    w = _check_weights(weights, m)
-    r = np.asarray(estimate.residual, dtype=float)
-    if r.shape != (m,):
-        raise LengthMismatch(f"residual has shape {r.shape} but H has {m} rows")
+    z = _array(z, "z", (m,), error=LengthMismatch)
+    w = _array(weights, "weights", (m,), positive=True)
+    r = _array(estimate.residual, "residual", (m,), error=LengthMismatch)
 
     factor = estimate.factor
     if factor is None or not factor.matches(h, w):
@@ -204,7 +198,7 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
         method="lnr",
         detected=statistic > lnr_threshold,
         statistic=statistic,
-        threshold_used=float(lnr_threshold),
+        threshold_used=lnr_threshold,
         suspect_meter=int(top[0]) + 1,
         ambiguous=len(top) > 1,
         critical_meters=critical_meters,
@@ -218,14 +212,15 @@ def run_detector(config: DetectorConfig, h_matrix: np.ndarray, z: np.ndarray,
 
     H is the matrix the estimate was solved with (for ac, the Jacobian at
     the estimate); chi-square takes its column count as the state dimension.
+    A ``config`` that is not a DetectorConfig raises InvalidArgument.
     """
+    if not isinstance(config, DetectorConfig):
+        raise InvalidArgument(f"config must be a DetectorConfig, got {config!r}")
     if config.method == "norm_threshold":
         return norm_threshold_test(estimate.residual, config.tau)
     if config.method == "chi_square":
-        shape = np.shape(h_matrix)
-        if len(shape) != 2:
-            raise DimensionMismatch(f"H must be a matrix, got shape {shape}")
-        h_of_x = np.asarray(z, dtype=float) - estimate.residual
-        return chi_square_test(z, h_of_x, weights, shape[1], config.alpha)
+        h = _array(h_matrix, "H", ndim=2)
+        h_of_x = _array(z, "z") - estimate.residual
+        return chi_square_test(z, h_of_x, weights, h.shape[1], config.alpha)
     return largest_normalized_residual(h_matrix, z, weights, estimate,
                                        config.lnr_threshold)

@@ -24,10 +24,12 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .errors import (
-    DimensionMismatch,
     InvalidArgument,
     LengthMismatch,
     UnobservableNetwork,
+    _array,
+    _count,
+    _real,
 )
 from .measurement import StateVector, build_meter_model, flat_state, free_vector
 from .network import MeasurementConfig, NetworkModel
@@ -67,11 +69,7 @@ class GainFactor:
 
     def estimate(self, z: np.ndarray) -> EstimationResult:
         """The exact linear WLS estimate from readings z."""
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.h.shape[0],):
-            raise DimensionMismatch(
-                f"z has shape {z.shape} but H has {self.h.shape[0]} rows"
-            )
+        z = _array(z, "z", (self.h.shape[0],))
         x = self.solve(z)
         r = z - self.h @ x
         return EstimationResult(
@@ -121,15 +119,6 @@ def weights_from_config(config: MeasurementConfig) -> np.ndarray:
     return 1.0 / config.sigmas() ** 2
 
 
-def _check_weights(weights: np.ndarray, m: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m,):
-        raise DimensionMismatch(f"expected {m} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise InvalidArgument("weights must be positive and finite")
-    return w
-
-
 def _condition(upper: np.ndarray, anorm: float) -> float:
     """LAPACK's condition estimate (pocon) of U^T U, of 1-norm anorm."""
     rcond, _ = lapack.dpocon(upper, anorm)
@@ -143,10 +132,8 @@ def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
     definite or its 1-norm condition estimate exceeds CONDITION_LIMIT. No
     singular value decomposition is taken.
     """
-    h = np.asarray(h_matrix, dtype=float)
-    if h.ndim != 2:
-        raise DimensionMismatch(f"H must be a matrix, got ndim {h.ndim}")
-    w = _check_weights(weights, h.shape[0])
+    h = _array(h_matrix, "H", ndim=2)
+    w = _array(weights, "weights", (h.shape[0],), positive=True)
     gain = h.T @ (w[:, None] * h)
     anorm = float(np.max(np.sum(np.abs(gain), axis=0), initial=0.0))
     if not 0.0 < anorm < np.inf:
@@ -198,11 +185,9 @@ def _pivoted_gain(h: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 def weighted_objective(z: np.ndarray, h_of_x: np.ndarray,
                        weights: np.ndarray) -> float:
     """sum_i w_i (z_i - h_i)^2, the quantity the estimators minimize."""
-    z = np.asarray(z, dtype=float)
-    h_of_x = np.asarray(h_of_x, dtype=float)
-    if z.shape != h_of_x.shape:
-        raise LengthMismatch(f"z has shape {z.shape}, h(x) has shape {h_of_x.shape}")
-    w = _check_weights(weights, len(z))
+    z = _array(z, "z", ndim=1)
+    h_of_x = _array(h_of_x, "h(x)", z.shape, error=LengthMismatch)
+    w = _array(weights, "weights", z.shape, positive=True)
     r = z - h_of_x
     return float(w @ (r * r))
 
@@ -230,17 +215,14 @@ def estimate_ac(network: NetworkModel, z: np.ndarray,
     at any iterate raises UnobservableNetwork. The meter model is built once
     and every iterate is evaluated against it; each step factors the gain at
     its own iterate once. ``max_iter`` must be an integer >= 0 and ``tol``
-    positive and finite, else InvalidArgument before any iteration.
+    positive and finite (a bool is neither), and ``init`` a StateVector,
+    else InvalidArgument before any iteration.
     """
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise InvalidArgument("max_iter must be an integer >= 0")
-    if not 0.0 < tol < np.inf:
-        raise InvalidArgument("tol must be positive and finite")
-    z = np.asarray(z, dtype=float)
+    max_iter = _count(max_iter, "max_iter")
+    tol = _real(tol, "tol", 0.0)
     m = len(config.specs)
-    if z.shape != (m,):
-        raise LengthMismatch(f"z has shape {z.shape} but config has {m} meters")
-    w = _check_weights(weights, m)
+    z = _array(z, "z", (m,), error=LengthMismatch)
+    w = _array(weights, "weights", (m,), positive=True)
     x = free_vector(network, init if init is not None else flat_state(network),
                     "ac")
     model = build_meter_model(network, config)

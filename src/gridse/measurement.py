@@ -33,7 +33,6 @@ and ``run_monte_carlo`` computes H and H x once for all its trials.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -41,10 +40,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidArgument,
     MissingMagnitudes,
     UnsupportedKindForDC,
+    _array,
+    _count,
+    _real,
 )
 from .network import (
     FLOW_KINDS,
@@ -66,19 +67,26 @@ class StateVector:
     """Bus angles (radians) and, in ac mode, voltage magnitudes (pu).
 
     ``angles`` must cover every bus and hold exactly 0.0 at the reference.
-    ``magnitudes`` is None for an angles-only (dc) state.
+    ``magnitudes`` is None for an angles-only (dc) state. Each is a mapping
+    from bus id to a finite number, else InvalidArgument.
     """
 
     angles: Mapping[int, float]
     magnitudes: Mapping[int, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", dict(self.angles))
-        if self.magnitudes is not None:
-            object.__setattr__(self, "magnitudes", dict(self.magnitudes))
+        for key in ("angles", "magnitudes"):
+            table = getattr(self, key)
+            if table is None and key == "magnitudes":
+                continue
+            if not isinstance(table, Mapping):
+                raise InvalidArgument(f"{key} must map bus ids to numbers")
+            object.__setattr__(self, key, {bus: _real(v, f"{key}[{bus!r}]")
+                                           for bus, v in table.items()})
 
 
 def state_dimension(network: NetworkModel, mode: str) -> int:
+    _check_mode(mode)
     n = network.n_buses
     return n - 1 if mode == "dc" else 2 * n - 1
 
@@ -89,6 +97,8 @@ def _check_mode(mode: str):
 
 
 def _check_state(network: NetworkModel, state: StateVector, mode: str):
+    if not isinstance(state, StateVector):
+        raise InvalidArgument(f"state must be a StateVector, got {state!r}")
     for b in network.buses:
         if b.id not in state.angles:
             raise InvalidArgument(f"state has no angle for bus {b.id}")
@@ -116,11 +126,7 @@ def free_vector(network: NetworkModel, state: StateVector, mode: str) -> np.ndar
 
 def state_from_free(network: NetworkModel, x: np.ndarray, mode: str) -> StateVector:
     """Inverse of :func:`free_vector`; pins the reference angle at 0."""
-    _check_mode(mode)
-    x = np.asarray(x, dtype=float)
-    k = state_dimension(network, mode)
-    if x.shape != (k,):
-        raise DimensionMismatch(f"state vector must have length {k}, got {x.shape}")
+    x = _array(x, "state vector", (state_dimension(network, mode),))
     non_ref = network.non_reference_ids()
     angles = {network.reference_bus: 0.0}
     angles.update({b: float(x[i]) for i, b in enumerate(non_ref)})
@@ -231,11 +237,7 @@ class MeterModel:
             q = -vi^2 (bs + b) - vi vj (g sin dij - b cos dij)
         """
         n = self.network.n_buses
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2 * n - 1,):
-            raise DimensionMismatch(
-                f"state vector must have length {2 * n - 1}, got {x.shape}"
-            )
+        x = _array(x, "state vector", (2 * n - 1,))
         theta = np.insert(x[:n - 1], self.network.reference_bus - 1, 0.0)
         v = x[n - 1:]
         vi, vj = v[self.i], v[self.j]
@@ -379,30 +381,14 @@ def simulate_measurements(network: NetworkModel, true_state: StateVector,
 def _simulate(model: MeterModel, true_state: StateVector, mode: str,
               seed: int, noise_scale: float) -> np.ndarray:
     """simulate_measurements against a model already built."""
-    seed = _check_seed(seed)
-    _check_noise_scale(noise_scale)
+    seed = _count(seed, "seed")
+    noise_scale = _real(noise_scale, "noise_scale", 0.0, include_low=True)
     if mode == "dc":
         clean = model.dc_matrix @ free_vector(model.network, true_state, "dc")
     else:
         clean = model.values(free_vector(model.network, true_state, "ac"))
     scales = model.config.sigmas() * noise_scale
-    return clean + _meter_noise([seed], range(len(scales)), scales)[0]
-
-
-def _check_noise_scale(noise_scale: float):
-    if isinstance(noise_scale, bool) or not isinstance(
-            noise_scale, numbers.Real) or not 0.0 <= noise_scale < np.inf:
-        raise InvalidArgument(
-            f"noise_scale must be a non-negative finite number, got {noise_scale!r}")
-
-
-def _check_seed(seed) -> int:
-    """A noise or attack seed as a Python int; bools, non-integers and
-    negative values raise InvalidArgument."""
-    if isinstance(seed, (bool, np.bool_)) or not isinstance(
-            seed, (int, np.integer)) or seed < 0:
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    return clean + _meter_noise([seed], scales)[0]
 
 
 # SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants, fixed
@@ -473,28 +459,21 @@ def _pcg64_states(entropy: np.ndarray) -> tuple[list[int], list[int]]:
     return states, incs
 
 
-def _meter_noise(seeds, meters, scales: np.ndarray) -> np.ndarray:
-    """out[r, c] = default_rng([seeds[r], meters[c]]).normal(0.0, scales[c]).
+def _meter_noise(seeds, scales: np.ndarray) -> np.ndarray:
+    """out[r, c] = default_rng([seeds[r], c]).normal(0.0, scales[c]).
 
-    Bit-identical to that expression for non-negative integer seeds and
-    meters. SeedSequence turns each into 32-bit words (one word below 2**32,
-    two below 2**64, ...). Pairs with at most 4 words in all, which fill at
-    most its 4-word pool, are seeded in one vectorized pass and read through
-    one PCG64 generator; longer entropy goes through default_rng itself.
+    Bit-identical to that expression for non-negative integer seeds.
+    SeedSequence turns the pair into 32-bit words: the seed's (one below
+    2**32, two below 2**64, ...), then the meter index's one. Seeds below
+    2**96 leave room in its 4-word pool, so their pairs are seeded in one
+    vectorized pass and read through one PCG64 generator; larger seeds go
+    through default_rng itself.
     """
-    seeds, meters = [int(s) for s in seeds], [int(i) for i in meters]
-    scales = np.asarray(scales, dtype=float).tolist()
-    seed_counts = np.array([_word_count(s) for s in seeds], dtype=np.intp)
-    meter_counts = np.array([_word_count(i) for i in meters], dtype=np.intp)
-    fits = seed_counts[:, None] + meter_counts <= _POOL_WORDS
-    # A pair's entropy is its seed's words, then its meter's: meter_at[n]
-    # holds the meter words shifted past an n-word seed.
-    meter_words = _words(meters, _POOL_WORDS - 1)
-    meter_at = np.zeros((_POOL_WORDS, len(meters), _POOL_WORDS), dtype=np.uint32)
-    for n in range(1, _POOL_WORDS):
-        meter_at[n, :, n:] = meter_words[:, :_POOL_WORDS - n]
-    entropy = _words(seeds, _POOL_WORDS)[:, None] \
-        | meter_at[np.where(seed_counts < _POOL_WORDS, seed_counts, 0)]
+    seeds, scales = [int(s) for s in seeds], scales.tolist()
+    counts = np.array([_word_count(s) for s in seeds], dtype=np.intp)
+    fits = counts < _POOL_WORDS
+    entropy = np.repeat(_words(seeds, _POOL_WORDS)[:, None], len(scales), axis=1)
+    entropy[fits, :, counts[fits]] = np.arange(len(scales), dtype=np.uint32)
     states, incs = _pcg64_states(entropy.reshape(-1, _POOL_WORDS))
 
     bit_generator = np.random.PCG64(0)
@@ -507,7 +486,8 @@ def _meter_noise(seeds, meters, scales: np.ndarray) -> np.ndarray:
         stream["state"], stream["inc"] = state, inc
         bit_generator.state = pcg_state
         noise.append(generator.normal(0.0, scale))
-    noise = np.array(noise, dtype=float).reshape(len(seeds), len(meters))
-    for r, c in zip(*np.nonzero(~fits)):
-        noise[r, c] = np.random.default_rng([seeds[r], meters[c]]).normal(0.0, scales[c])
+    noise = np.array(noise, dtype=float).reshape(len(seeds), len(scales))
+    for r in np.flatnonzero(~fits):
+        noise[r] = [np.random.default_rng([seeds[r], c]).normal(0.0, scale)
+                    for c, scale in enumerate(scales)]
     return noise

@@ -21,13 +21,12 @@ injection and voltage meters locate by ``bus``. ``value`` is optional but must
 be present on all meters or on none; ``r``/``gs``/``bs`` default to 0,
 ``ref`` to false and ``v`` to 1.0. Unknown keys anywhere are rejected, and
 so are non-finite numbers (NaN, Infinity, or a literal too large for a
-float).
+float) and bus ids or ends that are not non-negative integers.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,11 @@ from .errors import (
     MultipleReferenceBuses,
     NoReferenceBus,
     ZeroReactance,
+    _array,
+    _check_keys,
+    _count,
+    _real,
+    _reject_constant,
 )
 
 FLOW_KINDS = ("flow_p", "flow_q", "current_magnitude")
@@ -266,47 +270,25 @@ _BRANCH_KEYS = {"from", "to", "r", "x", "gs", "bs"}
 _MEAS_KEYS = {"kind", "from", "to", "bus", "sigma", "value"}
 
 
-def _finite_number(v) -> float | None:
-    """A JSON number as a finite float, else None (also for literals such as
-    1e999 or a 400-digit integer, which no finite float holds)."""
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        return None
+# The number fields of case records: bus ids and ends are integers, the
+# rest finite reals.
+_CASE_NUMBERS = {"id": _count, "from": _count, "to": _count, "bus": _count,
+                 "v": _real, "r": _real, "x": _real, "gs": _real, "bs": _real,
+                 "sigma": _real, "value": _real}
+
+
+def _case_record(record, allowed: set[str], required: set[str], ctx: str) -> dict:
+    """A parsed case record with its keys checked and its number fields
+    converted in place."""
+    _check_keys(record, allowed, required, ctx)
     try:
-        f = float(v)
-    except OverflowError:
-        return None
-    return f if math.isfinite(f) else None
-
-
-def _require_number(record: dict, key: str, context: str) -> float:
-    f = _finite_number(record.get(key))
-    if f is None:
-        raise MalformedDocument(f"{context}: field {key!r} must be a finite number")
-    return f
-
-
-def _require_int(record: dict, key: str, context: str) -> int:
-    v = record.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise MalformedDocument(f"{context}: field {key!r} must be an integer")
-    return v
-
-
-def _reject_constant(name: str):
-    """``parse_constant`` hook for json.loads: NaN and +-Infinity are not
-    numbers a document may carry."""
-    raise MalformedDocument(f"non-finite number {name} is not allowed")
-
-
-def _check_keys(record: dict, allowed: set[str], required: set[str], context: str):
-    if not isinstance(record, dict):
-        raise MalformedDocument(f"{context}: expected an object")
-    unknown = set(record) - allowed
-    if unknown:
-        raise MalformedDocument(f"{context}: unknown keys {sorted(unknown)}")
-    missing = required - set(record)
-    if missing:
-        raise MalformedDocument(f"{context}: missing keys {sorted(missing)}")
+        for key, value in record.items():
+            if key in _CASE_NUMBERS:
+                record[key] = _CASE_NUMBERS[key](value, key, error=MalformedDocument)
+    except MalformedDocument as exc:
+        # the record's context is added only here, off the hot path
+        raise MalformedDocument(f"{ctx}: field {exc}") from None
+    return record
 
 
 def parse_case(text: str) -> ParsedCase:
@@ -318,7 +300,7 @@ def parse_case(text: str) -> ParsedCase:
     """
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal too long to convert
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     _check_keys(doc, set(_TOP_KEYS), set(_TOP_KEYS), "case document")
     for key in _TOP_KEYS:
@@ -328,27 +310,24 @@ def parse_case(text: str) -> ParsedCase:
     buses = []
     for idx, record in enumerate(doc["buses"]):
         ctx = f"buses[{idx}]"
-        _check_keys(record, _BUS_KEYS, {"id"}, ctx)
+        record = _case_record(record, _BUS_KEYS, {"id"}, ctx)
         ref = record.get("ref", False)
         if not isinstance(ref, bool):
             raise MalformedDocument(f"{ctx}: field 'ref' must be a boolean")
-        buses.append(Bus(
-            id=_require_int(record, "id", ctx),
-            is_reference=ref,
-            voltage_magnitude=_require_number(record, "v", ctx) if "v" in record else 1.0,
-        ))
+        buses.append(Bus(id=record["id"], is_reference=ref,
+                         voltage_magnitude=record.get("v", 1.0)))
 
     branches = []
     for idx, record in enumerate(doc["branches"]):
         ctx = f"branches[{idx}]"
-        _check_keys(record, _BRANCH_KEYS, {"from", "to", "x"}, ctx)
+        record = _case_record(record, _BRANCH_KEYS, {"from", "to", "x"}, ctx)
         branches.append(Branch(
-            from_bus=_require_int(record, "from", ctx),
-            to_bus=_require_int(record, "to", ctx),
-            resistance_r=_require_number(record, "r", ctx) if "r" in record else 0.0,
-            reactance_x=_require_number(record, "x", ctx),
-            shunt_conductance_gs=_require_number(record, "gs", ctx) if "gs" in record else 0.0,
-            shunt_susceptance_bs=_require_number(record, "bs", ctx) if "bs" in record else 0.0,
+            from_bus=record["from"],
+            to_bus=record["to"],
+            resistance_r=record.get("r", 0.0),
+            reactance_x=record["x"],
+            shunt_conductance_gs=record.get("gs", 0.0),
+            shunt_susceptance_bs=record.get("bs", 0.0),
         ))
 
     network = NetworkModel(buses=tuple(buses), branches=tuple(branches))
@@ -357,17 +336,17 @@ def parse_case(text: str) -> ParsedCase:
     values = []
     for idx, record in enumerate(doc["measurements"]):
         ctx = f"measurements[{idx}]"
-        _check_keys(record, _MEAS_KEYS, {"kind", "sigma"}, ctx)
+        record = _case_record(record, _MEAS_KEYS, {"kind", "sigma"}, ctx)
         kind = record["kind"]
         if not isinstance(kind, str) or kind not in MEASUREMENT_KINDS:
             raise MalformedDocument(f"{ctx}: unknown measurement kind {kind!r}")
         spec = MeasurementSpec(
             kind=kind,
-            sigma=_require_number(record, "sigma", ctx),
-            bus=_require_int(record, "bus", ctx) if "bus" in record else None,
-            from_bus=_require_int(record, "from", ctx) if "from" in record else None,
-            to_bus=_require_int(record, "to", ctx) if "to" in record else None,
-            value=_require_number(record, "value", ctx) if "value" in record else None,
+            sigma=record["sigma"],
+            bus=record.get("bus"),
+            from_bus=record.get("from"),
+            to_bus=record.get("to"),
+            value=record.get("value"),
         )
         specs.append(spec)
         values.append(spec.value)
@@ -406,10 +385,13 @@ def serialize_case(network: NetworkModel, config: MeasurementConfig,
                    values: np.ndarray | None = None) -> str:
     """Render a model back to the case-file format (see module docstring).
 
-    parse_case(serialize_case(...)) reproduces the inputs exactly.
+    parse_case(serialize_case(...)) reproduces the inputs exactly. Values
+    that are not one finite number per meter raise MalformedDocument (wrong
+    length) or InvalidArgument.
     """
-    if values is not None and len(values) != len(config.specs):
-        raise MalformedDocument("values length does not match measurement count")
+    if values is not None:
+        values = _array(values, "values", (len(config.specs),), finite=True,
+                        error=MalformedDocument)
     buses = [
         {"id": b.id, "ref": b.is_reference, "v": b.voltage_magnitude}
         for b in network.buses

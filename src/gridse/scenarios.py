@@ -46,33 +46,31 @@ import numpy as np
 
 from .attack import (
     DEFAULT_MAGNITUDE,
-    _check_magnitude,
     apply_attack,
     constrained_stealth_attack,
     craft_stealth_attack,
     random_stealth_attack,
 )
 from .baddata import DetectionResult, DetectorConfig, run_detector
-from .errors import InvalidArgument, LengthMismatch, MalformedDocument
+from .errors import (
+    InvalidArgument,
+    LengthMismatch,
+    MalformedDocument,
+    _array,
+    _check_keys,
+    _count,
+    _real,
+    _reject_constant,
+)
 from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_config
 from .measurement import (
     MeterModel,
     StateVector,
-    _check_noise_scale,
-    _check_seed,
     _meter_noise,
     _simulate,
     build_meter_model,
 )
-from .network import (
-    ParsedCase,
-    _check_keys,
-    _finite_number,
-    _reject_constant,
-    _require_int,
-    _require_number,
-    parse_case,
-)
+from .network import ParsedCase, parse_case
 
 _SCENARIO_KEYS = {"name", "case", "measurements", "attack", "detectors", "mode"}
 _MEASUREMENT_KEYS = {"source", "values", "simulate"}
@@ -195,32 +193,24 @@ _ATTACKS = {
 _LINEAR_ATTACKS = {"stealth_shift", "random_stealth", "constrained"}
 
 
-def _numbers(record: dict, key: str, context: str) -> list[float]:
-    value = record[key]
-    numbers = [_finite_number(v) for v in value] if isinstance(value, list) else [None]
-    if None in numbers:
-        raise MalformedDocument(f"{context}: {key!r} must be an array of finite numbers")
-    return numbers
+# How each attack value is checked, in this order: a one-item list holds
+# the check of every entry of an array.
+_ATTACK_VALUES = {"deltas": [_real], "replacement": [_real], "c": [_real],
+                  "magnitude": _real, "seed": _count, "accessible": [_count]}
 
 
-def _meter_numbers(record: dict, key: str, context: str):
-    value = record[key]
-    if not isinstance(value, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in value
-    ):
-        raise MalformedDocument(f"{context}: {key!r} must be an array of meter numbers")
-
-
-def _require_seed(record: dict, key: str, context: str):
-    if _require_int(record, key, context) < 0:
-        raise MalformedDocument(
-            f"{context}: field {key!r} must be a non-negative integer")
-
-
-# How each attack value is checked, in this order.
-_ATTACK_VALUES = {"deltas": _numbers, "replacement": _numbers, "c": _numbers,
-                  "magnitude": _require_number, "seed": _require_seed,
-                  "accessible": _meter_numbers}
+def _check_field(record: dict, key: str, context: str, check):
+    """Check record[key] with ``check``, or each of its entries with
+    ``check[0]``; the MalformedDocument raised names the field."""
+    name, value = f"{context}: field {key!r}", record[key]
+    if not isinstance(check, list):
+        check(value, name, error=MalformedDocument)
+    elif not isinstance(value, list):
+        raise MalformedDocument(f"{name} must be an array")
+    else:
+        name = f"an entry of {name}"
+        for entry in value:
+            check[0](entry, name, error=MalformedDocument)
 
 
 def _validate_measurements(spec, context: str):
@@ -233,14 +223,14 @@ def _validate_measurements(spec, context: str):
         if spec["source"] != "case":
             raise MalformedDocument(f"{context}: the only source is 'case'")
     elif "values" in spec:
-        _numbers(spec, "values", context)
+        _check_field(spec, "values", context, [_real])
     else:
         sim = spec["simulate"]
         context = f"{context}.simulate"
         _check_keys(sim, _SIMULATE_KEYS, {"angles", "seed"}, context)
-        _require_seed(sim, "seed", context)
+        _check_field(sim, "seed", context, _count)
         if "noise_scale" in sim:
-            _require_number(sim, "noise_scale", context)
+            _check_field(sim, "noise_scale", context, _real)
         for key in ("angles", "magnitudes"):
             table = sim.get(key, {})
             if not isinstance(table, dict) or not all(
@@ -248,7 +238,7 @@ def _validate_measurements(spec, context: str):
             ):
                 raise MalformedDocument(f"{context}: {key!r} must map bus -> number")
             for bus in table:
-                _require_number(table, bus, f"{context}.{key}")
+                _check_field(table, bus, f"{context}.{key}", _real)
 
 
 def _validate_attack(spec, context: str):
@@ -264,14 +254,11 @@ def _validate_attack(spec, context: str):
             f"{context}: explicit_deltas needs 'deltas' or 'replacement'")
     for key, check in _ATTACK_VALUES.items():
         if key in spec:
-            check(spec, key, context)
+            _check_field(spec, key, context, check)
 
 
 def _detector_from_dict(record, context: str) -> DetectorConfig:
     _check_keys(record, _DETECTOR_KEYS, {"method"}, context)
-    for key in ("tau", "alpha", "lnr_threshold"):
-        if key in record:
-            _require_number(record, key, context)
     return DetectorConfig(**record)
 
 
@@ -295,7 +282,7 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         return Scenario(name=doc["name"], case_path=path.parent / doc["case"],
                         **fields)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also undecodable text or a too-long integer
         raise MalformedDocument(f"{path}: invalid JSON: {exc}") from exc
     except MalformedDocument as exc:
         raise MalformedDocument(f"{path}: {exc}") from exc
@@ -312,20 +299,16 @@ def _scenario_readings(scenario: Scenario, parsed: ParsedCase,
             )
         return parsed.values
     if "values" in spec:
-        z = np.array(spec["values"], dtype=float)
-        if z.shape != (m,):
-            raise LengthMismatch(
-                f"{scenario.name}: {len(z)} readings for {m} meters"
-            )
-        return z
+        return _array(spec["values"], f"{scenario.name}: readings", (m,),
+                      error=LengthMismatch)
     sim = spec["simulate"]
-    angles = {int(k): float(v) for k, v in sim["angles"].items()}
+    angles = {int(k): v for k, v in sim["angles"].items()}
     mags = None
     if "magnitudes" in sim:
-        mags = {int(k): float(v) for k, v in sim["magnitudes"].items()}
+        mags = {int(k): v for k, v in sim["magnitudes"].items()}
     state = StateVector(angles=angles, magnitudes=mags)
-    return _simulate(model, state, scenario.mode, int(sim["seed"]),
-                     float(sim.get("noise_scale", 1.0)))
+    return _simulate(model, state, scenario.mode, sim["seed"],
+                     sim.get("noise_scale", 1.0))
 
 
 def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
@@ -338,24 +321,18 @@ def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
     if kind == "explicit_deltas":
         # z has one reading per meter, so a replacement of that length gives
         # deltas of that length too.
-        a = np.array(spec.get("deltas", spec.get("replacement")), dtype=float)
-        if a.shape != (m,):
-            raise LengthMismatch(
-                f"{scenario.name}: attack length {len(a)} for {m} meters"
-            )
+        a = _array(spec.get("deltas", spec.get("replacement")),
+                   f"{scenario.name}: attack", (m,), error=LengthMismatch)
         return a if "deltas" in spec else a - z
     # The remaining attack families are defined against the linear model.
     h = model.dc_matrix
     if kind == "stealth_shift":
         return craft_stealth_attack(h, spec["c"])
     if kind == "random_stealth":
-        _, a = random_stealth_attack(h, float(spec["magnitude"]),
-                                     int(spec["seed"]))
+        _, a = random_stealth_attack(h, spec["magnitude"], spec["seed"])
         return a
     found = constrained_stealth_attack(
-        h, [int(i) for i in spec["accessible"]],
-        float(spec.get("magnitude", DEFAULT_MAGNITUDE))
-    )
+        h, spec["accessible"], spec.get("magnitude", DEFAULT_MAGNITUDE))
     return None if found is None else found[1]
 
 
@@ -429,16 +406,16 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     A ``trials`` that is not an integer >= 1, a ``noise_seed_base`` that is
     not a non-negative integer, a ``magnitude`` that is not a positive
     finite number (on either arm), a ``noise_scale`` that is not a
-    non-negative finite number (a bool is neither) or a ``detector`` that
-    is not a DetectorConfig raises InvalidArgument before the case is read.
+    non-negative finite number (a bool is neither, and an int too large for
+    a float is not finite) or a ``detector`` that is not a DetectorConfig
+    raises InvalidArgument before the case is read.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) \
-            or trials < 1:
-        raise InvalidArgument(f"trials must be an integer >= 1, got {trials!r}")
-    trials = int(trials)
-    noise_seed_base = _check_seed(noise_seed_base)
-    _check_magnitude(magnitude)
-    _check_noise_scale(noise_scale)
+    trials = _count(trials, "trials")
+    if not trials:
+        raise InvalidArgument("trials must be at least 1")
+    noise_seed_base = _count(noise_seed_base, "noise_seed_base")
+    magnitude = _real(magnitude, "magnitude", 0.0)
+    noise_scale = _real(noise_scale, "noise_scale", 0.0, include_low=True)
     if attack not in ("none", "stealth"):
         raise MalformedDocument(f"unknown attack arm {attack!r}")
     if detector is None:
@@ -468,7 +445,7 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     for start in range(0, trials, block):
         seeds = range(noise_seed_base + start,
                       noise_seed_base + min(trials, start + block))
-        noise = _meter_noise(seeds, range(len(scales)), scales)
+        noise = _meter_noise(seeds, scales)
         for seed, trial_noise in zip(seeds, noise):
             z = clean + trial_noise
             base = run_detector(detector, h, z, weights, factor.estimate(z))
@@ -549,6 +526,7 @@ def emit_report(report, format: str = "table") -> str:
 
     ``table`` is the fixed-width human layout; ``machine`` is a single JSON
     object with stable keys. Identical inputs give byte-identical output.
+    Anything else to render, or another format, raises InvalidArgument.
     """
     if format not in ("table", "machine"):
         raise InvalidArgument(f"format must be 'table' or 'machine', got {format!r}")
@@ -556,7 +534,10 @@ def emit_report(report, format: str = "table") -> str:
         if format == "machine":
             return json.dumps(report.as_dict()) + "\n"
         return _render_monte_carlo(report)
-    reports = [report] if isinstance(report, ScenarioReport) else list(report)
+    reports = [report] if isinstance(report, ScenarioReport) else report
+    if not isinstance(reports, Sequence) or not all(
+            isinstance(r, ScenarioReport) for r in reports):
+        raise InvalidArgument(f"cannot render {report!r} as a report")
     if format == "machine":
         if len(reports) == 1 and isinstance(report, ScenarioReport):
             return json.dumps(reports[0].as_dict()) + "\n"

@@ -145,7 +145,7 @@ def test_random_stealth_attack_contract():
     for seed in (-1, True, 1.5):
         with pytest.raises(InvalidArgument, match="seed"):
             random_stealth_attack(h, magnitude=0.01, seed=seed)
-    for magnitude in ("0.01", True, None):
+    for magnitude in ("0.01", True, None, 10**400):
         with pytest.raises(InvalidArgument, match="magnitude"):
             random_stealth_attack(h, magnitude=magnitude, seed=1)
 
@@ -196,7 +196,8 @@ def test_constrained_attack_infeasible():
     assert constrained_stealth_attack(h, accessible_meters=(1,)) is None
 
 
-@pytest.mark.parametrize("magnitude", [0.0, -1.0, np.nan, np.inf, "0.01", True])
+@pytest.mark.parametrize("magnitude", [0.0, -1.0, np.nan, np.inf, "0.01", True,
+                                       pytest.param(10**400, id="huge-int")])
 def test_constrained_attack_rejects_bad_magnitude(magnitude):
     _, _, h = load_three_bus()
     with pytest.raises(InvalidArgument, match="magnitude"):
@@ -520,6 +521,28 @@ def test_attack_functions_reject_non_finite_inputs(bad):
         craft_stealth_attack(h, SHIFT_SMALL)
     with pytest.raises(InvalidArgument, match="H must be finite"):
         random_stealth_attack(h, magnitude=0.01, seed=1)
+
+
+@pytest.mark.parametrize("bad", ["x", [0.0], 10**400],
+                         ids=["text", "ragged", "huge-int"])
+def test_attack_functions_reject_entries_that_are_not_numbers(bad):
+    _, _, h = load_three_bus()
+    vector = [0.0, bad, 0.0]
+    h_bad = [[5.0, -5.0], [bad, 0.0], [0.0, -4.0]]
+    calls = [
+        lambda: craft_stealth_attack(h, [0.01, bad]),
+        lambda: craft_stealth_attack(h_bad, SHIFT_SMALL),
+        lambda: verify_stealth(h, vector),
+        lambda: verify_stealth(h_bad, np.zeros(3)),
+        lambda: apply_attack(vector, np.zeros(3)),
+        lambda: apply_attack(np.zeros(3), vector),
+        lambda: protection_check(h_bad, (1, 2)),
+        lambda: constrained_stealth_attack(h_bad, (1, 3)),
+        lambda: random_stealth_attack(h_bad, magnitude=0.01, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument):
+            call()
 
 
 @pytest.mark.parametrize("meters", ["12", [1.5], [True], [np.bool_(True)],

@@ -15,6 +15,7 @@ import pytest
 from gridse import (
     DetectorConfig,
     DimensionMismatch,
+    InvalidArgument,
     LengthMismatch,
     MalformedDocument,
     MeasurementConfig,
@@ -283,10 +284,31 @@ def test_detector_config_rejects_non_finite_thresholds(method, key, value):
     ("norm_threshold", "tau", "0.1"), ("norm_threshold", "tau", True),
     ("chi_square", "alpha", "0.05"), ("chi_square", "alpha", [0.05]),
     ("lnr", "lnr_threshold", "3"), ("chi_square", "tau", "0.1"),
+    pytest.param("norm_threshold", "tau", 10**400, id="huge-int-tau"),
+    pytest.param("lnr", "lnr_threshold", 10**400, id="huge-int-lnr-threshold"),
 ])
 def test_detector_config_rejects_non_numbers(method, key, value):
     with pytest.raises(MalformedDocument, match="number"):
         DetectorConfig(method=method, **{key: value})
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, 2, 0.0),
+    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, 2, 2.0),
+    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, 2, "0.05"),
+    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, "2"),
+    lambda h, est: norm_threshold_test(est.residual, "0.1"),
+    lambda h, est: norm_threshold_test(est.residual, 0.0),
+    lambda h, est: largest_normalized_residual(h, BASE_Z, W, est, "3"),
+    lambda h, est: largest_normalized_residual(h, BASE_Z, W, est, float("nan")),
+    lambda h, est: run_detector("lnr", h, BASE_Z, W, est),
+], ids=["zero-alpha", "alpha-above-one", "string-alpha", "string-state-dim",
+        "string-tau", "zero-tau", "string-lnr-threshold", "nan-lnr-threshold",
+        "method-name-as-config"])
+def test_detector_functions_check_their_parameters(call):
+    _, _, h = load_three_bus()
+    with pytest.raises(InvalidArgument):
+        call(h, base_estimate(h))
 
 
 def with_radial_bus(rng, parallel):

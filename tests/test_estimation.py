@@ -99,6 +99,17 @@ def test_estimate_dc_shape_checks():
         estimate_dc(h, np.zeros(3), np.ones(2))
     with pytest.raises(ValueError):
         estimate_dc(h, np.zeros(3), np.array([1.0, -1.0, 1.0]))
+    # entries that are not numbers, ragged rows and ints too large for a
+    # float, in z, the weights or H
+    w = [1.0, 1.0, 1.0]
+    for bad in ("x", [0.0], 10**400):
+        for args in (([0.0, bad, 0.0], w), ([0.0] * 3, [1.0, bad, 1.0])):
+            with pytest.raises(InvalidArgument):
+                estimate_dc(h, *args)
+        with pytest.raises(InvalidArgument):
+            estimate_dc([[5.0, -5.0], [bad, 0.0], [0.0, -4.0]], np.zeros(3), w)
+        with pytest.raises(InvalidArgument):
+            factor_gain([[5.0, -5.0], [bad, 0.0], [0.0, -4.0]], w)
 
 
 def test_estimate_dc_matches_brute_force_inversion():
@@ -212,8 +223,10 @@ def test_estimate_ac_zero_iterations_returns_start():
 @pytest.mark.parametrize("bad", [
     {"max_iter": -1}, {"max_iter": 1.5},
     {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"tol": "1e-8"}, {"tol": True}, {"max_iter": True}, {"init": "x"},
 ], ids=["negative-max-iter", "fractional-max-iter", "zero-tol", "negative-tol",
-        "nan-tol", "inf-tol"])
+        "nan-tol", "inf-tol", "string-tol", "bool-tol", "bool-max-iter",
+        "string-init"])
 def test_estimate_ac_checks_its_arguments_up_front(bad, monkeypatch):
     parsed, _, _ = load_three_bus()
     config = full_ac_config(parsed.network)

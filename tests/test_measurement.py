@@ -24,6 +24,7 @@ from gridse import (
     h_eval_ac,
     run_detector,
     simulate_measurements,
+    state_dimension,
     state_from_free,
 )
 from gridse.measurement import _meter_noise
@@ -345,23 +346,21 @@ def default_rng_noise(seeds, meters, scales):
     (range(2**32 - 20, 2**32 + 20), range(67)),
     # the benchmark's seeds: 3 entropy words with the meter
     (range(901 * 10**9, 901 * 10**9 + 40), range(67)),
-    ([0, 5, 2**32 - 1, 2**32, 2**63, 2**64 - 1],
-     [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]),
+    ([0, 5, 2**32 - 1, 2**32, 2**63, 2**64 - 1], range(6)),
     # 5 or more entropy words: the default_rng fallback
-    ([2**64, 2**80 + 9, 2**96 - 1, 2**96, 2**100 + 7],
-     [0, 7, 2**32 - 1, 2**32, 2**64]),
+    ([2**64, 2**80 + 9, 2**96 - 1, 2**96, 2**100 + 7], range(5)),
 ], ids=["small", "word-boundary", "bench-sized", "wide-meters", "fallback"])
 def test_meter_noise_is_the_default_rng_stream(seeds, meters):
     # the batched noise must equal default_rng([seed, i]).normal bit for bit
     rng = np.random.default_rng(34)
     scales = rng.uniform(0.001, 0.1, len(meters))
     np.testing.assert_array_equal(
-        _meter_noise(seeds, meters, scales),
+        _meter_noise(seeds, scales),
         default_rng_noise(seeds, meters, scales))
 
 
 def test_zero_noise_scale_gives_exact_readings():
-    assert not np.any(_meter_noise(range(3), range(4), np.zeros(4)))
+    assert not np.any(_meter_noise(range(3), np.zeros(4)))
     rng = np.random.default_rng(35)
     net = random_network(rng, 8)
     config = full_ac_config(net)
@@ -379,13 +378,32 @@ def test_simulate_rejects_bad_seeds(seed):
 
 
 @pytest.mark.parametrize("noise_scale", [-1.0, float("nan"), float("inf"),
-                                         "1", True])
+                                         "1", True,
+                                         pytest.param(10**400, id="huge-int")])
 def test_simulate_rejects_bad_noise_scale(noise_scale):
     parsed, _, _ = load_three_bus()
     with pytest.raises(InvalidArgument, match="noise_scale"):
         simulate_measurements(parsed.network, StateVector(angles=TRUE_ANGLES),
                               parsed.config, "dc", seed=0,
                               noise_scale=noise_scale)
+
+
+@pytest.mark.parametrize("call", [
+    lambda net, config: StateVector(angles=[0, 1, 2]),
+    lambda net, config: StateVector(angles=TRUE_ANGLES, magnitudes={1: "1.0"}),
+    lambda net, config: simulate_measurements(
+        net, StateVector(angles={1: 0.01, 2: np.nan, 3: 0.0}), config, "dc",
+        seed=0),
+    lambda net, config: state_dimension(net, "xx"),
+    lambda net, config: state_from_free(net, [0.0, "x"], "dc"),
+    lambda net, config: state_from_free(net, [0.0, 10**400], "dc"),
+    lambda net, config: h_eval_ac(net, "x", full_ac_config(net)),
+], ids=["angle-list", "string-magnitude", "nan-angle", "unknown-mode",
+        "string-free-entry", "huge-free-entry", "string-state"])
+def test_states_and_modes_are_checked(call):
+    parsed, _, _ = load_three_bus()
+    with pytest.raises(InvalidArgument):
+        call(parsed.network, parsed.config)
 
 
 def test_calls_with_the_removed_arguments_fail_loudly():

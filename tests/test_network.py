@@ -10,6 +10,7 @@ from gridse import (
     Bus,
     DanglingReference,
     DisconnectedNetwork,
+    InvalidArgument,
     MalformedDocument,
     MeasurementConfig,
     MeasurementSpec,
@@ -110,6 +111,9 @@ def test_parse_rejects_non_finite_numbers(literal, section, index, key):
 def test_parse_not_json_is_malformed():
     with pytest.raises(MalformedDocument):
         parse_case("buses: []")
+    # json itself refuses integer literals of more than 4300 digits
+    with pytest.raises(MalformedDocument):
+        parse_case('{"buses": [' + "1" * 5000 + "]}")
 
 
 def test_flow_meter_needs_an_actual_branch():
@@ -143,6 +147,16 @@ def test_serialize_parse_round_trip():
     assert again.network == parsed.network
     assert again.config == parsed.config
     np.testing.assert_array_equal(again.values, parsed.values)
+
+
+@pytest.mark.parametrize("values", [
+    [0.62, "x", 0.37], [0.62, [0.06], 0.37], [0.62, 10**400, 0.37],
+    [0.62, np.nan, 0.37],
+], ids=["text", "ragged", "huge-int", "nan"])
+def test_serialize_rejects_values_that_are_not_finite_numbers(values):
+    parsed = parse_case(THREE_BUS.read_text())
+    with pytest.raises(InvalidArgument):
+        serialize_case(parsed.network, parsed.config, values)
 
 
 def test_serialize_round_trip_without_values():

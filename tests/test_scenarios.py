@@ -204,12 +204,26 @@ def test_table_report_empty_is_header_only():
     assert lines[0].startswith("Case")
 
 
+@pytest.mark.parametrize("report", [5, [5], "report"])
+def test_emit_report_rejects_what_is_not_a_report(report):
+    for format in ("table", "machine"):
+        with pytest.raises(InvalidArgument):
+            emit_report(report, format=format)
+
+
 def test_scenario_unknown_keys_rejected(tmp_path):
     doc = {"name": "x", "case": str(THREE_BUS), "surprise": 1}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(MalformedDocument):
         load_scenario(path)
+    # neither an integer literal json refuses to convert nor bytes that
+    # are not text is a traceback
+    for content in (b'{"name": "x", "case": "c.json", "mode": ' + b"1" * 5000 + b"}",
+                    b"\xff\xfe{"):
+        path.write_bytes(content)
+        with pytest.raises(MalformedDocument):
+            load_scenario(path)
 
 
 @pytest.mark.parametrize("attack", [
@@ -425,11 +439,12 @@ def test_monte_carlo_rejects_bad_arguments():
     # magnitude is checked on both arms, and both checks come before the
     # case is read
     for attack in ("none", "stealth"):
-        for magnitude in (-1.0, 0.0, float("nan"), float("inf"), "0.01", True):
+        for magnitude in (-1.0, 0.0, float("nan"), float("inf"), "0.01", True,
+                          10**400):
             with pytest.raises(InvalidArgument, match="magnitude"):
                 run_monte_carlo("no_such_case.json", trials=3, attack=attack,
                                 magnitude=magnitude)
-    for noise_scale in (-1.0, float("nan"), float("inf"), "1", True):
+    for noise_scale in (-1.0, float("nan"), float("inf"), "1", True, 10**400):
         with pytest.raises(InvalidArgument, match="noise_scale"):
             run_monte_carlo("no_such_case.json", trials=3,
                             noise_scale=noise_scale)
