@@ -9,13 +9,14 @@ are 1-based file order. An H or vector whose entries are not finite
 numbers, or a meter index that is not a non-negative integer (a bool is
 not one), raises InvalidArgument.
 
-Every rank question is the estimator's: one pivoted Cholesky of the rows'
-unit-weight gain under the condition guard of :func:`estimation.factor_gain`
-(limit 1e12), so rows have full column rank exactly when
-``factor_gain(rows, ones)`` accepts them, and a direction whose singular
-value is below about 1e-6 of the largest counts as unseen. Its rank answers
-:func:`protection_check`, its null vectors :func:`constrained_stealth_attack`
-and its solve :func:`verify_stealth`.
+Every rank question is the estimator's: the rank of the rows' unit-weight
+gain factor from :func:`estimation._pivoted_gain`, the one routine that
+scales, factors and guards a gain (condition limit 1e12). So rows have full
+column rank exactly when ``factor_gain(rows, ones)`` accepts them, at any
+finite scale, and a direction whose singular value is below about 1e-6 of
+the largest counts as unseen. The rank answers :func:`protection_check`,
+the factor's null vectors :func:`constrained_stealth_attack` and the
+accepted factor's solve :func:`verify_stealth`.
 """
 
 from __future__ import annotations
@@ -24,18 +25,17 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
     LengthMismatch,
-    UnobservableNetwork,
     _array,
     _count,
     _real,
 )
-from .estimation import _pivoted_gain, _unit_scale
+from .estimation import _pivoted_gain, factor_gain
 
 STEALTH_RTOL = 1e-9
 DEFAULT_MAGNITUDE = 0.01
@@ -121,7 +121,8 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
     h = _array(h_matrix, "H", ndim=2, finite=True)
     m, k = h.shape
     sub = h[np.setdiff1d(np.arange(m), _meter_rows(accessible_meters, m))]
-    rank, upper, piv = _pivoted_gain(sub)
+    f = _pivoted_gain(sub, np.ones(len(sub)))
+    rank, upper, piv = f.rank, f.upper, f.piv
     if rank == k:
         return None
     free = piv[rank:]
@@ -145,29 +146,24 @@ def apply_attack(z: np.ndarray, a: np.ndarray) -> np.ndarray:
 def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     """True iff a lies in the column space of H.
 
-    The projection residual ||a - Hc|| must be at most
-    1e-9 * max(1, ||a||), with c solved on the pivoted Cholesky of H's
-    unit-weight gain. An a with an entry above 1 in magnitude, and H, are
-    first scaled by powers of two to below 1: the bound is then relative,
-    so no scale changes a decision, and no product can overflow. An H the
-    estimator rejects (rank below k, or k = 0) raises UnobservableNetwork,
-    as :func:`estimation.estimate_dc` does; a non-finite H or attack vector
-    raises InvalidArgument.
+    The projection residual ||a - Hc|| must be at most 1e-9 * max(1, ||a||),
+    with c = ``factor_gain(H, ones).solve(a)``. An a with an entry above 1
+    in magnitude is first scaled by a power of two to below 1, and the
+    factor scales H, so the bound is then relative, no scale changes a
+    decision and no product overflows. An H the estimator rejects raises
+    UnobservableNetwork, as :func:`estimation.estimate_dc` does; a
+    non-finite H or attack vector raises InvalidArgument.
     """
-    h = _unit_scale(_array(h_matrix, "H", ndim=2, finite=True))
+    h = _array(h_matrix, "H", ndim=2, finite=True)
     a = _array(a, "attack vector", (h.shape[0],), finite=True)
-    if np.max(np.abs(a), initial=0.0) > 1.0:
-        a = _unit_scale(a)
+    factor = factor_gain(h, np.ones(h.shape[0]))
+    top = np.max(np.abs(a), initial=0.0)
+    if top > 1.0:
+        a = np.ldexp(a, -np.frexp(top)[1])
         bound = STEALTH_RTOL * np.linalg.norm(a)
     else:
         bound = STEALTH_RTOL * max(1.0, np.linalg.norm(a))
-    k = h.shape[1]
-    rank, upper, piv = _pivoted_gain(h)
-    if not 0 < rank == k:
-        raise UnobservableNetwork(f"H has numerical rank {rank} of {k}")
-    c = np.empty(k)
-    c[piv], _ = lapack.dpotrs(upper, (h.T @ a)[piv], lower=0)
-    return bool(np.linalg.norm(a - h @ c) <= bound)
+    return bool(np.linalg.norm(a - h @ factor.solve(a)) <= bound)
 
 
 def protection_check(h_matrix: np.ndarray,
@@ -182,5 +178,6 @@ def protection_check(h_matrix: np.ndarray,
     """
     h = _array(h_matrix, "H", ndim=2, finite=True)
     m, k = h.shape
-    rank = _pivoted_gain(h[_meter_rows(protected_meters, m), :])[0]
+    rows = _meter_rows(protected_meters, m)
+    rank = _pivoted_gain(h[rows], np.ones(len(rows))).rank
     return ProtectionReport(protected=rank == k, residual_attack_dim=k - rank)

@@ -29,13 +29,13 @@ import numpy as np
 from scipy.stats import chi2
 
 from .errors import (
-    InvalidArgument,
     LengthMismatch,
     MalformedDocument,
     NoRedundancy,
     NumericallySingularOmega,
     _array,
     _count,
+    _instance,
     _real,
 )
 from .estimation import EstimationResult, factor_gain, weighted_objective
@@ -168,9 +168,11 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
     here, once. Meters with Omega_ii <= 1e-14 are critical and skipped; if
     every meter is critical there is nothing to normalize and
     NumericallySingularOmega is raised. An ``lnr_threshold`` that is not
-    positive and finite raises InvalidArgument.
+    positive and finite, or an ``estimate`` that is not an
+    EstimationResult, raises InvalidArgument.
     """
     lnr_threshold = _real(lnr_threshold, "lnr_threshold", 0.0)
+    _instance(estimate, EstimationResult, "estimate")
     h = _array(h_matrix, "H", ndim=2)
     m = h.shape[0]
     z = _array(z, "z", (m,), error=LengthMismatch)
@@ -212,10 +214,11 @@ def run_detector(config: DetectorConfig, h_matrix: np.ndarray, z: np.ndarray,
 
     H is the matrix the estimate was solved with (for ac, the Jacobian at
     the estimate); chi-square takes its column count as the state dimension.
-    A ``config`` that is not a DetectorConfig raises InvalidArgument.
+    A ``config`` that is not a DetectorConfig, or an ``estimate`` that is
+    not an EstimationResult, raises InvalidArgument.
     """
-    if not isinstance(config, DetectorConfig):
-        raise InvalidArgument(f"config must be a DetectorConfig, got {config!r}")
+    _instance(config, DetectorConfig, "config")
+    _instance(estimate, EstimationResult, "estimate")
     if config.method == "norm_threshold":
         return norm_threshold_test(estimate.residual, config.tau)
     if config.method == "chi_square":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -18,16 +17,18 @@ from .baddata import DetectorConfig, run_detector
 from .errors import InputError, MalformedDocument, NumericalError
 from .estimation import estimate_ac, estimate_dc, weights_from_config
 from .measurement import build_meter_model, state_from_free
-from .network import parse_case
-from .scenarios import emit_report, load_scenario, run_monte_carlo, run_scenario
+from .network import _read_case
+from .scenarios import (
+    _fmt,
+    emit_report,
+    load_scenario,
+    run_monte_carlo,
+    run_scenario,
+)
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.6g}"
 
 
 def _vector(text: str) -> np.ndarray:
@@ -44,7 +45,7 @@ def _require_values(parsed, path: str) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
-    parsed = parse_case(Path(args.case).read_text())
+    parsed = _read_case(args.case)
     z = _require_values(parsed, args.case)
     weights = weights_from_config(parsed.config)
     network = parsed.network
@@ -70,7 +71,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    parsed = parse_case(Path(args.case).read_text())
+    parsed = _read_case(args.case)
     z = _require_values(parsed, args.case)
     h = build_meter_model(parsed.network, parsed.config).dc_matrix
     a = craft_stealth_attack(h, _vector(args.shift))
@@ -81,7 +82,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    parsed = parse_case(Path(args.case).read_text())
+    parsed = _read_case(args.case)
     z = _vector(args.z)
     config = parsed.config
     if len(z) != len(config):

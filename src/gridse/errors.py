@@ -6,10 +6,11 @@ covers singular or numerically unusable systems (CLI exit code 3). Every
 public entry point raises only :class:`GridError` subclasses.
 
 What counts as a valid argument is decided here, once: :func:`_real` checks
-a real scalar in a range, :func:`_count` a non-negative integer and
-:func:`_array` a float array of a given shape. Each raises the error class
-its caller names, with the argument's name in the message. :func:`_check_keys`
-checks the keys of a document record.
+a real scalar in a range, :func:`_count` a non-negative integer,
+:func:`_array` a float array of a given shape and :func:`_instance` an
+object of a given class. Each raises the error class its caller names (the
+last always InvalidArgument), with the argument's name in the message.
+:func:`_check_keys` checks the keys of a document record.
 """
 
 import math
@@ -110,13 +111,17 @@ def _real(value, name: str, low: float = -math.inf, high: float = math.inf, *,
     """value as a float when it is a real number (a bool is not) with
     low < value < high, or low <= value with ``include_low``; else error.
     Only finite values pass, and an int too large for a float fails."""
-    if isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
+    if value.__class__ is float:  # the common case, before any isinstance
+        number = value
+    elif isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:
             number = math.nan
-        if (low <= number if include_low else low < number) and number < high:
-            return number
+    else:
+        number = math.nan
+    if (low <= number if include_low else low < number) and number < high:
+        return number
     bounds = "" if (low, high) == (-math.inf, math.inf) else \
         f" in {'[' if include_low else '('}{low:g}, {high:g})"
     raise error(f"{name} must be a finite number{bounds}, got {_shown(value)}")
@@ -125,8 +130,8 @@ def _real(value, name: str, low: float = -math.inf, high: float = math.inf, *,
 def _count(value, name: str, *, error: type = InvalidArgument) -> int:
     """value as an int when it is a non-negative integer (a bool is not one);
     else error."""
-    if isinstance(value, _INTEGER_TYPES) and not isinstance(value, bool) \
-            and value >= 0:
+    if (value.__class__ is int or isinstance(value, _INTEGER_TYPES)
+            and not isinstance(value, bool)) and value >= 0:
         return int(value)
     raise error(f"{name} must be a non-negative integer, got {_shown(value)}")
 
@@ -156,6 +161,14 @@ def _array(value, name: str, shape: tuple | None = None, *,
     return array
 
 
+def _instance(value, kind: type, name: str):
+    """value when it is an instance of kind; else InvalidArgument."""
+    if isinstance(value, kind):
+        return value
+    raise InvalidArgument(
+        f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _reject_constant(name: str):
     """``parse_constant`` hook for json.loads: NaN and +-Infinity are not
     numbers a document may carry."""
@@ -165,9 +178,9 @@ def _reject_constant(name: str):
 def _check_keys(record: dict, allowed: set[str], required: set[str], context: str):
     if not isinstance(record, dict):
         raise MalformedDocument(f"{context}: expected an object")
-    unknown = set(record) - allowed
-    if unknown:
-        raise MalformedDocument(f"{context}: unknown keys {sorted(unknown)}")
-    missing = required - set(record)
-    if missing:
-        raise MalformedDocument(f"{context}: missing keys {sorted(missing)}")
+    if not allowed.issuperset(record):
+        raise MalformedDocument(
+            f"{context}: unknown keys {sorted(set(record) - allowed)}")
+    if not record.keys() >= required:
+        raise MalformedDocument(
+            f"{context}: missing keys {sorted(required - set(record))}")

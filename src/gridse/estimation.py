@@ -3,16 +3,19 @@
 The linear (dc) problem z = Hx + e solves in closed form through the normal
 equations x' = (H^T W H)^-1 H^T W z; the nonlinear (ac) problem iterates
 Gauss-Newton steps dx = (H^T W H)^-1 H^T W (z - h(x)) with H re-evaluated at
-every iterate. W is diagonal with entries 1/sigma_i^2. Each (H, W) pair is
-factored once into a :class:`GainFactor`: the upper Cholesky factor of the
-gain H^T W H (LAPACK ``potrf``) and LAPACK's 1-norm condition estimate of
-the gain (``pocon``). A gain that is not positive definite or whose
-condition estimate exceeds 1e12 raises UnobservableNetwork instead of
-returning garbage. The factor serves every solve with that (H, W), and the
-largest-normalized-residual detector reads its hat diagonal. The same guard
-decides every rank question of the package (observability, protection and
-stealth) on a pivoted Cholesky (``pstrf``) of the unit-weight gain: full
-rank there means that factor_gain accepts the matrix.
+every iterate. W is diagonal with entries 1/sigma_i^2.
+
+Every gain of the package is formed, factored and guarded in one place,
+:func:`_pivoted_gain`, into a :class:`GainFactor`: H and W are scaled by
+exact powers of two, so no finite H overflows the gain and no scale changes
+an answer; the gain of the scaled rows W^1/2 H gets a pivoted Cholesky
+factor (LAPACK ``pstrf``), whose rank drops until the leading block's
+1-norm condition estimate (``pocon``) is at most 1e12. :func:`factor_gain`
+is the full-rank case and raises UnobservableNetwork on any other rank. Its
+factor serves every solve with that (H, W) and the largest-normalized-
+residual detector's hat diagonal. The rank of the unit-weight factor
+answers observability, protection and stealth, so full rank there means
+exactly that factor_gain accepts the matrix.
 """
 
 from __future__ import annotations
@@ -39,18 +42,29 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class GainFactor:
-    """The gain matrix H^T W H of one (H, W) pair, factored once.
+    """The gain H^T W H of one (H, W) pair, scaled, pivoted and factored once.
 
-    ``upper`` is the upper Cholesky factor U (G = U^T U) as LAPACK ``potrf``
-    leaves it: the strict lower triangle still holds the gain and is never
-    read. ``condition`` is 1/rcond, LAPACK's estimate of the gain's 1-norm
-    condition number. H and W are kept by reference and must not be
-    modified while the factor is in use. Build one with :func:`factor_gain`.
+    H is scaled by 2^-``shift`` into max |H| in [0.5, 1) and W by 2^-e, e
+    even, into [0.5, 2); the scaled gain G = R^T R is formed from the rows
+    R = (2^-e W)^1/2 2^-shift H, whose square roots are exact. ``scale``
+    is 2^-(e + shift) W, so that a solve's right-hand side
+    2^-shift H^T (scale * rhs) stays near the size of its answer.
+    ``upper`` and ``piv`` are the pivoted Cholesky factor P^T G P = U^T U
+    (LAPACK ``pstrf``, piv 0-based); the first ``rank`` rows of U hold U11
+    and U12, the rest is not read. ``condition`` is 1/rcond, LAPACK's
+    1-norm condition estimate of the leading rank x rank block (inf at rank
+    0). The solves need full rank, which :func:`factor_gain` guarantees. H
+    and W are kept by reference and must not be modified while the factor
+    is in use.
     """
 
     h: np.ndarray
     weights: np.ndarray
+    scale: np.ndarray
+    shift: int
     upper: np.ndarray
+    piv: np.ndarray
+    rank: int
     condition: float
 
     def matches(self, h: np.ndarray, weights: np.ndarray) -> bool:
@@ -61,10 +75,11 @@ class GainFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The weighted least-squares solve of a meter-space vector:
         (H^T W H)^-1 H^T W rhs."""
-        b = self.h.T @ (self.weights * rhs)
-        if not np.all(np.isfinite(b)):
+        b = np.ldexp(self.h.T @ (self.scale * rhs), -self.shift)
+        if not np.isfinite(b).all():
             raise InvalidArgument("readings or model values are not finite")
-        x, _ = lapack.dpotrs(self.upper, b, lower=0)
+        x = np.empty(len(b))
+        x[self.piv] = lapack.dpotrs(self.upper, b[self.piv], lower=0)[0]
         return x
 
     def estimate(self, z: np.ndarray) -> EstimationResult:
@@ -72,23 +87,23 @@ class GainFactor:
         z = _array(z, "z", (self.h.shape[0],))
         x = self.solve(z)
         r = z - self.h @ x
-        return EstimationResult(
-            state=x,
-            residual=r,
-            squared_error_raw=float(r @ r),
-            objective_weighted=float(self.weights @ (r * r)),
-            converged=True,
-            iterations=1,
-            condition=self.condition,
-            factor=self,
-        )
+        with np.errstate(over="ignore"):  # a square too large reads inf
+            return EstimationResult(
+                state=x, residual=r, squared_error_raw=float(r @ r),
+                objective_weighted=float(self.weights @ (r * r)),
+                converged=True, iterations=1, condition=self.condition,
+                factor=self)
 
     @cached_property
     def hat_diagonal(self) -> np.ndarray:
-        """diag(H G^-1 H^T), from Y = U^-T H^T as the column sums of Y * Y;
-        the m x m matrix is never formed."""
-        y = solve_triangular(self.upper, self.h.T, trans="T", lower=False)
-        return np.einsum("ij,ij->j", y, y)
+        """diag(H (H^T W H)^-1 H^T): the column sums of Y * Y for
+        Y = U^-T (2^-shift H P)^T are 2^e times it; the m x m matrix is never
+        formed."""
+        cols = np.take(self.h, self.piv, axis=1)  # solved in place below
+        y = solve_triangular(self.upper, np.ldexp(cols, -self.shift, out=cols).T,
+                             trans="T", lower=False, overwrite_b=True)
+        return np.einsum("ij,ij->j", y, y) * np.ldexp(self.scale, self.shift) \
+            / self.weights
 
 
 @dataclass(frozen=True)
@@ -119,67 +134,54 @@ def weights_from_config(config: MeasurementConfig) -> np.ndarray:
     return 1.0 / config.sigmas() ** 2
 
 
-def _condition(upper: np.ndarray, anorm: float) -> float:
-    """LAPACK's condition estimate (pocon) of U^T U, of 1-norm anorm."""
-    rcond, _ = lapack.dpocon(upper, anorm)
-    return 1.0 / rcond if rcond > 0.0 else np.inf
+def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
+    """The scaled, pivoted gain factor of (h, weights), of any rank: ``pstrf``
+    stops at a pivot of at most max diag(G) / CONDITION_LIMIT, then the rank
+    drops until the leading block's condition estimate is at most
+    CONDITION_LIMIT. A zero or column-free gain has rank 0 and piv 0..k-1;
+    an h that is not finite raises UnobservableNetwork."""
+    top = max(h.max(initial=0.0), -h.min(initial=0.0))  # max |h|, or NaN
+    if not top < np.inf:
+        raise UnobservableNetwork("H is not finite")
+    shift = int(np.frexp(top)[1])
+    even = np.frexp(np.max(weights, initial=0.0))[1] // 2 * 2
+    rows = h * np.ldexp(np.sqrt(np.ldexp(weights, -even)), -shift)[:, None]
+    gain = rows.T @ rows  # numpy takes SYRK for this product
+    del rows
+    top = float(np.max(np.diag(gain), initial=0.0))
+    upper, piv, rank, condition = gain, np.arange(h.shape[1]), 0, np.inf
+    if top > 0.0:
+        upper, piv, rank, _ = lapack.dpstrf(gain, tol=top / CONDITION_LIMIT)
+        piv = piv.astype(np.intp) - 1  # intp indexes faster than LAPACK's int32
+    while rank:
+        lead = piv[:rank]
+        block = gain[np.ix_(lead, lead)] if rank < len(gain) else gain
+        rcond = lapack.dpocon(upper[:rank, :rank], np.abs(block).sum(0).max())[0]
+        condition = 1.0 / rcond if rcond > 0.0 else np.inf
+        if condition <= CONDITION_LIMIT:
+            break
+        rank -= 1
+    return GainFactor(h=h, weights=weights,
+                      scale=np.ldexp(weights, -(even + shift)), shift=shift,
+                      upper=upper, piv=piv, rank=rank, condition=condition)
 
 
 def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
     """Factor the gain H^T W H once, guarded against ill-conditioning.
 
-    Raises UnobservableNetwork when the gain is not numerically positive
-    definite or its 1-norm condition estimate exceeds CONDITION_LIMIT. No
-    singular value decomposition is taken.
+    The full-rank case of :func:`_pivoted_gain`: any finite H whose scaled
+    gain passes the guard at rank k > 0 is accepted. Raises
+    UnobservableNetwork when H is not finite, or the gain is empty, zero,
+    not numerically positive definite or its 1-norm condition estimate
+    exceeds CONDITION_LIMIT. No singular value decomposition is taken.
     """
     h = _array(h_matrix, "H", ndim=2)
     w = _array(weights, "weights", (h.shape[0],), positive=True)
-    gain = h.T @ (w[:, None] * h)
-    anorm = float(np.max(np.sum(np.abs(gain), axis=0), initial=0.0))
-    if not 0.0 < anorm < np.inf:
-        raise UnobservableNetwork("gain matrix is empty, zero or not finite")
-    upper, info = lapack.dpotrf(gain, lower=0, clean=0)
-    if info != 0:
-        raise UnobservableNetwork(
-            f"gain matrix is not positive definite (potrf info {info})"
-        )
-    condition = _condition(upper, anorm)
-    if not condition <= CONDITION_LIMIT:
-        raise UnobservableNetwork(
-            f"gain matrix condition estimate {condition:.3g} exceeds "
-            f"{CONDITION_LIMIT:.0e}"
-        )
-    return GainFactor(h=h, weights=w, upper=upper, condition=condition)
-
-
-def _unit_scale(x: np.ndarray) -> np.ndarray:
-    """x scaled exactly by the power of two that brings max |x| to [0.5, 1)."""
-    exponent = np.frexp(np.max(np.abs(x), initial=0.0))[1]
-    return np.ldexp(x, -exponent) if exponent else x
-
-
-def _pivoted_gain(h: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(rank, U, piv): the column rank of h under the guard of factor_gain.
-
-    The pivoted Cholesky (LAPACK ``pstrf``) of the unit gain G of h, scaled
-    by _unit_scale so G cannot overflow, stops at a pivot of at most
-    max diag(G) / CONDITION_LIMIT; the rank then drops until the leading
-    block passes the guard. The first rank rows of U hold U11 and U12 of
-    P^T G P = U^T U, and piv is the 0-based column order (zero columns last).
-    """
-    scaled = _unit_scale(h)
-    gain = scaled.T @ scaled
-    top = float(np.max(np.diag(gain), initial=0.0))
-    if top == 0.0:
-        return 0, gain, np.arange(h.shape[1])
-    upper, piv, rank, _ = lapack.dpstrf(gain, tol=top / CONDITION_LIMIT, lower=0)
-    piv -= 1
-    while rank:
-        anorm = np.abs(gain[np.ix_(piv[:rank], piv[:rank])]).sum(axis=0).max()
-        if _condition(upper[:rank, :rank], anorm) <= CONDITION_LIMIT:
-            break
-        rank -= 1
-    return rank, upper, piv
+    factor = _pivoted_gain(h, w)
+    if not 0 < factor.rank == h.shape[1]:
+        raise UnobservableNetwork(f"gain matrix has numerical rank "
+                                  f"{factor.rank} of {h.shape[1]}")
+    return factor
 
 
 def weighted_objective(z: np.ndarray, h_of_x: np.ndarray,

@@ -45,6 +45,7 @@ from .errors import (
     UnsupportedKindForDC,
     _array,
     _count,
+    _instance,
     _real,
 )
 from .network import (
@@ -97,8 +98,7 @@ def _check_mode(mode: str):
 
 
 def _check_state(network: NetworkModel, state: StateVector, mode: str):
-    if not isinstance(state, StateVector):
-        raise InvalidArgument(f"state must be a StateVector, got {state!r}")
+    _instance(state, StateVector, "state")
     for b in network.buses:
         if b.id not in state.angles:
             raise InvalidArgument(f"state has no angle for bus {b.id}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .errors import (
     _array,
     _check_keys,
     _count,
+    _instance,
     _real,
     _reject_constant,
 )
@@ -50,6 +52,22 @@ BUS_KINDS = ("injection_p", "injection_q", "voltage_magnitude")
 MEASUREMENT_KINDS = FLOW_KINDS + BUS_KINDS
 
 
+def _store(record, counts: tuple[str, ...], reals: tuple[str, ...]):
+    """Check the named integer and real fields of a frozen record (None
+    passes) and store the number each check returns; a failure is
+    MalformedDocument."""
+    try:
+        for names, check in ((counts, _count), (reals, _real)):
+            for name in names:
+                value = getattr(record, name)
+                if value is not None:
+                    number = check(value, name, error=MalformedDocument)
+                    if number is not value:
+                        object.__setattr__(record, name, number)
+    except MalformedDocument as exc:
+        raise MalformedDocument(f"field {exc}") from None
+
+
 @dataclass(frozen=True)
 class Bus:
     """A network node.
@@ -57,7 +75,8 @@ class Bus:
     ``voltage_magnitude`` is the case file's ``v``. It is parsed, checked
     and written back by ``serialize_case``, but no model reads it: the
     linear model takes every voltage as 1 pu and the nonlinear model treats
-    voltages as states.
+    voltages as states. Like the other model records, a bus checks its own
+    fields and raises MalformedDocument.
     """
 
     id: int
@@ -65,6 +84,9 @@ class Bus:
     voltage_magnitude: float = 1.0
 
     def __post_init__(self):
+        _store(self, ("id",), ("voltage_magnitude",))
+        if not isinstance(self.is_reference, bool):
+            raise MalformedDocument("field is_reference must be a boolean")
         if self.id < 1:
             raise MalformedDocument(f"bus id must be a positive integer, got {self.id}")
         if self.voltage_magnitude <= 0:
@@ -83,6 +105,9 @@ class Branch:
     shunt_susceptance_bs: float = 0.0
 
     def __post_init__(self):
+        _store(self, ("from_bus", "to_bus"),
+               ("resistance_r", "reactance_x", "shunt_conductance_gs",
+                "shunt_susceptance_bs"))
         if self.from_bus == self.to_bus:
             raise MalformedDocument(
                 f"branch endpoints must differ, got {self.from_bus}-{self.to_bus}"
@@ -117,6 +142,7 @@ class MeasurementSpec:
     def __post_init__(self):
         if self.kind not in MEASUREMENT_KINDS:
             raise MalformedDocument(f"unknown measurement kind {self.kind!r}")
+        _store(self, ("bus", "from_bus", "to_bus"), ("sigma", "value"))
         if self.sigma <= 0:
             raise MalformedDocument(f"{self.kind} meter: sigma must be > 0")
         if self.kind in FLOW_KINDS:
@@ -270,25 +296,18 @@ _BRANCH_KEYS = {"from", "to", "r", "x", "gs", "bs"}
 _MEAS_KEYS = {"kind", "from", "to", "bus", "sigma", "value"}
 
 
-# The number fields of case records: bus ids and ends are integers, the
-# rest finite reals.
-_CASE_NUMBERS = {"id": _count, "from": _count, "to": _count, "bus": _count,
-                 "v": _real, "r": _real, "x": _real, "gs": _real, "bs": _real,
-                 "sigma": _real, "value": _real}
-
-
-def _case_record(record, allowed: set[str], required: set[str], ctx: str) -> dict:
-    """A parsed case record with its keys checked and its number fields
-    converted in place."""
-    _check_keys(record, allowed, required, ctx)
-    try:
-        for key, value in record.items():
-            if key in _CASE_NUMBERS:
-                record[key] = _CASE_NUMBERS[key](value, key, error=MalformedDocument)
-    except MalformedDocument as exc:
-        # the record's context is added only here, off the hot path
-        raise MalformedDocument(f"{ctx}: field {exc}") from None
-    return record
+def _records(doc: dict, key: str, allowed: set[str], required: set[str],
+             build) -> list:
+    """build(record) for each record of doc[key], after its keys are
+    checked; a MalformedDocument from build gains the record's context."""
+    built = []
+    for idx, record in enumerate(doc[key]):
+        _check_keys(record, allowed, required, f"{key}[{idx}]")
+        try:
+            built.append(build(record))
+        except MalformedDocument as exc:
+            raise MalformedDocument(f"{key}[{idx}]: {exc}") from None
+    return built
 
 
 def parse_case(text: str) -> ParsedCase:
@@ -307,49 +326,21 @@ def parse_case(text: str) -> ParsedCase:
         if not isinstance(doc[key], list):
             raise MalformedDocument(f"case document: {key!r} must be an array")
 
-    buses = []
-    for idx, record in enumerate(doc["buses"]):
-        ctx = f"buses[{idx}]"
-        record = _case_record(record, _BUS_KEYS, {"id"}, ctx)
-        ref = record.get("ref", False)
-        if not isinstance(ref, bool):
-            raise MalformedDocument(f"{ctx}: field 'ref' must be a boolean")
-        buses.append(Bus(id=record["id"], is_reference=ref,
-                         voltage_magnitude=record.get("v", 1.0)))
-
-    branches = []
-    for idx, record in enumerate(doc["branches"]):
-        ctx = f"branches[{idx}]"
-        record = _case_record(record, _BRANCH_KEYS, {"from", "to", "x"}, ctx)
-        branches.append(Branch(
-            from_bus=record["from"],
-            to_bus=record["to"],
-            resistance_r=record.get("r", 0.0),
-            reactance_x=record["x"],
-            shunt_conductance_gs=record.get("gs", 0.0),
-            shunt_susceptance_bs=record.get("bs", 0.0),
-        ))
-
+    buses = _records(doc, "buses", _BUS_KEYS, {"id"}, lambda r: Bus(
+        id=r["id"], is_reference=r.get("ref", False),
+        voltage_magnitude=r.get("v", 1.0)))
+    branches = _records(
+        doc, "branches", _BRANCH_KEYS, {"from", "to", "x"}, lambda r: Branch(
+            from_bus=r["from"], to_bus=r["to"], resistance_r=r.get("r", 0.0),
+            reactance_x=r["x"], shunt_conductance_gs=r.get("gs", 0.0),
+            shunt_susceptance_bs=r.get("bs", 0.0)))
     network = NetworkModel(buses=tuple(buses), branches=tuple(branches))
-
-    specs = []
-    values = []
-    for idx, record in enumerate(doc["measurements"]):
-        ctx = f"measurements[{idx}]"
-        record = _case_record(record, _MEAS_KEYS, {"kind", "sigma"}, ctx)
-        kind = record["kind"]
-        if not isinstance(kind, str) or kind not in MEASUREMENT_KINDS:
-            raise MalformedDocument(f"{ctx}: unknown measurement kind {kind!r}")
-        spec = MeasurementSpec(
-            kind=kind,
-            sigma=record["sigma"],
-            bus=record.get("bus"),
-            from_bus=record.get("from"),
-            to_bus=record.get("to"),
-            value=record.get("value"),
-        )
-        specs.append(spec)
-        values.append(spec.value)
+    specs = _records(
+        doc, "measurements", _MEAS_KEYS, {"kind", "sigma"},
+        lambda r: MeasurementSpec(
+            kind=r["kind"], sigma=r["sigma"], bus=r.get("bus"),
+            from_bus=r.get("from"), to_bus=r.get("to"), value=r.get("value")))
+    values = [spec.value for spec in specs]
 
     config = MeasurementConfig(specs=tuple(specs))
     _check_measurement_references(network, config)
@@ -363,7 +354,21 @@ def parse_case(text: str) -> ParsedCase:
     return ParsedCase(network=network, config=config, values=z)
 
 
+def _read_case(path: str | Path) -> ParsedCase:
+    """parse_case on the case file at path; a file that is not UTF-8 text
+    raises MalformedDocument naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_case(text)
+
+
 def _check_measurement_references(network: NetworkModel, config: MeasurementConfig):
+    """Every meter names buses of the network, and flow meters a branch; a
+    network or config of the wrong class raises InvalidArgument."""
+    _instance(network, NetworkModel, "network")
+    _instance(config, MeasurementConfig, "config")
     for i, spec in enumerate(config.specs):
         if spec.kind in FLOW_KINDS:
             for end in (spec.from_bus, spec.to_bus):
@@ -452,6 +457,7 @@ def check_observability(network: NetworkModel,
     from .estimation import _pivoted_gain
     from .measurement import build_meter_model
 
-    rank = _pivoted_gain(build_meter_model(network, config).dc_matrix)[0]
+    h = build_meter_model(network, config).dc_matrix
+    rank = _pivoted_gain(h, np.ones(h.shape[0])).rank
     return ObservabilityReport(rank=rank,
                                observable=0 < rank == network.n_buses - 1)

@@ -59,6 +59,7 @@ from .errors import (
     _array,
     _check_keys,
     _count,
+    _instance,
     _real,
     _reject_constant,
 )
@@ -70,7 +71,7 @@ from .measurement import (
     _simulate,
     build_meter_model,
 )
-from .network import ParsedCase, parse_case
+from .network import ParsedCase, _read_case
 
 _SCENARIO_KEYS = {"name", "case", "measurements", "attack", "detectors", "mode"}
 _MEASUREMENT_KEYS = {"source", "values", "simulate"}
@@ -343,7 +344,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     Deterministic given the scenario content. A constrained attack with no
     feasible direction degrades to an unattacked run (reported as such).
     """
-    parsed = parse_case(Path(scenario.case_path).read_text())
+    parsed = _read_case(scenario.case_path)
     network, config = parsed.network, parsed.config
     weights = weights_from_config(config)
     model = build_meter_model(network, config)
@@ -420,11 +421,9 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
         raise MalformedDocument(f"unknown attack arm {attack!r}")
     if detector is None:
         detector = DetectorConfig(method="chi_square")
-    elif not isinstance(detector, DetectorConfig):
-        raise InvalidArgument(
-            f"detector must be a DetectorConfig, got {detector!r}")
+    _instance(detector, DetectorConfig, "detector")
 
-    parsed = parse_case(Path(case_path).read_text())
+    parsed = _read_case(case_path)
     network, config = parsed.network, parsed.config
     weights = weights_from_config(config)
     h = build_meter_model(network, config).dc_matrix

@@ -489,19 +489,27 @@ def test_verify_stealth_rescales_attacks_that_would_overflow():
 
 
 def test_certificates_treat_an_overflowing_gain_as_rejected():
-    # H^T H would overflow; the rank rule scales H by a power of two first,
-    # so every answer is that of H itself
+    # H^T H would overflow or underflow; the one gain factor scales H by a
+    # power of two first, so every answer, the estimator's included, is
+    # that of H itself
     _, _, h = load_three_bus()
-    big = h * 1e200
-    assert protection_check(big, (1, 2, 3)) == protection_check(h, (1, 2, 3))
-    assert protection_check(big, (2,)) == protection_check(h, (2,))
-    assert constrained_stealth_attack(big, ()) is None
-    c, a = constrained_stealth_attack(big, (1, 3))
-    np.testing.assert_array_equal(c, constrained_stealth_attack(h, (1, 3))[0])
-    assert a[1] == 0.0
-    assert verify_stealth(big, a)
-    assert verify_stealth(big, big @ SHIFT_SMALL)
-    assert not verify_stealth(big, big @ SHIFT_SMALL + np.array([1e195, 0, 0]))
+    state = estimate_dc(h, BASE_Z, W).state
+    for scale in (1e200, 1e160, 1e-160, 1e-200):
+        big = h * scale
+        assert estimator_accepts(big)
+        assert protection_check(big, (1, 2, 3)) == protection_check(h, (1, 2, 3))
+        assert protection_check(big, (2,)) == protection_check(h, (2,))
+        assert constrained_stealth_attack(big, ()) is None
+        c, a = constrained_stealth_attack(big, (1, 3))
+        np.testing.assert_array_equal(c, constrained_stealth_attack(h, (1, 3))[0])
+        assert a[1] == 0.0
+        assert verify_stealth(big, a)
+        assert verify_stealth(big, big @ SHIFT_SMALL)
+        # the bound is 1e-9 * max(1, ||a||): relative above 1, absolute below
+        assert not verify_stealth(
+            big, big @ SHIFT_SMALL + np.array([max(scale, 1.0) * 1e-5, 0, 0]))
+        np.testing.assert_allclose(
+            estimate_dc(big, BASE_Z * scale, W).state, state, rtol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

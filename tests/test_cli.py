@@ -329,3 +329,17 @@ def test_no_path_builds_the_admittance(tmp_path, capsys, monkeypatch):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate"],
+    ["attack", "--shift", "0.1,0.2"],
+    ["detect", "--z", "0.1,0.2,0.3"],
+], ids=["estimate", "attack", "detect"])
+def test_case_file_that_is_not_text_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "case.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, *argv, "--case", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{path}: not UTF-8" in err

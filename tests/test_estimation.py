@@ -362,6 +362,24 @@ def test_factor_rejects_non_finite_input():
         factor_gain(np.where(h == 0.0, np.inf, h), w)
 
 
+def test_estimate_is_exact_under_power_of_two_scaling():
+    # the gain is scaled by powers of two before it is formed, so scaling H
+    # and z by 2^s moves no bit of the state, even where H^T W H or the
+    # squared residual would leave float range
+    rng = np.random.default_rng(38)
+    for n in (3, 12):
+        net = random_network(rng, n)
+        config = random_observable_config(rng, net)
+        h = dc_jacobian(net, build_admittance(net), config)
+        z = h @ rng.normal(0.0, 0.1, n - 1) + rng.normal(0.0, 0.01, h.shape[0])
+        w = weights_from_config(config) * rng.uniform(0.5, 4.0, h.shape[0])
+        base = estimate_dc(h, z, w)
+        for s in (520, -520, 3):
+            scaled = estimate_dc(np.ldexp(h, s), np.ldexp(z, s), w)
+            np.testing.assert_array_equal(scaled.state, base.state)
+            np.testing.assert_array_equal(scaled.residual, np.ldexp(base.residual, s))
+
+
 def test_estimate_ac_reports_last_step_condition():
     rng = np.random.default_rng(36)
     net = random_network(rng, 5, lossy=True, parallel=1)

@@ -9,6 +9,7 @@ from gridse import (
     Branch,
     Bus,
     DanglingReference,
+    DetectorConfig,
     DisconnectedNetwork,
     InvalidArgument,
     MalformedDocument,
@@ -20,9 +21,12 @@ from gridse import (
     UnobservableNetwork,
     ZeroReactance,
     build_admittance,
+    build_meter_model,
     check_observability,
     estimate_dc,
+    largest_normalized_residual,
     parse_case,
+    run_detector,
     serialize_case,
 )
 from helpers import THREE_BUS, load_three_bus, random_network
@@ -282,3 +286,63 @@ def test_observability_pigeonhole():
         )
         report = check_observability(net, MeasurementConfig(specs=specs))
         assert not report.observable
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Bus(id="1"), "id"),
+    (lambda: Bus(id=True), "id"),
+    (lambda: Bus(id=1, voltage_magnitude="1.0"), "voltage_magnitude"),
+    (lambda: Bus(id=1, voltage_magnitude=float("nan")), "voltage_magnitude"),
+    (lambda: Bus(id=1, is_reference=1), "is_reference"),
+    (lambda: Branch(from_bus=1, to_bus=2, reactance_x="0.2"), "reactance_x"),
+    (lambda: Branch(from_bus=1.0, to_bus=2, reactance_x=0.2), "from_bus"),
+    (lambda: Branch(from_bus=1, to_bus=2, reactance_x=0.2,
+                    resistance_r=10**400), "resistance_r"),
+    (lambda: Branch(from_bus=1, to_bus=2, reactance_x=0.2,
+                    shunt_susceptance_bs=float("inf")), "shunt_susceptance_bs"),
+    (lambda: MeasurementSpec(kind="flow_p", sigma="x", from_bus=1, to_bus=2),
+     "sigma"),
+    (lambda: MeasurementSpec(kind="flow_p", sigma=0.01, from_bus="1", to_bus=2),
+     "from_bus"),
+    (lambda: MeasurementSpec(kind="injection_p", sigma=0.01, bus=-1), "bus"),
+    (lambda: MeasurementSpec(kind="injection_p", sigma=0.01, bus=1, value=[0.1]),
+     "value"),
+])
+def test_model_records_check_their_own_numbers(build, field):
+    with pytest.raises(MalformedDocument, match=f"^field {field} must be"):
+        build()
+
+
+def test_model_records_store_checked_numbers():
+    branch = Branch(from_bus=np.int64(1), to_bus=2, reactance_x=1)
+    assert type(branch.from_bus) is int and type(branch.reactance_x) is float
+    spec = MeasurementSpec(kind="injection_p", sigma=1, bus=1,
+                           value=np.float32(0.5))
+    assert type(spec.sigma) is float and type(spec.value) is float
+    assert Bus(id=1, voltage_magnitude=1).voltage_magnitude == 1.0
+    # a parse error still names the record and the field
+    doc = three_bus_doc()
+    doc["branches"][1]["x"] = "0.2"
+    with pytest.raises(MalformedDocument,
+                       match=r"^branches\[1\]: field reactance_x must be"):
+        parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda net, config, h, z, w: run_detector(
+        DetectorConfig(method="chi_square"), h, z, w, None), "estimate"),
+    (lambda net, config, h, z, w: run_detector(
+        DetectorConfig(method="lnr"), h, z, w, None), "estimate"),
+    (lambda net, config, h, z, w: largest_normalized_residual(h, z, w, None),
+     "estimate"),
+    (lambda net, config, h, z, w: check_observability(net, 5), "config"),
+    (lambda net, config, h, z, w: check_observability(5, config), "network"),
+    (lambda net, config, h, z, w: build_meter_model(net, 5), "config"),
+    (lambda net, config, h, z, w: build_meter_model(config, config), "network"),
+], ids=["chi_square", "lnr", "largest_normalized_residual",
+        "observability-config", "observability-network", "meter-model-config",
+        "meter-model-network"])
+def test_functions_reject_objects_of_the_wrong_class(call, name):
+    parsed, _, h = load_three_bus()
+    with pytest.raises(InvalidArgument, match=f"^{name} must be a "):
+        call(parsed.network, parsed.config, h, parsed.values, np.full(3, 1e4))

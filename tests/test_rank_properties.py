@@ -3,8 +3,10 @@ constrained_stealth_attack and factor_gain share, on generated networks.
 
 Each example is a random connected grid of 3 to 30 buses metered by every
 dc meter (both flow ends and every injection) in a random order, so H is
-observable, and a random list of meter numbers (repeats allowed). Runs are
-derandomized, so every run checks the same examples.
+observable, with H scaled by 2^s for s in [-520, 520] (the ends, where
+the plain gain H^T H under- or overflows, are drawn often), and a random
+list of meter numbers (repeats allowed). Runs are derandomized, so every
+run checks the same examples.
 """
 
 import numpy as np
@@ -35,7 +37,8 @@ def grids_and_meters(draw):
         specs=tuple(specs[i] for i in rng.permutation(len(specs))))
     h = dc_jacobian(net, build_admittance(net), config)
     meters = draw(st.lists(st.integers(1, h.shape[0]), max_size=2 * h.shape[0]))
-    return h, meters
+    s = draw(st.sampled_from((-520, 520)) | st.integers(-520, 520))
+    return np.ldexp(h, s), meters, s
 
 
 def _rows(h, meters):
@@ -45,16 +48,16 @@ def _rows(h, meters):
 @EXAMPLES
 @given(grids_and_meters())
 def test_protection_rank_is_the_row_reduction_rank(case):
-    h, meters = case
+    h, meters, s = case
     report = protection_check(h, meters)
     assert h.shape[1] - report.residual_attack_dim == \
-        row_reduction_rank(_rows(h, meters))
+        row_reduction_rank(np.ldexp(_rows(h, meters), -s))
 
 
 @EXAMPLES
 @given(grids_and_meters(), st.randoms(use_true_random=False))
 def test_protection_ignores_meter_order_and_repeats(case, shuffler):
-    h, meters = case
+    h, meters, _ = case
     report = protection_check(h, meters)
     m = h.shape[0]
     order = list(range(m))
@@ -68,14 +71,14 @@ def test_protection_ignores_meter_order_and_repeats(case, shuffler):
 @EXAMPLES
 @given(grids_and_meters())
 def test_protected_exactly_when_the_estimator_accepts_the_rows(case):
-    h, meters = case
+    h, meters, _ = case
     assert protection_check(h, meters).protected == estimator_accepts(_rows(h, meters))
 
 
 @EXAMPLES
 @given(grids_and_meters())
 def test_constrained_attack_exists_exactly_when_unprotected(case):
-    h, blocked_meters = case
+    h, blocked_meters, _ = case
     m, _ = h.shape
     accessible = sorted(set(range(1, m + 1)) - set(blocked_meters))
     found = constrained_stealth_attack(h, accessible)

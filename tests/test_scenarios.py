@@ -483,3 +483,14 @@ def test_emit_report_rejects_unknown_format():
                             interval_high=0.0)
     with pytest.raises(ValueError):
         emit_report(stats, format="csv")
+
+
+@pytest.mark.parametrize("run", [
+    lambda path: run_scenario(Scenario(name="x", case_path=path)),
+    lambda path: run_monte_carlo(path, trials=1),
+], ids=["run_scenario", "run_monte_carlo"])
+def test_case_file_that_is_not_text_is_malformed(tmp_path, run):
+    path = tmp_path / "case.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(MalformedDocument, match="case.json: not UTF-8"):
+        run(path)
