@@ -16,7 +16,6 @@ from .baddata import (
     chi_square_test,
     largest_normalized_residual,
     norm_threshold_test,
-    residual,
     run_detector,
 )
 from .errors import (
@@ -44,7 +43,6 @@ from .estimation import (
     estimate_ac,
     estimate_dc,
     factor_gain,
-    weighted_objective,
     weights_from_config,
 )
 from .measurement import (

@@ -146,23 +146,20 @@ def apply_attack(z: np.ndarray, a: np.ndarray) -> np.ndarray:
 def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     """True iff a lies in the column space of H.
 
-    The projection residual ||a - Hc|| must be at most 1e-9 * max(1, ||a||),
-    with c = ``factor_gain(H, ones).solve(a)``. An a with an entry above 1
-    in magnitude is first scaled by a power of two to below 1, and the
-    factor scales H, so the bound is then relative, no scale changes a
-    decision and no product overflows. An H the estimator rejects raises
-    UnobservableNetwork, as :func:`estimation.estimate_dc` does; a
-    non-finite H or attack vector raises InvalidArgument.
+    a is first scaled by the power of two that brings max |a_i| into
+    [0.5, 1); the projection residual ||a - Hc|| of the scaled a must then
+    be at most 1e-9 * ||a||, with c = ``factor_gain(H, ones).solve(a)``.
+    The factor scales H too, so the bound is relative, no power-of-two
+    scale of H or a changes a decision and no product overflows. An H the
+    estimator rejects raises UnobservableNetwork, as
+    :func:`estimation.estimate_dc` does; a non-finite H or attack vector
+    raises InvalidArgument.
     """
     h = _array(h_matrix, "H", ndim=2, finite=True)
     a = _array(a, "attack vector", (h.shape[0],), finite=True)
     factor = factor_gain(h, np.ones(h.shape[0]))
-    top = np.max(np.abs(a), initial=0.0)
-    if top > 1.0:
-        a = np.ldexp(a, -np.frexp(top)[1])
-        bound = STEALTH_RTOL * np.linalg.norm(a)
-    else:
-        bound = STEALTH_RTOL * max(1.0, np.linalg.norm(a))
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    bound = STEALTH_RTOL * np.linalg.norm(a)
     return bool(np.linalg.norm(a - h @ factor.solve(a)) <= bound)
 
 

@@ -1,18 +1,22 @@
 """Residual-based bad data detection.
 
-Three single-pass detectors over the estimation residual r = z - h(x'):
+Three single-pass detectors over the estimation residual r = z - h(x'),
+each a function of the :class:`EstimationResult` alone: its residual,
+weighted objective and gain factor G = H^T W H at x' (for ac, H is the
+Jacobian there) hold all a detector reads, so no detector factors a gain.
 
 * ``norm_threshold``: flag when ||r|| exceeds a caller-chosen tau (no
   sensible default exists, so tau is mandatory).
 * ``chi_square``: flag when the weighted objective sum w_i r_i^2 exceeds the
-  upper-alpha quantile of chi-square with m - state_dim degrees of freedom.
+  upper-alpha quantile of chi-square with m - k degrees of freedom, for the
+  m x k matrix H of the factor.
 * ``lnr``: largest normalized residual. With the residual sensitivity
-  S = I - H (H^T W H)^-1 H^T W and residual covariance Omega = S R
+  S = I - H G^-1 H^T W and residual covariance Omega = S R
   (R = diag(sigma^2)), each r_i^N = |r_i| / sqrt(Omega_ii); flag when the
   largest exceeds the threshold (default 3.0) and name the argmax meter.
   Only the diagonal Omega_ii = (1 - w_i (H G^-1 H^T)_ii) / w_i is computed,
-  from the gain factor the estimate already holds when it was built from the
-  same H and W; the m x m matrices S and Omega are never formed.
+  from the factor's weights and hat diagonal; the m x m matrices S and
+  Omega are never formed.
 
 Meters whose Omega_ii vanishes are critical: their residual is structurally
 zero, so they are excluded from the lnr argmax and reported instead. All
@@ -29,16 +33,13 @@ import numpy as np
 from scipy.stats import chi2
 
 from .errors import (
-    LengthMismatch,
     MalformedDocument,
     NoRedundancy,
     NumericallySingularOmega,
-    _array,
-    _count,
     _instance,
     _real,
 )
-from .estimation import EstimationResult, factor_gain, weighted_objective
+from .estimation import EstimationResult, GainFactor
 
 OMEGA_FLOOR = 1e-14
 TIE_TOLERANCE = 1e-9
@@ -104,17 +105,19 @@ class DetectionResult:
     critical_meters: tuple[int, ...] = ()
 
 
-def residual(z: np.ndarray, h_of_x: np.ndarray) -> np.ndarray:
-    """r = z - h(x'), elementwise."""
-    z = _array(z, "z")
-    return z - _array(h_of_x, "h(x)", z.shape, error=LengthMismatch)
+def _factor(estimate: EstimationResult) -> GainFactor:
+    """The estimate's GainFactor, both checked (else InvalidArgument)."""
+    _instance(estimate, EstimationResult, "estimate")
+    return _instance(estimate.factor, GainFactor, "estimate.factor")
 
 
-def norm_threshold_test(r: np.ndarray, tau: float) -> DetectionResult:
-    """Detected iff the Euclidean norm of the residual exceeds tau, which
-    must be positive and finite (else InvalidArgument)."""
+def norm_threshold_test(estimate: EstimationResult,
+                        tau: float) -> DetectionResult:
+    """Detected iff the Euclidean norm of the estimate's residual exceeds
+    tau, which must be positive and finite (else InvalidArgument)."""
     tau = _real(tau, "tau", 0.0)
-    statistic = float(np.linalg.norm(_array(r, "r")))
+    _factor(estimate)
+    statistic = float(np.linalg.norm(estimate.residual))
     return DetectionResult(
         method="norm_threshold",
         detected=statistic > tau,
@@ -129,24 +132,19 @@ def _chi2_threshold(alpha: float, dof: int) -> float:
     return float(chi2.ppf(1.0 - alpha, dof))
 
 
-def chi_square_test(z: np.ndarray, h_of_x: np.ndarray, weights: np.ndarray,
-                    state_dim: int, alpha: float = 0.05) -> DetectionResult:
-    """Weighted objective against the chi-square upper-alpha quantile.
-
-    Degrees of freedom are m - state_dim; without redundancy (m <= state_dim)
-    the test is undefined and NoRedundancy is raised. A ``state_dim`` that
-    is not a non-negative integer, or an ``alpha`` outside (0, 1), raises
-    InvalidArgument.
-    """
-    state_dim = _count(state_dim, "state_dim")
+def chi_square_test(estimate: EstimationResult,
+                    alpha: float = 0.05) -> DetectionResult:
+    """The estimate's weighted objective against the chi-square upper-alpha
+    quantile with m - k degrees of freedom, for the m x k H of the
+    estimate's gain factor. Without redundancy (m <= k) the test is
+    undefined and NoRedundancy is raised; an ``alpha`` outside (0, 1)
+    raises InvalidArgument."""
     alpha = _real(alpha, "alpha", 0.0, 1.0)
-    m = len(_array(z, "z", ndim=1))
-    if m <= state_dim:
-        raise NoRedundancy(
-            f"{m} meters cannot test a {state_dim}-dimensional state"
-        )
-    statistic = weighted_objective(z, h_of_x, weights)
-    threshold = _chi2_threshold(alpha, m - state_dim)
+    m, k = _factor(estimate).h.shape
+    if m <= k:
+        raise NoRedundancy(f"{m} meters cannot test a {k}-dimensional state")
+    statistic = estimate.objective_weighted
+    threshold = _chi2_threshold(alpha, m - k)
     return DetectionResult(
         method="chi_square",
         detected=statistic > threshold,
@@ -155,33 +153,21 @@ def chi_square_test(z: np.ndarray, h_of_x: np.ndarray, weights: np.ndarray,
     )
 
 
-def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
-                                weights: np.ndarray,
-                                estimate: EstimationResult,
+def largest_normalized_residual(estimate: EstimationResult,
                                 lnr_threshold: float = 3.0) -> DetectionResult:
     """Normalize each residual by its own standard deviation and rank them.
 
     Omega_ii = S_ii * sigma_i^2 with S = I - H (H^T W H)^-1 H^T W, computed
-    as (1 - w_i * hat_ii) / w_i from the hat diagonal hat_ii of
-    H (H^T W H)^-1 H^T. The estimate's gain factor is reused when it was
-    built from this H and these weights; otherwise the gain is factored
-    here, once. Meters with Omega_ii <= 1e-14 are critical and skipped; if
-    every meter is critical there is nothing to normalize and
-    NumericallySingularOmega is raised. An ``lnr_threshold`` that is not
-    positive and finite, or an ``estimate`` that is not an
-    EstimationResult, raises InvalidArgument.
+    as (1 - w_i * hat_ii) / w_i from the weights and the hat diagonal
+    hat_ii of H (H^T W H)^-1 H^T that the estimate's gain factor holds.
+    Meters with Omega_ii <= 1e-14 are critical and skipped; if every meter
+    is critical there is nothing to normalize and NumericallySingularOmega
+    is raised. An ``lnr_threshold`` that is not positive and finite raises
+    InvalidArgument.
     """
     lnr_threshold = _real(lnr_threshold, "lnr_threshold", 0.0)
-    _instance(estimate, EstimationResult, "estimate")
-    h = _array(h_matrix, "H", ndim=2)
-    m = h.shape[0]
-    z = _array(z, "z", (m,), error=LengthMismatch)
-    w = _array(weights, "weights", (m,), positive=True)
-    r = _array(estimate.residual, "residual", (m,), error=LengthMismatch)
-
-    factor = estimate.factor
-    if factor is None or not factor.matches(h, w):
-        factor = factor_gain(h, w)
+    factor = _factor(estimate)
+    w, r = factor.weights, estimate.residual
     omega_diag = (1.0 - w * factor.hat_diagonal) / w
 
     critical = omega_diag <= OMEGA_FLOOR
@@ -190,7 +176,7 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
         raise NumericallySingularOmega(
             "every meter is critical; normalized residuals are undefined"
         )
-    normalized = np.full(m, -np.inf)
+    normalized = np.full(len(r), -np.inf)
     usable = ~critical
     normalized[usable] = np.abs(r[usable]) / np.sqrt(omega_diag[usable])
 
@@ -207,23 +193,16 @@ def largest_normalized_residual(h_matrix: np.ndarray, z: np.ndarray,
     )
 
 
-def run_detector(config: DetectorConfig, h_matrix: np.ndarray, z: np.ndarray,
-                 weights: np.ndarray,
+def run_detector(config: DetectorConfig,
                  estimate: EstimationResult) -> DetectionResult:
-    """Dispatch one DetectorConfig against an estimation result.
-
-    H is the matrix the estimate was solved with (for ac, the Jacobian at
-    the estimate); chi-square takes its column count as the state dimension.
-    A ``config`` that is not a DetectorConfig, or an ``estimate`` that is
-    not an EstimationResult, raises InvalidArgument.
+    """Dispatch one DetectorConfig against an estimation result, which
+    holds all a detector reads. A ``config`` that is not a DetectorConfig,
+    or an ``estimate`` that is not an EstimationResult with a GainFactor,
+    raises InvalidArgument.
     """
     _instance(config, DetectorConfig, "config")
-    _instance(estimate, EstimationResult, "estimate")
     if config.method == "norm_threshold":
-        return norm_threshold_test(estimate.residual, config.tau)
+        return norm_threshold_test(estimate, config.tau)
     if config.method == "chi_square":
-        h = _array(h_matrix, "H", ndim=2)
-        h_of_x = _array(z, "z") - estimate.residual
-        return chi_square_test(z, h_of_x, weights, h.shape[1], config.alpha)
-    return largest_normalized_residual(h_matrix, z, weights, estimate,
-                                       config.lnr_threshold)
+        return chi_square_test(estimate, config.alpha)
+    return largest_normalized_residual(estimate, config.lnr_threshold)

@@ -97,8 +97,7 @@ def _cmd_detect(args) -> int:
         alpha=args.alpha,
         lnr_threshold=args.lnr_threshold,
     )
-    result = estimate_dc(h, z, weights)
-    verdict = run_detector(detector, h, z, weights, result)
+    verdict = run_detector(detector, estimate_dc(h, z, weights))
     print(f"method = {verdict.method}")
     print(f"statistic = {_fmt(verdict.statistic)}")
     print(f"threshold = {_fmt(verdict.threshold_used)}")

@@ -12,10 +12,11 @@ an answer; the gain of the scaled rows W^1/2 H gets a pivoted Cholesky
 factor (LAPACK ``pstrf``), whose rank drops until the leading block's
 1-norm condition estimate (``pocon``) is at most 1e12. :func:`factor_gain`
 is the full-rank case and raises UnobservableNetwork on any other rank. Its
-factor serves every solve with that (H, W) and the largest-normalized-
-residual detector's hat diagonal. The rank of the unit-weight factor
-answers observability, protection and stealth, so full rank there means
-exactly that factor_gain accepts the matrix.
+factor serves every solve with that (H, W), and every estimate, dc or ac,
+carries the factor of the gain at the state it returns, from which the
+detectors read all they need. The rank of the unit-weight factor answers
+observability, protection and stealth, so full rank there means exactly
+that factor_gain accepts the matrix.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ class GainFactor:
     rank: int
     condition: float
 
-    def matches(self, h: np.ndarray, weights: np.ndarray) -> bool:
-        """True when (h, weights) is the pair this factor was built from."""
-        return (np.array_equal(h, self.h)
-                and np.array_equal(weights, self.weights))
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The weighted least-squares solve of a meter-space vector:
         (H^T W H)^-1 H^T W rhs."""
@@ -91,8 +87,7 @@ class GainFactor:
             return EstimationResult(
                 state=x, residual=r, squared_error_raw=float(r @ r),
                 objective_weighted=float(self.weights @ (r * r)),
-                converged=True, iterations=1, condition=self.condition,
-                factor=self)
+                converged=True, iterations=1, factor=self)
 
     @cached_property
     def hat_diagonal(self) -> np.ndarray:
@@ -114,9 +109,9 @@ class EstimationResult:
     (use measurement.state_from_free to label it by bus). ``residual`` is
     z - h(state), ``squared_error_raw`` its plain squared norm and
     ``objective_weighted`` the weighted sum actually minimized.
-    ``condition`` is the gain's condition estimate (for ac, the gain of the
-    last Gauss-Newton step; None when no step ran) and ``factor`` the
-    factored gain behind it, which detectors reuse.
+    ``factor`` is the factored gain H^T W H at ``state`` (for ac, H is the
+    Jacobian there), with its condition estimate; every detector reads the
+    estimate through it and factors nothing.
     """
 
     state: np.ndarray
@@ -125,8 +120,7 @@ class EstimationResult:
     objective_weighted: float
     converged: bool
     iterations: int
-    condition: float | None = None
-    factor: GainFactor | None = field(default=None, compare=False, repr=False)
+    factor: GainFactor = field(compare=False, repr=False)
 
 
 def weights_from_config(config: MeasurementConfig) -> np.ndarray:
@@ -161,9 +155,8 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
         if condition <= CONDITION_LIMIT:
             break
         rank -= 1
-    return GainFactor(h=h, weights=weights,
-                      scale=np.ldexp(weights, -(even + shift)), shift=shift,
-                      upper=upper, piv=piv, rank=rank, condition=condition)
+    return GainFactor(h, weights, np.ldexp(weights, -(even + shift)), shift,
+                      upper, piv, rank, condition)
 
 
 def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
@@ -182,16 +175,6 @@ def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
         raise UnobservableNetwork(f"gain matrix has numerical rank "
                                   f"{factor.rank} of {h.shape[1]}")
     return factor
-
-
-def weighted_objective(z: np.ndarray, h_of_x: np.ndarray,
-                       weights: np.ndarray) -> float:
-    """sum_i w_i (z_i - h_i)^2, the quantity the estimators minimize."""
-    z = _array(z, "z", ndim=1)
-    h_of_x = _array(h_of_x, "h(x)", z.shape, error=LengthMismatch)
-    w = _array(weights, "weights", z.shape, positive=True)
-    r = z - h_of_x
-    return float(w @ (r * r))
 
 
 def estimate_dc(h_matrix: np.ndarray, z: np.ndarray,
@@ -216,7 +199,9 @@ def estimate_ac(network: NetworkModel, z: np.ndarray,
     objective) is returned with ``converged=False``; a singular gain matrix
     at any iterate raises UnobservableNetwork. The meter model is built once
     and every iterate is evaluated against it; each step factors the gain at
-    its own iterate once. ``max_iter`` must be an integer >= 0 and ``tol``
+    its own iterate once, and the gain at the returned state is factored
+    once more for the result, also with ``max_iter=0``, so an unobservable
+    start raises. ``max_iter`` must be an integer >= 0 and ``tol``
     positive and finite (a bool is neither), and ``init`` a StateVector,
     else InvalidArgument before any iteration.
     """
@@ -237,7 +222,6 @@ def estimate_ac(network: NetworkModel, z: np.ndarray,
     best = (obj, x, r)
     converged = False
     iterations = 0
-    factor = None
     for it in range(max_iter):
         factor = factor_gain(model.jacobian(x), w)
         dx = factor.solve(r)
@@ -259,6 +243,5 @@ def estimate_ac(network: NetworkModel, z: np.ndarray,
         objective_weighted=float(w @ (r * r)),
         converged=converged,
         iterations=iterations,
-        condition=None if factor is None else factor.condition,
-        factor=factor,
+        factor=factor_gain(model.jacobian(x), w),
     )

@@ -21,12 +21,15 @@ the case file), ``{"values": [...]}`` (explicit readings), or
 raw substituted readings), ``stealth_shift`` (key ``c``), ``random_stealth``
 (``magnitude``, ``seed``), or ``constrained`` (``accessible``, optional
 ``magnitude``). Every number must be finite, seeds are non-negative
-integers and meter numbers are integers. Relative case paths resolve against the scenario file's
-directory. Defaults: no attack, case-file readings, dc mode, one chi-square
-detector at alpha 0.05. A :class:`Scenario` checks all of this itself, also
-when built in code. ``stealth_shift``, ``random_stealth`` and ``constrained``
-build a = Hc from the linear H and are dc-only: in ac mode Hc is not invisible
-to the nonlinear estimator, so an ac scenario with one of them is rejected.
+integers and meter numbers are integers; the keys of ``angles`` and
+``magnitudes`` are ASCII decimal bus numbers, no two naming the same bus
+(so not both "2" and "02"). Relative case paths resolve against the
+scenario file's directory. Defaults: no attack, case-file readings, dc
+mode, one chi-square detector at alpha 0.05. A :class:`Scenario` checks all
+of this itself, also when built in code. ``stealth_shift``,
+``random_stealth`` and ``constrained`` build a = Hc from the linear H and
+are dc-only: in ac mode Hc is not invisible to the nonlinear estimator, so
+an ac scenario with one of them is rejected.
 
 Reports render as a fixed-width table (columns: Case, False Data Injection
 Attack, State Variables, Squared Error, Bad Data Detection, followed by
@@ -235,9 +238,11 @@ def _validate_measurements(spec, context: str):
         for key in ("angles", "magnitudes"):
             table = sim.get(key, {})
             if not isinstance(table, dict) or not all(
-                isinstance(b, str) and b.isdigit() for b in table
+                isinstance(b, str) and b.isascii() and b.isdigit() for b in table
             ):
                 raise MalformedDocument(f"{context}: {key!r} must map bus -> number")
+            if len({int(b) for b in table}) < len(table):
+                raise MalformedDocument(f"{context}: {key!r} names a bus twice")
             for bus in table:
                 _check_field(table, bus, f"{context}.{key}", _real)
 
@@ -340,9 +345,11 @@ def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Build readings, apply the attack, estimate, and run every detector.
 
-    One meter model serves the readings, the attack and the detectors.
-    Deterministic given the scenario content. A constrained attack with no
-    feasible direction degrades to an unattacked run (reported as such).
+    One meter model serves the readings and the attack, and the estimate's
+    gain factor serves every detector: for ac that is the gain at the
+    estimated state, factored once by ``estimate_ac``. Deterministic given
+    the scenario content. A constrained attack with no feasible direction
+    degrades to an unattacked run (reported as such).
     """
     parsed = _read_case(scenario.case_path)
     network, config = parsed.network, parsed.config
@@ -354,16 +361,11 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     z_final = apply_attack(z, a) if a is not None else z
 
     if scenario.mode == "dc":
-        h_detect = model.dc_matrix
-        result = estimate_dc(h_detect, z_final, weights)
+        result = estimate_dc(model.dc_matrix, z_final, weights)
     else:
         result = estimate_ac(network, z_final, config, weights)
-        h_detect = model.jacobian(result.state)
 
-    verdicts = tuple(
-        run_detector(d, h_detect, z_final, weights, result)
-        for d in scenario.detectors
-    )
+    verdicts = tuple(run_detector(d, result) for d in scenario.detectors)
     return ScenarioReport(
         name=scenario.name,
         attacked=a is not None,
@@ -392,9 +394,9 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     on the same noisy readings, so with ``attack="stealth"`` the two arms
     differ only by the added Hc. H, its gain factor and the noiseless
     readings are computed once per call; each trial adds its own noise to
-    them and estimates through that one factor, which the lnr detector
-    reuses. Serial and deterministic; trials are independent, so any
-    parallel split over t aggregates identically.
+    them and estimates through that one factor, which the detector reads
+    from the estimate. Serial and deterministic; trials are independent, so
+    any parallel split over t aggregates identically.
 
     Trial t reads exactly what ``simulate_measurements`` gives for seed
     ``noise_seed_base + t`` at the state estimated from the case's readings
@@ -447,13 +449,13 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
         noise = _meter_noise(seeds, scales)
         for seed, trial_noise in zip(seeds, noise):
             z = clean + trial_noise
-            base = run_detector(detector, h, z, weights, factor.estimate(z))
+            base = run_detector(detector, factor.estimate(z))
             base_detected += base.detected
             base_stats.append(base.statistic)
             if attack == "stealth":
                 _, a = random_stealth_attack(h, magnitude, seed)
                 z_a = apply_attack(z, a)
-                hit = run_detector(detector, h, z_a, weights, factor.estimate(z_a))
+                hit = run_detector(detector, factor.estimate(z_a))
             else:
                 hit = base
             attack_detected += hit.detected

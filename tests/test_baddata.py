@@ -14,15 +14,12 @@ import pytest
 
 from gridse import (
     DetectorConfig,
-    DimensionMismatch,
     InvalidArgument,
-    LengthMismatch,
     MalformedDocument,
     MeasurementConfig,
     MeasurementSpec,
     NoRedundancy,
     NumericallySingularOmega,
-    UnobservableNetwork,
     build_admittance,
     chi_square_test,
     Branch,
@@ -30,14 +27,22 @@ from gridse import (
     NetworkModel,
     craft_stealth_attack,
     dc_jacobian,
+    estimate_ac,
     estimate_dc,
     factor_gain,
     largest_normalized_residual,
     norm_threshold_test,
-    residual,
     run_detector,
+    simulate_measurements,
+    weights_from_config,
 )
-from helpers import load_three_bus, random_network, random_observable_config
+from helpers import (
+    full_ac_config,
+    load_three_bus,
+    random_ac_state,
+    random_network,
+    random_observable_config,
+)
 from oracles import chi2_quantile
 
 BASE_Z = np.array([0.62, 0.06, 0.37])
@@ -61,34 +66,32 @@ def base_estimate(h, z=BASE_Z):
 
 
 def test_residual_values():
+    # the detectors read the estimate's residual r = z - H x'
     _, _, h = load_three_bus()
-    np.testing.assert_allclose(
-        residual(BASE_Z, h @ base_estimate(h).state), BASE_RESIDUAL, atol=1e-12
-    )
-    np.testing.assert_allclose(
-        residual(S2_Z, h @ base_estimate(h, S2_Z).state), S2_RESIDUAL, atol=1e-12
-    )
-    np.testing.assert_array_equal(residual(BASE_Z, BASE_Z), np.zeros(3))
-    with pytest.raises(LengthMismatch):
-        residual(BASE_Z, np.zeros(4))
+    for z, expected in ((BASE_Z, BASE_RESIDUAL), (S2_Z, S2_RESIDUAL)):
+        est = base_estimate(h, z)
+        np.testing.assert_allclose(est.residual, expected, atol=1e-12)
+        np.testing.assert_array_equal(est.residual, z - h @ est.state)
 
 
 def test_norm_threshold_base_not_detected():
     _, _, h = load_three_bus()
-    verdict = norm_threshold_test(base_estimate(h).residual, tau=0.02)
+    verdict = norm_threshold_test(base_estimate(h), tau=0.02)
     assert verdict.statistic == pytest.approx(NORM_BASE, abs=1e-12)
     assert not verdict.detected
 
 
 def test_norm_threshold_corrupted_detected():
     _, _, h = load_three_bus()
-    verdict = norm_threshold_test(base_estimate(h, S2_Z).residual, tau=0.02)
+    verdict = norm_threshold_test(base_estimate(h, S2_Z), tau=0.02)
     assert verdict.statistic == pytest.approx(NORM_S2, abs=1e-12)
     assert verdict.detected
 
 
 def test_norm_threshold_zero_residual():
-    verdict = norm_threshold_test(np.zeros(3), tau=1e-6)
+    _, _, h = load_three_bus()
+    est = dataclasses.replace(base_estimate(h), residual=np.zeros(3))
+    verdict = norm_threshold_test(est, tau=1e-6)
     assert verdict.statistic == 0.0
     assert not verdict.detected
 
@@ -96,7 +99,7 @@ def test_norm_threshold_zero_residual():
 def test_chi_square_base_not_detected():
     _, _, h = load_three_bus()
     est = base_estimate(h)
-    verdict = chi_square_test(BASE_Z, h @ est.state, W, state_dim=2, alpha=0.05)
+    verdict = chi_square_test(est, alpha=0.05)
     assert verdict.statistic == pytest.approx(CHI2_BASE, abs=1e-9)
     assert verdict.threshold_used == pytest.approx(chi2_quantile(0.95, 1), abs=1e-8)
     assert verdict.threshold_used == pytest.approx(3.841, abs=1e-3)
@@ -106,25 +109,27 @@ def test_chi_square_base_not_detected():
 def test_chi_square_corrupted_detected():
     _, _, h = load_three_bus()
     est = base_estimate(h, S2_Z)
-    verdict = chi_square_test(S2_Z, h @ est.state, W, state_dim=2, alpha=0.05)
+    verdict = chi_square_test(est, alpha=0.05)
     assert verdict.statistic == pytest.approx(CHI2_S2, abs=1e-9)
     assert verdict.detected
 
 
 def test_chi_square_requires_redundancy():
+    est = estimate_dc(np.array([[5.0, -5.0], [2.5, 0.0]]), np.zeros(2),
+                      np.ones(2))
     with pytest.raises(NoRedundancy):
-        chi_square_test(np.zeros(2), np.zeros(2), np.ones(2), state_dim=2)
+        chi_square_test(est)
 
 
 def test_run_detector_takes_the_state_dimension_from_h():
+    # the degrees of freedom are m - k of the estimate's factored H
     _, _, h = load_three_bus()
     est = base_estimate(h)
-    detector = DetectorConfig(method="chi_square")
-    verdict = run_detector(detector, h, BASE_Z, W, est)
-    assert verdict == chi_square_test(BASE_Z, BASE_Z - est.residual, W,
-                                      state_dim=2)
-    with pytest.raises(DimensionMismatch):
-        run_detector(detector, h[0], BASE_Z, W, est)
+    verdict = run_detector(DetectorConfig(method="chi_square"), est)
+    assert verdict == chi_square_test(est)
+    assert verdict.statistic == est.objective_weighted
+    assert verdict.threshold_used == pytest.approx(chi2_quantile(0.95, 1),
+                                                   abs=1e-8)
 
 
 def test_chi_square_quantiles_match_oracle():
@@ -139,7 +144,7 @@ def test_chi_square_quantiles_match_oracle():
 
 def test_lnr_base_case_ties_below_threshold():
     _, _, h = load_three_bus()
-    verdict = largest_normalized_residual(h, BASE_Z, W, base_estimate(h))
+    verdict = largest_normalized_residual(base_estimate(h))
     assert verdict.statistic == pytest.approx(LNR_BASE, abs=1e-9)
     assert not verdict.detected
     assert verdict.ambiguous
@@ -150,7 +155,7 @@ def test_lnr_base_case_ties_below_threshold():
 def test_lnr_gross_error_detected():
     _, _, h = load_three_bus()
     z_bad = BASE_Z + np.array([0.0, 0.1, 0.0])
-    verdict = largest_normalized_residual(h, z_bad, W, base_estimate(h, z_bad))
+    verdict = largest_normalized_residual(base_estimate(h, z_bad))
     assert verdict.statistic == pytest.approx(LNR_GROSS, abs=1e-9)
     assert verdict.detected
     assert verdict.ambiguous  # single-degree redundancy ties every meter
@@ -159,7 +164,7 @@ def test_lnr_gross_error_detected():
 def test_lnr_zero_residual():
     _, _, h = load_three_bus()
     z = h @ np.array([0.03, -0.09])
-    verdict = largest_normalized_residual(h, z, W, base_estimate(h, z))
+    verdict = largest_normalized_residual(base_estimate(h, z))
     assert verdict.statistic == pytest.approx(0.0, abs=1e-9)
     assert not verdict.detected
 
@@ -169,8 +174,7 @@ def test_lnr_excludes_critical_meters():
     # is structurally zero, so it must be excluded and reported
     h = np.array([[5.0, -5.0], [5.0, -5.0], [2.5, 0.0]])
     z = np.array([0.62, 0.63, 0.06])
-    est = estimate_dc(h, z, W)
-    verdict = largest_normalized_residual(h, z, W, est)
+    verdict = largest_normalized_residual(estimate_dc(h, z, W))
     assert verdict.critical_meters == (3,)
     assert verdict.suspect_meter in (1, 2)
     assert verdict.ambiguous
@@ -182,15 +186,7 @@ def test_lnr_all_critical_raises():
     z = np.array([0.62, 0.06])
     est = estimate_dc(h, z, np.full(2, 1e4))
     with pytest.raises(NumericallySingularOmega):
-        largest_normalized_residual(h, z, np.full(2, 1e4), est)
-
-
-def test_lnr_unobservable_raises():
-    h = np.array([[5.0, -5.0], [10.0, -10.0], [2.5, -2.5]])
-    est_like = estimate_dc(np.array([[5.0, -5.0], [2.5, 0.0], [0.0, -4.0]]),
-                           BASE_Z, W)
-    with pytest.raises(UnobservableNetwork):
-        largest_normalized_residual(h, BASE_Z, W, est_like)
+        largest_normalized_residual(est)
 
 
 def test_normalized_residuals_invariant_under_sigma_rescaling():
@@ -207,8 +203,7 @@ def test_normalized_residuals_invariant_under_sigma_rescaling():
                                   parsed.config, "dc", seed=77,
                                   noise_scale=scale)
         w_scaled = W / scale**2
-        verdict = largest_normalized_residual(h, z, w_scaled,
-                                              estimate_dc(h, z, w_scaled))
+        verdict = largest_normalized_residual(estimate_dc(h, z, w_scaled))
         if reference is None:
             reference = verdict.statistic
         assert verdict.statistic == pytest.approx(reference, abs=1e-10)
@@ -223,7 +218,7 @@ def test_single_redundancy_forces_equal_normalized_residuals():
         h = dc_jacobian(net, adm, config)
         z = rng.uniform(-0.5, 0.5, size=h.shape[0])
         w = np.full(h.shape[0], 1e4)
-        verdict = largest_normalized_residual(h, z, w, estimate_dc(h, z, w))
+        verdict = largest_normalized_residual(estimate_dc(h, z, w))
         usable = [i for i in range(1, h.shape[0] + 1)
                   if i not in verdict.critical_meters]
         if verdict.statistic < 1e-9 or len(usable) < 2:
@@ -252,8 +247,8 @@ def test_detectors_are_blind_to_stealth_shifts():
         hit = estimate_dc(h, z_attacked, w)
         np.testing.assert_allclose(hit.residual, clean.residual, atol=1e-10)
         for det in detectors:
-            s_clean = run_detector(det, h, z, w, clean).statistic
-            s_hit = run_detector(det, h, z_attacked, w, hit).statistic
+            s_clean = run_detector(det, clean).statistic
+            s_hit = run_detector(det, hit).statistic
             assert abs(s_clean - s_hit) <= 1e-10
 
 
@@ -293,22 +288,21 @@ def test_detector_config_rejects_non_numbers(method, key, value):
 
 
 @pytest.mark.parametrize("call", [
-    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, 2, 0.0),
-    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, 2, 2.0),
-    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, 2, "0.05"),
-    lambda h, est: chi_square_test(BASE_Z, BASE_Z - est.residual, W, "2"),
-    lambda h, est: norm_threshold_test(est.residual, "0.1"),
-    lambda h, est: norm_threshold_test(est.residual, 0.0),
-    lambda h, est: largest_normalized_residual(h, BASE_Z, W, est, "3"),
-    lambda h, est: largest_normalized_residual(h, BASE_Z, W, est, float("nan")),
-    lambda h, est: run_detector("lnr", h, BASE_Z, W, est),
-], ids=["zero-alpha", "alpha-above-one", "string-alpha", "string-state-dim",
-        "string-tau", "zero-tau", "string-lnr-threshold", "nan-lnr-threshold",
+    lambda est: chi_square_test(est, 0.0),
+    lambda est: chi_square_test(est, 2.0),
+    lambda est: chi_square_test(est, "0.05"),
+    lambda est: norm_threshold_test(est, "0.1"),
+    lambda est: norm_threshold_test(est, 0.0),
+    lambda est: largest_normalized_residual(est, "3"),
+    lambda est: largest_normalized_residual(est, float("nan")),
+    lambda est: run_detector("lnr", est),
+], ids=["zero-alpha", "alpha-above-one", "string-alpha", "string-tau",
+        "zero-tau", "string-lnr-threshold", "nan-lnr-threshold",
         "method-name-as-config"])
 def test_detector_functions_check_their_parameters(call):
     _, _, h = load_three_bus()
     with pytest.raises(InvalidArgument):
-        call(h, base_estimate(h))
+        call(base_estimate(h))
 
 
 def with_radial_bus(rng, parallel):
@@ -346,7 +340,7 @@ def test_lnr_reports_radial_flow_meter_as_critical():
         m = h.shape[0]
         w = np.full(m, 1e4)
         z = rng.uniform(-0.5, 0.5, size=m)
-        verdict = largest_normalized_residual(h, z, w, estimate_dc(h, z, w))
+        verdict = largest_normalized_residual(estimate_dc(h, z, w))
         assert m in verdict.critical_meters
         assert verdict.suspect_meter != m
 
@@ -360,11 +354,39 @@ def test_lnr_reuses_or_rebuilds_the_gain_factor_alike():
             h = dc_jacobian(net, build_admittance(net), config)
             w = rng.uniform(1e3, 1e5, size=h.shape[0])
             z = rng.uniform(-0.5, 0.5, size=h.shape[0])
-            est = estimate_dc(h, z, w)
-            reused = largest_normalized_residual(h, z, w, est)
-            rebuilt = largest_normalized_residual(
-                h, z, w, dataclasses.replace(est, factor=None))
-            other_w = largest_normalized_residual(
-                h, z, w, factor_gain(h, 2.0 * w).estimate(z))
+            reused = largest_normalized_residual(estimate_dc(h, z, w))
+            rebuilt = largest_normalized_residual(factor_gain(h, w).estimate(z))
             assert reused == rebuilt
-            assert other_w.statistic == pytest.approx(reused.statistic, rel=1e-12)
+            # 2 W is sigma / sqrt(2) on every meter: the residual and the
+            # ranking stay, each normalized residual grows by sqrt(2)
+            other_w = largest_normalized_residual(
+                factor_gain(h, 2.0 * w).estimate(z))
+            assert other_w.statistic == pytest.approx(
+                np.sqrt(2.0) * reused.statistic, rel=1e-12)
+            assert other_w.suspect_meter == reused.suspect_meter
+
+
+def test_detectors_factor_no_gain(monkeypatch):
+    # every detector reads the gain factor the estimate carries, dc or ac
+    import gridse.baddata
+
+    _, _, h = load_three_bus()
+    rng = np.random.default_rng(45)
+    net = random_network(rng, 5, lossy=True)
+    config = full_ac_config(net)
+    z = simulate_measurements(net, random_ac_state(rng, net), config, "ac",
+                              seed=8)
+    estimates = (base_estimate(h, S2_Z),
+                 estimate_ac(net, z, config, weights_from_config(config)))
+
+    def refuse(*args):
+        raise AssertionError("a detector factored a gain")
+
+    monkeypatch.setattr("gridse.estimation.factor_gain", refuse)
+    monkeypatch.setattr("gridse.estimation._pivoted_gain", refuse)
+    assert not hasattr(gridse.baddata, "factor_gain")
+    for est in estimates:
+        for det in (DetectorConfig(method="chi_square"),
+                    DetectorConfig(method="norm_threshold", tau=0.02),
+                    DetectorConfig(method="lnr")):
+            assert run_detector(det, est).method == det.method

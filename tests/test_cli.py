@@ -46,17 +46,22 @@ def test_estimate_ac_runs(tmp_path, capsys):
 
 
 def test_estimate_ac_underdetermined_is_numerical_error(capsys):
-    # flows alone cannot pin the three voltage magnitudes
-    code, _, err = run_cli(capsys, "estimate", "--case", str(THREE_BUS),
-                           "--mode", "ac")
-    assert code == 3
-    assert "numerical error" in err
+    # flows alone cannot pin the three voltage magnitudes, also at the start
+    # when no Gauss-Newton step runs
+    for extra in ((), ("--max-iter", "0")):
+        code, out, err = run_cli(capsys, "estimate", "--case", str(THREE_BUS),
+                                 "--mode", "ac", *extra)
+        assert code == 3
+        assert "numerical error" in err
+        assert out == ""
 
 
-def test_estimate_non_convergence_exit_code(capsys):
-    code, out, _ = run_cli(capsys, "estimate", "--case", str(THREE_BUS),
-                           "--mode", "ac", "--max-iter", "0")
+def test_estimate_non_convergence_exit_code(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "estimate", "--case",
+                           str(ac_case_path(tmp_path)), "--mode", "ac",
+                           "--max-iter", "0")
     assert code == 4
+    assert "iterations = 0" in out
     assert "converged = no" in out
 
 
@@ -273,6 +278,20 @@ def test_simulated_state_with_nonzero_reference_is_input_error(tmp_path, capsys)
     code, _, err = run_cli(capsys, "scenario", "run", str(path))
     assert code == 2
     assert "reference bus 3" in err
+
+
+def test_simulated_state_with_a_bad_bus_key_is_input_error(tmp_path, capsys):
+    # a key int() refuses, and two keys for one bus, exit 2 with no traceback
+    for angles in ({"1": 0.01, "\u00b2": -0.09, "3": 0.0},
+                   {"1": 0.01, "2": -0.09, "02": -0.02, "3": 0.0}):
+        path = tmp_path / "bad_bus_key.json"
+        path.write_text(json.dumps({
+            "name": "x", "case": str(THREE_BUS),
+            "measurements": {"simulate": {"angles": angles, "seed": 1}}}))
+        code, out, err = run_cli(capsys, "scenario", "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert "'angles'" in err
 
 
 def test_negative_noise_scale_is_input_error(tmp_path, capsys):

@@ -17,9 +17,9 @@ import pytest
 from gridse import (
     DimensionMismatch,
     InvalidArgument,
-    LengthMismatch,
     UnobservableNetwork,
     build_admittance,
+    build_meter_model,
     dc_jacobian,
     estimate_ac,
     estimate_dc,
@@ -27,7 +27,6 @@ from gridse import (
     flat_state,
     free_vector,
     simulate_measurements,
-    weighted_objective,
     weights_from_config,
 )
 from helpers import (
@@ -141,13 +140,17 @@ def test_perturbation_optimality():
     _, _, h = load_three_bus()
     w = np.full(3, 1e4)
     result = estimate_dc(h, BASE_Z, w)
-    at_min = weighted_objective(BASE_Z, h @ result.state, w)
+
+    def objective(x):
+        r = BASE_Z - h @ x
+        return float(w @ (r * r))
+
+    at_min = result.objective_weighted
     rng = np.random.default_rng(33)
     for _ in range(100):
         step = rng.normal(size=2)
         step = step / np.linalg.norm(step) * 1e-3
-        perturbed = weighted_objective(BASE_Z, h @ (result.state + step), w)
-        assert perturbed >= at_min
+        assert objective(result.state + step) >= at_min
 
 
 def test_weight_scaling_leaves_the_state_unchanged():
@@ -159,18 +162,17 @@ def test_weight_scaling_leaves_the_state_unchanged():
 
 
 def test_weighted_objective_values():
+    # objective_weighted is sum_i w_i r_i^2 over the estimate's residual
+    _, _, h = load_three_bus()
     w = np.full(3, 1e4)
-    r = np.array(BASE_RESIDUAL)
-    assert weighted_objective(r, np.zeros(3), w) == pytest.approx(
-        BASE_OBJECTIVE, abs=1e-9
-    )
-    assert weighted_objective(BASE_Z, BASE_Z, w) == 0.0
+    result = estimate_dc(h, BASE_Z, w)
+    assert result.objective_weighted == pytest.approx(BASE_OBJECTIVE, abs=1e-9)
+    assert result.objective_weighted == float(w @ (result.residual ** 2))
     # unit weights reduce the objective to the raw squared error
-    assert weighted_objective(r, np.zeros(3), np.ones(3)) == pytest.approx(
-        BASE_SQERR, abs=1e-16
-    )
-    with pytest.raises(LengthMismatch):
-        weighted_objective(BASE_Z, np.zeros(4), w)
+    unit = estimate_dc(h, BASE_Z, np.ones(3))
+    assert unit.objective_weighted == pytest.approx(BASE_SQERR, abs=1e-16)
+    assert unit.objective_weighted == pytest.approx(unit.squared_error_raw,
+                                                    rel=1e-15)
 
 
 def test_estimate_ac_recovers_noiseless_state():
@@ -251,6 +253,10 @@ def test_estimate_ac_unobservable_raises():
     ))
     with pytest.raises(UnobservableNetwork):
         estimate_ac(parsed.network, np.array([1.0]), config, np.array([1e4]))
+    # the start's gain is factored for the result even when no step runs
+    with pytest.raises(UnobservableNetwork):
+        estimate_ac(parsed.network, np.array([1.0]), config, np.array([1e4]),
+                    max_iter=0)
 
 
 def test_gauss_newton_fixed_point():
@@ -304,8 +310,10 @@ def test_factor_estimate_is_estimate_dc():
         reused = factor.estimate(z)
         np.testing.assert_array_equal(direct.state, reused.state)
         np.testing.assert_array_equal(direct.residual, reused.residual)
-        assert direct.condition == reused.condition == factor.condition
-        assert direct.factor.matches(h, w)
+        assert reused.factor is factor
+        assert direct.factor.condition == factor.condition
+        np.testing.assert_array_equal(direct.factor.h, h)
+        np.testing.assert_array_equal(direct.factor.weights, w)
         np.testing.assert_allclose(direct.state, brute_force_wls(h, z, w),
                                    atol=1e-10)
 
@@ -387,9 +395,18 @@ def test_estimate_ac_reports_last_step_condition():
     truth = random_ac_state(rng, net)
     z = simulate_measurements(net, truth, config, "ac", seed=6)
     w = weights_from_config(config)
+    model = build_meter_model(net, config)
     result = estimate_ac(net, z, config, w)
     assert result.converged
-    assert result.factor is not None
-    assert result.condition == result.factor.condition
-    assert 1.0 <= result.condition < 1e12
-    assert estimate_ac(net, z, config, w, max_iter=0).condition is None
+    assert 1.0 <= result.factor.condition < 1e12
+    # the factor is the gain at the returned state, converged or not: at
+    # the solution, at the best of a capped run and at an unmoved start
+    capped = estimate_ac(net, z, config, w, max_iter=1)
+    start = estimate_ac(net, z, config, w, max_iter=0)
+    assert not capped.converged and not start.converged
+    assert start.iterations == 0
+    np.testing.assert_array_equal(start.state,
+                                  free_vector(net, flat_state(net), "ac"))
+    for est in (result, capped, start):
+        np.testing.assert_array_equal(est.factor.h, model.jacobian(est.state))
+        np.testing.assert_array_equal(est.factor.weights, w)

@@ -16,12 +16,14 @@ from gridse import (
     ac_jacobian,
     build_admittance,
     build_meter_model,
+    chi_square_test,
     dc_jacobian,
     estimate_ac,
     estimate_dc,
     flat_state,
     free_vector,
     h_eval_ac,
+    largest_normalized_residual,
     run_detector,
     simulate_measurements,
     state_dimension,
@@ -408,8 +410,9 @@ def test_states_and_modes_are_checked(call):
 
 def test_calls_with_the_removed_arguments_fail_loudly():
     # the admittance was dropped from the ac meter functions and estimate_ac,
-    # and the state dimension from run_detector: a call written for the old
-    # signatures must raise, never bind its arguments to the wrong names
+    # the state dimension from run_detector, and H, z and W from every
+    # detector: a call written for the old signatures must raise, never bind
+    # its arguments to the wrong names
     parsed, admittance, h = load_three_bus()
     net, config = parsed.network, parsed.config
     state = flat_state(net)
@@ -428,6 +431,18 @@ def test_calls_with_the_removed_arguments_fail_loudly():
     for call in old_calls:
         with pytest.raises((TypeError, InvalidArgument)):
             call()
+    z = parsed.values
+    for old_detector_call in (
+        lambda: run_detector(DetectorConfig(method="lnr"), h, z, w, estimate),
+        lambda: run_detector(DetectorConfig(method="chi_square"), h, z, w,
+                             estimate),
+        lambda: largest_normalized_residual(h, z, w, estimate),
+        lambda: largest_normalized_residual(h, z, w, estimate, 3.0),
+        lambda: chi_square_test(z, z - estimate.residual, w, 2),
+        lambda: chi_square_test(z, z - estimate.residual, w, 2, 0.05),
+    ):
+        with pytest.raises(TypeError):
+            old_detector_call()
 
 
 def test_meter_functions_match_phasor_oracle_on_parallel_branches():

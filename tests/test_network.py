@@ -1,5 +1,6 @@
 """Case parsing, admittance assembly, and observability checks."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -330,18 +331,21 @@ def test_model_records_store_checked_numbers():
 
 @pytest.mark.parametrize("call, name", [
     (lambda net, config, h, z, w: run_detector(
-        DetectorConfig(method="chi_square"), h, z, w, None), "estimate"),
+        DetectorConfig(method="chi_square"), None), "estimate"),
     (lambda net, config, h, z, w: run_detector(
-        DetectorConfig(method="lnr"), h, z, w, None), "estimate"),
-    (lambda net, config, h, z, w: largest_normalized_residual(h, z, w, None),
+        DetectorConfig(method="lnr"), None), "estimate"),
+    (lambda net, config, h, z, w: largest_normalized_residual(None),
      "estimate"),
+    (lambda net, config, h, z, w: largest_normalized_residual(
+        dataclasses.replace(estimate_dc(h, z, w), factor=None)),
+     "estimate.factor"),
     (lambda net, config, h, z, w: check_observability(net, 5), "config"),
     (lambda net, config, h, z, w: check_observability(5, config), "network"),
     (lambda net, config, h, z, w: build_meter_model(net, 5), "config"),
     (lambda net, config, h, z, w: build_meter_model(config, config), "network"),
 ], ids=["chi_square", "lnr", "largest_normalized_residual",
-        "observability-config", "observability-network", "meter-model-config",
-        "meter-model-network"])
+        "factorless-estimate", "observability-config", "observability-network",
+        "meter-model-config", "meter-model-network"])
 def test_functions_reject_objects_of_the_wrong_class(call, name):
     parsed, _, h = load_three_bus()
     with pytest.raises(InvalidArgument, match=f"^{name} must be a "):

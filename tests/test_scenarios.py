@@ -270,6 +270,25 @@ def test_scenario_rejects_bad_numbers(tmp_path, literal, doc):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("table", [
+    {"1": 0.01, "\u00b2": -0.09, "3": 0.0},
+    {"1": 0.01, "\uff12": -0.09, "3": 0.0},
+    {"1": 0.01, "2": -0.09, "02": -0.02, "3": 0.0},
+    {"1": 0.01, "02": -0.09, "2": -0.02, "3": 0.0},
+], ids=["superscript-digit", "fullwidth-digit", "zero-padded-repeat",
+        "zero-padded-first"])
+@pytest.mark.parametrize("key", ["angles", "magnitudes"])
+def test_scenario_rejects_bad_bus_keys(tmp_path, table, key):
+    # bus keys are ASCII decimal numbers, each naming a different bus
+    sim = {"angles": {"1": 0.01, "2": -0.09, "3": 0.0}, "seed": 1, key: table}
+    doc = {"name": "x", "case": str(THREE_BUS),
+           "measurements": {"simulate": sim}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedDocument, match=repr(key)):
+        load_scenario(path)
+
+
 def test_scenario_shift_length_checked(tmp_path):
     doc = {"name": "x", "case": str(THREE_BUS),
            "attack": {"type": "stealth_shift", "c": [0.1, 0.2, 0.3]}}
@@ -388,8 +407,7 @@ def test_monte_carlo_trials_read_simulated_measurements():
     for t, statistic in enumerate(stats.unattacked_statistics):
         z = simulate_measurements(parsed.network, truth,
                                   parsed.config, "dc", 7 + t)
-        expected = run_detector(detector, h, z, weights,
-                                estimate_dc(h, z, weights))
+        expected = run_detector(detector, estimate_dc(h, z, weights))
         assert statistic == expected.statistic
 
 
@@ -410,7 +428,7 @@ def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
         for readings, statistic in ((z, stats.unattacked_statistics[t]),
                                     (z_a, stats.attacked_statistics[t])):
             expected = largest_normalized_residual(
-                h, readings, weights, estimate_dc(h, readings, weights))
+                estimate_dc(h, readings, weights))
             assert statistic == expected.statistic
 
 
