@@ -10,7 +10,9 @@ a real scalar in a range, :func:`_count` a non-negative integer,
 :func:`_array` a float array of a given shape and :func:`_instance` an
 object of a given class. Each raises the error class its caller names (the
 last always InvalidArgument), with the argument's name in the message.
-:func:`_check_keys` checks the keys of a document record.
+:func:`_check_keys` checks the keys of a document record, and
+:func:`_reject_constant` and :func:`_reject_repeats` are the json.loads
+hooks that refuse non-finite numbers and repeated keys in a document.
 """
 
 import math
@@ -173,6 +175,17 @@ def _reject_constant(name: str):
     """``parse_constant`` hook for json.loads: NaN and +-Infinity are not
     numbers a document may carry."""
     raise MalformedDocument(f"non-finite number {name} is not allowed")
+
+
+def _reject_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for json.loads: a key names one entry of its
+    object, so a repeated key is refused instead of the last one winning."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise MalformedDocument(f"repeated key {repeated!r}")
+    return record
 
 
 def _check_keys(record: dict, allowed: set[str], required: set[str], context: str):

@@ -45,6 +45,7 @@ from .errors import (
     _instance,
     _real,
     _reject_constant,
+    _reject_repeats,
 )
 
 FLOW_KINDS = ("flow_p", "flow_q", "current_magnitude")
@@ -318,7 +319,8 @@ def parse_case(text: str) -> ParsedCase:
     DisconnectedNetwork / ZeroReactance errors for semantic ones.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant,
+                         object_pairs_hook=_reject_repeats)
     except ValueError as exc:  # also an integer literal too long to convert
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     _check_keys(doc, set(_TOP_KEYS), set(_TOP_KEYS), "case document")

@@ -65,6 +65,7 @@ from .errors import (
     _instance,
     _real,
     _reject_constant,
+    _reject_repeats,
 )
 from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_config
 from .measurement import (
@@ -274,7 +275,8 @@ def load_scenario(path: str | Path) -> Scenario:
     MalformedDocument raised here names the file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+        doc = json.loads(path.read_text(), parse_constant=_reject_constant,
+                         object_pairs_hook=_reject_repeats)
         _check_keys(doc, _SCENARIO_KEYS, {"name", "case"}, "scenario document")
         if not isinstance(doc["name"], str) or not isinstance(doc["case"], str):
             raise MalformedDocument("'name' and 'case' must be strings")

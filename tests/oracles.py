@@ -1,7 +1,8 @@
 """Independent oracle routines for the test suite.
 
 Deliberately written from scratch, without the package's linear-algebra
-paths: inversion by Gauss-Jordan elimination, rank by row reduction, the
+paths: inversion by Gauss-Jordan elimination, the gain as one dense product
+and the hat diagonal through that inverse, rank by row reduction, the
 chi-square distribution through the classic erf/exponential recurrence, and
 branch power flows from complex phasors. Slow and simple on purpose.
 """
@@ -39,6 +40,19 @@ def brute_force_wls(h: np.ndarray, z: np.ndarray, weights: np.ndarray) -> np.nda
     w = np.diag(np.asarray(weights, dtype=float))
     gain = h.T @ w @ h
     return gauss_jordan_inverse(gain) @ h.T @ w @ np.asarray(z, dtype=float)
+
+
+def dense_gain(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The gain H^T W H as one plain dense product."""
+    h = np.asarray(h, dtype=float)
+    return h.T @ (np.asarray(weights, dtype=float)[:, None] * h)
+
+
+def dense_hat_diagonal(h: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """diag(H (H^T W H)^-1 H^T) through a Gauss-Jordan inverse of the gain."""
+    h = np.asarray(h, dtype=float)
+    return np.einsum("ij,jk,ik->i", h,
+                     gauss_jordan_inverse(dense_gain(h, weights)), h)
 
 
 def row_reduction_rank(a: np.ndarray, tol: float = 1e-8) -> int:

@@ -17,6 +17,8 @@ import pytest
 from gridse import (
     DimensionMismatch,
     InvalidArgument,
+    MeasurementConfig,
+    MeasurementSpec,
     UnobservableNetwork,
     build_admittance,
     build_meter_model,
@@ -29,6 +31,7 @@ from gridse import (
     simulate_measurements,
     weights_from_config,
 )
+from gridse.estimation import _pivoted_gain
 from helpers import (
     full_ac_config,
     load_three_bus,
@@ -36,7 +39,7 @@ from helpers import (
     random_network,
     random_observable_config,
 )
-from oracles import brute_force_wls
+from oracles import brute_force_wls, dense_gain, dense_hat_diagonal
 
 BASE_Z = np.array([0.62, 0.06, 0.37])
 BASE_STATE = (0.02857142857142857, -0.09428571428571429)
@@ -299,6 +302,111 @@ def test_hat_diagonal_matches_explicit_projector():
             omega_ref = (1.0 - w * hat) / w
             np.testing.assert_allclose(omega, omega_ref, rtol=1e-10,
                                        atol=1e-12 * float(np.max(1.0 / w)))
+
+
+def narrow_meters(network, ac):
+    """Every branch flow at both ends (p and q for ac) and every voltage
+    magnitude for ac, plus the injections at the buses whose rows have w
+    nonzeros with w^2 <= k: an observable set whose H takes the row
+    pattern."""
+    neighbours = {bus.id: {bus.id} for bus in network.buses}
+    for br in network.branches:
+        neighbours[br.from_bus].add(br.to_bus)
+        neighbours[br.to_bus].add(br.from_bus)
+    per_bus = 2 if ac else 1
+    k = per_bus * network.n_buses - 1
+    kinds = ("p", "q") if ac else ("p",)
+    specs = [MeasurementSpec(kind=f"flow_{q}", from_bus=i, to_bus=j, sigma=0.01)
+             for br in network.branches
+             for i, j in ((br.from_bus, br.to_bus), (br.to_bus, br.from_bus))
+             for q in kinds]
+    specs += [MeasurementSpec(kind=f"injection_{q}", bus=bus, sigma=0.01)
+              for bus, near in neighbours.items()
+              if (per_bus * len(near)) ** 2 <= k for q in kinds]
+    if ac:
+        specs += [MeasurementSpec(kind="voltage_magnitude", bus=bus.id,
+                                  sigma=0.01) for bus in network.buses]
+    return MeasurementConfig(specs=tuple(specs))
+
+
+def assert_factor_matches_dense_oracle(h, w, pattern):
+    """factor_gain(h, w) took the row pattern or not as asked, and its gain
+    (P U^T U P^T, unscaled) and hat diagonal agree with the dense oracle's
+    to 1e-10 relative."""
+    factor = factor_gain(h, w)
+    assert (factor.pattern is not None) == pattern
+    k = h.shape[1]
+    u = np.triu(factor.upper)
+    gain = np.empty((k, k))
+    gain[np.ix_(factor.piv, factor.piv)] = u.T @ u
+    gain *= np.ldexp(w / factor.scale, factor.shift)[0]  # 2^(e + 2 shift)
+    expected = dense_gain(h, w)
+    assert np.max(np.abs(gain - expected)) <= 1e-10 * np.max(np.abs(expected))
+    np.testing.assert_allclose(factor.hat_diagonal, dense_hat_diagonal(h, w),
+                               rtol=1e-10, atol=0.0)
+
+
+def test_row_pattern_gain_and_hat_diagonal_match_the_dense_oracle():
+    rng = np.random.default_rng(39)
+    for n in (30, 60, 120, 300):
+        net = random_network(rng, n)
+        config = narrow_meters(net, ac=False)
+        h = dc_jacobian(net, build_admittance(net), config)
+        w = weights_from_config(config) * rng.uniform(0.5, 4.0, h.shape[0])
+        assert_factor_matches_dense_oracle(h, w, pattern=True)
+    # the ac Jacobian of a 60-bus lossy grid, away from the flat start
+    net = random_network(rng, 60, lossy=True, shunts=True)
+    config = narrow_meters(net, ac=True)
+    x = free_vector(net, random_ac_state(rng, net), "ac")
+    h = build_meter_model(net, config).jacobian(x)
+    assert_factor_matches_dense_oracle(h, weights_from_config(config),
+                                       pattern=True)
+    # dense random H, and the rule's edge: widest row w = 3 with w^2 = k
+    # takes the row pattern and with w^2 = k + 1 the dense product
+    for k, pattern in ((5, False), (9, True), (8, False)):
+        h = rng.normal(size=(3 * k, k))
+        if k != 5:
+            for row in h:
+                row[rng.permutation(k)[3:]] = 0.0
+        assert_factor_matches_dense_oracle(h, rng.uniform(0.5, 2.0, 3 * k),
+                                           pattern)
+
+
+def test_gain_edge_cases_on_both_paths():
+    rng = np.random.default_rng(40)
+    sparse = np.zeros((20, 9))
+    for row in sparse:
+        row[rng.permutation(9)[:3]] = rng.normal(size=3)
+    dense = rng.normal(size=(20, 4))
+    for h, pattern in ((sparse, True), (dense, False)):
+        w = rng.uniform(0.5, 2.0, len(h))
+        # meters that read nothing add nothing: to the gain, and their own
+        # hat diagonal entries are zero
+        padded = np.vstack([h[:5], np.zeros((3, h.shape[1])), h[5:]])
+        factor = factor_gain(padded, np.insert(w, 5, [1.0, 2.0, 4.0]))
+        assert (factor.pattern is not None) == pattern
+        np.testing.assert_array_equal(factor.hat_diagonal[5:8], 0.0)
+        np.testing.assert_allclose(np.delete(factor.hat_diagonal, [5, 6, 7]),
+                                   dense_hat_diagonal(h, w), rtol=1e-10)
+        # a state no meter reads: rank k - 1, and factor_gain refuses it
+        blind = h.copy()
+        blind[:, 1] = 0.0
+        assert _pivoted_gain(blind, w).rank == h.shape[1] - 1
+        with pytest.raises(UnobservableNetwork):
+            factor_gain(blind, w)
+        # NaN and inf are nonzero, so they reach the finiteness check; each
+        # replaces a nonzero, so the pattern's width stays
+        for bad in (np.nan, np.inf, -np.inf):
+            poisoned = h.copy()
+            poisoned[3, np.flatnonzero(h[3])[0]] = bad
+            with pytest.raises(UnobservableNetwork, match="not finite"):
+                _pivoted_gain(poisoned, w)
+    # an all-zero H and an H with no rows: no products to sum, rank 0
+    for h in (np.zeros((4, 3)), np.zeros((0, 3))):
+        factor = _pivoted_gain(h, np.ones(len(h)))
+        assert factor.rank == 0 and factor.upper.dtype == float
+        with pytest.raises(UnobservableNetwork):
+            factor_gain(h, np.ones(len(h)))
 
 
 def test_factor_estimate_is_estimate_dc():

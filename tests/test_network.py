@@ -119,6 +119,15 @@ def test_parse_not_json_is_malformed():
     # json itself refuses integer literals of more than 4300 digits
     with pytest.raises(MalformedDocument):
         parse_case('{"buses": [' + "1" * 5000 + "]}")
+    # a key names one entry of its object: a repeat is refused, not read as
+    # the last value, at the top and in any record
+    text = THREE_BUS.read_text()
+    for old, new in (('"buses":', '"branches": [], "buses":'),
+                     ('"x":', '"x": 0.5, "x":'),
+                     ('"sigma":', '"sigma": 0.02, "sigma":')):
+        assert old in text
+        with pytest.raises(MalformedDocument, match="repeated key"):
+            parse_case(text.replace(old, new, 1))
 
 
 def test_flow_meter_needs_an_actual_branch():

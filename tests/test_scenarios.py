@@ -218,9 +218,13 @@ def test_scenario_unknown_keys_rejected(tmp_path):
     with pytest.raises(MalformedDocument):
         load_scenario(path)
     # neither an integer literal json refuses to convert nor bytes that
-    # are not text is a traceback
+    # are not text is a traceback, and a repeated key is refused, not read
+    # as its last value
     for content in (b'{"name": "x", "case": "c.json", "mode": ' + b"1" * 5000 + b"}",
-                    b"\xff\xfe{"):
+                    b"\xff\xfe{",
+                    b'{"name": "x", "name": "y", "case": "c.json"}',
+                    b'{"name": "x", "case": "c.json", "measurements": {"simulate":'
+                    b' {"angles": {"1": 0.01, "2": -0.09, "2": -0.02}, "seed": 1}}}'):
         path.write_bytes(content)
         with pytest.raises(MalformedDocument):
             load_scenario(path)
