@@ -70,10 +70,16 @@ def _meter_rows(meters: Iterable[int], m: int) -> np.ndarray:
 def craft_stealth_attack(h_matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a = Hc: the corruption that shifts the estimate by exactly c.
 
-    A non-finite entry of c raises InvalidArgument.
+    A non-finite entry of c, or an Hc too large for a float, raises
+    InvalidArgument.
     """
     h = _array(h_matrix, "H", ndim=2, finite=True)
-    return h @ _array(c, "c", (h.shape[1],), finite=True)
+    c = _array(c, "c", (h.shape[1],), finite=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = h @ c
+    if not np.isfinite(a).all():
+        raise InvalidArgument("Hc overflows: the attack is too large for a float")
+    return a
 
 
 def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,

@@ -27,6 +27,7 @@ float) and bus ids or ends that are not non-negative integers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,15 +54,16 @@ BUS_KINDS = ("injection_p", "injection_q", "voltage_magnitude")
 MEASUREMENT_KINDS = FLOW_KINDS + BUS_KINDS
 
 
-def _store(record, counts: tuple[str, ...], reals: tuple[str, ...]):
+def _store(record, counts: tuple[str, ...], reals: tuple[str, ...],
+           optional: tuple[str, ...] = ()):
     """Check the named integer and real fields of a frozen record (None
-    passes) and store the number each check returns; a failure is
-    MalformedDocument."""
+    passes only in an ``optional`` field) and store the number each check
+    returns; a failure is MalformedDocument."""
     try:
         for names, check in ((counts, _count), (reals, _real)):
             for name in names:
                 value = getattr(record, name)
-                if value is not None:
+                if value is not None or name not in optional:
                     number = check(value, name, error=MalformedDocument)
                     if number is not value:
                         object.__setattr__(record, name, number)
@@ -143,9 +145,15 @@ class MeasurementSpec:
     def __post_init__(self):
         if self.kind not in MEASUREMENT_KINDS:
             raise MalformedDocument(f"unknown measurement kind {self.kind!r}")
-        _store(self, ("bus", "from_bus", "to_bus"), ("sigma", "value"))
-        if self.sigma <= 0:
-            raise MalformedDocument(f"{self.kind} meter: sigma must be > 0")
+        _store(self, ("bus", "from_bus", "to_bus"), ("sigma", "value"),
+               optional=("bus", "from_bus", "to_bus", "value"))
+        # the estimator weighs the meter by 1 / sigma**2
+        square = self.sigma * self.sigma
+        if self.sigma <= 0 or not 0.0 < square < math.inf \
+                or 1.0 / square == math.inf:
+            raise MalformedDocument(
+                f"{self.kind} meter: sigma must be > 0 with a positive, "
+                f"finite weight 1/sigma**2, got {self.sigma!r}")
         if self.kind in FLOW_KINDS:
             if self.from_bus is None or self.to_bus is None or self.bus is not None:
                 raise MalformedDocument(

@@ -405,8 +405,9 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     (the flat state when it has none): meter i's noise
     is ``np.random.default_rng([noise_seed_base + t, i]).normal(0.0,
     sigma_i * noise_scale)`` bit for bit. Under NEP 19 numpy keeps that
-    stream's seeding stable, and the noise of a block of trials is seeded
-    in one vectorized pass instead of one ``default_rng`` per draw.
+    stream's seeding stable. The noise of a block of trials is seeded and
+    drawn in one vectorized pass, as ``simulate_measurements`` draws it,
+    instead of one ``default_rng`` per draw.
 
     A ``trials`` that is not an integer >= 1, a ``noise_seed_base`` that is
     not a non-negative integer, a ``magnitude`` that is not a positive

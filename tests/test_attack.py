@@ -93,11 +93,15 @@ def test_craft_dimension_check():
         craft_stealth_attack(h, np.zeros(3))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_craft_rejects_a_non_finite_shift(bad):
+@pytest.mark.parametrize("c", [
+    [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0],
+    # finite, but Hc overflows
+    [0.01, -1e308],
+], ids=["nan", "inf", "-inf", "overflow"])
+def test_craft_rejects_a_non_finite_shift(c):
     _, _, h = load_three_bus()
     with pytest.raises(InvalidArgument):
-        craft_stealth_attack(h, np.array([bad, 0.0]))
+        craft_stealth_attack(h, np.array(c))
 
 
 def test_apply_attack_values():

@@ -29,7 +29,7 @@ from gridse import (
     state_dimension,
     state_from_free,
 )
-from gridse.measurement import _meter_noise
+from gridse.measurement import _KI, _WI, _meter_noise, _normals
 from helpers import (
     full_ac_config,
     load_three_bus,
@@ -359,6 +359,89 @@ def test_meter_noise_is_the_default_rng_stream(seeds, meters):
     np.testing.assert_array_equal(
         _meter_noise(seeds, scales),
         default_rng_noise(seeds, meters, scales))
+
+
+# PCG64 outputs the XSL-RR of its state after a step. A post-step state
+# with high word 0 and low word w outputs w, and with increment 1 the state
+# before it is (w - 1) / MULT mod 2**128, so any chosen word can be drawn.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+PCG_MULT_INVERSE = pow(PCG_MULT, -1, 1 << 128)
+
+
+def state_before(word):
+    """The PCG64.state whose next output is ``word``."""
+    return {"bit_generator": "PCG64",
+            "state": {"state": (word - 1) * PCG_MULT_INVERSE % (1 << 128),
+                      "inc": 1},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def normal_of(word, scale=1.0):
+    """Generator.normal(0.0, scale) from the state before ``word``, and the
+    number of outputs it read."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state_before(word)
+    x = np.random.Generator(bit_generator).normal(0.0, scale)
+    end, state, reads = bit_generator.state["state"]["state"], word, 1
+    while state != end and reads < 100:
+        state, reads = (state * PCG_MULT + 1) % (1 << 128), reads + 1
+    return x, reads
+
+
+def ziggurat_word(layer, rabs, sign=0):
+    """The output word numpy's ziggurat reads as this layer, sign and rabs."""
+    return layer | sign << 8 | rabs << 9
+
+
+def test_ziggurat_tables_are_numpys():
+    # wi[layer] is the draw of the word with rabs 1; every layer but 1
+    # accepts it, and layer 1's wedge returns the same x
+    wi = [normal_of(ziggurat_word(layer, 1))[0] for layer in range(256)]
+    # ki[layer] is the least rabs whose draw reads a second output
+    ki = []
+    for layer in range(256):
+        low, high = 0, 1 << 52
+        while low < high:
+            mid = (low + high) // 2
+            if normal_of(ziggurat_word(layer, mid))[1] == 1:
+                low = mid + 1
+            else:
+                high = mid
+        ki.append(low)
+    np.testing.assert_array_equal(_WI, wi)
+    np.testing.assert_array_equal(_KI, np.array(ki, dtype=np.uint64))
+
+
+KI = [int(k) for k in _KI]
+LARGEST_RABS = (1 << 52) - 1
+
+
+@pytest.mark.parametrize("word,scale,reads", [
+    (ziggurat_word(0, LARGEST_RABS), 0.3, 3),
+    (ziggurat_word(0, KI[0], sign=1), 0.3, 3),
+    (ziggurat_word(1, 12345), 0.3, 2),
+    (ziggurat_word(1, 0, sign=1), 0.3, 2),
+    (ziggurat_word(100, KI[100] + 1000), 0.3, 2),
+    (ziggurat_word(100, 4490339757673711), 0.3, 3),
+    (ziggurat_word(2, KI[2] - 1), 0.3, 1),
+    (ziggurat_word(2, KI[2]), 0.3, 2),
+    (ziggurat_word(255, KI[255] - 1, sign=1), 0.3, 1),
+    (ziggurat_word(255, KI[255], sign=1), 0.3, 2),
+    (ziggurat_word(7, 1000, sign=1), 0.0, 1),
+    (ziggurat_word(7, 0, sign=1), 1.0, 1),
+], ids=["tail", "tail-at-ki", "layer-1", "layer-1-negative-zero",
+        "wedge-accept", "wedge-reject", "below-ki", "at-ki",
+        "last-layer-below-ki", "last-layer-at-ki", "zero-scale-negative",
+        "negative-zero"])
+def test_noise_of_a_forced_word_is_numpys_normal(word, scale, reads):
+    # each word takes the path its name says: the tail (layer 0) and the
+    # wedges read more outputs, which numpy's normal draws from the state
+    expected, read = normal_of(word, scale)
+    assert read == reads
+    noise = _normals(np.array([[word]], dtype=np.uint64), np.array([scale]),
+                     lambda r, c: state_before(word))
+    # bit for bit, so a negative zero would fail
+    assert noise.tobytes() == np.float64(expected).tobytes()
 
 
 def test_zero_noise_scale_gives_exact_readings():

@@ -85,6 +85,16 @@ def test_parse_zero_reactance_is_an_error():
     (lambda d: d["measurements"][0].update(sigma=0.0), MalformedDocument),
     (lambda d: d["measurements"][0].update(bus=1), MalformedDocument),
     (lambda d: d["measurements"][0].pop("value"), MalformedDocument),
+    # null is a value only for a meter's bus, ends and reading
+    (lambda d: d["buses"][0].update(id=None), MalformedDocument),
+    (lambda d: d["buses"][0].update(v=None), MalformedDocument),
+    (lambda d: d["branches"][0].update({"from": None}), MalformedDocument),
+    (lambda d: d["branches"][0].update(x=None), MalformedDocument),
+    (lambda d: d["branches"][0].update(gs=None), MalformedDocument),
+    (lambda d: d["measurements"][0].update(sigma=None), MalformedDocument),
+    # the weight 1/sigma**2 overflows, or underflows to 0
+    (lambda d: d["measurements"][0].update(sigma=1e-160), MalformedDocument),
+    (lambda d: d["measurements"][0].update(sigma=1e200), MalformedDocument),
 ])
 def test_parse_rejects_bad_documents(mutate, error):
     doc = three_bus_doc()
