@@ -40,6 +40,8 @@ from .errors import (
 from .estimation import (
     EstimationResult,
     GainFactor,
+    ObservabilityReport,
+    check_observability,
     estimate_ac,
     estimate_dc,
     factor_gain,
@@ -65,10 +67,8 @@ from .network import (
     MeasurementConfig,
     MeasurementSpec,
     NetworkModel,
-    ObservabilityReport,
     ParsedCase,
     build_admittance,
-    check_observability,
     parse_case,
     serialize_case,
 )

@@ -74,7 +74,11 @@ def craft_stealth_attack(h_matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
     InvalidArgument.
     """
     h = _array(h_matrix, "H", ndim=2, finite=True)
-    c = _array(c, "c", (h.shape[1],), finite=True)
+    return _image(h, _array(c, "c", (h.shape[1],), finite=True))
+
+
+def _image(h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Hc of a finite H and c, or InvalidArgument (unwarned) if it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = h @ c
     if not np.isfinite(a).all():
@@ -87,8 +91,9 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
     """Uniform random stealth direction: c on the sphere of the given radius.
 
     Deterministic in the seed; returns (c, Hc). A magnitude that is not
-    positive and finite, or a seed that is not a non-negative integer,
-    raises InvalidArgument; an H with no columns raises DimensionMismatch.
+    positive and finite, a seed that is not a non-negative integer or an Hc
+    that overflows raises InvalidArgument, an H with no columns
+    DimensionMismatch.
     """
     magnitude = _real(magnitude, "magnitude", 0.0)
     h = _array(h_matrix, "H", ndim=2, finite=True)
@@ -99,7 +104,7 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
     while not np.linalg.norm(direction) > 0:
         direction = rng.normal(size=h.shape[1])
     c = direction / np.linalg.norm(direction) * magnitude
-    return c, h @ c
+    return c, _image(h, c)
 
 
 def constrained_stealth_attack(h_matrix: np.ndarray,
@@ -110,7 +115,7 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
 
     Finds a nonzero shift c with (Hc)_i = 0 on every meter outside the
     accessible set, i.e. c in the null space of the blocked-row submatrix,
-    scaled to ``magnitude``, which must be positive and finite (else
+    scaled to ``magnitude``, positive and finite with a finite Hc (else
     InvalidArgument). Returns None exactly when the blocked rows are
     protected (:func:`protection_check`); that is not an error.
 
@@ -140,7 +145,7 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
         c[free[-1]] = 1.0
         c[piv[:rank]] = -solve_triangular(upper[:rank, :rank], upper[:rank, -1])
         c *= magnitude / np.linalg.norm(c)
-    return c, h @ c
+    return c, _image(h, c)
 
 
 def apply_attack(z: np.ndarray, a: np.ndarray) -> np.ndarray:

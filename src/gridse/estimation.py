@@ -42,7 +42,13 @@ from .errors import (
     _count,
     _real,
 )
-from .measurement import StateVector, build_meter_model, flat_state, free_vector
+from .measurement import (
+    MeterModel,
+    StateVector,
+    build_meter_model,
+    flat_state,
+    free_vector,
+)
 from .network import MeasurementConfig, NetworkModel
 
 CONDITION_LIMIT = 1e12
@@ -97,11 +103,11 @@ class GainFactor:
         z = _array(z, "z", (self.h.shape[0],))
         x = self.solve(z)
         r = z - self.h @ x
-        with np.errstate(over="ignore"):  # a square too large reads inf
-            return EstimationResult(
-                state=x, residual=r, squared_error_raw=float(r @ r),
-                objective_weighted=float(self.weights @ (r * r)),
-                converged=True, iterations=1, factor=self)
+        raw, weighted = _squares(r, self.weights)
+        return EstimationResult(
+            state=x, residual=r, squared_error_raw=raw,
+            objective_weighted=weighted, converged=True, iterations=1,
+            factor=self)
 
     @cached_property
     def hat_diagonal(self) -> np.ndarray:
@@ -157,6 +163,12 @@ class EstimationResult:
 def weights_from_config(config: MeasurementConfig) -> np.ndarray:
     """Per-meter weights 1/sigma^2 in file order."""
     return 1.0 / config.sigmas() ** 2
+
+
+def _squares(r: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """r^T r and r^T W r; a square too large for a float reads inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return float(r @ r), float(weights @ (r * r))
 
 
 def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
@@ -240,6 +252,25 @@ def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
     return factor
 
 
+@dataclass(frozen=True)
+class ObservabilityReport:
+    rank: int
+    observable: bool
+
+
+def check_observability(network: NetworkModel,
+                        config: MeasurementConfig) -> ObservabilityReport:
+    """Numerical rank of the linear meter-to-angle matrix H.
+
+    The rank is the estimator's: observable means it equals the angle state
+    count n - 1 and is positive, i.e. exactly when ``factor_gain(H, ones)``
+    accepts H.
+    """
+    h = build_meter_model(network, config).dc_matrix
+    rank = _pivoted_gain(h, np.ones(len(h))).rank
+    return ObservabilityReport(rank, 0 < rank == network.n_buses - 1)
+
+
 def estimate_dc(h_matrix: np.ndarray, z: np.ndarray,
                 weights: np.ndarray) -> EstimationResult:
     """Exact linear WLS minimizer.
@@ -260,37 +291,49 @@ def estimate_ac(network: NetworkModel, z: np.ndarray,
     when the step's max component drops below ``tol`` or after ``max_iter``
     iterations. On non-convergence the best iterate seen (lowest weighted
     objective) is returned with ``converged=False``; a singular gain matrix
-    at any iterate raises UnobservableNetwork. The meter model is built once
-    and every iterate is evaluated against it; each step factors the gain at
-    its own iterate once, and the gain at the returned state is factored
+    at any iterate raises UnobservableNetwork, an iterate whose weighted
+    objective is not finite InvalidArgument. The meter model is built once
+    and every iterate is evaluated against it (``run_scenario`` and the CLI
+    pass the model they hold to the same loop); each step factors the gain
+    at its own iterate once, and the gain at the returned state is factored
     once more for the result, also with ``max_iter=0``, so an unobservable
     start raises. ``max_iter`` must be an integer >= 0 and ``tol``
     positive and finite (a bool is neither), and ``init`` a StateVector,
     else InvalidArgument before any iteration.
     """
+    return _gauss_newton(build_meter_model(network, config), z, weights,
+                         init=init, tol=tol, max_iter=max_iter)
+
+
+def _gauss_newton(model: MeterModel, z: np.ndarray, weights: np.ndarray, *,
+                  init: StateVector | None = None, tol: float = 1e-8,
+                  max_iter: int = 50) -> EstimationResult:
+    """estimate_ac against a meter model already built."""
     max_iter = _count(max_iter, "max_iter")
     tol = _real(tol, "tol", 0.0)
-    m = len(config.specs)
-    z = _array(z, "z", (m,), error=LengthMismatch)
-    w = _array(weights, "weights", (m,), positive=True)
-    x = free_vector(network, init if init is not None else flat_state(network),
-                    "ac")
-    model = build_meter_model(network, config)
+    z = _array(z, "z", (len(model.config),), error=LengthMismatch)
+    w = _array(weights, "weights", z.shape, positive=True)
+    x = free_vector(model.network, init if init is not None
+                    else flat_state(model.network), "ac")
 
     def evaluate(vec):
         r = z - model.values(vec)
-        return r, float(w @ (r * r))
+        obj = _squares(r, w)[1]
+        if not obj < np.inf:  # also NaN; raised before J(vec) is evaluated
+            raise InvalidArgument("readings or model values are not finite")
+        return r, obj
 
     r, obj = evaluate(x)
     best = (obj, x, r)
     converged = False
     iterations = 0
-    for it in range(max_iter):
+    for iterations in range(1, max_iter + 1):
+        # the last step's factor is freed only once this one is built, so
+        # glibc does not trim the heap and fault it in again every step
         factor = factor_gain(model.jacobian(x), w)
         dx = factor.solve(r)
         x = x + dx
         r, obj = evaluate(x)
-        iterations = it + 1
         if obj < best[0]:
             best = (obj, x, r)
         if np.max(np.abs(dx)) < tol:
@@ -299,12 +342,8 @@ def estimate_ac(network: NetworkModel, z: np.ndarray,
 
     if not converged:
         obj, x, r = best
+    raw, weighted = _squares(r, w)
     return EstimationResult(
-        state=x,
-        residual=r,
-        squared_error_raw=float(r @ r),
-        objective_weighted=float(w @ (r * r)),
-        converged=converged,
-        iterations=iterations,
-        factor=factor_gain(model.jacobian(x), w),
-    )
+        state=x, residual=r, squared_error_raw=raw,
+        objective_weighted=weighted, converged=converged,
+        iterations=iterations, factor=factor_gain(model.jacobian(x), w))

@@ -23,11 +23,11 @@ list. The dc matrix H and the ac h(x) and J(x) are numpy expressions over
 these arrays, summed into rows with ``np.bincount`` in term order, so each
 row adds its terms in the same order as a meter-by-meter loop would.
 
-``dc_jacobian``, ``h_eval_ac``, ``ac_jacobian`` and
-``simulate_measurements`` build a model per call. The entry points that
-evaluate many times build one and reuse it: ``estimate_ac`` for every
-Gauss-Newton iterate, ``run_scenario`` for readings, attack and detection,
-and ``run_monte_carlo`` computes H and H x once for all its trials.
+Every path builds one model per (network, meter set). The public functions
+that take both build it per call, and ``estimate_ac`` evaluates every
+iterate against it. ``run_scenario`` passes its model to the readings, the
+attack and the estimate, the CLI's ``estimate`` to either mode, and
+``run_monte_carlo`` computes H and H x once for all its trials.
 """
 
 from __future__ import annotations

@@ -284,12 +284,6 @@ class AdmittanceMatrix:
 
 
 @dataclass(frozen=True)
-class ObservabilityReport:
-    rank: int
-    observable: bool
-
-
-@dataclass(frozen=True)
 class ParsedCase:
     """Everything a case file carries. ``values`` is the meter reading vector
     in file order, or None when the file gives meter specs only."""
@@ -454,20 +448,3 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
         y_bus[i, j] -= y
         y_bus[j, i] -= y
     return AdmittanceMatrix(g=y_bus.real.copy(), b=(-y_bus.imag).copy())
-
-
-def check_observability(network: NetworkModel,
-                        config: MeasurementConfig) -> ObservabilityReport:
-    """Numerical rank of the linear meter-to-angle matrix H.
-
-    The rank is the estimator's (see :mod:`estimation`): observable means it
-    equals the angle state count n - 1 and is positive, i.e. exactly when
-    ``factor_gain(H, ones)`` accepts H.
-    """
-    from .estimation import _pivoted_gain
-    from .measurement import build_meter_model
-
-    h = build_meter_model(network, config).dc_matrix
-    rank = _pivoted_gain(h, np.ones(h.shape[0])).rank
-    return ObservabilityReport(rank=rank,
-                               observable=0 < rank == network.n_buses - 1)

@@ -67,7 +67,7 @@ from .errors import (
     _reject_constant,
     _reject_repeats,
 )
-from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_config
+from .estimation import _gauss_newton, estimate_dc, factor_gain, weights_from_config
 from .measurement import (
     MeterModel,
     StateVector,
@@ -347,10 +347,10 @@ def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Build readings, apply the attack, estimate, and run every detector.
 
-    One meter model serves the readings and the attack, and the estimate's
-    gain factor serves every detector: for ac that is the gain at the
-    estimated state, factored once by ``estimate_ac``. Deterministic given
-    the scenario content. A constrained attack with no feasible direction
+    One meter model serves the readings, the attack and the estimate (each
+    ac iterate), and the estimate's gain factor, for ac the gain at the
+    estimated state, serves every detector. Deterministic given the
+    scenario content. A constrained attack with no feasible direction
     degrades to an unattacked run (reported as such).
     """
     parsed = _read_case(scenario.case_path)
@@ -365,7 +365,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     if scenario.mode == "dc":
         result = estimate_dc(model.dc_matrix, z_final, weights)
     else:
-        result = estimate_ac(network, z_final, config, weights)
+        result = _gauss_newton(model, z_final, weights)
 
     verdicts = tuple(run_detector(d, result) for d in scenario.detectors)
     return ScenarioReport(

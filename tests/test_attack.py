@@ -104,6 +104,18 @@ def test_craft_rejects_a_non_finite_shift(c):
         craft_stealth_attack(h, np.array(c))
 
 
+@pytest.mark.parametrize("build", [
+    lambda h: random_stealth_attack(h, 1e308, 1),
+    lambda h: constrained_stealth_attack(h, (1, 2), magnitude=1e308),
+], ids=["random", "constrained"])
+def test_an_attack_whose_hc_overflows_is_rejected(build):
+    # each magnitude is finite, but Hc is not: InvalidArgument, with no
+    # RuntimeWarning (the suite turns those into errors)
+    _, _, h = load_three_bus()
+    with pytest.raises(InvalidArgument, match="overflows"):
+        build(h)
+
+
 def test_apply_attack_values():
     _, _, h = load_three_bus()
     np.testing.assert_allclose(apply_attack(BASE_Z, ATTACK_SMALL),

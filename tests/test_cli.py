@@ -65,6 +65,20 @@ def test_estimate_non_convergence_exit_code(tmp_path, capsys):
     assert "converged = no" in out
 
 
+def test_a_reading_too_large_to_square_is_an_input_error(tmp_path, capsys):
+    # the first iterate's weighted objective overflows: an input error, with
+    # no RuntimeWarning (the suite turns those into errors)
+    doc = json.loads(THREE_BUS.read_text())
+    doc["measurements"][0]["value"] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "estimate", "--case", str(path),
+                             "--mode", "ac")
+    assert code == 2
+    assert "not finite" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("extra", [
     ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--max-iter", "-1"),
 ], ids=["zero-tol", "negative-tol", "nan-tol", "negative-max-iter"])
@@ -154,6 +168,15 @@ def test_montecarlo_machine(capsys):
     doc = json.loads(out)
     assert doc["trials"] == 25
     assert doc["detection_rate"] == doc["false_alarm_rate"]
+
+
+def test_montecarlo_attack_too_large_for_a_float_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, "montecarlo", "--case", str(THREE_BUS),
+                             "--trials", "3", "--attack", "stealth",
+                             "--magnitude", "1e308")
+    assert code == 2
+    assert "overflows" in err
+    assert out == ""
 
 
 def test_missing_file_is_an_input_error(capsys):
@@ -348,6 +371,29 @@ def test_no_path_builds_the_admittance(tmp_path, capsys, monkeypatch):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
+
+
+def test_each_path_builds_one_meter_model(tmp_path, capsys, monkeypatch):
+    # one (network, meter set), one compiled model: the ac estimate iterates
+    # the model that simulated the readings
+    built = []
+    original = gridse.measurement.MeterModel
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gridse.measurement, "MeterModel", counting)
+    report = gridse.run_scenario(
+        gridse.load_scenario(CASES_DIR / "ac_gross_error.json"))
+    assert report.converged
+    assert len(built) == 1
+
+    built.clear()
+    code, _, err = run_cli(capsys, "estimate", "--case",
+                           str(ac_case_path(tmp_path)), "--mode", "ac")
+    assert code == 0, err
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("argv", [

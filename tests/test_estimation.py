@@ -247,6 +247,24 @@ def test_estimate_ac_checks_its_arguments_up_front(bad, monkeypatch):
                     **bad)
 
 
+def test_estimate_ac_rejects_a_reading_too_large_to_square(monkeypatch):
+    # r * r overflows at the flat start: InvalidArgument, the error a solve
+    # of non-finite values raises, before any gain is factored and with no
+    # RuntimeWarning (the suite turns those into errors)
+    parsed, _, _ = load_three_bus()
+    config = full_ac_config(parsed.network)
+    z = simulate_measurements(parsed.network, flat_state(parsed.network),
+                              config, "ac", seed=1, noise_scale=0.0)
+    z[0] = 1e308
+
+    def refuse(*args):
+        raise AssertionError("a gain was factored")
+
+    monkeypatch.setattr("gridse.estimation.factor_gain", refuse)
+    with pytest.raises(InvalidArgument, match="not finite"):
+        estimate_ac(parsed.network, z, config, weights_from_config(config))
+
+
 def test_estimate_ac_unobservable_raises():
     from gridse import MeasurementConfig, MeasurementSpec
 

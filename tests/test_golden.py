@@ -1,5 +1,7 @@
 """The shipped outputs, byte for byte: the table and machine reports of the
-four shipped scenarios, the three-bus estimate and a seeded Monte Carlo run.
+four shipped dc scenarios, the machine report of the shipped ac scenario
+(readings simulated on a lossy four-bus grid, one gross error, all three
+detectors), the three-bus estimate and a seeded Monte Carlo run.
 
 The files under ``golden/`` are the CLI's stdout for the arguments below.
 A change that moves any of them moves a published number; regenerate them
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from gridse.cli import main
-from helpers import SCENARIO_FILES, THREE_BUS
+from helpers import CASES_DIR, SCENARIO_FILES, THREE_BUS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -20,6 +22,9 @@ RUNS = [
      ["scenario", "run", str(path), "--format", fmt])
     for path in SCENARIO_FILES for fmt in ("machine", "table")
 ] + [
+    ("scenario_ac_gross_error.machine.txt",
+     ["scenario", "run", str(CASES_DIR / "ac_gross_error.json"),
+      "--format", "machine"]),
     ("estimate_three_bus.txt", ["estimate", "--case", str(THREE_BUS)]),
     ("montecarlo_three_bus_stealth.machine.txt",
      ["montecarlo", "--case", str(THREE_BUS), "--trials", "500",

@@ -24,6 +24,7 @@ from gridse import (
     build_admittance,
     build_meter_model,
     check_observability,
+    estimate_ac,
     estimate_dc,
     largest_normalized_residual,
     parse_case,
@@ -362,9 +363,12 @@ def test_model_records_store_checked_numbers():
     (lambda net, config, h, z, w: check_observability(5, config), "network"),
     (lambda net, config, h, z, w: build_meter_model(net, 5), "config"),
     (lambda net, config, h, z, w: build_meter_model(config, config), "network"),
+    (lambda net, config, h, z, w: estimate_ac(net, z, 5, w), "config"),
+    (lambda net, config, h, z, w: estimate_ac(5, z, config, w), "network"),
 ], ids=["chi_square", "lnr", "largest_normalized_residual",
         "factorless-estimate", "observability-config", "observability-network",
-        "meter-model-config", "meter-model-network"])
+        "meter-model-config", "meter-model-network", "estimate-ac-config",
+        "estimate-ac-network"])
 def test_functions_reject_objects_of_the_wrong_class(call, name):
     parsed, _, h = load_three_bus()
     with pytest.raises(InvalidArgument, match=f"^{name} must be a "):
