@@ -50,12 +50,10 @@ from .estimation import (
 from .measurement import (
     MeterModel,
     StateVector,
-    ac_jacobian,
     build_meter_model,
     dc_jacobian,
     flat_state,
     free_vector,
-    h_eval_ac,
     simulate_measurements,
     state_dimension,
     state_from_free,

@@ -117,7 +117,12 @@ def norm_threshold_test(estimate: EstimationResult,
     tau, which must be positive and finite (else InvalidArgument)."""
     tau = _real(tau, "tau", 0.0)
     _factor(estimate)
-    statistic = float(np.linalg.norm(estimate.residual))
+    r = estimate.residual
+    with np.errstate(over="ignore"):  # r . r may overflow where ||r|| does not
+        statistic = float(np.linalg.norm(r))
+        if statistic == np.inf and np.isfinite(r).all():
+            shift = int(np.frexp(np.max(np.abs(r)))[1])
+            statistic = float(np.ldexp(np.linalg.norm(np.ldexp(r, -shift)), shift))
     return DetectionResult(
         method="norm_threshold",
         detected=statistic > tau,
@@ -178,7 +183,8 @@ def largest_normalized_residual(estimate: EstimationResult,
         )
     normalized = np.full(len(r), -np.inf)
     usable = ~critical
-    normalized[usable] = np.abs(r[usable]) / np.sqrt(omega_diag[usable])
+    with np.errstate(over="ignore"):  # a quotient too large reads inf
+        normalized[usable] = np.abs(r[usable]) / np.sqrt(omega_diag[usable])
 
     statistic = float(np.max(normalized))
     top = np.flatnonzero(normalized >= statistic - TIE_TOLERANCE)

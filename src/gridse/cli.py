@@ -15,7 +15,7 @@ import numpy as np
 from .attack import apply_attack, craft_stealth_attack
 from .baddata import DetectorConfig, run_detector
 from .errors import InputError, MalformedDocument, NumericalError
-from .estimation import _gauss_newton, estimate_dc, weights_from_config
+from .estimation import estimate_ac, estimate_dc, weights_from_config
 from .measurement import build_meter_model, state_from_free
 from .network import _read_case
 from .scenarios import (
@@ -53,8 +53,8 @@ def _cmd_estimate(args) -> int:
     if args.mode == "dc":
         result = estimate_dc(model.dc_matrix, z, weights)
     else:
-        result = _gauss_newton(model, z, weights, tol=args.tol,
-                               max_iter=args.max_iter)
+        result = estimate_ac(model, z, weights, tol=args.tol,
+                             max_iter=args.max_iter)
     state = state_from_free(network, result.state, args.mode)
     print(f"mode: {args.mode}")
     for bus in sorted(state.angles):

@@ -40,6 +40,7 @@ from .errors import (
     UnobservableNetwork,
     _array,
     _count,
+    _instance,
     _real,
 )
 from .measurement import (
@@ -281,34 +282,26 @@ def estimate_dc(h_matrix: np.ndarray, z: np.ndarray,
     return factor_gain(h_matrix, weights).estimate(z)
 
 
-def estimate_ac(network: NetworkModel, z: np.ndarray,
-                config: MeasurementConfig, weights: np.ndarray, *,
+def estimate_ac(model: MeterModel, z: np.ndarray, weights: np.ndarray, *,
                 init: StateVector | None = None, tol: float = 1e-8,
                 max_iter: int = 50) -> EstimationResult:
-    """Gauss-Newton WLS on the nonlinear meter functions.
+    """Gauss-Newton WLS on the nonlinear meter functions of ``model`` (see
+    measurement.build_meter_model).
 
     Starts from ``init`` (default: flat start, v = 1 and angles 0) and stops
     when the step's max component drops below ``tol`` or after ``max_iter``
     iterations. On non-convergence the best iterate seen (lowest weighted
     objective) is returned with ``converged=False``; a singular gain matrix
     at any iterate raises UnobservableNetwork, an iterate whose weighted
-    objective is not finite InvalidArgument. The meter model is built once
-    and every iterate is evaluated against it (``run_scenario`` and the CLI
-    pass the model they hold to the same loop); each step factors the gain
-    at its own iterate once, and the gain at the returned state is factored
-    once more for the result, also with ``max_iter=0``, so an unobservable
-    start raises. ``max_iter`` must be an integer >= 0 and ``tol``
-    positive and finite (a bool is neither), and ``init`` a StateVector,
-    else InvalidArgument before any iteration.
+    objective is not finite InvalidArgument. Every iterate is evaluated
+    against the one model; each step factors the gain at its own iterate
+    once, and the gain at the returned state is factored once more for the
+    result, also with ``max_iter=0``, so an unobservable start raises.
+    ``model`` must be a MeterModel, ``max_iter`` an integer >= 0 and
+    ``tol`` positive and finite (a bool is neither), and ``init`` a
+    StateVector, else InvalidArgument before any iteration.
     """
-    return _gauss_newton(build_meter_model(network, config), z, weights,
-                         init=init, tol=tol, max_iter=max_iter)
-
-
-def _gauss_newton(model: MeterModel, z: np.ndarray, weights: np.ndarray, *,
-                  init: StateVector | None = None, tol: float = 1e-8,
-                  max_iter: int = 50) -> EstimationResult:
-    """estimate_ac against a meter model already built."""
+    _instance(model, MeterModel, "model")
     max_iter = _count(max_iter, "max_iter")
     tol = _real(tol, "tol", 0.0)
     z = _array(z, "z", (len(model.config),), error=LengthMismatch)

@@ -23,11 +23,13 @@ list. The dc matrix H and the ac h(x) and J(x) are numpy expressions over
 these arrays, summed into rows with ``np.bincount`` in term order, so each
 row adds its terms in the same order as a meter-by-meter loop would.
 
-Every path builds one model per (network, meter set). The public functions
-that take both build it per call, and ``estimate_ac`` evaluates every
-iterate against it. ``run_scenario`` passes its model to the readings, the
-attack and the estimate, the CLI's ``estimate`` to either mode, and
-``run_monte_carlo`` computes H and H x once for all its trials.
+Every path builds one model per (network, meter set).
+:func:`simulate_measurements` and ``estimation.estimate_ac`` take the model
+itself, and ``estimate_ac`` evaluates every iterate against it; only
+``dc_jacobian`` and ``check_observability``, which take the pair, build one
+per call. ``run_scenario`` passes its model to the readings, the attack and
+the estimate, the CLI's ``estimate`` to either mode, and ``run_monte_carlo``
+computes H and H x once for all its trials.
 """
 
 from __future__ import annotations
@@ -191,7 +193,11 @@ class MeterModel:
         return _sum_at(index, coeff[keep], m * k).reshape(m, k)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """h(x) at an ac free vector x (see :func:`free_vector`)."""
+        """h(x) at an ac free vector x (see :func:`free_vector`).
+
+        Flows follow the pi-model equations (see ``_branch_flows``), an
+        injection is the sum of the flows leaving its bus, current magnitude
+        is sqrt(P^2 + Q^2) / v_i, and a voltage meter reads v_i directly."""
         v, vi, _, p, q, _, _ = self._branch_flows(x)
         term = np.where(self.code == _P, p, q)
         current, apparent = self._apparent(p, q)
@@ -338,29 +344,11 @@ def dc_jacobian(network: NetworkModel, admittance: AdmittanceMatrix,
     return build_meter_model(network, config).dc_matrix
 
 
-def h_eval_ac(network: NetworkModel, state: StateVector,
-              config: MeasurementConfig) -> np.ndarray:
-    """Evaluate every meter function at an ac state.
-
-    Flows follow the pi-model equations (see ``MeterModel._branch_flows``),
-    an injection is the sum of the flows leaving its bus, current magnitude
-    is sqrt(P^2 + Q^2) / v_i, and a voltage meter reads v_i directly.
-    """
-    x = free_vector(network, state, "ac")
-    return build_meter_model(network, config).values(x)
-
-
-def ac_jacobian(network: NetworkModel, state: StateVector,
-                config: MeasurementConfig) -> np.ndarray:
-    """Analytic dh/dx at the given state, m x (2n-1)."""
-    x = free_vector(network, state, "ac")
-    return build_meter_model(network, config).jacobian(x)
-
-
-def simulate_measurements(network: NetworkModel, true_state: StateVector,
-                          config: MeasurementConfig, mode: str, seed: int,
+def simulate_measurements(model: MeterModel, true_state: StateVector,
+                          mode: str, seed: int,
                           noise_scale: float = 1.0) -> np.ndarray:
-    """h(true state) plus independent zero-mean Gaussian meter noise.
+    """h(true state) plus independent zero-mean Gaussian meter noise, for
+    the meter set compiled into ``model`` (see :func:`build_meter_model`).
 
     Meter i (0-based) reads ``np.random.default_rng([seed, i]).normal(0.0,
     sigma_i * noise_scale)``, bit for bit, so adding or removing meters never
@@ -373,26 +361,26 @@ def simulate_measurements(network: NetworkModel, true_state: StateVector,
     numpy's own ``normal`` (see ``_meter_noise``).
 
     ``noise_scale`` multiplies every sigma; 0 returns h(true state)
-    exactly, and a scale that is not a non-negative finite number (a bool
-    is not one) raises InvalidArgument, as does a seed that is not a
-    non-negative integer.
+    exactly. A ``model`` that is not a MeterModel, a scale that is not a
+    non-negative finite number (a bool is not one) or a seed that is not a
+    non-negative integer raises InvalidArgument, and so do readings or a
+    sigma times ``noise_scale`` too large for a float; the clean readings
+    and the scales are checked before any noise is drawn.
     """
+    _instance(model, MeterModel, "model")
     _check_mode(mode)
-    return _simulate(build_meter_model(network, config), true_state, mode,
-                     seed, noise_scale)
-
-
-def _simulate(model: MeterModel, true_state: StateVector, mode: str,
-              seed: int, noise_scale: float) -> np.ndarray:
-    """simulate_measurements against a model already built."""
     seed = _count(seed, "seed")
     noise_scale = _real(noise_scale, "noise_scale", 0.0, include_low=True)
-    if mode == "dc":
-        clean = model.dc_matrix @ free_vector(model.network, true_state, "dc")
-    else:
-        clean = model.values(free_vector(model.network, true_state, "ac"))
-    scales = model.config.sigmas() * noise_scale
-    return clean + _meter_noise([seed], scales)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "dc":
+            clean = model.dc_matrix @ free_vector(model.network, true_state, "dc")
+        else:
+            clean = model.values(free_vector(model.network, true_state, "ac"))
+        scales = model.config.sigmas() * noise_scale
+    _array(clean, "h(true state)", finite=True)
+    noise = _meter_noise([seed], _array(scales, "sigma * noise_scale", finite=True))
+    with np.errstate(over="ignore"):
+        return _array(clean + noise[0], "simulated readings", finite=True)
 
 
 # SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants, fixed

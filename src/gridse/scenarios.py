@@ -67,13 +67,13 @@ from .errors import (
     _reject_constant,
     _reject_repeats,
 )
-from .estimation import _gauss_newton, estimate_dc, factor_gain, weights_from_config
+from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_config
 from .measurement import (
     MeterModel,
     StateVector,
     _meter_noise,
-    _simulate,
     build_meter_model,
+    simulate_measurements,
 )
 from .network import ParsedCase, _read_case
 
@@ -315,8 +315,8 @@ def _scenario_readings(scenario: Scenario, parsed: ParsedCase,
     if "magnitudes" in sim:
         mags = {int(k): v for k, v in sim["magnitudes"].items()}
     state = StateVector(angles=angles, magnitudes=mags)
-    return _simulate(model, state, scenario.mode, sim["seed"],
-                     sim.get("noise_scale", 1.0))
+    return simulate_measurements(model, state, scenario.mode, sim["seed"],
+                                 sim.get("noise_scale", 1.0))
 
 
 def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
@@ -347,11 +347,13 @@ def _scenario_attack_vector(scenario: Scenario, model: MeterModel,
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     """Build readings, apply the attack, estimate, and run every detector.
 
-    One meter model serves the readings, the attack and the estimate (each
-    ac iterate), and the estimate's gain factor, for ac the gain at the
-    estimated state, serves every detector. Deterministic given the
-    scenario content. A constrained attack with no feasible direction
-    degrades to an unattacked run (reported as such).
+    The case's meter model is built once and passed to
+    ``simulate_measurements`` for simulated readings, to the attack and to
+    ``estimate_dc`` (its H) or ``estimate_ac`` (each iterate); the
+    estimate's gain factor, for ac the gain at the estimated state, serves
+    every detector. Deterministic given the scenario content. A constrained
+    attack with no feasible direction degrades to an unattacked run
+    (reported as such).
     """
     parsed = _read_case(scenario.case_path)
     network, config = parsed.network, parsed.config
@@ -365,7 +367,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     if scenario.mode == "dc":
         result = estimate_dc(model.dc_matrix, z_final, weights)
     else:
-        result = _gauss_newton(model, z_final, weights)
+        result = estimate_ac(model, z_final, weights)
 
     verdicts = tuple(run_detector(d, result) for d in scenario.detectors)
     return ScenarioReport(
@@ -414,7 +416,8 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     finite number (on either arm), a ``noise_scale`` that is not a
     non-negative finite number (a bool is neither, and an int too large for
     a float is not finite) or a ``detector`` that is not a DetectorConfig
-    raises InvalidArgument before the case is read.
+    raises InvalidArgument before the case is read, and a sigma times
+    ``noise_scale`` or readings too large for a float raise it too.
     """
     trials = _count(trials, "trials")
     if not trials:
@@ -444,14 +447,17 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     attack_detected = 0
     base_stats = []
     attack_stats = []
-    scales = config.sigmas() * noise_scale
+    with np.errstate(over="ignore"):
+        scales = _array(config.sigmas() * noise_scale, "sigma * noise_scale",
+                        finite=True)
     block = max(1, _NOISE_BLOCK_DRAWS // len(scales))
     for start in range(0, trials, block):
         seeds = range(noise_seed_base + start,
                       noise_seed_base + min(trials, start + block))
         noise = _meter_noise(seeds, scales)
-        for seed, trial_noise in zip(seeds, noise):
-            z = clean + trial_noise
+        with np.errstate(over="ignore"):
+            readings = _array(clean + noise, "simulated readings", finite=True)
+        for seed, z in zip(seeds, readings):
             base = run_detector(detector, factor.estimate(z))
             base_detected += base.detected
             base_stats.append(base.statistic)

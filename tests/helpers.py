@@ -14,8 +14,7 @@ from gridse import (
     MeasurementSpec,
     NetworkModel,
     UnobservableNetwork,
-    build_admittance,
-    dc_jacobian,
+    build_meter_model,
     factor_gain,
     parse_case,
 )
@@ -32,10 +31,10 @@ SCENARIO_FILES = (
 
 
 def load_three_bus():
+    """The bundled case, its compiled meter model and its dc matrix H."""
     parsed = parse_case(THREE_BUS.read_text())
-    admittance = build_admittance(parsed.network)
-    h = dc_jacobian(parsed.network, admittance, parsed.config)
-    return parsed, admittance, h
+    model = build_meter_model(parsed.network, parsed.config)
+    return parsed, model, model.dc_matrix
 
 
 def estimator_accepts(h: np.ndarray) -> bool:
@@ -105,7 +104,6 @@ def random_observable_config(rng: np.random.Generator, network: NetworkModel,
     redundancy (or exactly ``exact_redundancy``); resamples until observable."""
     candidates = dc_meter_candidates(network)
     state_dim = network.n_buses - 1
-    admittance = build_admittance(network)
     while True:
         if exact_redundancy is not None:
             m = state_dim + exact_redundancy
@@ -114,7 +112,7 @@ def random_observable_config(rng: np.random.Generator, network: NetworkModel,
         m = min(m, len(candidates))
         picks = rng.choice(len(candidates), size=m, replace=False)
         config = MeasurementConfig(specs=tuple(candidates[i] for i in picks))
-        h = dc_jacobian(network, admittance, config)
+        h = build_meter_model(network, config).dc_matrix
         if np.linalg.matrix_rank(h) == state_dim:
             return config
 

@@ -11,11 +11,9 @@ import numpy as np
 
 from gridse import (
     DetectorConfig,
-    ac_jacobian,
-    build_admittance,
+    build_meter_model,
     constrained_stealth_attack,
     craft_stealth_attack,
-    dc_jacobian,
     estimate_ac,
     estimate_dc,
     free_vector,
@@ -96,9 +94,8 @@ def test_criterion_3_stealth_blindness_sweep():
         )
         for _ in range(500):
             net = random_network(rng, int(rng.integers(3, 9)))
-            adm = build_admittance(net)
             config = random_observable_config(rng, net, min_redundancy=1)
-            h = dc_jacobian(net, adm, config)
+            h = build_meter_model(net, config).dc_matrix
             m, k = h.shape
             z = rng.uniform(-0.5, 0.5, size=m)
             c = rng.normal(size=k) * 0.02
@@ -122,9 +119,8 @@ def test_criterion_4_estimator_matches_brute_force_oracle():
         rng = np.random.default_rng(404)
         for _ in range(100):
             net = random_network(rng, int(rng.integers(3, 8)))
-            adm = build_admittance(net)
             config = random_observable_config(rng, net)
-            h = dc_jacobian(net, adm, config)
+            h = build_meter_model(net, config).dc_matrix
             z = rng.uniform(-1.0, 1.0, size=h.shape[0])
             w = rng.uniform(0.5, 2.0, size=h.shape[0]) * 1e4
             assert np.max(np.abs(estimate_dc(h, z, w).state
@@ -140,21 +136,20 @@ def test_criterion_5_ac_model_correctness():
         for _ in range(50):
             net = random_network(rng, int(rng.integers(3, 7)), lossy=True,
                                  shunts=True)
-            config = full_ac_config(net)
+            model = build_meter_model(net, full_ac_config(net))
             state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
-            jac = ac_jacobian(net, state, config)
-            fd = finite_difference_jacobian(net, config,
-                                            free_vector(net, state, "ac"))
-            assert np.max(np.abs(jac - fd)) <= 1e-6
+            x0 = free_vector(net, state, "ac")
+            fd = finite_difference_jacobian(model, x0)
+            assert np.max(np.abs(model.jacobian(x0) - fd)) <= 1e-6
         for _ in range(8):
             net = random_network(rng, int(rng.integers(3, 7)), lossy=True,
                                  shunts=True)
-            config = full_ac_config(net)
+            model = build_meter_model(net, full_ac_config(net))
             truth = random_ac_state(rng, net)
-            z = simulate_measurements(net, truth, config, "ac", seed=0,
+            z = simulate_measurements(model, truth, "ac", seed=0,
                                       noise_scale=0.0)
-            w = weights_from_config(config)
-            result = estimate_ac(net, z, config, w, tol=1e-10)
+            w = weights_from_config(model.config)
+            result = estimate_ac(model, z, w, tol=1e-10)
             assert result.converged
             assert np.max(np.abs(result.state
                                  - free_vector(net, truth, "ac"))) <= 1e-8
@@ -197,9 +192,8 @@ def test_criterion_7_protection_analysis():
         rng = np.random.default_rng(707)
         for _ in range(50):
             net = random_network(rng, int(rng.integers(3, 8)))
-            adm = build_admittance(net)
             config = random_observable_config(rng, net)
-            hh = dc_jacobian(net, adm, config)
+            hh = build_meter_model(net, config).dc_matrix
             m, k = hh.shape
             size = int(rng.integers(0, m + 1))
             subset = [int(i) + 1
@@ -219,9 +213,8 @@ def test_criterion_8_constrained_attacks():
         # exhaustive accessible subsets on small instances
         for _ in range(10):
             net = random_network(rng, int(rng.integers(3, 5)))
-            adm = build_admittance(net)
             config = random_observable_config(rng, net)
-            h = dc_jacobian(net, adm, config)
+            h = build_meter_model(net, config).dc_matrix
             m, k = h.shape
             if m > 6:
                 continue
@@ -243,9 +236,8 @@ def test_criterion_8_constrained_attacks():
         # larger random instances: returned attacks stay stealthy and silent
         for _ in range(30):
             net = random_network(rng, int(rng.integers(4, 9)))
-            adm = build_admittance(net)
             config = random_observable_config(rng, net)
-            h = dc_jacobian(net, adm, config)
+            h = build_meter_model(net, config).dc_matrix
             m = h.shape[0]
             size = int(rng.integers(0, m + 1))
             accessible = [int(i) + 1

@@ -18,11 +18,10 @@ from gridse import (
     NetworkModel,
     UnobservableNetwork,
     apply_attack,
-    build_admittance,
+    build_meter_model,
     check_observability,
     constrained_stealth_attack,
     craft_stealth_attack,
-    dc_jacobian,
     estimate_dc,
     protection_check,
     random_stealth_attack,
@@ -235,9 +234,8 @@ def test_constrained_attack_random_instances():
     rng = np.random.default_rng(52)
     for _ in range(20):
         net = random_network(rng, int(rng.integers(3, 8)))
-        adm = build_admittance(net)
         config = random_observable_config(rng, net)
-        h = dc_jacobian(net, adm, config)
+        h = build_meter_model(net, config).dc_matrix
         m, k = h.shape
         n_accessible = int(rng.integers(0, m + 1))
         accessible = set(
@@ -259,8 +257,8 @@ def test_constrained_attack_random_instances():
 def _forty_bus_h():
     rng = np.random.default_rng(61)
     net = random_network(rng, 40)
-    h = dc_jacobian(net, build_admittance(net),
-                    MeasurementConfig(specs=tuple(dc_meter_candidates(net))))
+    h = build_meter_model(
+        net, MeasurementConfig(specs=tuple(dc_meter_candidates(net)))).dc_matrix
     return rng, net, h
 
 
@@ -353,9 +351,8 @@ def test_protection_check_monotone():
     rng = np.random.default_rng(53)
     for _ in range(10):
         net = random_network(rng, int(rng.integers(3, 8)))
-        adm = build_admittance(net)
         config = random_observable_config(rng, net)
-        h = dc_jacobian(net, adm, config)
+        h = build_meter_model(net, config).dc_matrix
         m = h.shape[0]
         meters = list(range(1, m + 1))
         rng.shuffle(meters)
@@ -380,7 +377,7 @@ def test_rank_decisions_follow_the_estimator_over_a_reactance_sweep():
             branches = list(net.branches)
             branches[j] = replace(branches[j], reactance_x=float(x))
             swept = replace(net, branches=tuple(branches))
-            h = dc_jacobian(swept, build_admittance(swept), config)
+            h = build_meter_model(swept, config).dc_matrix
             m, k = h.shape
             protected = rng.choice(m, size=int(rng.integers(1, m + 1)),
                                    replace=False) + 1
@@ -440,7 +437,7 @@ def test_protection_with_a_nearly_open_line_follows_the_estimator():
         MeasurementSpec(kind="flow_p", from_bus=1, to_bus=2, sigma=0.01),
         MeasurementSpec(kind="flow_p", from_bus=2, to_bus=3, sigma=0.01),
         MeasurementSpec(kind="injection_p", bus=1, sigma=0.01)))
-    h = dc_jacobian(net, build_admittance(net), config)
+    h = build_meter_model(net, config).dc_matrix
     with pytest.raises(UnobservableNetwork):
         estimate_dc(h, np.zeros(3), np.full(3, 1e4))
     assert _reference_rank(h) == 2
@@ -455,8 +452,8 @@ def test_protection_with_a_nearly_open_line_follows_the_estimator():
 def _hundred_bus_h(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, 100)
-    h = dc_jacobian(net, build_admittance(net),
-                    MeasurementConfig(specs=tuple(dc_meter_candidates(net))))
+    h = build_meter_model(
+        net, MeasurementConfig(specs=tuple(dc_meter_candidates(net)))).dc_matrix
     return rng, h
 
 

@@ -8,6 +8,7 @@ residual equals |r_1| * sqrt(6.5625) / sigma. Base readings give
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,23 +21,24 @@ from gridse import (
     MeasurementSpec,
     NoRedundancy,
     NumericallySingularOmega,
-    build_admittance,
+    build_meter_model,
     chi_square_test,
     Branch,
     Bus,
     NetworkModel,
     craft_stealth_attack,
-    dc_jacobian,
     estimate_ac,
     estimate_dc,
     factor_gain,
     largest_normalized_residual,
     norm_threshold_test,
     run_detector,
+    run_monte_carlo,
     simulate_measurements,
     weights_from_config,
 )
 from helpers import (
+    THREE_BUS,
     full_ac_config,
     load_three_bus,
     random_ac_state,
@@ -94,6 +96,27 @@ def test_norm_threshold_zero_residual():
     verdict = norm_threshold_test(est, tau=1e-6)
     assert verdict.statistic == 0.0
     assert not verdict.detected
+
+
+def test_statistics_of_a_residual_whose_square_overflows():
+    # r . r leaves float range although ||r|| (about 9.8e306) does not: the
+    # norm is taken at a power-of-two scale, and a normalized residual too
+    # large for a float reads inf, with no RuntimeWarning (the suite turns
+    # those into errors)
+    _, _, h = load_three_bus()
+    est = base_estimate(h, np.array([1e308, 1e308, -1e308]))
+    norm = norm_threshold_test(est, tau=1.0)
+    assert norm.statistic == pytest.approx(math.hypot(*est.residual),
+                                           rel=1e-15)
+    assert 9e306 < norm.statistic < 1e307 and norm.detected
+    lnr = largest_normalized_residual(est)
+    assert lnr.statistic == np.inf and lnr.detected
+    # Monte Carlo noise of sigma * 1e300 squares past float range too
+    stats = run_monte_carlo(THREE_BUS, trials=2, noise_scale=1e300,
+                            detector=DetectorConfig(method="norm_threshold",
+                                                    tau=1.0))
+    assert stats.detection_rate == 1.0
+    assert all(1e297 < v < np.inf for v in stats.unattacked_statistics)
 
 
 def test_chi_square_base_not_detected():
@@ -195,12 +218,11 @@ def test_normalized_residuals_invariant_under_sigma_rescaling():
     # identical factor, so the normalized statistic cannot move
     from gridse import StateVector, simulate_measurements
 
-    parsed, _, h = load_three_bus()
+    _, model, h = load_three_bus()
     truth = StateVector(angles={1: 0.03, 2: -0.09, 3: 0.0})
     reference = None
     for scale in (1.0, 0.1, 3.0, 42.0):
-        z = simulate_measurements(parsed.network, truth,
-                                  parsed.config, "dc", seed=77,
+        z = simulate_measurements(model, truth, "dc", seed=77,
                                   noise_scale=scale)
         w_scaled = W / scale**2
         verdict = largest_normalized_residual(estimate_dc(h, z, w_scaled))
@@ -213,9 +235,8 @@ def test_single_redundancy_forces_equal_normalized_residuals():
     rng = np.random.default_rng(41)
     for _ in range(10):
         net = random_network(rng, int(rng.integers(3, 7)))
-        adm = build_admittance(net)
         config = random_observable_config(rng, net, exact_redundancy=1)
-        h = dc_jacobian(net, adm, config)
+        h = build_meter_model(net, config).dc_matrix
         z = rng.uniform(-0.5, 0.5, size=h.shape[0])
         w = np.full(h.shape[0], 1e4)
         verdict = largest_normalized_residual(estimate_dc(h, z, w))
@@ -235,9 +256,8 @@ def test_detectors_are_blind_to_stealth_shifts():
     )
     for _ in range(25):
         net = random_network(rng, int(rng.integers(3, 9)))
-        adm = build_admittance(net)
         config = random_observable_config(rng, net, min_redundancy=1)
-        h = dc_jacobian(net, adm, config)
+        h = build_meter_model(net, config).dc_matrix
         m, k = h.shape
         z = rng.uniform(-0.5, 0.5, size=m)
         c = rng.normal(size=k) * 0.02
@@ -327,8 +347,7 @@ def with_radial_bus(rng, parallel):
                       if not (s.kind == "injection_p" and s.bus == 1))
         specs += (MeasurementSpec(kind="flow_p", from_bus=n + 1, to_bus=1,
                                   sigma=0.01),)
-        h = dc_jacobian(radial, build_admittance(radial),
-                        MeasurementConfig(specs=specs))
+        h = build_meter_model(radial, MeasurementConfig(specs=specs)).dc_matrix
         if np.linalg.matrix_rank(h) == h.shape[1]:
             return h
 
@@ -351,7 +370,7 @@ def test_lnr_reuses_or_rebuilds_the_gain_factor_alike():
         for _ in range(4):
             net = random_network(rng, int(rng.integers(4, 10)), parallel=parallel)
             config = random_observable_config(rng, net, min_redundancy=2)
-            h = dc_jacobian(net, build_admittance(net), config)
+            h = build_meter_model(net, config).dc_matrix
             w = rng.uniform(1e3, 1e5, size=h.shape[0])
             z = rng.uniform(-0.5, 0.5, size=h.shape[0])
             reused = largest_normalized_residual(estimate_dc(h, z, w))
@@ -373,11 +392,10 @@ def test_detectors_factor_no_gain(monkeypatch):
     _, _, h = load_three_bus()
     rng = np.random.default_rng(45)
     net = random_network(rng, 5, lossy=True)
-    config = full_ac_config(net)
-    z = simulate_measurements(net, random_ac_state(rng, net), config, "ac",
-                              seed=8)
+    model = build_meter_model(net, full_ac_config(net))
+    z = simulate_measurements(model, random_ac_state(rng, net), "ac", seed=8)
     estimates = (base_estimate(h, S2_Z),
-                 estimate_ac(net, z, config, weights_from_config(config)))
+                 estimate_ac(model, z, weights_from_config(model.config)))
 
     def refuse(*args):
         raise AssertionError("a detector factored a gain")

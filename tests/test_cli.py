@@ -128,6 +128,21 @@ def test_detect_lnr(capsys):
     assert "suspect_meter = 1 (ambiguous)" in out
 
 
+@pytest.mark.parametrize("extra, statistic", [
+    (("--method", "norm_threshold", "--tau", "1"), "statistic = 9.759e+306"),
+    (("--method", "lnr"), "statistic = inf"),
+], ids=["norm_threshold", "lnr"])
+def test_detect_on_readings_whose_squares_overflow(capsys, extra, statistic):
+    # r . r overflows: the norm is taken at a power-of-two scale, and a
+    # normalized residual too large for a float reads inf, with no
+    # RuntimeWarning (the suite turns those into errors)
+    code, out, err = run_cli(capsys, "detect", "--case", str(THREE_BUS),
+                             "--z", "1e308,1e308,-1e308", *extra)
+    assert code == 0, err
+    assert statistic in out
+    assert "detected = yes" in out
+
+
 @pytest.mark.parametrize("extra", [
     ("--method", "lnr", "--lnr-threshold", "nan"),
     ("--method", "lnr", "--lnr-threshold", "inf"),
@@ -329,6 +344,19 @@ def test_negative_noise_scale_is_input_error(tmp_path, capsys):
     assert "noise_scale" in err
 
 
+def test_simulated_readings_too_large_for_a_float_are_input_errors(
+        tmp_path, capsys):
+    path = tmp_path / "huge_angle.json"
+    path.write_text(json.dumps({
+        "name": "x", "case": str(THREE_BUS),
+        "measurements": {"simulate": {"angles": {"1": 0.0, "2": 1e308,
+                                                 "3": 0.0}, "seed": 1}}}))
+    code, out, err = run_cli(capsys, "scenario", "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert "h(true state) must be finite" in err
+
+
 def test_negative_seeds_are_input_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "montecarlo", "--case", str(THREE_BUS),
                            "--trials", "3", "--seed", "-1")
@@ -377,13 +405,13 @@ def test_each_path_builds_one_meter_model(tmp_path, capsys, monkeypatch):
     # one (network, meter set), one compiled model: the ac estimate iterates
     # the model that simulated the readings
     built = []
-    original = gridse.measurement.MeterModel
 
-    def counting(*args, **kwargs):
-        built.append(1)
-        return original(*args, **kwargs)
+    class Counting(gridse.measurement.MeterModel):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(gridse.measurement, "MeterModel", counting)
+    monkeypatch.setattr(gridse.measurement, "MeterModel", Counting)
     report = gridse.run_scenario(
         gridse.load_scenario(CASES_DIR / "ac_gross_error.json"))
     assert report.converged
@@ -394,6 +422,36 @@ def test_each_path_builds_one_meter_model(tmp_path, capsys, monkeypatch):
                            str(ac_case_path(tmp_path)), "--mode", "ac")
     assert code == 0, err
     assert len(built) == 1
+
+
+def test_paths_call_the_public_entry_points(tmp_path, capsys, monkeypatch):
+    # a scenario simulates its readings and estimates through the public
+    # functions, and so does the CLI's ac estimate, so the benchmark's
+    # wrappers of the public names see every call
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(gridse.scenarios, "estimate_ac")
+    counting(gridse.scenarios, "simulate_measurements")
+    counting(gridse.cli, "estimate_ac")
+    report = gridse.run_scenario(
+        gridse.load_scenario(CASES_DIR / "ac_gross_error.json"))
+    assert report.converged
+    assert sorted(calls) == ["estimate_ac", "simulate_measurements"]
+
+    calls.clear()
+    code, _, err = run_cli(capsys, "estimate", "--case",
+                           str(ac_case_path(tmp_path)), "--mode", "ac")
+    assert code == 0, err
+    assert calls == ["estimate_ac"]
 
 
 @pytest.mark.parametrize("argv", [

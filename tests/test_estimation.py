@@ -20,9 +20,7 @@ from gridse import (
     MeasurementConfig,
     MeasurementSpec,
     UnobservableNetwork,
-    build_admittance,
     build_meter_model,
-    dc_jacobian,
     estimate_ac,
     estimate_dc,
     factor_gain,
@@ -118,10 +116,8 @@ def test_estimate_dc_matches_brute_force_inversion():
     rng = np.random.default_rng(32)
     for _ in range(20):
         net = random_network(rng, int(rng.integers(3, 8)))
-        adm = build_admittance(net)
         config = random_observable_config(rng, net)
-        from gridse import dc_jacobian
-        h = dc_jacobian(net, adm, config)
+        h = build_meter_model(net, config).dc_matrix
         z = rng.uniform(-1, 1, size=len(config))
         w = rng.uniform(0.5, 2.0, size=len(config)) * 1e4
         result = estimate_dc(h, z, w)
@@ -182,12 +178,11 @@ def test_estimate_ac_recovers_noiseless_state():
     rng = np.random.default_rng(34)
     for _ in range(5):
         net = random_network(rng, int(rng.integers(3, 7)), lossy=True, shunts=True)
-        config = full_ac_config(net)
+        model = build_meter_model(net, full_ac_config(net))
         truth = random_ac_state(rng, net)
-        z = simulate_measurements(net, truth, config, "ac", seed=0,
-                                  noise_scale=0.0)
-        w = weights_from_config(config)
-        result = estimate_ac(net, z, config, w, tol=1e-10)
+        z = simulate_measurements(model, truth, "ac", seed=0, noise_scale=0.0)
+        w = weights_from_config(model.config)
+        result = estimate_ac(model, z, w, tol=1e-10)
         assert result.converged
         assert np.max(np.abs(result.state - free_vector(net, truth, "ac"))) <= 1e-8
 
@@ -203,7 +198,7 @@ def test_estimate_ac_agrees_with_linear_angles():
     )
     config = MeasurementConfig(specs=specs)
     z = np.concatenate([BASE_Z, np.ones(3)])
-    result = estimate_ac(parsed.network, z, config,
+    result = estimate_ac(build_meter_model(parsed.network, config), z,
                          weights_from_config(config))
     assert result.converged
     assert result.state[0] == pytest.approx(BASE_STATE[0], rel=0.02)
@@ -212,12 +207,11 @@ def test_estimate_ac_agrees_with_linear_angles():
 
 def test_estimate_ac_zero_iterations_returns_start():
     parsed, _, _ = load_three_bus()
-    config = full_ac_config(parsed.network)
+    model = build_meter_model(parsed.network, full_ac_config(parsed.network))
     truth = flat_state(parsed.network)
-    z = simulate_measurements(parsed.network, truth, config, "ac",
-                              seed=1, noise_scale=0.0)
-    w = weights_from_config(config)
-    result = estimate_ac(parsed.network, z + 0.05, config, w, max_iter=0)
+    z = simulate_measurements(model, truth, "ac", seed=1, noise_scale=0.0)
+    w = weights_from_config(model.config)
+    result = estimate_ac(model, z + 0.05, w, max_iter=0)
     assert not result.converged
     assert result.iterations == 0
     np.testing.assert_array_equal(
@@ -234,17 +228,16 @@ def test_estimate_ac_zero_iterations_returns_start():
         "string-init"])
 def test_estimate_ac_checks_its_arguments_up_front(bad, monkeypatch):
     parsed, _, _ = load_three_bus()
-    config = full_ac_config(parsed.network)
-    z = simulate_measurements(parsed.network, flat_state(parsed.network),
-                              config, "ac", seed=1, noise_scale=0.0)
+    model = build_meter_model(parsed.network, full_ac_config(parsed.network))
+    z = simulate_measurements(model, flat_state(parsed.network), "ac", seed=1,
+                              noise_scale=0.0)
 
     def refuse(*args):
         raise AssertionError("a gain was factored")
 
     monkeypatch.setattr("gridse.estimation.factor_gain", refuse)
     with pytest.raises(InvalidArgument):
-        estimate_ac(parsed.network, z, config, weights_from_config(config),
-                    **bad)
+        estimate_ac(model, z, weights_from_config(model.config), **bad)
 
 
 def test_estimate_ac_rejects_a_reading_too_large_to_square(monkeypatch):
@@ -252,9 +245,9 @@ def test_estimate_ac_rejects_a_reading_too_large_to_square(monkeypatch):
     # of non-finite values raises, before any gain is factored and with no
     # RuntimeWarning (the suite turns those into errors)
     parsed, _, _ = load_three_bus()
-    config = full_ac_config(parsed.network)
-    z = simulate_measurements(parsed.network, flat_state(parsed.network),
-                              config, "ac", seed=1, noise_scale=0.0)
+    model = build_meter_model(parsed.network, full_ac_config(parsed.network))
+    z = simulate_measurements(model, flat_state(parsed.network), "ac", seed=1,
+                              noise_scale=0.0)
     z[0] = 1e308
 
     def refuse(*args):
@@ -262,37 +255,36 @@ def test_estimate_ac_rejects_a_reading_too_large_to_square(monkeypatch):
 
     monkeypatch.setattr("gridse.estimation.factor_gain", refuse)
     with pytest.raises(InvalidArgument, match="not finite"):
-        estimate_ac(parsed.network, z, config, weights_from_config(config))
+        estimate_ac(model, z, weights_from_config(model.config))
 
 
 def test_estimate_ac_unobservable_raises():
     from gridse import MeasurementConfig, MeasurementSpec
 
     parsed, _, _ = load_three_bus()
-    config = MeasurementConfig(specs=(
+    model = build_meter_model(parsed.network, MeasurementConfig(specs=(
         MeasurementSpec(kind="voltage_magnitude", bus=1, sigma=0.01),
-    ))
+    )))
     with pytest.raises(UnobservableNetwork):
-        estimate_ac(parsed.network, np.array([1.0]), config, np.array([1e4]))
+        estimate_ac(model, np.array([1.0]), np.array([1e4]))
     # the start's gain is factored for the result even when no step runs
     with pytest.raises(UnobservableNetwork):
-        estimate_ac(parsed.network, np.array([1.0]), config, np.array([1e4]),
-                    max_iter=0)
+        estimate_ac(model, np.array([1.0]), np.array([1e4]), max_iter=0)
 
 
 def test_gauss_newton_fixed_point():
     # one extra iteration after convergence moves the state by less than tol
     rng = np.random.default_rng(35)
     net = random_network(rng, 4, lossy=True)
-    config = full_ac_config(net)
+    model = build_meter_model(net, full_ac_config(net))
     truth = random_ac_state(rng, net)
-    z = simulate_measurements(net, truth, config, "ac", seed=5)
-    w = weights_from_config(config)
+    z = simulate_measurements(model, truth, "ac", seed=5)
+    w = weights_from_config(model.config)
     tol = 1e-8
-    first = estimate_ac(net, z, config, w, tol=tol)
+    first = estimate_ac(model, z, w, tol=tol)
     assert first.converged
     from gridse import state_from_free
-    resumed = estimate_ac(net, z, config, w,
+    resumed = estimate_ac(model, z, w,
                           init=state_from_free(net, first.state, "ac"),
                           max_iter=1)
     assert resumed.converged
@@ -303,7 +295,7 @@ def random_dc_problem(seed, parallel=0, min_redundancy=2):
     rng = np.random.default_rng(seed)
     net = random_network(rng, int(rng.integers(4, 10)), parallel=parallel)
     config = random_observable_config(rng, net, min_redundancy=min_redundancy)
-    h = dc_jacobian(net, build_admittance(net), config)
+    h = build_meter_model(net, config).dc_matrix
     w = rng.uniform(1e3, 1e5, size=h.shape[0])
     return rng, h, w
 
@@ -369,7 +361,7 @@ def test_row_pattern_gain_and_hat_diagonal_match_the_dense_oracle():
     for n in (30, 60, 120, 300):
         net = random_network(rng, n)
         config = narrow_meters(net, ac=False)
-        h = dc_jacobian(net, build_admittance(net), config)
+        h = build_meter_model(net, config).dc_matrix
         w = weights_from_config(config) * rng.uniform(0.5, 4.0, h.shape[0])
         assert_factor_matches_dense_oracle(h, w, pattern=True)
     # the ac Jacobian of a 60-bus lossy grid, away from the flat start
@@ -504,7 +496,7 @@ def test_estimate_is_exact_under_power_of_two_scaling():
     for n in (3, 12):
         net = random_network(rng, n)
         config = random_observable_config(rng, net)
-        h = dc_jacobian(net, build_admittance(net), config)
+        h = build_meter_model(net, config).dc_matrix
         z = h @ rng.normal(0.0, 0.1, n - 1) + rng.normal(0.0, 0.01, h.shape[0])
         w = weights_from_config(config) * rng.uniform(0.5, 4.0, h.shape[0])
         base = estimate_dc(h, z, w)
@@ -517,18 +509,17 @@ def test_estimate_is_exact_under_power_of_two_scaling():
 def test_estimate_ac_reports_last_step_condition():
     rng = np.random.default_rng(36)
     net = random_network(rng, 5, lossy=True, parallel=1)
-    config = full_ac_config(net)
+    model = build_meter_model(net, full_ac_config(net))
     truth = random_ac_state(rng, net)
-    z = simulate_measurements(net, truth, config, "ac", seed=6)
-    w = weights_from_config(config)
-    model = build_meter_model(net, config)
-    result = estimate_ac(net, z, config, w)
+    z = simulate_measurements(model, truth, "ac", seed=6)
+    w = weights_from_config(model.config)
+    result = estimate_ac(model, z, w)
     assert result.converged
     assert 1.0 <= result.factor.condition < 1e12
     # the factor is the gain at the returned state, converged or not: at
     # the solution, at the best of a capped run and at an unmoved start
-    capped = estimate_ac(net, z, config, w, max_iter=1)
-    start = estimate_ac(net, z, config, w, max_iter=0)
+    capped = estimate_ac(model, z, w, max_iter=1)
+    start = estimate_ac(model, z, w, max_iter=0)
     assert not capped.converged and not start.converged
     assert start.iterations == 0
     np.testing.assert_array_equal(start.state,

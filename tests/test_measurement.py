@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gridse
 from gridse import (
     DanglingReference,
     DetectorConfig,
@@ -13,7 +14,6 @@ from gridse import (
     MissingMagnitudes,
     StateVector,
     UnsupportedKindForDC,
-    ac_jacobian,
     build_admittance,
     build_meter_model,
     chi_square_test,
@@ -22,7 +22,6 @@ from gridse import (
     estimate_dc,
     flat_state,
     free_vector,
-    h_eval_ac,
     largest_normalized_residual,
     run_detector,
     simulate_measurements,
@@ -50,21 +49,22 @@ def test_dc_jacobian_three_bus():
 
 
 def test_dc_flow_reversal_negates_the_row():
-    parsed, admittance, h = load_three_bus()
+    parsed, _, h = load_three_bus()
     reversed_specs = tuple(
         MeasurementSpec(kind="flow_p", from_bus=s.to_bus, to_bus=s.from_bus,
                         sigma=s.sigma)
         for s in parsed.config.specs
     )
-    h_rev = dc_jacobian(parsed.network, admittance,
-                        MeasurementConfig(specs=reversed_specs))
+    h_rev = build_meter_model(parsed.network,
+                              MeasurementConfig(specs=reversed_specs)).dc_matrix
     np.testing.assert_allclose(h_rev, -h, atol=1e-15)
 
 
 def test_dc_injection_row_sums_incident_flows():
     # bus 1 feeds branches 1-2 and 1-3: row = [5 + 2.5, -5], which is also
     # the bus-1 row of the susceptance table restricted to free columns
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
+    admittance = build_admittance(parsed.network)
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="injection_p", bus=1, sigma=0.01),
     ))
@@ -80,13 +80,14 @@ def test_dc_injection_row_sums_incident_flows():
     ("voltage_magnitude", "bus"),
 ])
 def test_dc_rejects_nonlinear_kinds(kind, where):
-    parsed, admittance, _ = load_three_bus()
+    parsed, _, _ = load_three_bus()
     if where == "branch":
         spec = MeasurementSpec(kind=kind, from_bus=1, to_bus=2, sigma=0.01)
     else:
         spec = MeasurementSpec(kind=kind, bus=1, sigma=0.01)
     with pytest.raises(UnsupportedKindForDC):
-        dc_jacobian(parsed.network, admittance, MeasurementConfig(specs=(spec,)))
+        build_meter_model(parsed.network,
+                          MeasurementConfig(specs=(spec,))).dc_matrix
 
 
 @pytest.mark.parametrize("spec", [
@@ -112,7 +113,8 @@ def test_flat_state_zeroes_lossless_flows():
                                      to_bus=br.to_bus, sigma=0.01))
         specs.append(MeasurementSpec(kind="flow_q", from_bus=br.from_bus,
                                      to_bus=br.to_bus, sigma=0.01))
-    values = h_eval_ac(net, flat_state(net), MeasurementConfig(specs=tuple(specs)))
+    model = build_meter_model(net, MeasurementConfig(specs=tuple(specs)))
+    values = model.values(free_vector(net, flat_state(net), "ac"))
     np.testing.assert_allclose(values, 0.0, atol=1e-15)
 
 
@@ -123,22 +125,25 @@ def test_voltage_meter_reads_the_state():
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="voltage_magnitude", bus=2, sigma=0.01),
     ))
-    assert h_eval_ac(parsed.network, state, config)[0] == 0.96
+    model = build_meter_model(parsed.network, config)
+    assert model.values(free_vector(parsed.network, state, "ac"))[0] == 0.96
 
 
 def test_ac_flow_matches_linear_model_near_flat():
-    parsed, _, _ = load_three_bus()
+    parsed, model, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES, magnitudes={1: 1.0, 2: 1.0, 3: 1.0})
-    values = h_eval_ac(parsed.network, state, parsed.config)
+    values = model.values(free_vector(parsed.network, state, "ac"))
     assert values[0] == pytest.approx(0.614, rel=0.02)
     np.testing.assert_allclose(values, H_AT_TRUE, rtol=0.02)
 
 
 def test_h_eval_requires_magnitudes():
-    parsed, _, _ = load_three_bus()
+    parsed, model, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
     with pytest.raises(MissingMagnitudes):
-        h_eval_ac(parsed.network, state, parsed.config)
+        free_vector(parsed.network, state, "ac")
+    with pytest.raises(MissingMagnitudes):
+        simulate_measurements(model, state, "ac", seed=0)
 
 
 def test_free_vector_rejects_nonzero_reference_angle():
@@ -159,7 +164,8 @@ def test_current_magnitude_is_apparent_power_over_voltage():
                         to_bus=br.to_bus, sigma=0.01),
     ))
     state = random_ac_state(rng, net)
-    p, q, current = h_eval_ac(net, state, config)
+    p, q, current = build_meter_model(net, config).values(
+        free_vector(net, state, "ac"))
     assert current == pytest.approx(
         np.hypot(p, q) / state.magnitudes[br.from_bus], abs=1e-14
     )
@@ -175,22 +181,20 @@ def test_current_magnitude_flat_lossless_guard():
         MeasurementSpec(kind="current_magnitude", from_bus=br.from_bus,
                         to_bus=br.to_bus, sigma=0.01),
     ))
-    value = h_eval_ac(net, flat_state(net), config)
-    jac = ac_jacobian(net, flat_state(net), config)
+    model = build_meter_model(net, config)
+    x = free_vector(net, flat_state(net), "ac")
+    value, jac = model.values(x), model.jacobian(x)
     assert value[0] == 0.0
     np.testing.assert_array_equal(jac, 0.0)
 
 
-def finite_difference_jacobian(net, config, x0, step=1e-6):
-    fd = np.zeros((len(config.specs), len(x0)))
+def finite_difference_jacobian(model, x0, step=1e-6):
+    fd = np.zeros((len(model.config), len(x0)))
     for k in range(len(x0)):
         xp, xm = x0.copy(), x0.copy()
         xp[k] += step
         xm[k] -= step
-        fd[:, k] = (
-            h_eval_ac(net, state_from_free(net, xp, "ac"), config)
-            - h_eval_ac(net, state_from_free(net, xm, "ac"), config)
-        ) / (2.0 * step)
+        fd[:, k] = (model.values(xp) - model.values(xm)) / (2.0 * step)
     return fd
 
 
@@ -198,12 +202,11 @@ def test_ac_jacobian_matches_finite_differences():
     rng = np.random.default_rng(22)
     for _ in range(10):
         net = random_network(rng, int(rng.integers(3, 7)), lossy=True, shunts=True)
-        config = full_ac_config(net)
+        model = build_meter_model(net, full_ac_config(net))
         state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
         x0 = free_vector(net, state, "ac")
-        jac = ac_jacobian(net, state, config)
-        fd = finite_difference_jacobian(net, config, x0)
-        assert np.max(np.abs(jac - fd)) <= 1e-6
+        fd = finite_difference_jacobian(model, x0)
+        assert np.max(np.abs(model.jacobian(x0) - fd)) <= 1e-6
 
 
 def test_current_magnitude_jacobian_matches_finite_differences():
@@ -214,12 +217,11 @@ def test_current_magnitude_jacobian_matches_finite_differences():
                         to_bus=br.to_bus, sigma=0.01)
         for br in net.branches
     )
-    config = MeasurementConfig(specs=specs)
+    model = build_meter_model(net, MeasurementConfig(specs=specs))
     state = random_ac_state(rng, net, angle_span=0.2)
     x0 = free_vector(net, state, "ac")
-    jac = ac_jacobian(net, state, config)
-    fd = finite_difference_jacobian(net, config, x0)
-    assert np.max(np.abs(jac - fd)) <= 1e-6
+    fd = finite_difference_jacobian(model, x0)
+    assert np.max(np.abs(model.jacobian(x0) - fd)) <= 1e-6
 
 
 def test_voltage_jacobian_row_is_a_unit_vector():
@@ -227,7 +229,8 @@ def test_voltage_jacobian_row_is_a_unit_vector():
     config = MeasurementConfig(specs=(
         MeasurementSpec(kind="voltage_magnitude", bus=2, sigma=0.01),
     ))
-    jac = ac_jacobian(parsed.network, flat_state(parsed.network), config)
+    jac = build_meter_model(parsed.network, config).jacobian(
+        free_vector(parsed.network, flat_state(parsed.network), "ac"))
     expected = np.zeros(5)
     expected[2 + 1] = 1.0  # columns: angle 1, angle 2, mag 1, mag 2, mag 3
     np.testing.assert_array_equal(jac[0], expected)
@@ -235,8 +238,9 @@ def test_voltage_jacobian_row_is_a_unit_vector():
 
 def test_flat_lossless_flow_sensitivity_equals_linear_coefficient():
     # at v = 1, angles 0: dP(i->j)/d(angle_i) = -b_series = 1/X
-    parsed, _, h = load_three_bus()
-    jac = ac_jacobian(parsed.network, flat_state(parsed.network), parsed.config)
+    parsed, model, h = load_three_bus()
+    jac = model.jacobian(free_vector(parsed.network, flat_state(parsed.network),
+                                     "ac"))
     np.testing.assert_allclose(jac[:, :2], h, atol=1e-12)
 
 
@@ -244,15 +248,14 @@ def test_small_angle_dc_consistency():
     rng = np.random.default_rng(24)
     for _ in range(10):
         net = random_network(rng, int(rng.integers(3, 7)))
-        adm = build_admittance(net)
-        config = random_observable_config(rng, net)
-        h = dc_jacobian(net, adm, config)
+        model = build_meter_model(net, random_observable_config(rng, net))
+        h = model.dc_matrix
         angles = {b.id: float(rng.uniform(-0.01, 0.01)) for b in net.buses}
         angles[net.reference_bus] = 0.0
         state = StateVector(angles=angles,
                             magnitudes={b.id: 1.0 for b in net.buses})
         linear = h @ free_vector(net, state, "dc")
-        exact = h_eval_ac(net, state, config)
+        exact = model.values(free_vector(net, state, "ac"))
         assert np.max(np.abs(exact - linear)) <= 1e-4
 
 
@@ -260,14 +263,13 @@ def test_dc_flow_rows_have_two_nonzeros_or_one_at_reference():
     rng = np.random.default_rng(28)
     for _ in range(10):
         net = random_network(rng, int(rng.integers(3, 8)))
-        adm = build_admittance(net)
         ref = net.reference_bus
         specs = tuple(
             MeasurementSpec(kind="flow_p", from_bus=br.from_bus,
                             to_bus=br.to_bus, sigma=0.01)
             for br in net.branches
         )
-        h = dc_jacobian(net, adm, MeasurementConfig(specs=specs))
+        h = build_meter_model(net, MeasurementConfig(specs=specs)).dc_matrix
         for row, br in zip(h, net.branches):
             touches_ref = ref in (br.from_bus, br.to_bus)
             assert np.count_nonzero(row) == (1 if touches_ref else 2)
@@ -276,7 +278,6 @@ def test_dc_flow_rows_have_two_nonzeros_or_one_at_reference():
 def test_dc_flow_antisymmetry():
     rng = np.random.default_rng(25)
     net = random_network(rng, 6)
-    adm = build_admittance(net)
     forward = []
     backward = []
     for br in net.branches:
@@ -284,25 +285,24 @@ def test_dc_flow_antisymmetry():
                                        to_bus=br.to_bus, sigma=0.01))
         backward.append(MeasurementSpec(kind="flow_p", from_bus=br.to_bus,
                                         to_bus=br.from_bus, sigma=0.01))
-    hf = dc_jacobian(net, adm, MeasurementConfig(specs=tuple(forward)))
-    hb = dc_jacobian(net, adm, MeasurementConfig(specs=tuple(backward)))
+    hf = build_meter_model(net, MeasurementConfig(specs=tuple(forward))).dc_matrix
+    hb = build_meter_model(net, MeasurementConfig(specs=tuple(backward))).dc_matrix
     x = rng.uniform(-0.2, 0.2, size=net.n_buses - 1)
     np.testing.assert_allclose(hf @ x, -(hb @ x), atol=1e-14)
 
 
 def test_simulate_noiseless_matches_h():
-    parsed, _, h = load_three_bus()
+    parsed, model, h = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
-    z = simulate_measurements(parsed.network, state,
-                              parsed.config, "dc", seed=0, noise_scale=0.0)
+    z = simulate_measurements(model, state, "dc", seed=0, noise_scale=0.0)
     np.testing.assert_array_equal(z, h @ free_vector(parsed.network, state, "dc"))
     np.testing.assert_allclose(z, H_AT_TRUE, atol=1e-6)
 
 
 def test_simulate_seed_determinism():
-    parsed, _, _ = load_three_bus()
+    _, model, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
-    args = (parsed.network, state, parsed.config, "dc")
+    args = (model, state, "dc")
     z1 = simulate_measurements(*args, seed=42)
     z2 = simulate_measurements(*args, seed=42)
     z3 = simulate_measurements(*args, seed=43)
@@ -312,25 +312,22 @@ def test_simulate_seed_determinism():
 
 def test_simulate_streams_are_stable_under_meter_insertion():
     # appending a meter must not change the draws of the earlier meters
-    parsed, _, _ = load_three_bus()
+    parsed, model, _ = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
-    longer = MeasurementConfig(specs=parsed.config.specs + (
-        MeasurementSpec(kind="injection_p", bus=1, sigma=0.01),
-    ))
-    z_short = simulate_measurements(parsed.network, state,
-                                    parsed.config, "dc", seed=9)
-    z_long = simulate_measurements(parsed.network, state,
-                                   longer, "dc", seed=9)
+    longer = build_meter_model(parsed.network, MeasurementConfig(
+        specs=parsed.config.specs + (
+            MeasurementSpec(kind="injection_p", bus=1, sigma=0.01),)))
+    z_short = simulate_measurements(model, state, "dc", seed=9)
+    z_long = simulate_measurements(longer, state, "dc", seed=9)
     np.testing.assert_array_equal(z_long[:3], z_short)
 
 
 def test_simulated_noise_is_zero_mean():
-    parsed, _, h = load_three_bus()
+    parsed, model, h = load_three_bus()
     state = StateVector(angles=TRUE_ANGLES)
     clean = h @ free_vector(parsed.network, state, "dc")
     draws = np.array([
-        simulate_measurements(parsed.network, state,
-                              parsed.config, "dc", seed=s) - clean
+        simulate_measurements(model, state, "dc", seed=s) - clean
         for s in range(10_000)
     ])
     bound = 4 * 0.01 / np.sqrt(10_000)
@@ -448,41 +445,80 @@ def test_zero_noise_scale_gives_exact_readings():
     assert not np.any(_meter_noise(range(3), np.zeros(4)))
     rng = np.random.default_rng(35)
     net = random_network(rng, 8)
-    config = full_ac_config(net)
+    model = build_meter_model(net, full_ac_config(net))
     state = random_ac_state(rng, net)
-    z = simulate_measurements(net, state, config, "ac", seed=3, noise_scale=0.0)
-    np.testing.assert_array_equal(z, h_eval_ac(net, state, config))
+    z = simulate_measurements(model, state, "ac", seed=3, noise_scale=0.0)
+    np.testing.assert_array_equal(z, model.values(free_vector(net, state, "ac")))
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5, "1", None])
 def test_simulate_rejects_bad_seeds(seed):
-    parsed, _, _ = load_three_bus()
+    _, model, _ = load_three_bus()
     with pytest.raises(InvalidArgument, match="seed"):
-        simulate_measurements(parsed.network, StateVector(angles=TRUE_ANGLES),
-                              parsed.config, "dc", seed=seed)
+        simulate_measurements(model, StateVector(angles=TRUE_ANGLES), "dc",
+                              seed=seed)
 
 
 @pytest.mark.parametrize("noise_scale", [-1.0, float("nan"), float("inf"),
                                          "1", True,
                                          pytest.param(10**400, id="huge-int")])
 def test_simulate_rejects_bad_noise_scale(noise_scale):
-    parsed, _, _ = load_three_bus()
+    _, model, _ = load_three_bus()
     with pytest.raises(InvalidArgument, match="noise_scale"):
-        simulate_measurements(parsed.network, StateVector(angles=TRUE_ANGLES),
-                              parsed.config, "dc", seed=0,
-                              noise_scale=noise_scale)
+        simulate_measurements(model, StateVector(angles=TRUE_ANGLES), "dc",
+                              seed=0, noise_scale=noise_scale)
+
+
+def test_simulated_readings_too_large_for_a_float_are_rejected(monkeypatch):
+    # clean readings, or a sigma times noise_scale, past float range raise
+    # InvalidArgument before any noise is drawn, with no RuntimeWarning (the
+    # suite turns those into errors)
+    def refuse(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(gridse.measurement, "_meter_noise", refuse)
+    parsed, model, _ = load_three_bus()
+    net = parsed.network
+    with pytest.raises(InvalidArgument, match=r"h\(true state\) must be finite"):
+        simulate_measurements(
+            model, StateVector(angles={1: 0.0, 2: 1e308, 3: 0.0}), "dc", 0)
+    current = build_meter_model(net, MeasurementConfig(specs=(
+        MeasurementSpec(kind="current_magnitude", from_bus=1, to_bus=2,
+                        sigma=0.01),)))
+    state = StateVector(angles=TRUE_ANGLES, magnitudes={1: 1e200, 2: 1.0, 3: 1.0})
+    with pytest.raises(InvalidArgument, match=r"h\(true state\) must be finite"):
+        simulate_measurements(current, state, "ac", 0)
+    coarse = build_meter_model(net, MeasurementConfig(specs=tuple(
+        MeasurementSpec(kind=s.kind, from_bus=s.from_bus, to_bus=s.to_bus,
+                        sigma=1e10) for s in parsed.config.specs)))
+    with pytest.raises(InvalidArgument, match="noise_scale must be finite"):
+        simulate_measurements(coarse, StateVector(angles=TRUE_ANGLES), "dc", 0,
+                              noise_scale=1e300)
+
+
+def test_noisy_readings_too_large_for_a_float_are_rejected():
+    # the clean readings and the noise are floats, their sum is not: meter 1
+    # reads -5 times bus 2's angle, just below the largest float, and seed 3
+    # draws it noise of about +2 sigma
+    _, model, _ = load_three_bus()
+    angle = -np.finfo(float).max / 5 * (1 - 2**-20)
+    state = StateVector(angles={1: 0.0, 2: angle, 3: 0.0})
+    assert np.isfinite(simulate_measurements(model, state, "dc", 3,
+                                             noise_scale=0.0)).all()
+    with pytest.raises(InvalidArgument, match="simulated readings must be"):
+        simulate_measurements(model, state, "dc", 3, noise_scale=1e306)
 
 
 @pytest.mark.parametrize("call", [
     lambda net, config: StateVector(angles=[0, 1, 2]),
     lambda net, config: StateVector(angles=TRUE_ANGLES, magnitudes={1: "1.0"}),
     lambda net, config: simulate_measurements(
-        net, StateVector(angles={1: 0.01, 2: np.nan, 3: 0.0}), config, "dc",
-        seed=0),
+        build_meter_model(net, config),
+        StateVector(angles={1: 0.01, 2: np.nan, 3: 0.0}), "dc", seed=0),
     lambda net, config: state_dimension(net, "xx"),
     lambda net, config: state_from_free(net, [0.0, "x"], "dc"),
     lambda net, config: state_from_free(net, [0.0, 10**400], "dc"),
-    lambda net, config: h_eval_ac(net, "x", full_ac_config(net)),
+    lambda net, config: free_vector(net, "x", "ac"),
 ], ids=["angle-list", "string-magnitude", "nan-angle", "unknown-mode",
         "string-free-entry", "huge-free-entry", "string-state"])
 def test_states_and_modes_are_checked(call):
@@ -492,22 +528,28 @@ def test_states_and_modes_are_checked(call):
 
 
 def test_calls_with_the_removed_arguments_fail_loudly():
-    # the admittance was dropped from the ac meter functions and estimate_ac,
-    # the state dimension from run_detector, and H, z and W from every
-    # detector: a call written for the old signatures must raise, never bind
-    # its arguments to the wrong names
-    parsed, admittance, h = load_three_bus()
+    # the admittance, and then the network and meter set, were dropped from
+    # simulate_measurements and estimate_ac for the compiled model, the state
+    # dimension from run_detector, and H, z and W from every detector: a call
+    # written for the old signatures must raise, never bind its arguments to
+    # the wrong names. The per-call ac meter functions are gone.
+    parsed, _, h = load_three_bus()
     net, config = parsed.network, parsed.config
+    admittance = build_admittance(net)
     state = flat_state(net)
     w = np.full(len(config), 1e4)
     estimate = estimate_dc(h, parsed.values, w)
+    assert not {"h_eval_ac", "ac_jacobian"} & set(dir(gridse))
+    assert not {"h_eval_ac", "ac_jacobian"} & set(dir(gridse.measurement))
     old_calls = [
-        lambda: h_eval_ac(net, admittance, state, config),
-        lambda: ac_jacobian(net, admittance, state, config),
         lambda: simulate_measurements(net, admittance, state, config, "ac", 0),
         lambda: simulate_measurements(net, admittance, state, config, "ac",
                                       seed=0),
+        lambda: simulate_measurements(net, state, config, "ac", 0),
+        lambda: simulate_measurements(net, state, config, "ac", seed=0),
         lambda: estimate_ac(net, admittance, parsed.values, config, w),
+        lambda: estimate_ac(net, parsed.values, config, w),
+        lambda: estimate_ac(net, parsed.values, config, w, max_iter=0),
         lambda: run_detector(DetectorConfig(method="chi_square"), h,
                              parsed.values, w, estimate, 2),
     ]
@@ -540,7 +582,8 @@ def test_meter_functions_match_phasor_oracle_on_parallel_branches():
         assert len(pairs) < len(net.branches)  # some branches run in parallel
         config = full_ac_config(net, currents=True)
         state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
-        values = h_eval_ac(net, state, config)
+        values = build_meter_model(net, config).values(
+            free_vector(net, state, "ac"))
         expected = []
         for spec in config.specs:
             if spec.kind == "voltage_magnitude":
@@ -566,12 +609,11 @@ def test_ac_jacobian_matches_finite_differences_on_parallel_branches():
     for _ in range(5):
         net = random_network(rng, int(rng.integers(3, 7)), lossy=True,
                              shunts=True, parallel=2)
-        config = full_ac_config(net, currents=True)
+        model = build_meter_model(net, full_ac_config(net, currents=True))
         state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
         x0 = free_vector(net, state, "ac")
-        jac = ac_jacobian(net, state, config)
-        fd = finite_difference_jacobian(net, config, x0)
-        assert np.max(np.abs(jac - fd)) <= 1e-6
+        fd = finite_difference_jacobian(model, x0)
+        assert np.max(np.abs(model.jacobian(x0) - fd)) <= 1e-6
 
 
 def test_current_rows_vanish_at_flat_lossless_state():
@@ -581,8 +623,9 @@ def test_current_rows_vanish_at_flat_lossless_state():
     net = random_network(rng, 5, parallel=2)
     config = full_ac_config(net, currents=True)
     current = np.array([s.kind == "current_magnitude" for s in config.specs])
-    values = h_eval_ac(net, flat_state(net), config)
-    jac = ac_jacobian(net, flat_state(net), config)
+    model = build_meter_model(net, config)
+    x = free_vector(net, flat_state(net), "ac")
+    values, jac = model.values(x), model.jacobian(x)
     assert np.all(np.isfinite(jac))
     np.testing.assert_array_equal(values[current], 0.0)
     np.testing.assert_array_equal(jac[current], 0.0)
@@ -595,7 +638,6 @@ def test_dc_rows_on_parallel_branches():
     rng = np.random.default_rng(32)
     for _ in range(5):
         net = random_network(rng, int(rng.integers(3, 8)), parallel=3)
-        adm = build_admittance(net)
         cols = {b: c for c, b in enumerate(net.non_reference_ids())}
 
         def row(terms):
@@ -613,8 +655,8 @@ def test_dc_rows_on_parallel_branches():
         backward = [MeasurementSpec(kind="flow_p", from_bus=br.to_bus,
                                     to_bus=br.from_bus, sigma=0.01)
                     for br in net.branches]
-        hf = dc_jacobian(net, adm, MeasurementConfig(specs=tuple(forward)))
-        hb = dc_jacobian(net, adm, MeasurementConfig(specs=tuple(backward)))
+        hf = build_meter_model(net, MeasurementConfig(specs=tuple(forward))).dc_matrix
+        hb = build_meter_model(net, MeasurementConfig(specs=tuple(backward))).dc_matrix
         np.testing.assert_array_equal(hb, -hf)
         for h_row, br in zip(hf, net.branches):
             first = net.branch_between(br.from_bus, br.to_bus)
@@ -623,7 +665,7 @@ def test_dc_rows_on_parallel_branches():
         injections = MeasurementConfig(specs=tuple(
             MeasurementSpec(kind="injection_p", bus=b.id, sigma=0.01)
             for b in net.buses))
-        h_inj = dc_jacobian(net, adm, injections)
+        h_inj = build_meter_model(net, injections).dc_matrix
         for h_row, bus in zip(h_inj, net.buses):
             expected = row([(bus.id, br.to_bus if br.from_bus == bus.id else br.from_bus,
                              br.reactance_x)

@@ -19,6 +19,7 @@ from gridse import (
     MultipleReferenceBuses,
     NetworkModel,
     NoReferenceBus,
+    StateVector,
     UnobservableNetwork,
     ZeroReactance,
     build_admittance,
@@ -30,6 +31,7 @@ from gridse import (
     parse_case,
     run_detector,
     serialize_case,
+    simulate_measurements,
 )
 from helpers import THREE_BUS, load_three_bus, random_network
 from oracles import row_reduction_rank
@@ -201,7 +203,7 @@ def test_serialize_round_trip_without_values():
 
 def test_admittance_three_bus_values():
     # hand-summed 1/X over incident branches: 5 + 2.5, 5 + 4, 2.5 + 4
-    parsed, admittance, _ = load_three_bus()
+    admittance = build_admittance(parse_case(THREE_BUS.read_text()).network)
     np.testing.assert_allclose(np.diag(admittance.b), [7.5, 9.0, 6.5])
     assert admittance.b[0, 1] == pytest.approx(-5.0)
     assert admittance.b[0, 2] == pytest.approx(-2.5)
@@ -363,12 +365,18 @@ def test_model_records_store_checked_numbers():
     (lambda net, config, h, z, w: check_observability(5, config), "network"),
     (lambda net, config, h, z, w: build_meter_model(net, 5), "config"),
     (lambda net, config, h, z, w: build_meter_model(config, config), "network"),
-    (lambda net, config, h, z, w: estimate_ac(net, z, 5, w), "config"),
-    (lambda net, config, h, z, w: estimate_ac(5, z, config, w), "network"),
+    # a network or a meter set where the compiled model belongs
+    (lambda net, config, h, z, w: estimate_ac(config, z, w), "model"),
+    (lambda net, config, h, z, w: estimate_ac(net, z, w), "model"),
+    (lambda net, config, h, z, w: simulate_measurements(
+        config, StateVector(angles={1: 0.0, 2: 0.0, 3: 0.0}), "dc", 0),
+     "model"),
+    (lambda net, config, h, z, w: simulate_measurements(
+        net, StateVector(angles={1: 0.0, 2: 0.0, 3: 0.0}), "dc", 0), "model"),
 ], ids=["chi_square", "lnr", "largest_normalized_residual",
         "factorless-estimate", "observability-config", "observability-network",
         "meter-model-config", "meter-model-network", "estimate-ac-config",
-        "estimate-ac-network"])
+        "estimate-ac-network", "simulate-config", "simulate-network"])
 def test_functions_reject_objects_of_the_wrong_class(call, name):
     parsed, _, h = load_three_bus()
     with pytest.raises(InvalidArgument, match=f"^{name} must be a "):

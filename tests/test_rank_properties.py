@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from gridse import (
     MeasurementConfig,
-    build_admittance,
+    build_meter_model,
     constrained_stealth_attack,
-    dc_jacobian,
     protection_check,
     verify_stealth,
 )
@@ -35,7 +34,7 @@ def grids_and_meters(draw):
     specs = dc_meter_candidates(net)
     config = MeasurementConfig(
         specs=tuple(specs[i] for i in rng.permutation(len(specs))))
-    h = dc_jacobian(net, build_admittance(net), config)
+    h = build_meter_model(net, config).dc_matrix
     meters = draw(st.lists(st.integers(1, h.shape[0]), max_size=2 * h.shape[0]))
     s = draw(st.sampled_from((-520, 520)) | st.integers(-520, 520))
     return np.ldexp(h, s), meters, s

@@ -401,7 +401,7 @@ def test_monte_carlo_stealth_statistics_match_per_seed():
 def test_monte_carlo_trials_read_simulated_measurements():
     # trial t sees exactly the readings simulate_measurements gives for
     # seed noise_seed_base + t
-    parsed, _, h = load_three_bus()
+    parsed, model, h = load_three_bus()
     weights = weights_from_config(parsed.config)
     truth = state_from_free(
         parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
@@ -409,8 +409,7 @@ def test_monte_carlo_trials_read_simulated_measurements():
     stats = run_monte_carlo(THREE_BUS, trials=5, noise_seed_base=7,
                             detector=detector)
     for t, statistic in enumerate(stats.unattacked_statistics):
-        z = simulate_measurements(parsed.network, truth,
-                                  parsed.config, "dc", 7 + t)
+        z = simulate_measurements(model, truth, "dc", 7 + t)
         expected = run_detector(detector, estimate_dc(h, z, weights))
         assert statistic == expected.statistic
 
@@ -418,7 +417,7 @@ def test_monte_carlo_trials_read_simulated_measurements():
 def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
     # trials estimate through one gain factor per call; each statistic must
     # equal the detector run on a fresh estimate_dc of the same readings
-    parsed, _, h = load_three_bus()
+    parsed, model, h = load_three_bus()
     weights = weights_from_config(parsed.config)
     truth = state_from_free(
         parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
@@ -426,8 +425,7 @@ def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
                             attack="stealth", magnitude=0.02,
                             detector=DetectorConfig(method="lnr"))
     for t in range(stats.trials):
-        z = simulate_measurements(parsed.network, truth,
-                                  parsed.config, "dc", 11 + t)
+        z = simulate_measurements(model, truth, "dc", 11 + t)
         z_a = z + random_stealth_attack(h, 0.02, 11 + t)[1]
         for readings, statistic in ((z, stats.unattacked_statistics[t]),
                                     (z_a, stats.attacked_statistics[t])):
@@ -470,6 +468,24 @@ def test_monte_carlo_rejects_bad_arguments():
         with pytest.raises(InvalidArgument, match="noise_scale"):
             run_monte_carlo("no_such_case.json", trials=3,
                             noise_scale=noise_scale)
+
+
+def test_monte_carlo_rejects_noise_too_large_for_a_float(tmp_path,
+                                                        monkeypatch):
+    # sigma 1e10 times noise_scale 1e300 leaves float range: InvalidArgument
+    # once per call, before any noise is drawn
+    doc = json.loads(THREE_BUS.read_text())
+    for meter in doc["measurements"]:
+        meter["sigma"] = 1e10
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(*args):
+        raise AssertionError("noise was drawn")
+
+    monkeypatch.setattr(gridse.scenarios, "_meter_noise", refuse)
+    with pytest.raises(InvalidArgument, match="noise_scale must be finite"):
+        run_monte_carlo(path, trials=2, noise_scale=1e300)
 
 
 @pytest.mark.parametrize("arguments", [
