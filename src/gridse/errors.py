@@ -7,16 +7,20 @@ public entry point raises only :class:`GridError` subclasses.
 
 What counts as a valid argument is decided here, once: :func:`_real` checks
 a real scalar in a range, :func:`_count` a non-negative integer,
-:func:`_array` a float array of a given shape and :func:`_instance` an
-object of a given class. Each raises the error class its caller names (the
-last always InvalidArgument), with the argument's name in the message.
-:func:`_check_keys` checks the keys of a document record, and
-:func:`_reject_constant` and :func:`_reject_repeats` are the json.loads
-hooks that refuse non-finite numbers and repeated keys in a document.
+:func:`_array` a float array of a given shape, :func:`_instance` an object
+of a given class and :func:`_instances` a sequence of them. Each raises the
+error class its caller names (the last two always InvalidArgument), with
+the argument's name in the message. Case and scenario files are read
+alike: :func:`_read_text` reads UTF-8 text, :func:`_decode_json` is the one
+JSON decoder, which refuses NaN, Infinity and repeated keys, and
+:func:`_check_keys` checks the keys of a record.
 """
 
+import json
 import math
 import numbers
+from collections.abc import Iterable
+from pathlib import Path
 
 import numpy as np
 
@@ -171,21 +175,49 @@ def _instance(value, kind: type, name: str):
         f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
+def _instances(values, kind: type, name: str) -> tuple:
+    """values as a tuple when it iterates over kind instances; else InvalidArgument."""
+    values = tuple(values) if isinstance(values, Iterable) else (None,)
+    if all(isinstance(value, kind) for value in values):
+        return values
+    raise InvalidArgument(f"{name} must be a sequence of {kind.__name__}")
+
+
 def _reject_constant(name: str):
-    """``parse_constant`` hook for json.loads: NaN and +-Infinity are not
-    numbers a document may carry."""
+    """``parse_constant`` hook: NaN and +-Infinity are not numbers."""
     raise MalformedDocument(f"non-finite number {name} is not allowed")
 
 
 def _reject_repeats(pairs: list[tuple[str, object]]) -> dict:
-    """``object_pairs_hook`` for json.loads: a key names one entry of its
-    object, so a repeated key is refused instead of the last one winning."""
+    """``object_pairs_hook``: a repeated key is refused, not read as its last value."""
     record = dict(pairs)
     if len(record) < len(pairs):
         seen = set()
         repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
         raise MalformedDocument(f"repeated key {repeated!r}")
     return record
+
+
+def _decode_json(text: str):
+    """The JSON value of text, else MalformedDocument (also for NaN, Infinity,
+    repeated keys, too-long integers, too deep nesting); InvalidArgument if not str."""
+    _instance(text, str, "text")
+    try:
+        return json.loads(text, parse_constant=_reject_constant,
+                          object_pairs_hook=_reject_repeats)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+
+
+def _read_text(path) -> str:
+    """The text of the file at path; MalformedDocument naming it if not UTF-8,
+    InvalidArgument if path is not a str or os.PathLike or holds a NUL."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from None
+    except (TypeError, ValueError):  # from Path() or from open()
+        raise InvalidArgument(f"path must be a file path, got {path!r}") from None
 
 
 def _check_keys(record: dict, allowed: set[str], required: set[str], context: str):

@@ -100,11 +100,15 @@ class GainFactor:
         return x
 
     def estimate(self, z: np.ndarray) -> EstimationResult:
-        """The exact linear WLS estimate from readings z."""
+        """The exact linear WLS estimate from readings z; a residual too
+        large for a float raises InvalidArgument, as the solve does."""
         z = _array(z, "z", (self.h.shape[0],))
         x = self.solve(z)
-        r = z - self.h @ x
-        raw, weighted = _squares(r, self.weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = z - self.h @ x
+            raw, weighted = float(r @ r), float(self.weights @ (r * r))
+        if not raw < np.inf and not np.isfinite(r).all():  # r.r overflows on its own
+            raise InvalidArgument("residual z - Hx is not finite")
         return EstimationResult(
             state=x, residual=r, squared_error_raw=raw,
             objective_weighted=weighted, converged=True, iterations=1,

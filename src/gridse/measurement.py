@@ -89,12 +89,14 @@ class StateVector:
 
 
 def state_dimension(network: NetworkModel, mode: str) -> int:
-    _check_mode(mode)
+    _check_mode(network, mode)
     n = network.n_buses
     return n - 1 if mode == "dc" else 2 * n - 1
 
 
-def _check_mode(mode: str):
+def _check_mode(network: NetworkModel, mode: str):
+    """A network and a mode name; else InvalidArgument."""
+    _instance(network, NetworkModel, "network")
     if mode not in ("dc", "ac"):
         raise InvalidArgument(f"mode must be 'dc' or 'ac', got {mode!r}")
 
@@ -117,7 +119,7 @@ def _check_state(network: NetworkModel, state: StateVector, mode: str):
 
 def free_vector(network: NetworkModel, state: StateVector, mode: str) -> np.ndarray:
     """Flatten a state into the free-variable column ordering."""
-    _check_mode(mode)
+    _check_mode(network, mode)
     _check_state(network, state, mode)
     parts = [state.angles[b] for b in network.non_reference_ids()]
     if mode == "ac":
@@ -141,7 +143,7 @@ def state_from_free(network: NetworkModel, x: np.ndarray, mode: str) -> StateVec
 
 def flat_state(network: NetworkModel, mode: str = "ac") -> StateVector:
     """All angles 0; all magnitudes 1 in ac mode."""
-    _check_mode(mode)
+    _check_mode(network, mode)
     angles = {b.id: 0.0 for b in network.buses}
     if mode == "dc":
         return StateVector(angles=angles)
@@ -368,7 +370,7 @@ def simulate_measurements(model: MeterModel, true_state: StateVector,
     and the scales are checked before any noise is drawn.
     """
     _instance(model, MeterModel, "model")
-    _check_mode(mode)
+    _check_mode(model.network, mode)
     seed = _count(seed, "seed")
     noise_scale = _real(noise_scale, "noise_scale", 0.0, include_low=True)
     with np.errstate(over="ignore", invalid="ignore"):

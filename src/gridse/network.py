@@ -4,24 +4,15 @@ Everything is per-unit and angles are radians. Bus ids are dense 1-based
 integers; exactly one bus is the angle reference and its angle is pinned to
 0 rad. Models are frozen after construction and safe to share across threads.
 
-Case file format (UTF-8 JSON object with exactly these top-level keys):
-
-    {
-      "buses":        [{"id": 1, "ref": false, "v": 1.0}, ...],
-      "branches":     [{"from": 1, "to": 2, "r": 0.0, "x": 0.2,
-                        "gs": 0.0, "bs": 0.0}, ...],
-      "measurements": [{"kind": "flow_p", "from": 1, "to": 2,
-                        "sigma": 0.01, "value": 0.62}, ...]
-    }
-
-Meter kinds are ``flow_p``, ``flow_q``, ``injection_p``, ``injection_q``,
-``current_magnitude``, ``voltage_magnitude``. Flow and current meters locate
-by the ordered pair ``from``/``to`` (an existing branch, either orientation);
-injection and voltage meters locate by ``bus``. ``value`` is optional but must
-be present on all meters or on none; ``r``/``gs``/``bs`` default to 0,
-``ref`` to false and ``v`` to 1.0. Unknown keys anywhere are rejected, and
-so are non-finite numbers (NaN, Infinity, or a literal too large for a
-float) and bus ids or ends that are not non-negative integers.
+A case file is a UTF-8 JSON object with exactly the arrays ``buses``,
+``branches`` and ``measurements`` (README shows one). Each record class,
+:class:`Bus`, :class:`Branch` and :class:`MeasurementSpec`, is the one
+declaration of its record's format: ``_FILE_KEYS`` maps file keys to fields
+in file order, ``_REQUIRED`` names the keys a record must carry, and an
+omitted key takes the field's default. Flow and current meters locate by an
+ordered ``from``/``to`` pair that a branch joins, the other kinds by ``bus``;
+``value`` is on all meters or on none. Unknown keys, non-finite numbers and
+bus ids or ends that are not non-negative integers are rejected.
 """
 
 from __future__ import annotations
@@ -43,10 +34,11 @@ from .errors import (
     _array,
     _check_keys,
     _count,
+    _decode_json,
     _instance,
+    _instances,
+    _read_text,
     _real,
-    _reject_constant,
-    _reject_repeats,
 )
 
 FLOW_KINDS = ("flow_p", "flow_q", "current_magnitude")
@@ -75,16 +67,18 @@ def _store(record, counts: tuple[str, ...], reals: tuple[str, ...],
 class Bus:
     """A network node.
 
-    ``voltage_magnitude`` is the case file's ``v``. It is parsed, checked
-    and written back by ``serialize_case``, but no model reads it: the
-    linear model takes every voltage as 1 pu and the nonlinear model treats
-    voltages as states. Like the other model records, a bus checks its own
-    fields and raises MalformedDocument.
+    ``voltage_magnitude`` is parsed, checked and written back by
+    ``serialize_case``, but no model reads it: the linear model takes every
+    voltage as 1 pu and the nonlinear model treats voltages as states. Like
+    the other model records, a bus checks its own fields, raising MalformedDocument.
     """
 
     id: int
     is_reference: bool = False
     voltage_magnitude: float = 1.0
+
+    _FILE_KEYS = {"id": "id", "ref": "is_reference", "v": "voltage_magnitude"}
+    _REQUIRED = frozenset({"id"})
 
     def __post_init__(self):
         _store(self, ("id",), ("voltage_magnitude",))
@@ -106,6 +100,11 @@ class Branch:
     reactance_x: float = 0.0
     shunt_conductance_gs: float = 0.0
     shunt_susceptance_bs: float = 0.0
+
+    _FILE_KEYS = {"from": "from_bus", "to": "to_bus", "r": "resistance_r",
+                  "x": "reactance_x", "gs": "shunt_conductance_gs",
+                  "bs": "shunt_susceptance_bs"}
+    _REQUIRED = frozenset({"from", "to", "x"})
 
     def __post_init__(self):
         _store(self, ("from_bus", "to_bus"),
@@ -142,6 +141,10 @@ class MeasurementSpec:
     to_bus: int | None = None
     value: float | None = None
 
+    _FILE_KEYS = {"kind": "kind", "from": "from_bus", "to": "to_bus",
+                  "bus": "bus", "sigma": "sigma", "value": "value"}
+    _REQUIRED = frozenset({"kind", "sigma"})
+
     def __post_init__(self):
         if self.kind not in MEASUREMENT_KINDS:
             raise MalformedDocument(f"unknown measurement kind {self.kind!r}")
@@ -172,7 +175,8 @@ class MeasurementConfig:
     specs: tuple[MeasurementSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "specs",
+                           _instances(self.specs, MeasurementSpec, "specs"))
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -198,8 +202,9 @@ class NetworkModel:
     _incident: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "buses", tuple(self.buses))
-        object.__setattr__(self, "branches", tuple(self.branches))
+        object.__setattr__(self, "buses", _instances(self.buses, Bus, "buses"))
+        object.__setattr__(self, "branches",
+                           _instances(self.branches, Branch, "branches"))
         ids = sorted(b.id for b in self.buses)
         if ids != list(range(1, len(ids) + 1)):
             raise MalformedDocument(f"bus ids must be dense 1..n, got {ids}")
@@ -294,20 +299,19 @@ class ParsedCase:
 
 
 _TOP_KEYS = ("buses", "branches", "measurements")
-_BUS_KEYS = {"id", "ref", "v"}
-_BRANCH_KEYS = {"from", "to", "r", "x", "gs", "bs"}
-_MEAS_KEYS = {"kind", "from", "to", "bus", "sigma", "value"}
 
 
-def _records(doc: dict, key: str, allowed: set[str], required: set[str],
-             build) -> list:
-    """build(record) for each record of doc[key], after its keys are
-    checked; a MalformedDocument from build gains the record's context."""
-    built = []
+def _records(doc: dict, key: str, cls) -> list:
+    """A cls for each record of doc[key], its keys checked and mapped by
+    cls._FILE_KEYS; a MalformedDocument raised gains the record's context."""
+    table, allowed, built = cls._FILE_KEYS, set(cls._FILE_KEYS), []
     for idx, record in enumerate(doc[key]):
-        _check_keys(record, allowed, required, f"{key}[{idx}]")
+        _check_keys(record, allowed, cls._REQUIRED, f"{key}[{idx}]")
+        fields = {}
+        for name, value in record.items():  # a comprehension is slower here
+            fields[table[name]] = value
         try:
-            built.append(build(record))
+            built.append(cls(**fields))
         except MalformedDocument as exc:
             raise MalformedDocument(f"{key}[{idx}]: {exc}") from None
     return built
@@ -318,54 +322,31 @@ def parse_case(text: str) -> ParsedCase:
 
     Raises MalformedDocument for syntax and schema problems and the specific
     DanglingReference / NoReferenceBus / MultipleReferenceBuses /
-    DisconnectedNetwork / ZeroReactance errors for semantic ones.
+    DisconnectedNetwork / ZeroReactance errors for semantic ones; text that
+    is not a str raises InvalidArgument.
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant,
-                         object_pairs_hook=_reject_repeats)
-    except ValueError as exc:  # also an integer literal too long to convert
-        raise MalformedDocument(f"invalid JSON: {exc}") from exc
+    doc = _decode_json(text)
     _check_keys(doc, set(_TOP_KEYS), set(_TOP_KEYS), "case document")
     for key in _TOP_KEYS:
         if not isinstance(doc[key], list):
             raise MalformedDocument(f"case document: {key!r} must be an array")
 
-    buses = _records(doc, "buses", _BUS_KEYS, {"id"}, lambda r: Bus(
-        id=r["id"], is_reference=r.get("ref", False),
-        voltage_magnitude=r.get("v", 1.0)))
-    branches = _records(
-        doc, "branches", _BRANCH_KEYS, {"from", "to", "x"}, lambda r: Branch(
-            from_bus=r["from"], to_bus=r["to"], resistance_r=r.get("r", 0.0),
-            reactance_x=r["x"], shunt_conductance_gs=r.get("gs", 0.0),
-            shunt_susceptance_bs=r.get("bs", 0.0)))
-    network = NetworkModel(buses=tuple(buses), branches=tuple(branches))
-    specs = _records(
-        doc, "measurements", _MEAS_KEYS, {"kind", "sigma"},
-        lambda r: MeasurementSpec(
-            kind=r["kind"], sigma=r["sigma"], bus=r.get("bus"),
-            from_bus=r.get("from"), to_bus=r.get("to"), value=r.get("value")))
-    values = [spec.value for spec in specs]
-
-    config = MeasurementConfig(specs=tuple(specs))
+    network = NetworkModel(buses=_records(doc, "buses", Bus),
+                           branches=_records(doc, "branches", Branch))
+    config = MeasurementConfig(specs=_records(doc, "measurements", MeasurementSpec))
     _check_measurement_references(network, config)
-
-    have = [v is not None for v in values]
-    if any(have) and not all(have):
+    values = [spec.value for spec in config.specs]
+    missing = values.count(None)
+    if 0 < missing < len(values):
         raise MalformedDocument(
-            "measurement values must be present on every meter or on none"
-        )
-    z = np.array(values, dtype=float) if values and all(have) else None
+            "measurement values must be present on every meter or on none")
+    z = np.array(values, dtype=float) if values and not missing else None
     return ParsedCase(network=network, config=config, values=z)
 
 
 def _read_case(path: str | Path) -> ParsedCase:
-    """parse_case on the case file at path; a file that is not UTF-8 text
-    raises MalformedDocument naming it."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from None
-    return parse_case(text)
+    """parse_case on the text of the case file at path (see _read_text)."""
+    return parse_case(_read_text(path))
 
 
 def _check_measurement_references(network: NetworkModel, config: MeasurementConfig):
@@ -374,58 +355,36 @@ def _check_measurement_references(network: NetworkModel, config: MeasurementConf
     _instance(network, NetworkModel, "network")
     _instance(config, MeasurementConfig, "config")
     for i, spec in enumerate(config.specs):
-        if spec.kind in FLOW_KINDS:
-            for end in (spec.from_bus, spec.to_bus):
-                if not 1 <= end <= network.n_buses:
-                    raise DanglingReference(
-                        f"measurements[{i}]: unknown bus {end}"
-                    )
-            if network.branch_between(spec.from_bus, spec.to_bus) is None:
-                raise DanglingReference(
-                    f"measurements[{i}]: no branch joins "
-                    f"{spec.from_bus} and {spec.to_bus}"
-                )
-        else:
-            if not 1 <= spec.bus <= network.n_buses:
-                raise DanglingReference(f"measurements[{i}]: unknown bus {spec.bus}")
+        flow = spec.kind in FLOW_KINDS
+        for end in (spec.from_bus, spec.to_bus) if flow else (spec.bus,):
+            if not 1 <= end <= network.n_buses:
+                raise DanglingReference(f"measurements[{i}]: unknown bus {end}")
+        if flow and network.branch_between(spec.from_bus, spec.to_bus) is None:
+            raise DanglingReference(f"measurements[{i}]: no branch joins "
+                                    f"{spec.from_bus} and {spec.to_bus}")
+
+
+def _file_record(record) -> dict:
+    """A record's case-file object, via its ``_FILE_KEYS``; None fields are left out."""
+    return {key: value for key, name in record._FILE_KEYS.items()
+            if (value := getattr(record, name)) is not None}
 
 
 def serialize_case(network: NetworkModel, config: MeasurementConfig,
                    values: np.ndarray | None = None) -> str:
-    """Render a model back to the case-file format (see module docstring).
-
-    parse_case(serialize_case(...)) reproduces the inputs exactly. Values
-    that are not one finite number per meter raise MalformedDocument (wrong
-    length) or InvalidArgument.
-    """
+    """Render a model back to the case-file format, ``values`` (one finite
+    number per meter), if given, as the readings; parse_case(serialize_case(
+    ...)) reproduces the inputs exactly. Inputs it could not have returned
+    raise InvalidArgument, DanglingReference or, for values of the wrong
+    length, MalformedDocument."""
+    _check_measurement_references(network, config)
+    doc = {key: [_file_record(record) for record in records] for key, records
+           in zip(_TOP_KEYS, (network.buses, network.branches, config.specs))}
     if values is not None:
         values = _array(values, "values", (len(config.specs),), finite=True,
                         error=MalformedDocument)
-    buses = [
-        {"id": b.id, "ref": b.is_reference, "v": b.voltage_magnitude}
-        for b in network.buses
-    ]
-    branches = [
-        {"from": br.from_bus, "to": br.to_bus, "r": br.resistance_r,
-         "x": br.reactance_x, "gs": br.shunt_conductance_gs,
-         "bs": br.shunt_susceptance_bs}
-        for br in network.branches
-    ]
-    measurements = []
-    for i, spec in enumerate(config.specs):
-        record: dict = {"kind": spec.kind}
-        if spec.kind in FLOW_KINDS:
-            record["from"] = spec.from_bus
-            record["to"] = spec.to_bus
-        else:
-            record["bus"] = spec.bus
-        record["sigma"] = spec.sigma
-        if values is not None:
-            record["value"] = float(values[i])
-        elif spec.value is not None:
-            record["value"] = spec.value
-        measurements.append(record)
-    doc = {"buses": buses, "branches": branches, "measurements": measurements}
+        for record, value in zip(doc["measurements"], values.tolist()):
+            record["value"] = value
     return json.dumps(doc, indent=2)
 
 

@@ -62,10 +62,10 @@ from .errors import (
     _array,
     _check_keys,
     _count,
+    _decode_json,
     _instance,
+    _read_text,
     _real,
-    _reject_constant,
-    _reject_repeats,
 )
 from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_config
 from .measurement import (
@@ -242,7 +242,12 @@ def _validate_measurements(spec, context: str):
                 isinstance(b, str) and b.isascii() and b.isdigit() for b in table
             ):
                 raise MalformedDocument(f"{context}: {key!r} must map bus -> number")
-            if len({int(b) for b in table}) < len(table):
+            try:
+                buses = {int(b) for b in table}
+            except ValueError:  # more digits than int() converts
+                raise MalformedDocument(
+                    f"{context}: {key!r} names a bus too long to read") from None
+            if len(buses) < len(table):
                 raise MalformedDocument(f"{context}: {key!r} names a bus twice")
             for bus in table:
                 _check_field(table, bus, f"{context}.{key}", _real)
@@ -273,10 +278,9 @@ def load_scenario(path: str | Path) -> Scenario:
     """Read one scenario file into a :class:`Scenario`, which checks it. A
     relative ``case`` resolves against the file's directory; every
     MalformedDocument raised here names the file."""
-    path = Path(path)
+    text, path = _read_text(path), Path(path)
     try:
-        doc = json.loads(path.read_text(), parse_constant=_reject_constant,
-                         object_pairs_hook=_reject_repeats)
+        doc = _decode_json(text)
         _check_keys(doc, _SCENARIO_KEYS, {"name", "case"}, "scenario document")
         if not isinstance(doc["name"], str) or not isinstance(doc["case"], str):
             raise MalformedDocument("'name' and 'case' must be strings")
@@ -290,8 +294,6 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         return Scenario(name=doc["name"], case_path=path.parent / doc["case"],
                         **fields)
-    except ValueError as exc:  # also undecodable text or a too-long integer
-        raise MalformedDocument(f"{path}: invalid JSON: {exc}") from exc
     except MalformedDocument as exc:
         raise MalformedDocument(f"{path}: {exc}") from exc
 

@@ -129,9 +129,10 @@ def test_detect_lnr(capsys):
 
 
 @pytest.mark.parametrize("extra, statistic", [
+    (("--method", "chi_square"), "statistic = inf"),
     (("--method", "norm_threshold", "--tau", "1"), "statistic = 9.759e+306"),
     (("--method", "lnr"), "statistic = inf"),
-], ids=["norm_threshold", "lnr"])
+], ids=["chi_square", "norm_threshold", "lnr"])
 def test_detect_on_readings_whose_squares_overflow(capsys, extra, statistic):
     # r . r overflows: the norm is taken at a power-of-two scale, and a
     # normalized residual too large for a float reads inf, with no
@@ -141,6 +142,24 @@ def test_detect_on_readings_whose_squares_overflow(capsys, extra, statistic):
     assert code == 0, err
     assert statistic in out
     assert "detected = yes" in out
+
+
+@pytest.mark.parametrize("extra", [
+    ("--method", "chi_square"),
+    ("--method", "norm_threshold", "--tau", "1"),
+    ("--method", "lnr"),
+], ids=["chi_square", "norm_threshold", "lnr"])
+@pytest.mark.parametrize("z", [
+    "1.7e308,-1.7e308,1.7e308", "-1.79e308,1.79e308,1.79e308",
+], ids=["hx-overflows", "z-minus-hx-overflows"])
+def test_detect_on_readings_whose_residual_overflows(capsys, z, extra):
+    # the residual z - Hx itself leaves float range: an input error with
+    # no RuntimeWarning (the suite turns those into errors)
+    code, out, err = run_cli(capsys, "detect", "--case", str(THREE_BUS),
+                             f"--z={z}", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: residual z - Hx is not finite\n"
 
 
 @pytest.mark.parametrize("extra", [
@@ -454,15 +473,30 @@ def test_paths_call_the_public_entry_points(tmp_path, capsys, monkeypatch):
     assert calls == ["estimate_ac"]
 
 
+def test_scenario_naming_a_case_path_with_a_nul_character_exits_2(
+        tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "x", "case": "case\u0000.json"}))
+    code, out, err = run_cli(capsys, "scenario", "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: path must be a file path")
+
+
 @pytest.mark.parametrize("argv", [
-    ["estimate"],
-    ["attack", "--shift", "0.1,0.2"],
-    ["detect", "--z", "0.1,0.2,0.3"],
-], ids=["estimate", "attack", "detect"])
+    ["estimate", "--case", "{case}"],
+    ["attack", "--shift", "0.1,0.2", "--case", "{case}"],
+    ["detect", "--z", "0.1,0.2,0.3", "--case", "{case}"],
+    ["scenario", "run", "{scenario}"],
+    ["montecarlo", "--trials", "1", "--case", "{case}"],
+], ids=["estimate", "attack", "detect", "scenario-run", "montecarlo"])
 def test_case_file_that_is_not_text_exits_2(tmp_path, capsys, argv):
     path = tmp_path / "case.json"
     path.write_bytes(b"\xff\xfe{")
-    code, out, err = run_cli(capsys, *argv, "--case", str(path))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"name": "x", "case": "case.json"}))
+    code, out, err = run_cli(capsys, *(arg.format(case=path, scenario=scenario)
+                                       for arg in argv))
     assert code == 2
     assert out == ""
     assert f"{path}: not UTF-8" in err

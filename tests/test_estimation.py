@@ -258,6 +258,24 @@ def test_estimate_ac_rejects_a_reading_too_large_to_square(monkeypatch):
         estimate_ac(model, z, weights_from_config(model.config))
 
 
+@pytest.mark.parametrize("z", [
+    [1.7e308, -1.7e308, 1.7e308], [-1.79e308, 1.79e308, 1.79e308],
+], ids=["hx-overflows", "z-minus-hx-overflows"])
+def test_estimate_dc_rejects_a_residual_too_large_for_a_float(z):
+    # the solve is finite, but H x or z - H x leaves float range:
+    # InvalidArgument, the error a solve of non-finite values raises, with
+    # no RuntimeWarning (the suite turns those into errors)
+    _, _, h = load_three_bus()
+    weights = np.full(3, 1e4)
+    for estimate in (lambda: estimate_dc(h, np.array(z), weights),
+                     lambda: factor_gain(h, weights).estimate(z)):
+        with pytest.raises(InvalidArgument, match="residual z - Hx is not finite"):
+            estimate()
+    # readings whose residual only squares past float range still estimate
+    assert estimate_dc(h, np.array([1e308, 1e308, -1e308]),
+                       weights).objective_weighted == np.inf
+
+
 def test_estimate_ac_unobservable_raises():
     from gridse import MeasurementConfig, MeasurementSpec
 

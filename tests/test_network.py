@@ -27,13 +27,18 @@ from gridse import (
     check_observability,
     estimate_ac,
     estimate_dc,
+    flat_state,
+    free_vector,
     largest_normalized_residual,
+    load_scenario,
     parse_case,
     run_detector,
+    run_monte_carlo,
     serialize_case,
     simulate_measurements,
+    state_dimension,
 )
-from helpers import THREE_BUS, load_three_bus, random_network
+from helpers import THREE_BUS, full_ac_config, load_three_bus, random_network
 from oracles import row_reduction_rank
 
 
@@ -132,6 +137,9 @@ def test_parse_not_json_is_malformed():
     # json itself refuses integer literals of more than 4300 digits
     with pytest.raises(MalformedDocument):
         parse_case('{"buses": [' + "1" * 5000 + "]}")
+    # and nesting deeper than the interpreter's recursion limit
+    with pytest.raises(MalformedDocument, match="^invalid JSON: "):
+        parse_case("[" * 100_000)
     # a key names one entry of its object: a repeat is refused, not read as
     # the last value, at the top and in any record
     text = THREE_BUS.read_text()
@@ -199,6 +207,45 @@ def test_serialize_round_trip_without_values():
     assert again.network == net
     assert again.config == config
     assert again.values is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_serialize_round_trip_on_generated_grids(seed):
+    # a lossy grid with parallel branches and bus voltages, every kind of
+    # meter in a random order with its own sigma, readings over the whole
+    # float range: without readings, with them passed in, and with them
+    # carried by the meters
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, int(rng.integers(2, 12)), lossy=True,
+                         shunts=True, parallel=2)
+    net = NetworkModel(buses=tuple(
+        dataclasses.replace(b, voltage_magnitude=float(rng.uniform(0.9, 1.1)))
+        for b in net.buses), branches=net.branches)
+    specs = full_ac_config(net, currents=True).specs
+    specs = [dataclasses.replace(specs[i], sigma=float(rng.uniform(1e-3, 0.1)))
+             for i in rng.permutation(len(specs))]
+    values = rng.normal(size=len(specs)) * 10.0 ** rng.integers(-300, 300,
+                                                                len(specs))
+    values[:4] = (5e-324, -1.7e308, 0.0, -0.0)
+
+    def reading(readings):
+        return MeasurementConfig(specs=tuple(
+            dataclasses.replace(s, value=v) for s, v in zip(
+                specs, [None] * len(specs) if readings is None
+                else readings.tolist())))
+
+    for config, passed, readings in (
+            (reading(None), None, None), (reading(None), values, values),
+            (reading(values), None, values), (reading(values), -values, -values)):
+        text = serialize_case(net, config, passed)
+        again = parse_case(text)
+        assert again.network == net
+        assert again.config == reading(readings)
+        if readings is None:
+            assert again.values is None
+        else:
+            np.testing.assert_array_equal(again.values, readings)
+        assert serialize_case(again.network, again.config, again.values) == text
 
 
 def test_admittance_three_bus_values():
@@ -373,10 +420,34 @@ def test_model_records_store_checked_numbers():
      "model"),
     (lambda net, config, h, z, w: simulate_measurements(
         net, StateVector(angles={1: 0.0, 2: 0.0, 3: 0.0}), "dc", 0), "model"),
+    # documents, paths and records that are not what they should be
+    (lambda net, config, h, z, w: parse_case(3), "text"),
+    (lambda net, config, h, z, w: parse_case(THREE_BUS.read_bytes()), "text"),
+    (lambda net, config, h, z, w: serialize_case(1, 2), "network"),
+    (lambda net, config, h, z, w: serialize_case(net, 2), "config"),
+    (lambda net, config, h, z, w: load_scenario(3), "path"),
+    (lambda net, config, h, z, w: run_monte_carlo(None, trials=1), "path"),
+    (lambda net, config, h, z, w: NetworkModel(buses=3, branches=()), "buses"),
+    (lambda net, config, h, z, w: NetworkModel(buses=(1,), branches=()),
+     "buses"),
+    (lambda net, config, h, z, w: NetworkModel(buses=net.buses,
+                                               branches=config.specs),
+     "branches"),
+    (lambda net, config, h, z, w: MeasurementConfig(specs=3), "specs"),
+    (lambda net, config, h, z, w: MeasurementConfig(specs=(1, 2)), "specs"),
+    (lambda net, config, h, z, w: flat_state(3), "network"),
+    (lambda net, config, h, z, w: state_dimension(3, "dc"), "network"),
+    (lambda net, config, h, z, w: free_vector(
+        3, StateVector(angles={1: 0.0, 2: 0.0, 3: 0.0}), "dc"), "network"),
 ], ids=["chi_square", "lnr", "largest_normalized_residual",
         "factorless-estimate", "observability-config", "observability-network",
         "meter-model-config", "meter-model-network", "estimate-ac-config",
-        "estimate-ac-network", "simulate-config", "simulate-network"])
+        "estimate-ac-network", "simulate-config", "simulate-network",
+        "parse-int", "parse-bytes", "serialize-ints", "serialize-config",
+        "load-scenario-int", "monte-carlo-none", "network-buses-int",
+        "network-bus-int", "network-branch-specs", "config-specs-int",
+        "config-spec-ints", "flat-state-int", "state-dimension-int",
+        "free-vector-int"])
 def test_functions_reject_objects_of_the_wrong_class(call, name):
     parsed, _, h = load_three_bus()
     with pytest.raises(InvalidArgument, match=f"^{name} must be a "):

@@ -532,3 +532,37 @@ def test_case_file_that_is_not_text_is_malformed(tmp_path, run):
     path.write_bytes(b"\xff\xfe{")
     with pytest.raises(MalformedDocument, match="case.json: not UTF-8"):
         run(path)
+
+
+@pytest.mark.parametrize("run", [
+    lambda path: run_scenario(Scenario(name="x", case_path=path)),
+    lambda path: run_monte_carlo(path, trials=1),
+    lambda path: load_scenario(path),
+], ids=["run_scenario", "run_monte_carlo", "load_scenario"])
+def test_path_holding_a_nul_character_is_an_invalid_argument(tmp_path, run):
+    # open() refuses it with a ValueError of its own
+    with pytest.raises(InvalidArgument, match="^path must be a file path"):
+        run(str(tmp_path / "case\x00.json"))
+
+
+def test_scenario_file_that_is_not_text_is_malformed(tmp_path):
+    # the message names the file once, as a case file's does
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(MalformedDocument) as info:
+        load_scenario(path)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+
+
+def test_scenario_bus_key_too_long_to_read_is_malformed(tmp_path):
+    # int() refuses more than 4300 digits; that is a bad document, whether
+    # it comes from a file or is built in code
+    angles = {"1": 0.0, "2" * 5000: 0.0}
+    measurements = {"simulate": {"angles": angles, "seed": 0}}
+    with pytest.raises(MalformedDocument, match="names a bus too long"):
+        Scenario(name="x", case_path=THREE_BUS, measurements=measurements)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "x", "case": str(THREE_BUS),
+                                "measurements": measurements}))
+    with pytest.raises(MalformedDocument, match="names a bus too long"):
+        load_scenario(path)
