@@ -211,11 +211,14 @@ def _decode_json(text: str):
 
 def _read_text(path) -> str:
     """The text of the file at path; MalformedDocument naming it if not UTF-8,
-    InvalidArgument if path is not a str or os.PathLike or holds a NUL."""
+    InvalidArgument naming it if it cannot be read (missing, a directory, no
+    permission), or if path is not a str or os.PathLike or holds a NUL."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise InvalidArgument(f"{path}: cannot read: {exc.strerror or exc}") from None
     except (TypeError, ValueError):  # from Path() or from open()
         raise InvalidArgument(f"path must be a file path, got {path!r}") from None
 

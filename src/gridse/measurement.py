@@ -14,14 +14,16 @@ then (in ac mode) voltage magnitudes of all buses ascending by id. Meter
 vectors are plain float arrays index-aligned with the MeasurementConfig.
 
 Both modes evaluate one compiled :class:`MeterModel`, which
-:func:`build_meter_model` makes from a (network, meter set) pair in
-O(m + branches). It holds one term per flow or current meter (the first
-branch joining its ends, in file order) and one per branch incident to an
-injection meter's bus (in file order), each with its meter row, its two
-ends and the branch parameters; voltage meters are a separate row/bus
-list. The dc matrix H and the ac h(x) and J(x) are numpy expressions over
-these arrays, summed into rows with ``np.bincount`` in term order, so each
-row adds its terms in the same order as a meter-by-meter loop would.
+:func:`build_meter_model` makes from a (network, meter set) pair with array
+operations: one Python pass over the branches and one over the meters, then
+numpy gathers, so O(m + branches) Python steps. It holds one term per flow
+or current meter (the first branch joining its ends, in file order) and one
+per branch incident to an injection meter's bus (in file order), each with
+its meter row, its two ends and the branch parameters; terms come in meter
+order, and voltage meters are a separate row/bus list. The dc matrix H and
+the ac h(x) and J(x) are numpy expressions over these arrays, summed into
+rows with ``np.bincount`` in term order, so each row adds its terms in the
+same order as a meter-by-meter loop would.
 
 Every path builds one model per (network, meter set).
 :func:`simulate_measurements` and ``estimation.estimate_ac`` take the model
@@ -51,7 +53,6 @@ from .errors import (
     _real,
 )
 from .network import (
-    FLOW_KINDS,
     AdmittanceMatrix,
     MeasurementConfig,
     NetworkModel,
@@ -59,10 +60,11 @@ from .network import (
 )
 
 DC_KINDS = ("flow_p", "injection_p")
-# What a meter term contributes to its row.
-_P, _Q, _CURRENT = 0, 1, 2
+# What a meter term contributes to its row; a voltage meter has no terms.
+_P, _Q, _CURRENT, _VOLTAGE = 0, 1, 2, 3
 _TERM_CODES = {"flow_p": _P, "injection_p": _P, "flow_q": _Q,
-               "injection_q": _Q, "current_magnitude": _CURRENT}
+               "injection_q": _Q, "current_magnitude": _CURRENT,
+               "voltage_magnitude": _VOLTAGE}
 
 
 @dataclass(frozen=True)
@@ -278,55 +280,70 @@ def _sum_at(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 def build_meter_model(network: NetworkModel,
                       config: MeasurementConfig) -> MeterModel:
-    """Compile a meter set against a network in O(m + branches).
+    """Compile a meter set against a network with array operations, in
+    O(m + branches) Python steps plus numpy sorts of the branch ends.
 
     A flow or current meter reads the first branch joining its ends, in file
     order, from its ``from`` end; an injection reads every branch at its bus
-    in file order. A meter on an unknown bus, or a flow meter whose ends no
-    branch joins, raises DanglingReference.
+    in file order. Terms come in meter order, then in that branch order,
+    the order of a meter-by-meter loop. A meter on an unknown bus, or a flow
+    meter whose ends no branch joins, raises DanglingReference.
     """
     _check_measurement_references(network, config)
     n = network.n_buses
     ref = network.reference_bus - 1
     angle_col = np.arange(n) - (np.arange(n) > ref)
     angle_col[ref] = -1
-    rows, codes, ends, branches = [], [], [], []
-    voltage_rows, voltage_buses = [], []
-    for row, spec in enumerate(config.specs):
-        if spec.kind == "voltage_magnitude":
-            voltage_rows.append(row)
-            voltage_buses.append(spec.bus - 1)
-            continue
-        if spec.kind in FLOW_KINDS:
-            reads = [(network.branch_between(spec.from_bus, spec.to_bus),
-                      spec.from_bus, spec.to_bus)]
-        else:
-            reads = [(br, spec.bus, other)
-                     for br, other in network.branches_at(spec.bus)]
-        for branch, i, j in reads:
-            rows.append(row)
-            codes.append(_TERM_CODES[spec.kind])
-            ends.append((i - 1, j - 1))
-            branches.append(branch)
-    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
-    i, j = ends[:, 0], ends[:, 1]
-    series = np.array([br.series_admittance for br in branches]).reshape(-1, 2)
+    # per branch in file order: its ends, then g, b, gs, bs and X
+    table = np.array([(br.from_bus, br.to_bus, *br.series_admittance,
+                       br.shunt_conductance_gs, br.shunt_susceptance_bs,
+                       br.reactance_x) for br in network.branches],
+                     dtype=float).reshape(-1, 7)
+    ends = table[:, :2].astype(np.intp) - 1
+    # per meter: its term code, its bus or from end, and its to end or -1
+    meters = np.array([(_TERM_CODES[s.kind], s.from_bus or s.bus, s.to_bus or 0)
+                       for s in config.specs], dtype=np.intp).reshape(-1, 3) - (0, 1, 1)
+    code, at, to = meters.T
+    flow = to >= 0
+    # branch k's from end at 2k and its to end at 2k + 1; sorted stably by
+    # bus, that is each bus's incident branches in file order
+    incidence = ends.ravel()
+    order = np.argsort(incidence, kind="stable")
+    degree = np.bincount(incidence, minlength=n)
+    # the first branch in file order joining each flow meter's ends
+    keys, first = np.unique(np.minimum(*ends.T) * n + np.maximum(*ends.T),
+                            return_index=True)
+    flow_at, flow_to = at[flow], to[flow]
+    flow_branch = first[np.searchsorted(keys, np.minimum(flow_at, flow_to) * n
+                                        + np.maximum(flow_at, flow_to))]
+    # every (branch, i, j) a term can read: the incidences, then one per
+    # flow meter; meter r's terms are reads start[r] to start[r] + count[r] - 1
+    reads = np.concatenate([np.stack([order // 2, incidence[order],
+                                      incidence[order ^ 1]]),
+                            np.stack([flow_branch, flow_at, flow_to])], axis=1)
+    count = np.where(flow, 1, np.where(code == _VOLTAGE, 0, degree[at]))
+    start = np.where(flow, len(incidence) + np.cumsum(flow) - 1,
+                     np.cumsum(degree)[at] - degree[at])
+    row = np.repeat(np.arange(len(code)), count)
+    read = np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count, count)
+    branch, i, j = reads[:, read]
+    voltage_rows = np.flatnonzero(code == _VOLTAGE)
     return MeterModel(
         network=network,
         config=config,
-        row=np.array(rows, dtype=np.intp),
-        code=np.array(codes, dtype=np.intp),
+        row=row,
+        code=code[row],
         i=i,
         j=j,
         columns=np.stack([angle_col[i], angle_col[j], n - 1 + i, n - 1 + j],
                          axis=1),
-        g=series[:, 0].copy(),
-        b=series[:, 1].copy(),
-        gs=np.array([br.shunt_conductance_gs for br in branches], dtype=float),
-        bs=np.array([br.shunt_susceptance_bs for br in branches], dtype=float),
-        inv_x=np.array([1.0 / br.reactance_x for br in branches], dtype=float),
-        voltage_rows=np.array(voltage_rows, dtype=np.intp),
-        voltage_buses=np.array(voltage_buses, dtype=np.intp),
+        g=table[branch, 2],
+        b=table[branch, 3],
+        gs=table[branch, 4],
+        bs=table[branch, 5],
+        inv_x=1.0 / table[branch, 6],
+        voltage_rows=voltage_rows,
+        voltage_buses=at[voltage_rows],
     )
 
 

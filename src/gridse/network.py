@@ -9,7 +9,10 @@ A case file is a UTF-8 JSON object with exactly the arrays ``buses``,
 :class:`Bus`, :class:`Branch` and :class:`MeasurementSpec`, is the one
 declaration of its record's format: ``_FILE_KEYS`` maps file keys to fields
 in file order, ``_REQUIRED`` names the keys a record must carry, and an
-omitted key takes the field's default. Flow and current meters locate by an
+omitted key takes the field's default. Its ``__post_init__`` is the one rule
+for a record's validity, in code and in files alike: the parser fills each
+record's fields straight from the file, without the generated ``__init__``,
+and runs that check once per record. Flow and current meters locate by an
 ordered ``from``/``to`` pair that a branch joins, the other kinds by ``bus``;
 ``value`` is on all meters or on none. Unknown keys, non-finite numbers and
 bus ids or ends that are not non-negative integers are rejected.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,17 +53,19 @@ def _store(record, counts: tuple[str, ...], reals: tuple[str, ...],
            optional: tuple[str, ...] = ()):
     """Check the named integer and real fields of a frozen record (None
     passes only in an ``optional`` field) and store the number each check
-    returns; a failure is MalformedDocument."""
-    try:
-        for names, check in ((counts, _count), (reals, _real)):
-            for name in names:
-                value = getattr(record, name)
-                if value is not None or name not in optional:
-                    number = check(value, name, error=MalformedDocument)
-                    if number is not value:
-                        object.__setattr__(record, name, number)
-    except MalformedDocument as exc:
-        raise MalformedDocument(f"field {exc}") from None
+    returns; a failure is MalformedDocument. An exact non-negative int or a
+    finite float is already that number, so only other values meet the check."""
+    values = record.__dict__
+    for name in counts:
+        value = values[name]
+        if not (value.__class__ is int and value >= 0
+                or value is None and name in optional):
+            values[name] = _count(value, f"field {name}", error=MalformedDocument)
+    for name in reals:
+        value = values[name]
+        if not (value.__class__ is float and value - value == 0.0  # finite
+                or value is None and name in optional):
+            values[name] = _real(value, f"field {name}", error=MalformedDocument)
 
 
 @dataclass(frozen=True)
@@ -215,15 +220,15 @@ class NetworkModel:
             raise MultipleReferenceBuses(f"reference flagged on buses {refs}")
         pair_branch: dict[tuple[int, int], Branch] = {}
         incident: dict[int, list[tuple[Branch, int]]] = {i: [] for i in ids}
+        n = len(ids)
         for br in self.branches:
-            for end in (br.from_bus, br.to_bus):
-                if not 1 <= end <= len(ids):
-                    raise DanglingReference(
-                        f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}"
-                    )
-            pair_branch.setdefault(_pair(br.from_bus, br.to_bus), br)
-            incident[br.from_bus].append((br, br.to_bus))
-            incident[br.to_bus].append((br, br.from_bus))
+            i, j = br.from_bus, br.to_bus
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise DanglingReference(f"branch {i}-{j} references unknown "
+                                        f"bus {j if 1 <= i <= n else i}")
+            pair_branch.setdefault((i, j) if i <= j else (j, i), br)
+            incident[i].append((br, j))
+            incident[j].append((br, i))
         object.__setattr__(self, "_reference", refs[0])
         object.__setattr__(self, "_non_reference",
                            tuple(i for i in ids if i != refs[0]))
@@ -303,15 +308,30 @@ _TOP_KEYS = ("buses", "branches", "measurements")
 
 def _records(doc: dict, key: str, cls) -> list:
     """A cls for each record of doc[key], its keys checked and mapped by
-    cls._FILE_KEYS; a MalformedDocument raised gains the record's context."""
-    table, allowed, built = cls._FILE_KEYS, set(cls._FILE_KEYS), []
+    cls._FILE_KEYS; a MalformedDocument raised gains the record's context.
+
+    Each record is made as cls's generated ``__init__`` would make it, field
+    by field in declaration order with omitted keys at their defaults, and
+    then checked by its own ``__post_init__``, once."""
+    table, required = cls._FILE_KEYS, cls._REQUIRED
+    # a field without a default is a required key, so its None is always
+    # replaced (MISSING there would make every record's dict GC-tracked)
+    template = {f.name: None if f.default is MISSING else f.default
+                for f in fields(cls)}
+    check, new, built = cls.__post_init__, object.__new__, []
     for idx, record in enumerate(doc[key]):
-        _check_keys(record, allowed, cls._REQUIRED, f"{key}[{idx}]")
-        fields = {}
-        for name, value in record.items():  # a comprehension is slower here
-            fields[table[name]] = value
+        if record.__class__ is not dict or not record.keys() >= required:
+            _check_keys(record, set(table), required, f"{key}[{idx}]")
+        built.append(item := new(cls))
+        values = item.__dict__
+        values.update(template)  # a plain dict: faster than a shared-key one
         try:
-            built.append(cls(**fields))
+            for name, value in record.items():  # a comprehension is slower here
+                values[table[name]] = value
+        except KeyError:  # an unknown key
+            _check_keys(record, set(table), required, f"{key}[{idx}]")
+        try:
+            check(item)
         except MalformedDocument as exc:
             raise MalformedDocument(f"{key}[{idx}]: {exc}") from None
     return built
@@ -354,12 +374,13 @@ def _check_measurement_references(network: NetworkModel, config: MeasurementConf
     network or config of the wrong class raises InvalidArgument."""
     _instance(network, NetworkModel, "network")
     _instance(config, MeasurementConfig, "config")
+    n, pairs = network.n_buses, network._pair_branch
     for i, spec in enumerate(config.specs):
         flow = spec.kind in FLOW_KINDS
         for end in (spec.from_bus, spec.to_bus) if flow else (spec.bus,):
-            if not 1 <= end <= network.n_buses:
+            if not 1 <= end <= n:
                 raise DanglingReference(f"measurements[{i}]: unknown bus {end}")
-        if flow and network.branch_between(spec.from_bus, spec.to_bus) is None:
+        if flow and _pair(spec.from_bus, spec.to_bus) not in pairs:
             raise DanglingReference(f"measurements[{i}]: no branch joins "
                                     f"{spec.from_bus} and {spec.to_bus}")
 

@@ -3,8 +3,9 @@
 Deliberately written from scratch, without the package's linear-algebra
 paths: inversion by Gauss-Jordan elimination, the gain as one dense product
 and the hat diagonal through that inverse, rank by row reduction, the
-chi-square distribution through the classic erf/exponential recurrence, and
-branch power flows from complex phasors. Slow and simple on purpose.
+chi-square distribution through the classic erf/exponential recurrence,
+branch power flows from complex phasors, and the meter model compiled meter
+by meter. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import cmath
 import math
 
 import numpy as np
+
+from gridse.measurement import _TERM_CODES, MeterModel
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -125,3 +128,51 @@ def branch_power(branch, state, i: int, j: int) -> complex:
     y = 1.0 / complex(branch.resistance_r, branch.reactance_x)
     y_sh = complex(branch.shunt_conductance_gs, branch.shunt_susceptance_bs)
     return v_i * ((y + y_sh) * v_i - y * v_j).conjugate()
+
+
+def meter_model_by_loop(network, config):
+    """A MeterModel compiled meter by meter: one term per flow or current
+    meter (the first branch joining its ends, in file order) and one per
+    branch at an injection meter's bus (in file order)."""
+    n = network.n_buses
+    ref = network.reference_bus - 1
+    angle_col = np.arange(n) - (np.arange(n) > ref)
+    angle_col[ref] = -1
+    rows, codes, ends, branches = [], [], [], []
+    voltage_rows, voltage_buses = [], []
+    for row, spec in enumerate(config.specs):
+        if spec.kind == "voltage_magnitude":
+            voltage_rows.append(row)
+            voltage_buses.append(spec.bus - 1)
+            continue
+        if spec.to_bus is not None:
+            reads = [(network.branch_between(spec.from_bus, spec.to_bus),
+                      spec.from_bus, spec.to_bus)]
+        else:
+            reads = [(br, spec.bus, other)
+                     for br, other in network.branches_at(spec.bus)]
+        for branch, i, j in reads:
+            rows.append(row)
+            codes.append(_TERM_CODES[spec.kind])
+            ends.append((i - 1, j - 1))
+            branches.append(branch)
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    i, j = ends[:, 0], ends[:, 1]
+    series = np.array([br.series_admittance for br in branches]).reshape(-1, 2)
+    return MeterModel(
+        network=network,
+        config=config,
+        row=np.array(rows, dtype=np.intp),
+        code=np.array(codes, dtype=np.intp),
+        i=i,
+        j=j,
+        columns=np.stack([angle_col[i], angle_col[j], n - 1 + i, n - 1 + j],
+                         axis=1),
+        g=series[:, 0].copy(),
+        b=series[:, 1].copy(),
+        gs=np.array([br.shunt_conductance_gs for br in branches], dtype=float),
+        bs=np.array([br.shunt_susceptance_bs for br in branches], dtype=float),
+        inv_x=np.array([1.0 / br.reactance_x for br in branches], dtype=float),
+        voltage_rows=np.array(voltage_rows, dtype=np.intp),
+        voltage_buses=np.array(voltage_buses, dtype=np.intp),
+    )

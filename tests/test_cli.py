@@ -219,6 +219,19 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("case", ["no_such_case.json", ""],
+                         ids=["missing", "directory"])
+def test_scenario_naming_a_case_that_cannot_be_read_exits_2(tmp_path, capsys,
+                                                            case):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "x", "case": case}))
+    code, out, err = run_cli(capsys, "scenario", "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and ": cannot read: " in err
+    assert "Traceback" not in err
+
+
 def test_malformed_case_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"buses": []}')

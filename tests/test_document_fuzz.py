@@ -147,9 +147,5 @@ def test_mutated_scenario_documents(workdir, data):
         emit_report(run_scenario(load_scenario(path)), format="machine")
     except GridError:
         pass
-    except OSError:
-        # a scenario may name a case file that does not exist, which
-        # raises what reading any missing file raises
-        assert doc.get("case") != SCENARIOS[name]["case"]
     _cli("scenario", "run", path, "--format", "machine")
 

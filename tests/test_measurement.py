@@ -5,6 +5,7 @@ import pytest
 
 import gridse
 from gridse import (
+    Bus,
     DanglingReference,
     DetectorConfig,
     DimensionMismatch,
@@ -12,6 +13,7 @@ from gridse import (
     MeasurementConfig,
     MeasurementSpec,
     MissingMagnitudes,
+    NetworkModel,
     StateVector,
     UnsupportedKindForDC,
     build_admittance,
@@ -23,6 +25,7 @@ from gridse import (
     flat_state,
     free_vector,
     largest_normalized_residual,
+    parse_case,
     run_detector,
     simulate_measurements,
     state_dimension,
@@ -30,13 +33,14 @@ from gridse import (
 )
 from gridse.measurement import _KI, _WI, _meter_noise, _normals
 from helpers import (
+    CASES_DIR,
     full_ac_config,
     load_three_bus,
     random_ac_state,
     random_network,
     random_observable_config,
 )
-from oracles import branch_power
+from oracles import branch_power, meter_model_by_loop
 
 # hand-solved three-bus quantities (see test_estimation for the derivation)
 TRUE_ANGLES = {1: 0.02857142857142857, 2: -0.09428571428571429, 3: 0.0}
@@ -683,3 +687,68 @@ def test_meter_model_checks_its_inputs():
         model.values(np.zeros(net.n_buses))
     with pytest.raises(DimensionMismatch):
         model.jacobian(np.zeros(2 * net.n_buses))
+
+
+MODEL_ARRAYS = ("row", "code", "i", "j", "columns", "g", "b", "gs", "bs",
+                "inv_x", "voltage_rows", "voltage_buses")
+
+
+def assert_compiles_as_the_loop(net, config, rng):
+    """Every MeterModel array, H, h(x) and J(x) byte-identical to the
+    meter-by-meter compile's."""
+    model, loop = build_meter_model(net, config), meter_model_by_loop(net, config)
+    for name in MODEL_ARRAYS:
+        got, expected = getattr(model, name), getattr(loop, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+    x = free_vector(net, random_ac_state(rng, net, 0.3, 0.1), "ac")
+    assert model.values(x).tobytes() == loop.values(x).tobytes()
+    assert model.jacobian(x).tobytes() == loop.jacobian(x).tobytes()
+    dc = MeasurementConfig(specs=tuple(
+        s for s in config.specs if s.kind in ("flow_p", "injection_p")))
+    assert build_meter_model(net, dc).dc_matrix.tobytes() == \
+        meter_model_by_loop(net, dc).dc_matrix.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_meter_model_compiles_as_the_loop_on_generated_grids(seed):
+    # lossy grids with parallel branches, the reference at the least or the
+    # most connected bus or at the last one, and a random subset of all six
+    # meter kinds in a random order, with injections at the least and the
+    # most connected bus among them
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, int(rng.integers(3, 25)), lossy=True,
+                         shunts=True, parallel=int(rng.integers(0, 4)))
+    degree = {b.id: len(net.branches_at(b.id)) for b in net.buses}
+    leaf, hub = min(degree, key=degree.get), max(degree, key=degree.get)
+    ref = (leaf, hub, net.n_buses)[seed % 3]
+    net = NetworkModel(buses=tuple(Bus(id=b.id, is_reference=b.id == ref)
+                                   for b in net.buses), branches=net.branches)
+    specs = list(full_ac_config(net, currents=True).specs)
+    picked = [specs[i] for i in rng.permutation(len(specs))[
+        :int(rng.integers(1, len(specs) + 1))]]
+    for kind, bus in (("injection_p", leaf), ("injection_q", hub)):
+        picked.insert(int(rng.integers(len(picked) + 1)),
+                      MeasurementSpec(kind=kind, bus=bus, sigma=0.01))
+    assert degree[leaf] < degree[hub]
+    assert_compiles_as_the_loop(net, MeasurementConfig(specs=tuple(picked)), rng)
+
+
+@pytest.mark.parametrize("case", ["three_bus.json", "lossy_four_bus.json"])
+def test_meter_model_compiles_as_the_loop_on_the_bundled_cases(case):
+    parsed = parse_case((CASES_DIR / case).read_text())
+    assert_compiles_as_the_loop(parsed.network, parsed.config,
+                                np.random.default_rng(0))
+
+
+def test_meter_model_compiles_as_the_loop_without_terms():
+    # no meters at all; and on a one-bus network, meters that read no branch
+    rng = np.random.default_rng(34)
+    net = random_network(rng, 4, lossy=True)
+    assert_compiles_as_the_loop(net, MeasurementConfig(specs=()), rng)
+    single = NetworkModel(buses=(Bus(id=1, is_reference=True),), branches=())
+    config = MeasurementConfig(specs=tuple(
+        MeasurementSpec(kind=kind, bus=1, sigma=0.01)
+        for kind in ("injection_p", "voltage_magnitude", "injection_q")))
+    assert_compiles_as_the_loop(single, config, rng)
+    assert len(build_meter_model(single, config).row) == 0

@@ -38,7 +38,13 @@ from gridse import (
     simulate_measurements,
     state_dimension,
 )
-from helpers import THREE_BUS, full_ac_config, load_three_bus, random_network
+from helpers import (
+    CASES_DIR,
+    THREE_BUS,
+    full_ac_config,
+    load_three_bus,
+    random_network,
+)
 from oracles import row_reduction_rank
 
 
@@ -396,6 +402,74 @@ def test_model_records_store_checked_numbers():
     with pytest.raises(MalformedDocument,
                        match=r"^branches\[1\]: field reactance_x must be"):
         parse_case(json.dumps(doc))
+
+
+RECORD_CLASSES = {"buses": Bus, "branches": Branch, "measurements": MeasurementSpec}
+
+
+def test_parse_runs_each_records_check_once(monkeypatch):
+    # the record class's own check is the one rule, run once per record
+    doc = json.loads((CASES_DIR / "lossy_four_bus.json").read_text())
+    calls = {cls: [] for cls in RECORD_CLASSES.values()}
+    for cls in RECORD_CLASSES.values():
+        def counted(record, check=cls.__post_init__, seen=calls[cls]):
+            seen.append(record)
+            check(record)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    parsed = parse_case(json.dumps(doc))
+    records = {Bus: parsed.network.buses, Branch: parsed.network.branches,
+               MeasurementSpec: parsed.config.specs}
+    for key, cls in RECORD_CLASSES.items():
+        assert len(calls[cls]) == len(doc[key])
+        assert [id(r) for r in calls[cls]] == [id(r) for r in records[cls]]
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES.values())
+def test_each_field_without_a_default_is_a_required_key(cls):
+    # the parser relies on it: such a field is always filled from the file
+    required = {cls._FILE_KEYS[key] for key in cls._REQUIRED}
+    assert {f.name for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING} <= required
+
+
+@pytest.mark.parametrize("key", RECORD_CLASSES)
+def test_parse_fails_when_a_records_check_fails(monkeypatch, key):
+    def refuse(record):
+        raise MalformedDocument("refused by its check")
+
+    monkeypatch.setattr(RECORD_CLASSES[key], "__post_init__", refuse)
+    with pytest.raises(MalformedDocument,
+                       match=rf"^{key}\[0\]: refused by its check$"):
+        parse_case(THREE_BUS.read_text())
+
+
+def test_parsed_records_equal_records_built_in_code():
+    # int-valued numbers in real fields become floats, as in code; each
+    # record holds the same field values, of the same types, in the same
+    # order as the generated __init__ stores them
+    text = json.dumps({
+        "buses": [{"id": 1, "v": 1}, {"ref": True, "id": 2}],
+        "branches": [{"x": 1, "to": 2, "from": 1, "r": 0, "bs": 0}],
+        "measurements": [
+            {"kind": "flow_p", "from": 2, "to": 1, "sigma": 1, "value": 2},
+            {"sigma": 0.5, "bus": 1, "kind": "voltage_magnitude", "value": 0},
+        ]})
+    parsed = parse_case(text)
+    built = (
+        Bus(id=1, voltage_magnitude=1.0), Bus(id=2, is_reference=True),
+        Branch(from_bus=1, to_bus=2, resistance_r=0.0, reactance_x=1.0,
+               shunt_susceptance_bs=0.0),
+        MeasurementSpec(kind="flow_p", sigma=1.0, from_bus=2, to_bus=1,
+                        value=2.0),
+        MeasurementSpec(kind="voltage_magnitude", sigma=0.5, bus=1, value=0.0),
+    )
+    records = parsed.network.buses + parsed.network.branches + parsed.config.specs
+    assert records == built
+    for record, expected in zip(records, built):
+        assert list(vars(record)) == list(vars(expected))
+        assert [type(v) for v in vars(record).values()] == \
+            [type(v) for v in vars(expected).values()]
+    np.testing.assert_array_equal(parsed.values, [2.0, 0.0])
 
 
 @pytest.mark.parametrize("call, name", [

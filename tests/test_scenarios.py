@@ -1,6 +1,7 @@
 """Scenario files, end-to-end runs, report emission, and Monte Carlo."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -543,6 +544,36 @@ def test_path_holding_a_nul_character_is_an_invalid_argument(tmp_path, run):
     # open() refuses it with a ValueError of its own
     with pytest.raises(InvalidArgument, match="^path must be a file path"):
         run(str(tmp_path / "case\x00.json"))
+
+
+@pytest.mark.parametrize("run", [
+    lambda path: run_scenario(Scenario(name="x", case_path=path)),
+    lambda path: run_monte_carlo(path, trials=1),
+    lambda path: load_scenario(path),
+], ids=["run_scenario", "run_monte_carlo", "load_scenario"])
+@pytest.mark.parametrize("name", ["no_such_file.json", ""],
+                         ids=["missing", "directory"])
+def test_file_that_cannot_be_read_is_an_invalid_argument(tmp_path, run, name):
+    path = tmp_path / name
+    with pytest.raises(InvalidArgument,
+                       match=f"^{re.escape(str(path))}: cannot read: "):
+        run(path)
+
+
+@pytest.mark.parametrize("case", ["no_such_case.json", ""],
+                         ids=["missing", "directory"])
+def test_scenario_naming_a_case_that_cannot_be_read(tmp_path, case):
+    # an empty 'case' names the scenario's own directory
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "x", "case": case}))
+    scenario = load_scenario(path)
+    with pytest.raises(InvalidArgument, match=": cannot read: "):
+        run_scenario(scenario)
+
+
+def test_monte_carlo_checks_its_arguments_before_reading_the_case():
+    with pytest.raises(InvalidArgument, match="^trials must be"):
+        run_monte_carlo("no_such_case.json", trials=2.5)
 
 
 def test_scenario_file_that_is_not_text_is_malformed(tmp_path):
