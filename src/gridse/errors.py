@@ -136,8 +136,10 @@ def _real(value, name: str, low: float = -math.inf, high: float = math.inf, *,
 def _count(value, name: str, *, error: type = InvalidArgument) -> int:
     """value as an int when it is a non-negative integer (a bool is not one);
     else error."""
-    if (value.__class__ is int or isinstance(value, _INTEGER_TYPES)
-            and not isinstance(value, bool)) and value >= 0:
+    if value.__class__ is int and value >= 0:  # the common case, as is
+        return value
+    if isinstance(value, _INTEGER_TYPES) and not isinstance(value, bool) \
+            and value >= 0:
         return int(value)
     raise error(f"{name} must be a non-negative integer, got {_shown(value)}")
 

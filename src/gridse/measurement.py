@@ -15,8 +15,8 @@ vectors are plain float arrays index-aligned with the MeasurementConfig.
 
 Both modes evaluate one compiled :class:`MeterModel`, which
 :func:`build_meter_model` makes from a (network, meter set) pair with array
-operations: one Python pass over the branches and one over the meters, then
-numpy gathers, so O(m + branches) Python steps. It holds one term per flow
+operations: Python passes over the branches and the meters, then numpy
+gathers, so O(m + branches) Python steps. It holds one term per flow
 or current meter (the first branch joining its ends, in file order) and one
 per branch incident to an injection meter's bus (in file order), each with
 its meter row, its two ends and the branch parameters; terms come in meter
@@ -57,6 +57,7 @@ from .network import (
     MeasurementConfig,
     NetworkModel,
     _check_measurement_references,
+    _pair,
 )
 
 DC_KINDS = ("flow_p", "injection_p")
@@ -299,34 +300,33 @@ def build_meter_model(network: NetworkModel,
                        br.shunt_conductance_gs, br.shunt_susceptance_bs,
                        br.reactance_x) for br in network.branches],
                      dtype=float).reshape(-1, 7)
-    ends = table[:, :2].astype(np.intp) - 1
-    # per meter: its term code, its bus or from end, and its to end or -1
-    meters = np.array([(_TERM_CODES[s.kind], s.from_bus or s.bus, s.to_bus or 0)
-                       for s in config.specs], dtype=np.intp).reshape(-1, 3) - (0, 1, 1)
-    code, at, to = meters.T
-    flow = to >= 0
+    first = {}  # each pair of ends: the first branch joining them
+    for k, br in enumerate(network.branches):
+        first.setdefault(_pair(br.from_bus, br.to_bus), k)
+    # per meter: its term code, its bus or from end, its to end or -1, and
+    # the branch a flow or current meter reads
+    code, at, to = (np.array([(_TERM_CODES[s.kind], s.from_bus or s.bus,
+                               s.to_bus or 0) for s in config.specs],
+                             dtype=np.intp).reshape(-1, 3) - (0, 1, 1)).T
+    flow_branch = np.array([first[_pair(s.from_bus, s.to_bus)] if s.to_bus
+                            else -1 for s in config.specs], dtype=np.intp)
     # branch k's from end at 2k and its to end at 2k + 1; sorted stably by
     # bus, that is each bus's incident branches in file order
-    incidence = ends.ravel()
+    incidence = table[:, :2].astype(np.intp).ravel() - 1
     order = np.argsort(incidence, kind="stable")
     degree = np.bincount(incidence, minlength=n)
-    # the first branch in file order joining each flow meter's ends
-    keys, first = np.unique(np.minimum(*ends.T) * n + np.maximum(*ends.T),
-                            return_index=True)
-    flow_at, flow_to = at[flow], to[flow]
-    flow_branch = first[np.searchsorted(keys, np.minimum(flow_at, flow_to) * n
-                                        + np.maximum(flow_at, flow_to))]
-    # every (branch, i, j) a term can read: the incidences, then one per
-    # flow meter; meter r's terms are reads start[r] to start[r] + count[r] - 1
-    reads = np.concatenate([np.stack([order // 2, incidence[order],
-                                      incidence[order ^ 1]]),
-                            np.stack([flow_branch, flow_at, flow_to])], axis=1)
-    count = np.where(flow, 1, np.where(code == _VOLTAGE, 0, degree[at]))
-    start = np.where(flow, len(incidence) + np.cumsum(flow) - 1,
-                     np.cumsum(degree)[at] - degree[at])
+    # a flow or current meter has one term, an injection one per branch at
+    # its bus, a voltage meter none
+    count = np.where(to >= 0, 1, np.where(code == _VOLTAGE, 0, degree[at]))
     row = np.repeat(np.arange(len(code)), count)
-    read = np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count, count)
-    branch, i, j = reads[:, read]
+    i = at[row]
+    # a term's place among its meter's terms: an injection's k-th term reads
+    # its bus's k-th incidence, of branch slot // 2 and far end at slot ^ 1
+    place = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    slot = order[np.cumsum(degree)[i] - degree[i] + place]
+    flow = to[row] >= 0
+    branch = np.where(flow, flow_branch[row], slot // 2)
+    j = np.where(flow, to[row], incidence[slot ^ 1])
     voltage_rows = np.flatnonzero(code == _VOLTAGE)
     return MeterModel(
         network=network,

@@ -53,19 +53,16 @@ def _store(record, counts: tuple[str, ...], reals: tuple[str, ...],
            optional: tuple[str, ...] = ()):
     """Check the named integer and real fields of a frozen record (None
     passes only in an ``optional`` field) and store the number each check
-    returns; a failure is MalformedDocument. An exact non-negative int or a
-    finite float is already that number, so only other values meet the check."""
+    returns; a failure is MalformedDocument."""
     values = record.__dict__
-    for name in counts:
-        value = values[name]
-        if not (value.__class__ is int and value >= 0
-                or value is None and name in optional):
-            values[name] = _count(value, f"field {name}", error=MalformedDocument)
-    for name in reals:
-        value = values[name]
-        if not (value.__class__ is float and value - value == 0.0  # finite
-                or value is None and name in optional):
-            values[name] = _real(value, f"field {name}", error=MalformedDocument)
+    try:
+        for names, check in ((counts, _count), (reals, _real)):
+            for name in names:
+                value = values[name]
+                if value is not None or name not in optional:
+                    values[name] = check(value, name, error=MalformedDocument)
+    except MalformedDocument as exc:
+        raise MalformedDocument(f"field {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -220,15 +217,15 @@ class NetworkModel:
             raise MultipleReferenceBuses(f"reference flagged on buses {refs}")
         pair_branch: dict[tuple[int, int], Branch] = {}
         incident: dict[int, list[tuple[Branch, int]]] = {i: [] for i in ids}
-        n = len(ids)
         for br in self.branches:
-            i, j = br.from_bus, br.to_bus
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise DanglingReference(f"branch {i}-{j} references unknown "
-                                        f"bus {j if 1 <= i <= n else i}")
-            pair_branch.setdefault((i, j) if i <= j else (j, i), br)
-            incident[i].append((br, j))
-            incident[j].append((br, i))
+            for end in (br.from_bus, br.to_bus):
+                if not 1 <= end <= len(ids):
+                    raise DanglingReference(
+                        f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}"
+                    )
+            pair_branch.setdefault(_pair(br.from_bus, br.to_bus), br)
+            incident[br.from_bus].append((br, br.to_bus))
+            incident[br.to_bus].append((br, br.from_bus))
         object.__setattr__(self, "_reference", refs[0])
         object.__setattr__(self, "_non_reference",
                            tuple(i for i in ids if i != refs[0]))
@@ -314,22 +311,21 @@ def _records(doc: dict, key: str, cls) -> list:
     by field in declaration order with omitted keys at their defaults, and
     then checked by its own ``__post_init__``, once."""
     table, required = cls._FILE_KEYS, cls._REQUIRED
+    allowed = frozenset(table)
     # a field without a default is a required key, so its None is always
     # replaced (MISSING there would make every record's dict GC-tracked)
     template = {f.name: None if f.default is MISSING else f.default
                 for f in fields(cls)}
     check, new, built = cls.__post_init__, object.__new__, []
     for idx, record in enumerate(doc[key]):
-        if record.__class__ is not dict or not record.keys() >= required:
-            _check_keys(record, set(table), required, f"{key}[{idx}]")
+        if record.__class__ is not dict or not (
+                record.keys() >= required and allowed.issuperset(record)):
+            _check_keys(record, allowed, required, f"{key}[{idx}]")
         built.append(item := new(cls))
         values = item.__dict__
         values.update(template)  # a plain dict: faster than a shared-key one
-        try:
-            for name, value in record.items():  # a comprehension is slower here
-                values[table[name]] = value
-        except KeyError:  # an unknown key
-            _check_keys(record, set(table), required, f"{key}[{idx}]")
+        for name, value in record.items():  # a comprehension is slower here
+            values[table[name]] = value
         try:
             check(item)
         except MalformedDocument as exc:
@@ -374,13 +370,12 @@ def _check_measurement_references(network: NetworkModel, config: MeasurementConf
     network or config of the wrong class raises InvalidArgument."""
     _instance(network, NetworkModel, "network")
     _instance(config, MeasurementConfig, "config")
-    n, pairs = network.n_buses, network._pair_branch
     for i, spec in enumerate(config.specs):
         flow = spec.kind in FLOW_KINDS
         for end in (spec.from_bus, spec.to_bus) if flow else (spec.bus,):
-            if not 1 <= end <= n:
+            if not 1 <= end <= network.n_buses:
                 raise DanglingReference(f"measurements[{i}]: unknown bus {end}")
-        if flow and _pair(spec.from_bus, spec.to_bus) not in pairs:
+        if flow and network.branch_between(spec.from_bus, spec.to_bus) is None:
             raise DanglingReference(f"measurements[{i}]: no branch joins "
                                     f"{spec.from_bus} and {spec.to_bus}")
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from gridse import (
     simulate_measurements,
     state_dimension,
 )
+from gridse.errors import _count, _real
 from helpers import (
     CASES_DIR,
     THREE_BUS,
@@ -470,6 +473,28 @@ def test_parsed_records_equal_records_built_in_code():
         assert [type(v) for v in vars(record).values()] == \
             [type(v) for v in vars(expected).values()]
     np.testing.assert_array_equal(parsed.values, [2.0, 0.0])
+
+
+@pytest.mark.parametrize("value", [
+    0, 3, 2**64, 10**400, -1, True, 1.0, -0.0, 0.5, 1e308, 5e-324, math.inf,
+    -math.inf, math.nan, np.int64(3), np.int32(-2), np.float64(0.25), "1",
+], ids=repr)
+def test_record_fields_are_what_the_checks_return(value):
+    # a record stores what _count or _real returns for its field, of the same
+    # type, and fails with that check's message: the checks are the one rule
+    for name, check, make in (
+            ("bus", _count, lambda v: MeasurementSpec(
+                kind="injection_p", sigma=1.0, bus=v)),
+            ("value", _real, lambda v: MeasurementSpec(
+                kind="injection_p", sigma=1.0, bus=1, value=v))):
+        try:
+            expected = check(value, name, error=MalformedDocument)
+        except MalformedDocument as exc:
+            with pytest.raises(MalformedDocument, match=f"^field {re.escape(str(exc))}$"):
+                make(value)
+        else:
+            stored = getattr(make(value), name)
+            assert (type(stored), repr(stored)) == (type(expected), repr(expected))
 
 
 @pytest.mark.parametrize("call, name", [

@@ -498,7 +498,9 @@ def test_monte_carlo_rejects_noise_too_large_for_a_float(tmp_path,
     {"trials": 3, "detector": {"method": "lnr"}},
 ])
 def test_monte_carlo_checks_trials_and_seed_before_reading_the_case(arguments):
-    with pytest.raises(InvalidArgument):
+    # the case file does not exist, so reading it first would raise the
+    # read error instead of the argument's own
+    with pytest.raises(InvalidArgument, match=r"^(?!.*cannot read)"):
         run_monte_carlo("no_such_case.json", **arguments)
 
 
@@ -569,11 +571,6 @@ def test_scenario_naming_a_case_that_cannot_be_read(tmp_path, case):
     scenario = load_scenario(path)
     with pytest.raises(InvalidArgument, match=": cannot read: "):
         run_scenario(scenario)
-
-
-def test_monte_carlo_checks_its_arguments_before_reading_the_case():
-    with pytest.raises(InvalidArgument, match="^trials must be"):
-        run_monte_carlo("no_such_case.json", trials=2.5)
 
 
 def test_scenario_file_that_is_not_text_is_malformed(tmp_path):
