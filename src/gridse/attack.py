@@ -21,12 +21,14 @@ accepted factor's solve :func:`verify_stealth`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._streams import _seeded_generators
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -90,21 +92,37 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
                           seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random stealth direction: c on the sphere of the given radius.
 
-    Deterministic in the seed; returns (c, Hc). A magnitude that is not
-    positive and finite, a seed that is not a non-negative integer or an Hc
-    that overflows raises InvalidArgument, an H with no columns
+    Deterministic in the seed; returns (c, Hc). The direction is exactly
+    ``np.random.default_rng(seed).normal(size=k)``, drawn again from the
+    same generator while its norm is 0, and c is that direction divided by
+    its norm, times ``magnitude``. A magnitude that is not positive and
+    finite, a seed that is not a non-negative integer or an Hc that
+    overflows raises InvalidArgument, an H with no columns
     DimensionMismatch.
     """
     magnitude = _real(magnitude, "magnitude", 0.0)
     h = _array(h_matrix, "H", ndim=2, finite=True)
     if not h.shape[1]:
         raise DimensionMismatch("H has no columns, so there is no state to shift")
-    rng = np.random.default_rng(_count(seed, "seed"))
-    direction = rng.normal(size=h.shape[1])
-    while not np.linalg.norm(direction) > 0:
-        direction = rng.normal(size=h.shape[1])
-    c = direction / np.linalg.norm(direction) * magnitude
+    c, = _stealth_shifts([_count(seed, "seed")], h.shape[1], magnitude)
     return c, _image(h, c)
+
+
+def _stealth_shifts(seeds: Iterable[int], k: int,
+                    magnitude: float) -> list[np.ndarray]:
+    """The shift c of :func:`random_stealth_attack` for each seed, bit for
+    bit, with the streams of the whole block seeded in one pass. The caller
+    has checked the seeds, k >= 1 and the magnitude."""
+    shifts = []
+    for rng in _seeded_generators(seeds):
+        direction = rng.normal(size=k)
+        # the sqrt of x.dot(x), as np.linalg.norm computes it
+        norm = math.sqrt(direction.dot(direction))
+        while not norm > 0:
+            direction = rng.normal(size=k)
+            norm = math.sqrt(direction.dot(direction))
+        shifts.append(direction / norm * magnitude)
+    return shifts
 
 
 def constrained_stealth_attack(h_matrix: np.ndarray,

@@ -16,11 +16,15 @@ Jacobian there) hold all a detector reads, so no detector factors a gain.
   largest exceeds the threshold (default 3.0) and name the argmax meter.
   Only the diagonal Omega_ii = (1 - w_i (H G^-1 H^T)_ii) / w_i is computed,
   from the factor's weights and hat diagonal; the m x m matrices S and
-  Omega are never formed.
+  Omega are never formed. The factor holds Omega's diagonal, the critical
+  meters and sqrt(Omega_ii) of the others (``GainFactor.omega_terms``),
+  computed once however many estimates share it, so the test itself only
+  divides and ranks.
 
-Meters whose Omega_ii vanishes are critical: their residual is structurally
-zero, so they are excluded from the lnr argmax and reported instead. All
-meter indices in results and configurations are 1-based file order.
+Meters whose Omega_ii vanishes (at most ``OMEGA_FLOOR``) are critical:
+their residual is structurally zero, so they are excluded from the lnr
+argmax and reported instead. All meter indices in results and
+configurations are 1-based file order.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from .errors import (
     _instance,
     _real,
 )
-from .estimation import EstimationResult, GainFactor
+# OMEGA_FLOOR lives with the factor that applies it; baddata.OMEGA_FLOOR stays
+from .estimation import OMEGA_FLOOR, EstimationResult, GainFactor
 
-OMEGA_FLOOR = 1e-14
 TIE_TOLERANCE = 1e-9
 
 DETECTOR_METHODS = ("norm_threshold", "chi_square", "lnr")
@@ -164,30 +168,24 @@ def largest_normalized_residual(estimate: EstimationResult,
 
     Omega_ii = S_ii * sigma_i^2 with S = I - H (H^T W H)^-1 H^T W, computed
     as (1 - w_i * hat_ii) / w_i from the weights and the hat diagonal
-    hat_ii of H (H^T W H)^-1 H^T that the estimate's gain factor holds.
-    Meters with Omega_ii <= 1e-14 are critical and skipped; if every meter
-    is critical there is nothing to normalize and NumericallySingularOmega
-    is raised. An ``lnr_threshold`` that is not positive and finite raises
+    hat_ii of H (H^T W H)^-1 H^T, once per gain factor
+    (``GainFactor.omega_terms``). Meters with Omega_ii <= 1e-14 are
+    critical and skipped; if every meter is critical there is nothing to
+    normalize and NumericallySingularOmega is raised, on every call. An
+    ``lnr_threshold`` that is not positive and finite raises
     InvalidArgument.
     """
     lnr_threshold = _real(lnr_threshold, "lnr_threshold", 0.0)
-    factor = _factor(estimate)
-    w, r = factor.weights, estimate.residual
-    omega_diag = (1.0 - w * factor.hat_diagonal) / w
-
-    critical = omega_diag <= OMEGA_FLOOR
-    critical_meters = tuple(int(i) + 1 for i in np.flatnonzero(critical))
-    if critical.all():
+    _, critical_meters, usable, root = _factor(estimate).omega_terms
+    if not len(usable):
         raise NumericallySingularOmega(
             "every meter is critical; normalized residuals are undefined"
         )
-    normalized = np.full(len(r), -np.inf)
-    usable = ~critical
     with np.errstate(over="ignore"):  # a quotient too large reads inf
-        normalized[usable] = np.abs(r[usable]) / np.sqrt(omega_diag[usable])
+        normalized = np.abs(estimate.residual[usable]) / root
 
     statistic = float(np.max(normalized))
-    top = np.flatnonzero(normalized >= statistic - TIE_TOLERANCE)
+    top = usable[normalized >= statistic - TIE_TOLERANCE]
     return DetectionResult(
         method="lnr",
         detected=statistic > lnr_threshold,

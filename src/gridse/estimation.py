@@ -53,6 +53,8 @@ from .measurement import (
 from .network import MeasurementConfig, NetworkModel
 
 CONDITION_LIMIT = 1e12
+# A meter whose residual variance Omega_ii is at most this is critical.
+OMEGA_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +143,23 @@ class GainFactor:
                                                             np.maximum(a, b)],
                                    len(self.h))
         return leverage * np.ldexp(self.scale, self.shift) / self.weights
+
+    @cached_property
+    def omega_terms(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray,
+                                   np.ndarray]:
+        """What the largest normalized residual test divides by, once per
+        factor: the diagonal of the residual covariance Omega, (1 - w_i
+        hat_ii) / w_i; the critical meters, whose Omega_ii is at most
+        OMEGA_FLOOR (1-based); the other, usable rows (0-based); and
+        sqrt(Omega_ii) on those rows. The arrays are read-only."""
+        omega = (1.0 - self.weights * self.hat_diagonal) / self.weights
+        critical = omega <= OMEGA_FLOOR
+        usable = np.flatnonzero(~critical)
+        root = np.sqrt(omega[usable])
+        for array in (omega, usable, root):
+            array.setflags(write=False)
+        return (omega, tuple(int(i) + 1 for i in np.flatnonzero(critical)),
+                usable, root)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ._streams import _meter_noise
 from .attack import (
     DEFAULT_MAGNITUDE,
+    _image,
+    _stealth_shifts,
     apply_attack,
     constrained_stealth_attack,
     craft_stealth_attack,
@@ -71,7 +74,6 @@ from .estimation import estimate_ac, estimate_dc, factor_gain, weights_from_conf
 from .measurement import (
     MeterModel,
     StateVector,
-    _meter_noise,
     build_meter_model,
     simulate_measurements,
 )
@@ -413,6 +415,12 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     drawn in one vectorized pass, as ``simulate_measurements`` draws it,
     instead of one ``default_rng`` per draw.
 
+    Trial t's stealth shift is the c of ``random_stealth_attack(H,
+    magnitude, noise_seed_base + t)`` bit for bit. H is checked and
+    factored once per call, and the LNR terms are computed once, on that
+    factor; the stealth directions of a block are seeded in one pass too,
+    and numpy draws each from one reused generator.
+
     A ``trials`` that is not an integer >= 1, a ``noise_seed_base`` that is
     not a non-negative integer, a ``magnitude`` that is not a positive
     finite number (on either arm), a ``noise_scale`` that is not a
@@ -459,16 +467,16 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
         noise = _meter_noise(seeds, scales)
         with np.errstate(over="ignore"):
             readings = _array(clean + noise, "simulated readings", finite=True)
-        for seed, z in zip(seeds, readings):
+        shifts = (_stealth_shifts(seeds, h.shape[1], magnitude)
+                  if attack == "stealth" else [None] * len(seeds))
+        for z, c in zip(readings, shifts):
             base = run_detector(detector, factor.estimate(z))
             base_detected += base.detected
             base_stats.append(base.statistic)
-            if attack == "stealth":
-                _, a = random_stealth_attack(h, magnitude, seed)
-                z_a = apply_attack(z, a)
-                hit = run_detector(detector, factor.estimate(z_a))
-            else:
+            if c is None:
                 hit = base
+            else:
+                hit = run_detector(detector, factor.estimate(z + _image(h, c)))
             attack_detected += hit.detected
             attack_stats.append(hit.statistic)
 

@@ -148,3 +148,23 @@ def random_ac_state(rng: np.random.Generator, network: NetworkModel,
     mags = {b.id: float(rng.uniform(1.0 - mag_span, 1.0 + mag_span))
             for b in network.buses}
     return StateVector(angles=angles, magnitudes=mags)
+
+
+# PCG64 outputs the XSL-RR of its state after a step. A post-step state
+# with high word 0 and low word w outputs w, and with increment 1 the state
+# before it is (w - 1) / MULT mod 2**128, so any chosen word can be drawn.
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+PCG_MULT_INVERSE = pow(PCG_MULT, -1, 1 << 128)
+
+
+def state_before(word):
+    """The PCG64.state whose next output is ``word``."""
+    return {"bit_generator": "PCG64",
+            "state": {"state": (word - 1) * PCG_MULT_INVERSE % (1 << 128),
+                      "inc": 1},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def ziggurat_word(layer, rabs, sign=0):
+    """The output word numpy's ziggurat reads as this layer, sign and rabs."""
+    return layer | sign << 8 | rabs << 9

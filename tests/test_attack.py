@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gridse.attack
 from gridse import (
     Branch,
     Bus,
@@ -28,12 +29,15 @@ from gridse import (
     run_detector,
     verify_stealth,
 )
+from gridse._streams import _seeded_generators
 from helpers import (
     dc_meter_candidates,
     estimator_accepts,
     load_three_bus,
     random_network,
     random_observable_config,
+    state_before,
+    ziggurat_word,
 )
 from oracles import row_reduction_rank
 
@@ -165,6 +169,82 @@ def test_random_stealth_attack_contract():
     for magnitude in ("0.01", True, None, 10**400):
         with pytest.raises(InvalidArgument, match="magnitude"):
             random_stealth_attack(h, magnitude=magnitude, seed=1)
+
+
+# Seeds below 2**128 are seeded as one block; 2**128 and wider take
+# default_rng itself.
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1,
+                2**128, 2**200)
+WIDE_SEEDS = [2**128, 2**200]
+
+
+def hexes(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+def default_rng_stealth_attack(h, magnitude, seed):
+    """The reference: one default_rng per call, as random_stealth_attack
+    drew its direction before stealth directions were seeded in blocks."""
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=h.shape[1])
+    while not np.linalg.norm(direction) > 0:
+        direction = rng.normal(size=h.shape[1])
+    c = direction / np.linalg.norm(direction) * magnitude
+    return c, h @ c
+
+
+@pytest.mark.parametrize("k", [1, 29, 300])
+def test_seeded_generators_are_the_default_rng_streams(monkeypatch, k):
+    # each Generator must continue exactly as default_rng(seed) does, and
+    # only the seeds too wide for the pool may build a default_rng
+    default_rng = np.random.default_rng
+    built = []
+
+    def spy(seed):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    draws = [(rng.normal(size=k), rng.normal(size=k))
+             for rng in _seeded_generators(STREAM_SEEDS)]
+    monkeypatch.undo()
+    assert built == WIDE_SEEDS
+    for seed, (first, second) in zip(STREAM_SEEDS, draws):
+        reference = default_rng(seed)
+        assert hexes(first) == hexes(reference.normal(size=k))
+        assert hexes(second) == hexes(reference.normal(size=k))
+
+
+@pytest.mark.parametrize("k", [1, 29, 300])
+def test_random_stealth_attack_is_the_default_rng_stream(k):
+    h = np.random.default_rng(k).uniform(-5.0, 5.0, size=(k + 3, k))
+    for seed in STREAM_SEEDS:
+        c, a = random_stealth_attack(h, 0.05, seed)
+        expected_c, expected_a = default_rng_stealth_attack(h, 0.05, seed)
+        assert hexes(c) == hexes(expected_c)
+        assert hexes(a) == hexes(expected_a)
+
+
+def test_a_zero_direction_is_drawn_again_from_the_same_generator(monkeypatch):
+    # a stream whose first draw is exactly 0.0 (layer 2, rabs 0): with k = 1
+    # the direction has norm 0, so the next draw of that stream is taken
+    zero = state_before(ziggurat_word(2, 0))
+
+    def generators(seeds):
+        for _ in seeds:
+            rng = np.random.Generator(np.random.PCG64(0))
+            rng.bit_generator.state = zero
+            yield rng
+
+    reference = np.random.Generator(np.random.PCG64(0))
+    reference.bit_generator.state = zero
+    assert reference.normal(size=1)[0] == 0.0
+    second = reference.normal(size=1)[0]
+    monkeypatch.setattr(gridse.attack, "_seeded_generators", generators)
+    h = np.array([[2.0], [-1.0]])
+    c, a = random_stealth_attack(h, 0.5, 3)
+    assert c.tolist() == [np.copysign(0.5, second)]
+    assert a.tolist() == [2.0 * c[0], -c[0]]
 
 
 def test_random_stealth_attack_on_h_without_columns_is_rejected():

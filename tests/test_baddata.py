@@ -364,6 +364,47 @@ def test_lnr_reports_radial_flow_meter_as_critical():
         assert verdict.suspect_meter != m
 
 
+def lnr_by_hand(estimate):
+    """Omega's diagonal, the critical meters and the LNR statistic, from
+    the factor's hat diagonal and weights alone."""
+    w = estimate.factor.weights
+    omega = (1.0 - w * estimate.factor.hat_diagonal) / w
+    usable = omega > 1e-14
+    normalized = np.abs(estimate.residual[usable]) / np.sqrt(omega[usable])
+    critical = tuple(int(i) + 1 for i in np.flatnonzero(~usable))
+    return omega, critical, float(np.max(normalized))
+
+
+def test_lnr_terms_cached_on_a_shared_factor_match_a_by_hand_computation():
+    rng = np.random.default_rng(46)
+    h = with_radial_bus(rng, 1)
+    m = h.shape[0]
+    factor = factor_gain(h, rng.uniform(1e3, 1e5, size=m))
+    first, second = (factor.estimate(rng.uniform(-0.5, 0.5, size=m))
+                     for _ in range(2))
+    for estimate in (first, first, second, first, second):
+        omega, critical, statistic = lnr_by_hand(estimate)
+        verdict = largest_normalized_residual(estimate)
+        assert verdict.statistic == statistic
+        assert verdict.critical_meters == critical
+        assert m in critical
+        np.testing.assert_array_equal(factor.omega_terms[0], omega)
+    assert first.factor.omega_terms is second.factor.omega_terms
+    assert not any(array.flags.writeable for array in
+                   (factor.omega_terms[0], factor.omega_terms[2],
+                    factor.omega_terms[3]))
+
+
+def test_lnr_all_critical_raises_on_every_call():
+    # the cached terms must not let a second call past the check
+    h = np.array([[5.0, -5.0], [2.5, 0.0]])
+    factor = factor_gain(h, np.full(2, 1e4))
+    for z in ([0.62, 0.06], [0.62, 0.06], [0.1, 0.2]):
+        with pytest.raises(NumericallySingularOmega):
+            largest_normalized_residual(factor.estimate(np.array(z)))
+    assert factor.omega_terms[1] == (1, 2)
+
+
 def test_lnr_reuses_or_rebuilds_the_gain_factor_alike():
     rng = np.random.default_rng(44)
     for parallel in (0, 3):

@@ -31,14 +31,17 @@ from gridse import (
     state_dimension,
     state_from_free,
 )
-from gridse.measurement import _KI, _WI, _meter_noise, _normals
+from gridse._streams import _KI, _WI, _meter_noise, _normals
 from helpers import (
     CASES_DIR,
+    PCG_MULT,
     full_ac_config,
     load_three_bus,
     random_ac_state,
     random_network,
     random_observable_config,
+    state_before,
+    ziggurat_word,
 )
 from oracles import branch_power, meter_model_by_loop
 
@@ -362,21 +365,6 @@ def test_meter_noise_is_the_default_rng_stream(seeds, meters):
         default_rng_noise(seeds, meters, scales))
 
 
-# PCG64 outputs the XSL-RR of its state after a step. A post-step state
-# with high word 0 and low word w outputs w, and with increment 1 the state
-# before it is (w - 1) / MULT mod 2**128, so any chosen word can be drawn.
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-PCG_MULT_INVERSE = pow(PCG_MULT, -1, 1 << 128)
-
-
-def state_before(word):
-    """The PCG64.state whose next output is ``word``."""
-    return {"bit_generator": "PCG64",
-            "state": {"state": (word - 1) * PCG_MULT_INVERSE % (1 << 128),
-                      "inc": 1},
-            "has_uint32": 0, "uinteger": 0}
-
-
 def normal_of(word, scale=1.0):
     """Generator.normal(0.0, scale) from the state before ``word``, and the
     number of outputs it read."""
@@ -387,11 +375,6 @@ def normal_of(word, scale=1.0):
     while state != end and reads < 100:
         state, reads = (state * PCG_MULT + 1) % (1 << 128), reads + 1
     return x, reads
-
-
-def ziggurat_word(layer, rabs, sign=0):
-    """The output word numpy's ziggurat reads as this layer, sign and rabs."""
-    return layer | sign << 8 | rabs << 9
 
 
 def test_ziggurat_tables_are_numpys():

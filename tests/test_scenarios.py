@@ -1,5 +1,6 @@
 """Scenario files, end-to-end runs, report emission, and Monte Carlo."""
 
+import hashlib
 import json
 import re
 
@@ -433,6 +434,43 @@ def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
             expected = largest_normalized_residual(
                 estimate_dc(h, readings, weights))
             assert statistic == expected.statistic
+
+
+# SHA-256 of the float.hex of every attacked, then every unattacked,
+# statistic of a 200-trial stealth run on the three-bus case, one digest per
+# (detector, noise_seed_base); recorded before the stealth directions were
+# seeded per block and the LNR terms cached on the gain factor, so any bit
+# those changes moved would show here
+MONTE_CARLO_DIGESTS = {
+    ("chi_square", 0):
+        "68049709aedfa842b0b82b690bf3f6b6c91b6ebf814378fc87fb2d33e0706dfa",
+    ("chi_square", 2**32 - 100):
+        "2428240679336b03c013fceb1bf9cb86aa3ae67e8c02720dffff774d0686759c",
+    ("norm_threshold", 0):
+        "b9ee86ad24688de8ab4c22463e2fa8dadef7e39e8ae1c700c2ada1f8667ad6b7",
+    ("norm_threshold", 2**32 - 100):
+        "1c6b16266633bb6661945329bff8ea15ca3e9f5d0b19100900a7716329ba1cca",
+    ("lnr", 0):
+        "a614b0c4c735b9f92eaac54df196b3eb951d0bda2a1abdfb534873aa2c1163c5",
+    ("lnr", 2**32 - 100):
+        "7a2b898478372c1bf92402aaf317242b50af5434b76eadec2c62fd126bef13b0",
+}
+DIGEST_DETECTORS = {"chi_square": DetectorConfig(method="chi_square"),
+                    "norm_threshold": DetectorConfig(method="norm_threshold",
+                                                     tau=0.05),
+                    "lnr": DetectorConfig(method="lnr")}
+
+
+@pytest.mark.parametrize("method,seed_base", list(MONTE_CARLO_DIGESTS),
+                         ids=lambda v: str(v))
+def test_monte_carlo_statistics_are_pinned_bit_for_bit(method, seed_base):
+    stats = run_monte_carlo(THREE_BUS, trials=200, noise_seed_base=seed_base,
+                            attack="stealth",
+                            detector=DIGEST_DETECTORS[method])
+    text = " ".join(float.hex(x) for x in stats.attacked_statistics
+                    + stats.unattacked_statistics)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == MONTE_CARLO_DIGESTS[method, seed_base]
 
 
 def test_monte_carlo_determinism():
