@@ -17,7 +17,12 @@ diagonal gathered from the inverse gain at each row's nonzeros, never from
 the dense m x k H; a denser H takes the dense product and triangular solve.
 The two paths sum in another order, so their results agree to rounding
 (about 1e-16 relative for a gain, 1e-13 for the hat diagonal), not bit for
-bit. :func:`factor_gain` is the full-rank case and raises
+bit. The gain is the only k x k array made: it is exactly symmetric, so
+``pstrf`` factors it in place, and the guard's 1-norm of the leading block
+is summed from |G| at the gain's nonzeros, read before the factor
+overwrites them, bit for bit the dense block's column sums. Below full rank
+``pocon`` still gets a copy of the leading block of U, since f2py passes
+only contiguous arrays. :func:`factor_gain` is the full-rank case and raises
 UnobservableNetwork on any other rank. Its factor serves every solve with
 that (H, W), and every estimate, dc or ac, carries the factor of the gain
 at the state it returns, from which the detectors read all they need. The
@@ -68,11 +73,16 @@ class GainFactor:
     2^-shift H^T (scale * rhs) stays near the size of its answer.
     ``upper`` and ``piv`` are the pivoted Cholesky factor P^T G P = U^T U
     (LAPACK ``pstrf``, piv 0-based); the first ``rank`` rows of U hold U11
-    and U12, the rest is not read. ``condition`` is 1/rcond, LAPACK's
+    and U12, the rest is not read. ``upper`` is the gain's own memory,
+    factored in place and read in Fortran order, so its strictly lower
+    triangle still holds the gain's. ``condition`` is 1/rcond, LAPACK's
     1-norm condition estimate of the leading rank x rank block (inf at rank
-    0). The solves need full rank, which :func:`factor_gain` guarantees. H
-    and W are kept by reference and must not be modified while the factor
-    is in use.
+    0). It is not reproducible in its last bits at every size: ``pocon``
+    has returned two values 2 ulps apart for the same U and 1-norm (a
+    299-state gain, factored again and again in one process), so compare
+    it to rounding. The solves need full rank, which :func:`factor_gain`
+    guarantees. H and W are kept by reference and must not be modified
+    while the factor is in use.
 
     ``pattern`` is H's row pattern when the gain was summed from it (the
     widest row of H has w nonzeros with w^2 <= k), else None: every ordered
@@ -195,6 +205,25 @@ def _squares(r: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
         return float(r @ r), float(weights @ (r * r))
 
 
+def _lead_norm(row: np.ndarray, col: np.ndarray, size: np.ndarray,
+               piv: np.ndarray, rank: int) -> float:
+    """The 1-norm of the leading rank x rank block of P^T G P, from |G| at
+    G's nonzeros (``size`` at ``row``, ``col``, in row-major order):
+    ``np.abs(block).sum(0).max()`` bit for bit. That sum adds the block's
+    rows in turn and adding +0.0 is exact, so each column sum is a
+    ``bincount`` of the nonzeros in the block's row order: G's own at full
+    rank, where the block is G, and sorted stably by pivot position below
+    it."""
+    if rank == len(piv):
+        return np.bincount(col, size, rank).max()
+    position = np.empty_like(piv)
+    position[piv] = np.arange(len(piv))
+    row, col = position[row], position[col]
+    keep = np.flatnonzero((row < rank) & (col < rank))
+    keep = keep[np.argsort(row[keep], kind="stable")]
+    return np.bincount(col[keep], size[keep], rank).max()
+
+
 def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
     """The scaled, pivoted gain factor of (h, weights), of any rank: ``pstrf``
     stops at a pivot of at most max diag(G) / CONDITION_LIMIT, then the rank
@@ -209,6 +238,10 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
     entries. A denser h takes ``rows.T @ rows``, which numpy runs as SYRK.
     The two sum the same products in another order, so a gain differs
     between them only in the last bits; the guard is the same on both.
+    Either gain is exactly symmetric, so its transpose is itself in Fortran
+    order and ``pstrf``, which reads and writes only the upper triangle,
+    factors it without a copy; the guard's 1-norm comes from
+    :func:`_lead_norm`, on |G| gathered at the nonzeros first.
     """
     m, k = h.shape
     flat = np.flatnonzero(h != 0.0)  # NaN and inf are nonzero too
@@ -244,12 +277,16 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
     top = float(np.max(np.diag(gain), initial=0.0))
     upper, piv, rank, condition = gain, np.arange(k), 0, np.inf
     if top > 0.0:
-        upper, piv, rank, _ = lapack.dpstrf(gain, tol=top / CONDITION_LIMIT)
+        # |G| at its nonzeros, row by row, read before the factor overwrites G
+        nonzero = np.flatnonzero(gain != 0.0)
+        size = np.abs(np.take(gain, nonzero))
+        i, j = np.divmod(nonzero, k)
+        upper, piv, rank, _ = lapack.dpstrf(gain.T, tol=top / CONDITION_LIMIT,
+                                            overwrite_a=1)
         piv = piv.astype(np.intp) - 1  # intp indexes faster than LAPACK's int32
     while rank:
-        lead = piv[:rank]
-        block = gain[np.ix_(lead, lead)] if rank < len(gain) else gain
-        rcond = lapack.dpocon(upper[:rank, :rank], np.abs(block).sum(0).max())[0]
+        rcond = lapack.dpocon(upper[:rank, :rank],
+                              _lead_norm(i, j, size, piv, rank))[0]
         condition = 1.0 / rcond if rcond > 0.0 else np.inf
         if condition <= CONDITION_LIMIT:
             break

@@ -27,6 +27,7 @@ SCENARIO_FILES = (
     CASES_DIR / "gross_errors.json",
     CASES_DIR / "stealth_small.json",
     CASES_DIR / "stealth_large.json",
+    CASES_DIR / "constrained_small.json",
 )
 
 

@@ -5,7 +5,9 @@ paths: inversion by Gauss-Jordan elimination, the gain as one dense product
 and the hat diagonal through that inverse, rank by row reduction, the
 chi-square distribution through the classic erf/exponential recurrence,
 branch power flows from complex phasors, and the meter model compiled meter
-by meter. Slow and simple on purpose.
+by meter. Slow and simple on purpose. The one exception is the gain factor
+made the way it was made before it was factored in place: the same LAPACK
+calls on copies of the gain, which its in-place form must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import cmath
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
+from gridse.errors import UnobservableNetwork
+from gridse.estimation import CONDITION_LIMIT, GainFactor
 from gridse.measurement import _TERM_CODES, MeterModel
 
 
@@ -176,3 +181,69 @@ def meter_model_by_loop(network, config):
         voltage_rows=np.array(voltage_rows, dtype=np.intp),
         voltage_buses=np.array(voltage_buses, dtype=np.intp),
     )
+
+
+# The gain factor as it was built before it was factored in place: pstrf
+# on its own copy of the gain, and the guard's 1-norm from a dense copy of
+# the leading block and its absolute value.
+def pivoted_gain_with_copies(h: np.ndarray, weights: np.ndarray) -> GainFactor:
+    """The scaled, pivoted gain factor of (h, weights), of any rank: ``pstrf``
+    stops at a pivot of at most max diag(G) / CONDITION_LIMIT, then the rank
+    drops until the leading block's condition estimate is at most
+    CONDITION_LIMIT. A zero or column-free gain has rank 0 and piv 0..k-1;
+    an h that is not finite raises UnobservableNetwork.
+
+    The gain is summed from h's row pattern when its widest row has w
+    nonzeros with w^2 <= k: one ``bincount`` over the products of every
+    pair of nonzeros in a row, in row order, so the sum is deterministic.
+    There are at most m w^2 <= m k such pairs, never more than h has
+    entries. A denser h takes ``rows.T @ rows``, which numpy runs as SYRK.
+    The two sum the same products in another order, so a gain differs
+    between them only in the last bits; the guard is the same on both.
+    """
+    m, k = h.shape
+    flat = np.flatnonzero(h != 0.0)  # NaN and inf are nonzero too
+    starts = np.searchsorted(flat, np.arange(m + 1) * k)
+    counts = np.diff(starts)
+    sparse = int(counts.max(initial=0)) ** 2 <= k
+    values = np.take(h, flat) if sparse else h
+    top = max(values.max(initial=0.0), -values.min(initial=0.0))  # or NaN
+    if not top < np.inf:
+        raise UnobservableNetwork("H is not finite")
+    shift = int(np.frexp(top)[1])
+    even = np.frexp(np.max(weights, initial=0.0))[1] // 2 * 2
+    pattern = None
+    if sparse:
+        # every ordered pair (a, b) of nonzeros in one row, row by row
+        row = np.repeat(np.arange(m), counts)
+        col = flat - row * k
+        length = counts[row]
+        a = np.repeat(np.arange(len(flat)), length)
+        b = np.arange(len(a)) + np.repeat(starts[row] - np.cumsum(length) + length,
+                                          length)
+        scaled = np.ldexp(values, -shift)
+        pattern = pair_row, left, right, products = \
+            row[a], col[a], col[b], scaled[a] * scaled[b]
+        # no pairs at all sum to integer zeros
+        gain = np.bincount(left * k + right, products
+                           * np.ldexp(weights, -even)[pair_row], k * k) \
+            .reshape(k, k).astype(float, copy=False)
+    else:
+        rows = h * np.ldexp(np.sqrt(np.ldexp(weights, -even)), -shift)[:, None]
+        gain = rows.T @ rows  # numpy takes SYRK for this product
+        del rows
+    top = float(np.max(np.diag(gain), initial=0.0))
+    upper, piv, rank, condition = gain, np.arange(k), 0, np.inf
+    if top > 0.0:
+        upper, piv, rank, _ = lapack.dpstrf(gain, tol=top / CONDITION_LIMIT)
+        piv = piv.astype(np.intp) - 1  # intp indexes faster than LAPACK's int32
+    while rank:
+        lead = piv[:rank]
+        block = gain[np.ix_(lead, lead)] if rank < len(gain) else gain
+        rcond = lapack.dpocon(upper[:rank, :rank], np.abs(block).sum(0).max())[0]
+        condition = 1.0 / rcond if rcond > 0.0 else np.inf
+        if condition <= CONDITION_LIMIT:
+            break
+        rank -= 1
+    return GainFactor(h, weights, np.ldexp(weights, -(even + shift)), shift,
+                      upper, piv, rank, condition, pattern)

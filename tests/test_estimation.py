@@ -11,6 +11,8 @@ equations (gain [[31.25, -25], [-25, 41]], determinant 656.25):
         residual (148, -296, -185)/10500, squared error 143745/110250000
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,15 +31,21 @@ from gridse import (
     simulate_measurements,
     weights_from_config,
 )
-from gridse.estimation import _pivoted_gain
+from gridse.estimation import _lead_norm, _pivoted_gain
 from helpers import (
+    dc_meter_candidates,
     full_ac_config,
     load_three_bus,
     random_ac_state,
     random_network,
     random_observable_config,
 )
-from oracles import brute_force_wls, dense_gain, dense_hat_diagonal
+from oracles import (
+    brute_force_wls,
+    dense_gain,
+    dense_hat_diagonal,
+    pivoted_gain_with_copies,
+)
 
 BASE_Z = np.array([0.62, 0.06, 0.37])
 BASE_STATE = (0.02857142857142857, -0.09428571428571429)
@@ -545,3 +553,127 @@ def test_estimate_ac_reports_last_step_condition():
     for est in (result, capped, start):
         np.testing.assert_array_equal(est.factor.h, model.jacobian(est.state))
         np.testing.assert_array_equal(est.factor.weights, w)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def all_meters_h(rng, n):
+    """The dc H of every flow (both ends) and injection meter of a seeded
+    random n-bus grid."""
+    net = random_network(rng, n)
+    config = MeasurementConfig(specs=tuple(dc_meter_candidates(net)))
+    return build_meter_model(net, config).dc_matrix
+
+
+def assert_factor_is_the_oracles(h, w):
+    """_pivoted_gain(h, w) equals the copying oracle's factor bit for bit
+    in rank, piv, the leading rank rows of upper and, at full rank, the hat
+    diagonal; its condition estimate to 1e-12 (pocon is not reproducible in
+    its last bit at some sizes). Returns the rank."""
+    new, old = _pivoted_gain(h, w), pivoted_gain_with_copies(h, w)
+    assert new.rank == old.rank
+    assert new.piv.tolist() == old.piv.tolist()
+    assert hexes(new.upper[:new.rank]) == hexes(old.upper[:old.rank])
+    assert (new.pattern is None) == (old.pattern is None)
+    if 0 < new.rank == h.shape[1]:
+        assert hexes(new.hat_diagonal) == hexes(old.hat_diagonal)
+    np.testing.assert_allclose(new.condition, old.condition, rtol=1e-12)
+    return new.rank
+
+
+def test_pivoted_gain_is_the_copying_oracles_bit_for_bit():
+    rng = np.random.default_rng(41)
+    ranks = []
+    # random grids, every meter: the row pattern from a few dozen buses on
+    for n in (6, 30, 120, 300):
+        h = all_meters_h(rng, n)
+        m, k = h.shape
+        w = rng.uniform(0.5, 4.0, m)
+        ranks.append(assert_factor_is_the_oracles(h, w) == k)
+        for share in (0.5, 0.7, 0.9):
+            # the blocked rows of a constrained attack, as it builds them
+            # from the accessible meters, and the rows protection_check keeps
+            meters = np.sort(rng.choice(m, int(share * m), replace=False))
+            blocked = h[np.setdiff1d(np.arange(m), meters)]
+            kept = h[meters[:int(share * k)]]
+            for sub in (blocked, kept):
+                ranks.append(assert_factor_is_the_oracles(
+                    sub, np.ones(len(sub))) == k)
+    # dense random H takes SYRK, at full rank and below it
+    for k in (2, 9, 40):
+        h = rng.normal(size=(2 * k, k)) * rng.uniform(0.1, 10.0, k)
+        ranks.append(assert_factor_is_the_oracles(
+            h, rng.uniform(0.5, 2.0, 2 * k)) == k)
+        ranks.append(assert_factor_is_the_oracles(
+            h[:k // 2 + 1], np.ones(k // 2 + 1)) == k)
+    # both kinds of factor were compared
+    assert any(ranks) and not all(ranks)
+
+
+def dense_lead_norm(gain, piv, rank):
+    """The guard's 1-norm from a dense copy of the leading block (of the
+    gain itself at full rank), as the copying oracle takes it."""
+    lead = piv[:rank]
+    block = gain[np.ix_(lead, lead)] if rank < len(gain) else gain
+    return np.abs(block).sum(0).max()
+
+
+def test_lead_norm_from_the_nonzeros_is_the_dense_block_norm():
+    rng = np.random.default_rng(42)
+    orders_matter = False
+    for k in (4, 7, 25, 60):
+        for _ in range(5):
+            # symmetric, magnitudes from 1e-8 to 1e8 so that the order of a
+            # column sum shows in its last bits, with exact zeros, -0.0 and
+            # sums that cancel to +0.0
+            a = rng.normal(size=(k, k)) * 10.0 ** rng.integers(-8, 9, (k, k))
+            a[rng.random((k, k)) < 0.5] = 0.0
+            a[rng.random((k, k)) < 0.05] = -0.0
+            gain = np.triu(a)
+            lower = np.tril_indices(k, -1)
+            gain[lower] = gain.T[lower]
+            x = rng.normal(size=k)
+            i, j = rng.integers(k, size=2)
+            gain[i, j] = gain[j, i] = x[0] + -x[0]
+            nonzero = np.flatnonzero(gain != 0.0)
+            row, col = np.divmod(nonzero, k)
+            size = np.abs(np.take(gain, nonzero))
+            piv = rng.permutation(k)
+            for rank in range(k, k - 4, -1):
+                expected = dense_lead_norm(gain, piv, rank)
+                got = _lead_norm(row, col, size, piv, rank)
+                assert float(got).hex() == float(expected).hex()
+                # the same sums in the reverse row order
+                lead = piv[:rank] if rank < k else np.arange(k)
+                block = np.abs(gain[np.ix_(lead, lead)])
+                orders_matter |= block[::-1].sum(0).max() != expected
+    assert orders_matter
+
+
+@pytest.mark.parametrize("share", [1.0, 0.6])
+def test_pivoted_gain_makes_no_second_gain_sized_array(share):
+    # peak traced memory of one factor, in units of the gain's 8 k^2 bytes:
+    # the gain, its nonzero mask and gather and the row pattern read about
+    # 1.8 at full rank; a rank-deficient 60 % row subset adds pocon's copy
+    # of the leading block, about 2.4. Copying the gain for pstrf, taking
+    # |G| densely or copying the leading block adds 1 each (the copying
+    # oracle reads about 3.6 and 4.4).
+    rng = np.random.default_rng(43)
+    h = all_meters_h(rng, 400)
+    m, k = h.shape
+    if share < 1.0:
+        h = h[np.sort(rng.choice(m, int(share * m), replace=False))]
+    w = np.ones(len(h))
+    bound = 2.5 if share == 1.0 else 3.0
+    for factor_of in (_pivoted_gain, pivoted_gain_with_copies):
+        tracemalloc.start()
+        try:
+            factor = factor_of(h, w)
+            peak = tracemalloc.get_traced_memory()[1] / (8 * k * k)
+        finally:
+            tracemalloc.stop()
+        assert factor.pattern is not None
+        assert (factor.rank == k) == (share == 1.0)
+        assert (peak < bound) == (factor_of is _pivoted_gain), peak

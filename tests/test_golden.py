@@ -1,5 +1,5 @@
 """The shipped outputs, byte for byte: the table and machine reports of the
-four shipped dc scenarios, the machine report of the shipped ac scenario
+five shipped dc scenarios, the machine report of the shipped ac scenario
 (readings simulated on a lossy four-bus grid, one gross error, all three
 detectors), the three-bus estimate and a seeded Monte Carlo run.
 

@@ -40,6 +40,10 @@ EXPECTED_ROWS = {
                       0.00021428571428571427, False),
     "stealth-large": (True, (0.03857142857142857, -0.05428571428571429),
                       0.00021428571428571427, False),
+    # meter 3 (flow 3->2) reads only bus 2's angle, so the attack on meters
+    # 1 and 2 shifts bus 1's angle by the default magnitude 0.01
+    "constrained-small": (True, (0.03857142857142857, -0.09428571428571429),
+                          0.00021428571428571427, False),
 }
 
 
@@ -195,7 +199,8 @@ def test_machine_report_for_a_report_list():
     parsed = json.loads(emit_report(reports, format="machine"))
     assert list(parsed) == ["scenarios"]
     assert [r["name"] for r in parsed["scenarios"]] == [
-        "base-case", "gross-errors", "stealth-small", "stealth-large"
+        "base-case", "gross-errors", "stealth-small", "stealth-large",
+        "constrained-small",
     ]
 
 
