@@ -113,8 +113,7 @@ def _pcg64_states(words: np.ndarray) -> list[dict]:
     return states
 
 
-def _seeded_generators(seeds: Iterable[int], words: np.ndarray | None = None,
-                       ) -> Iterator[np.random.Generator]:
+def _seeded_generators(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
     """For each non-negative integer seed in turn, a Generator in the state
     of ``np.random.default_rng(seed)``.
 
@@ -123,11 +122,10 @@ def _seeded_generators(seeds: Iterable[int], words: np.ndarray | None = None,
     hashes in place of the missing ones, so its words set the state of one
     reused PCG64 and numpy makes every draw from there. A wider seed gets
     ``default_rng`` itself. A yielded Generator is valid only until the next
-    one is asked for. ``words``, if given, is ``_words(seeds)``.
+    one is asked for.
     """
     seeds = [int(s) for s in seeds]
-    states = _pcg64_states(_seed_words(_words(seeds) if words is None
-                                       else words))
+    states = _pcg64_states(_seed_words(_words(seeds)))
     generator = np.random.Generator(np.random.PCG64(0))
     for seed, state in zip(seeds, states):
         if _word_count(seed) > _POOL_WORDS:
@@ -219,8 +217,7 @@ def _normals(outputs: np.ndarray, scales: np.ndarray, state) -> np.ndarray:
     return noise
 
 
-def _meter_noise(seeds, scales: np.ndarray,
-                 words: np.ndarray | None = None) -> np.ndarray:
+def _meter_noise(seeds, scales: np.ndarray) -> np.ndarray:
     """out[r, c] = default_rng([seeds[r], c]).normal(0.0, scales[c]).
 
     Bit-identical to that expression for non-negative integer seeds.
@@ -229,13 +226,11 @@ def _meter_noise(seeds, scales: np.ndarray,
     2**96 leave room in its 4-word pool, so every pair's stream is seeded,
     stepped and read through numpy's ziggurat in one vectorized pass
     (:func:`_normals`); larger seeds go through default_rng itself.
-    ``words``, if given, is ``_words(seeds)``.
     """
     seeds = [int(s) for s in seeds]
     counts = np.array([_word_count(s) for s in seeds], dtype=np.intp)
     fits = counts < _POOL_WORDS
-    entropy = np.repeat((_words(seeds) if words is None else words)[:, None],
-                        len(scales), axis=1)
+    entropy = np.repeat(_words(seeds)[:, None], len(scales), axis=1)
     entropy[fits, :, counts[fits]] = np.arange(len(scales), dtype=np.uint32)
     words = _seed_words(entropy.reshape(-1, _POOL_WORDS))
     outputs = _first_outputs(words).reshape(len(seeds), len(scales))

@@ -108,14 +108,13 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
     return c, _image(h, c)
 
 
-def _stealth_shifts(seeds: Iterable[int], k: int, magnitude: float,
-                    words: np.ndarray | None = None) -> list[np.ndarray]:
+def _stealth_shifts(seeds: Iterable[int], k: int,
+                    magnitude: float) -> list[np.ndarray]:
     """The shift c of :func:`random_stealth_attack` for each seed, bit for
     bit, with the streams of the whole block seeded in one pass. The caller
-    has checked the seeds, k >= 1 and the magnitude; ``words``, if given, is
-    ``_streams._words(seeds)``."""
+    has checked the seeds, k >= 1 and the magnitude."""
     shifts = []
-    for rng in _seeded_generators(seeds, words):
+    for rng in _seeded_generators(seeds):
         direction = rng.normal(size=k)
         # the sqrt of x.dot(x), as np.linalg.norm computes it
         norm = math.sqrt(direction.dot(direction))

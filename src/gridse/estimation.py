@@ -17,24 +17,26 @@ diagonal gathered from the inverse gain at each row's nonzeros, never from
 the dense m x k H; a denser H takes the dense product and triangular solve.
 The two paths sum in another order, so their results agree to rounding
 (about 1e-16 relative for a gain, 1e-13 for the hat diagonal), not bit for
-bit. The gain is the only k x k array made: it is exactly symmetric, so
-``pstrf`` factors it in place, and the guard's 1-norm of the leading block
-is summed from |G| at the gain's nonzeros, read before the factor
-overwrites them, bit for bit the dense block's column sums. Below full rank
-``pocon`` still gets a copy of the leading block of U, since f2py passes
-only contiguous arrays. :func:`factor_gain` is the full-rank case and raises
-UnobservableNetwork on any other rank. Its factor serves every solve with
-that (H, W), and every estimate, dc or ac, carries the factor of the gain
-at the state it returns, from which the detectors read all they need. The
-rank of the unit-weight factor answers observability, protection and
-stealth, so full rank there means exactly that factor_gain accepts the
-matrix.
+bit. The gain is exactly symmetric, so ``pstrf`` factors it in place, and
+the guard's 1-norm of the leading block is summed from |G| at the gain's
+nonzeros, read before the factor overwrites them, bit for bit the dense
+block's column sums. A sparse gain thus makes no second k x k array; a
+dense one's gather (its columns and |G|) is the size of the ``pstrf`` copy
+and dense |G| it replaces. Below full rank ``pocon`` still gets a copy of
+the leading block of U, since f2py passes only contiguous arrays.
+:func:`factor_gain` is the full-rank case and raises UnobservableNetwork on
+any other rank. Its factor serves every solve with that (H, W), and every
+estimate, dc or ac, carries the factor of the gain at the state it
+returns, from which the detectors read all they need. The rank of the
+unit-weight factor answers observability, protection and stealth, so full
+rank there means exactly that factor_gain accepts the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -205,23 +207,31 @@ def _squares(r: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
         return float(r @ r), float(weights @ (r * r))
 
 
-def _lead_norm(row: np.ndarray, col: np.ndarray, size: np.ndarray,
-               piv: np.ndarray, rank: int) -> float:
-    """The 1-norm of the leading rank x rank block of P^T G P, from |G| at
-    G's nonzeros (``size`` at ``row``, ``col``, in row-major order):
-    ``np.abs(block).sum(0).max()`` bit for bit. That sum adds the block's
-    rows in turn and adding +0.0 is exact, so each column sum is a
+def _lead_norms(col: np.ndarray, size: np.ndarray, starts: np.ndarray,
+                piv: np.ndarray, rank: int) -> Iterator[float]:
+    """The 1-norm of the leading r x r block of P^T G P for r = rank,
+    rank - 1, ... in turn, from |G| at G's nonzeros: ``size`` at columns
+    ``col``, in row-major order, row i's in ``starts[i]:starts[i + 1]``.
+    Each is ``np.abs(block).sum(0).max()`` bit for bit. That sum adds the
+    block's rows in turn and adding +0.0 is exact, so each column sum is a
     ``bincount`` of the nonzeros in the block's row order: G's own at full
-    rank, where the block is G, and sorted stably by pivot position below
-    it."""
-    if rank == len(piv):
-        return np.bincount(col, size, rank).max()
+    rank, where the block is G, and pivot order below it. The runs of the
+    leading rows are gathered once, in pivot order; a smaller block's rows
+    are a prefix of them, and columns outside it fall in bins past r."""
+    k = len(piv)
+    if rank == k:
+        yield np.bincount(col, size, k).max()
+        rank -= 1
+    lead = piv[:rank]
+    counts = starts[lead + 1] - starts[lead]
+    ends = np.cumsum(counts)
+    run = np.repeat(starts[lead] - ends + counts, counts) + np.arange(ends[-1])
     position = np.empty_like(piv)
-    position[piv] = np.arange(len(piv))
-    row, col = position[row], position[col]
-    keep = np.flatnonzero((row < rank) & (col < rank))
-    keep = keep[np.argsort(row[keep], kind="stable")]
-    return np.bincount(col[keep], size[keep], rank).max()
+    position[piv] = np.arange(k)
+    col = position[col[run]]
+    size = size[run]
+    for r in range(rank, 0, -1):
+        yield np.bincount(col[:ends[r - 1]], size[:ends[r - 1]], k)[:r].max()
 
 
 def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
@@ -240,8 +250,8 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
     between them only in the last bits; the guard is the same on both.
     Either gain is exactly symmetric, so its transpose is itself in Fortran
     order and ``pstrf``, which reads and writes only the upper triangle,
-    factors it without a copy; the guard's 1-norm comes from
-    :func:`_lead_norm`, on |G| gathered at the nonzeros first.
+    factors it without a copy; the guard's 1-norms come from
+    :func:`_lead_norms`, on |G| gathered at the nonzeros first.
     """
     m, k = h.shape
     flat = np.flatnonzero(h != 0.0)  # NaN and inf are nonzero too
@@ -278,15 +288,17 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
     upper, piv, rank, condition = gain, np.arange(k), 0, np.inf
     if top > 0.0:
         # |G| at its nonzeros, row by row, read before the factor overwrites G
-        nonzero = np.flatnonzero(gain != 0.0)
-        size = np.abs(np.take(gain, nonzero))
-        i, j = np.divmod(nonzero, k)
+        g_col = np.flatnonzero(gain != 0.0)
+        g_abs = np.take(gain, g_col)
+        np.abs(g_abs, out=g_abs)
+        g_starts = np.searchsorted(g_col, np.arange(k + 1) * k)
+        np.remainder(g_col, k, out=g_col)
         upper, piv, rank, _ = lapack.dpstrf(gain.T, tol=top / CONDITION_LIMIT,
                                             overwrite_a=1)
         piv = piv.astype(np.intp) - 1  # intp indexes faster than LAPACK's int32
+        norms = _lead_norms(g_col, g_abs, g_starts, piv, rank)
     while rank:
-        rcond = lapack.dpocon(upper[:rank, :rank],
-                              _lead_norm(i, j, size, piv, rank))[0]
+        rcond = lapack.dpocon(upper[:rank, :rank], next(norms))[0]
         condition = 1.0 / rcond if rcond > 0.0 else np.inf
         if condition <= CONDITION_LIMIT:
             break

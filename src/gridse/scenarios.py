@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import _meter_noise, _words
+from ._streams import _meter_noise
 from .attack import (
     DEFAULT_MAGNITUDE,
     _image,
@@ -464,11 +464,10 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     for start in range(0, trials, block):
         seeds = range(noise_seed_base + start,
                       noise_seed_base + min(trials, start + block))
-        words = _words(seeds)  # split once, for the noise and the shifts
-        noise = _meter_noise(seeds, scales, words)
+        noise = _meter_noise(seeds, scales)
         with np.errstate(over="ignore"):
             readings = _array(clean + noise, "simulated readings", finite=True)
-        shifts = (_stealth_shifts(seeds, h.shape[1], magnitude, words)
+        shifts = (_stealth_shifts(seeds, h.shape[1], magnitude)
                   if attack == "stealth" else [None] * len(seeds))
         for z, c in zip(readings, shifts):
             base = run_detector(detector, factor.estimate(z))

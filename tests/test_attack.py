@@ -230,7 +230,7 @@ def test_a_zero_direction_is_drawn_again_from_the_same_generator(monkeypatch):
     # the direction has norm 0, so the next draw of that stream is taken
     zero = state_before(ziggurat_word(2, 0))
 
-    def generators(seeds, words=None):
+    def generators(seeds):
         for _ in seeds:
             rng = np.random.Generator(np.random.PCG64(0))
             rng.bit_generator.state = zero

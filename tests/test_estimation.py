@@ -31,7 +31,7 @@ from gridse import (
     simulate_measurements,
     weights_from_config,
 )
-from gridse.estimation import _lead_norm, _pivoted_gain
+from gridse.estimation import _lead_norms, _pivoted_gain
 from helpers import (
     dc_meter_candidates,
     full_ac_config,
@@ -622,14 +622,14 @@ def dense_lead_norm(gain, piv, rank):
     return np.abs(block).sum(0).max()
 
 
-def test_lead_norm_from_the_nonzeros_is_the_dense_block_norm():
+def test_lead_norms_from_the_nonzeros_are_the_dense_block_norms():
     rng = np.random.default_rng(42)
     orders_matter = False
     for k in (4, 7, 25, 60):
-        for _ in range(5):
+        for trial in range(6):
             # symmetric, magnitudes from 1e-8 to 1e8 so that the order of a
-            # column sum shows in its last bits, with exact zeros, -0.0 and
-            # sums that cancel to +0.0
+            # column sum shows in its last bits, with exact zeros, -0.0,
+            # sums that cancel to +0.0 and, in every other one, a zero row
             a = rng.normal(size=(k, k)) * 10.0 ** rng.integers(-8, 9, (k, k))
             a[rng.random((k, k)) < 0.5] = 0.0
             a[rng.random((k, k)) < 0.05] = -0.0
@@ -639,36 +639,51 @@ def test_lead_norm_from_the_nonzeros_is_the_dense_block_norm():
             x = rng.normal(size=k)
             i, j = rng.integers(k, size=2)
             gain[i, j] = gain[j, i] = x[0] + -x[0]
-            nonzero = np.flatnonzero(gain != 0.0)
-            row, col = np.divmod(nonzero, k)
-            size = np.abs(np.take(gain, nonzero))
+            if trial % 2:
+                gain[i] = gain[:, i] = 0.0
+            # the gather of _pivoted_gain
+            col = np.flatnonzero(gain != 0.0)
+            size = np.abs(np.take(gain, col))
+            starts = np.searchsorted(col, np.arange(k + 1) * k)
+            col %= k
             piv = rng.permutation(k)
-            for rank in range(k, k - 4, -1):
-                expected = dense_lead_norm(gain, piv, rank)
-                got = _lead_norm(row, col, size, piv, rank)
-                assert float(got).hex() == float(expected).hex()
-                # the same sums in the reverse row order
-                lead = piv[:rank] if rank < k else np.arange(k)
-                block = np.abs(gain[np.ix_(lead, lead)])
-                orders_matter |= block[::-1].sum(0).max() != expected
+            for first in (k, k - 2):
+                ranks = range(first, first - 4, -1)
+                norms = _lead_norms(col, size, starts, piv, first)
+                for rank, got in zip(ranks, norms):
+                    expected = dense_lead_norm(gain, piv, rank)
+                    assert float(got).hex() == float(expected).hex()
+                    # the same sums in the reverse row order
+                    lead = piv[:rank] if rank < k else np.arange(k)
+                    block = np.abs(gain[np.ix_(lead, lead)])
+                    orders_matter |= block[::-1].sum(0).max() != expected
     assert orders_matter
 
 
-@pytest.mark.parametrize("share", [1.0, 0.6])
-def test_pivoted_gain_makes_no_second_gain_sized_array(share):
-    # peak traced memory of one factor, in units of the gain's 8 k^2 bytes:
-    # the gain, its nonzero mask and gather and the row pattern read about
-    # 1.8 at full rank; a rank-deficient 60 % row subset adds pocon's copy
-    # of the leading block, about 2.4. Copying the gain for pstrf, taking
-    # |G| densely or copying the leading block adds 1 each (the copying
-    # oracle reads about 3.6 and 4.4).
+@pytest.mark.parametrize("kind", ["full", "subset", "dense"])
+def test_pivoted_gain_makes_no_second_gain_sized_array(kind):
+    # peak traced memory of one factor, in units of the gain's 8 k^2 bytes.
+    # On a 400-bus grid the gain, its nonzero mask and gather and the row
+    # pattern read about 1.8 at full rank; a rank-deficient 60 % row subset
+    # adds pocon's copy of the leading block, about 2.4. Copying the gain
+    # for pstrf, taking |G| densely or copying the leading block adds 1
+    # each (the copying oracle reads about 3.6 and 4.4). A dense 2k x k H
+    # takes SYRK: its nonzero indices (2), the scaled rows (2) and the gain
+    # peak at about 5.0 in both. The rows are freed after the product, and
+    # a dense gain's gather (its columns and |G|) is as large as the pstrf
+    # copy and |G| of the oracle, so one more gain-sized array (the
+    # gathered row indices, say) would read 6.0.
     rng = np.random.default_rng(43)
-    h = all_meters_h(rng, 400)
-    m, k = h.shape
-    if share < 1.0:
-        h = h[np.sort(rng.choice(m, int(share * m), replace=False))]
+    if kind == "dense":
+        k = 200
+        h = rng.normal(size=(2 * k, k))
+    else:
+        h = all_meters_h(rng, 400)
+        m, k = h.shape
+        if kind == "subset":
+            h = h[np.sort(rng.choice(m, int(0.6 * m), replace=False))]
     w = np.ones(len(h))
-    bound = 2.5 if share == 1.0 else 3.0
+    bound = {"full": 2.5, "subset": 3.0, "dense": 5.25}[kind]
     for factor_of in (_pivoted_gain, pivoted_gain_with_copies):
         tracemalloc.start()
         try:
@@ -676,6 +691,7 @@ def test_pivoted_gain_makes_no_second_gain_sized_array(share):
             peak = tracemalloc.get_traced_memory()[1] / (8 * k * k)
         finally:
             tracemalloc.stop()
-        assert factor.pattern is not None
-        assert (factor.rank == k) == (share == 1.0)
-        assert (peak < bound) == (factor_of is _pivoted_gain), peak
+        assert (factor.pattern is None) == (kind == "dense")
+        assert (factor.rank == k) == (kind != "subset")
+        assert (peak < bound) == (factor_of is _pivoted_gain
+                                  or kind == "dense"), peak
