@@ -39,11 +39,17 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 # 8 times (4 uint64 words); call k xors constant k and multiplies by k + 1.
 _HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS ** 2)
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+# the constants of each word's first entropy hash and of each output word's
+# hash, as columns against word-major (one row per word) arrays
+_POOL_XOR = _HASH_A[:_POOL_WORDS, None]
+_POOL_MULT = _HASH_A[1:_POOL_WORDS + 1, None]
+_OUT_XOR, _OUT_MULT = _HASH_B[:-1, None], _HASH_B[1:, None]
 
 
 def _mix_constants() -> tuple[np.ndarray, np.ndarray]:
     """Per source word, the entropy-hash constants of the calls that mix it
-    into each other word (xor, multiply); the source's own column is 0."""
+    into each other word (xor, multiply), one column of 4 each; the
+    source's own entry is 0."""
     xor = np.zeros((_POOL_WORDS, _POOL_WORDS), dtype=np.uint32)
     mult = np.zeros_like(xor)
     k = _POOL_WORDS
@@ -52,7 +58,7 @@ def _mix_constants() -> tuple[np.ndarray, np.ndarray]:
             if dst != src:
                 xor[src, dst], mult[src, dst] = _HASH_A[k], _HASH_A[k + 1]
                 k += 1
-    return xor, mult
+    return xor[:, :, None], mult[:, :, None]
 
 
 _MIX_XOR, _MIX_MULT = _mix_constants()
@@ -64,12 +70,12 @@ def _xorshift(v: np.ndarray) -> np.ndarray:
 
 def _words(values: list[int]) -> np.ndarray:
     """The low 4 (``_POOL_WORDS``) 32-bit words of each non-negative int, least
-    significant first, as a (P, 4) uint32 array: the zero-padded entropy of
-    every value below 2**128, read in one pass from their 16-byte
-    little-endian forms."""
+    significant first, as a word-major (4, P) uint32 array, word j in row
+    j: the zero-padded entropy of every value below 2**128, read in one
+    pass from their 16-byte little-endian forms."""
     data = b"".join((v & _MASK128).to_bytes(16, "little") for v in values)
-    return np.frombuffer(data, dtype="<u4").astype(np.uint32) \
-        .reshape(len(values), _POOL_WORDS)
+    return np.frombuffer(data, dtype="<u4").reshape(len(values), _POOL_WORDS) \
+        .T.astype(np.uint32, order="C")
 
 
 def _word_count(value: int) -> int:
@@ -78,33 +84,34 @@ def _word_count(value: int) -> int:
 
 
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(words).generate_state(8, uint32)`` for each row of a
-    zero-padded (P, 4) uint32 entropy array.
+    """``SeedSequence(words).generate_state(8, uint32)`` for each column
+    of a zero-padded word-major (4, P) uint32 entropy array, as a (8, P)
+    array: output word j of every column in row j.
 
     With at most 4 entropy words the zero padding is exactly what the pool
     mixing hashes in their place. Read as little-endian uint32 pairs, the
     8 words are ``generate_state(4, uint64)``, the words PCG64 seeds from:
-    its seed's high and low halves, then its stream's.
+    its seed's high and low halves, then its stream's. Each word is hashed
+    as one contiguous row.
     """
-    pool = _xorshift((entropy ^ _HASH_A[:_POOL_WORDS])
-                     * _HASH_A[1:_POOL_WORDS + 1])
+    pool = _xorshift((entropy ^ _POOL_XOR) * _POOL_MULT)
     for src in range(_POOL_WORDS):
         # each other word takes in this one, hashed with its own constant;
         # the source word keeps its value
-        hashed = _xorshift((pool[:, src, None] ^ _MIX_XOR[src]) * _MIX_MULT[src])
+        hashed = _xorshift((pool[src] ^ _MIX_XOR[src]) * _MIX_MULT[src])
         mixed = _xorshift(pool * _MIX_MULT_L - hashed * _MIX_MULT_R)
-        mixed[:, src] = pool[:, src]
+        mixed[src] = pool[src]
         pool = mixed
-    return _xorshift((np.concatenate((pool, pool), axis=1) ^ _HASH_B[:-1])
-                     * _HASH_B[1:])
+    return _xorshift((np.concatenate((pool, pool)) ^ _OUT_XOR) * _OUT_MULT)
 
 
 def _pcg64_states(words: np.ndarray) -> list[dict]:
-    """numpy's ``PCG64.state`` after seeding from each row of a (P, 8)
+    """numpy's ``PCG64.state`` after seeding from each column of a (8, P)
     block of seed words: the two ``pcg_setseq_128_srandom_r`` steps, in
     Python integers."""
     states = []
-    for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
+    for s_hi, s_lo, i_hi, i_lo in words.T.astype("<u4", order="C") \
+            .view("<u8").tolist():
         inc = (((i_hi << 64 | i_lo) << 1) | 1) & _MASK128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
         states.append({"bit_generator": "PCG64",
@@ -144,9 +151,10 @@ def _step_products() -> tuple[np.ndarray, np.ndarray]:
     state once more, to s M**2 + i 2C + C with C = M**2 + M + 1, all mod
     2**128. Each 32-bit word times each 16-bit digit of its multiplier
     (M**2 or 2C) lands on a 16-bit place of that state. The matrix sums
-    these partial products into places 0, 2, 4, 6 and then 1, 3, 5, 7, and
-    the vector adds C's digits there. Every sum is an integer below 2**52,
-    so one float64 matrix product computes them all exactly.
+    these partial products into places 0, 2, 4, 6 and then 1, 3, 5, 7, one
+    row per place, and the column adds C's digits there. Every sum is an
+    integer below 2**52, so one float64 matrix product computes them all
+    exactly.
     """
     square = _PCG_MULT * _PCG_MULT & _MASK128
     const = (square + _PCG_MULT + 1) & _MASK128
@@ -159,9 +167,9 @@ def _step_products() -> tuple[np.ndarray, np.ndarray]:
         mult = square if word < 4 else 2 * const & _MASK128
         place = 2 * places[word % 4]
         for digit in range(8 - place):
-            products[word, column[place + digit]] = mult >> 16 * digit & 0xFFFF
-    offset = np.zeros(8)
-    offset[column] = [const >> 16 * q & 0xFFFF for q in range(8)]
+            products[column[place + digit], word] = mult >> 16 * digit & 0xFFFF
+    offset = np.zeros((8, 1))
+    offset[column, 0] = [const >> 16 * q & 0xFFFF for q in range(8)]
     return products, offset
 
 
@@ -171,19 +179,19 @@ _MASK52, _SIGN = np.uint64((1 << 52) - 1), np.uint64(1 << 63)
 
 
 def _first_outputs(words: np.ndarray) -> np.ndarray:
-    """The first uint64 that PCG64 outputs when seeded from each row of
-    seed words: the state from :func:`_step_products`, then XSL-RR,
-    rotr(hi ^ lo, hi >> 58)."""
+    """The first uint64 that PCG64 outputs when seeded from each column of
+    a (8, P) block of seed words: the state from :func:`_step_products`,
+    then XSL-RR, rotr(hi ^ lo, hi >> 58)."""
     u = _U64
-    sums = (words.astype(np.float64) @ _STEP_PRODUCTS
+    sums = (_STEP_PRODUCTS @ words.astype(np.float64)
             + _STEP_OFFSET).astype(np.uint64)
-    even, odd = sums[:, :4], sums[:, 4:]
+    even, odd = sums[:4], sums[4:]
     # the sum at each 32-bit place, below 2**53
     places = even + ((odd & u[0xFFFF]) << u[16])
-    places[:, 1:] += odd[:, :3] >> u[16]
-    halves = places[:, 0::2] + (places[:, 1::2] << u[32])
-    lo = halves[:, 0]
-    hi = halves[:, 1] + ((places[:, 1] + (places[:, 0] >> u[32])) >> u[32])
+    places[1:] += odd[:3] >> u[16]
+    halves = places[0::2] + (places[1::2] << u[32])
+    lo = halves[0]
+    hi = halves[1] + ((places[1] + (places[0] >> u[32])) >> u[32])
     word, rot = hi ^ lo, hi >> u[58]
     return (word >> rot) | (word << ((u[64] - rot) & u[63]))
 
@@ -230,12 +238,13 @@ def _meter_noise(seeds, scales: np.ndarray) -> np.ndarray:
     seeds = [int(s) for s in seeds]
     counts = np.array([_word_count(s) for s in seeds], dtype=np.intp)
     fits = counts < _POOL_WORDS
-    entropy = np.repeat(_words(seeds)[:, None], len(scales), axis=1)
-    entropy[fits, :, counts[fits]] = np.arange(len(scales), dtype=np.uint32)
-    words = _seed_words(entropy.reshape(-1, _POOL_WORDS))
+    # word-major: entropy[j, r, c] is word j of the pair (seeds[r], c)
+    entropy = np.repeat(_words(seeds)[:, :, None], len(scales), axis=2)
+    entropy[counts[fits], fits] = np.arange(len(scales), dtype=np.uint32)
+    words = _seed_words(entropy.reshape(_POOL_WORDS, -1))
     outputs = _first_outputs(words).reshape(len(seeds), len(scales))
     noise = _normals(outputs, scales, lambda r, c: _pcg64_states(
-        words[r * len(scales) + c, None])[0])
+        words[:, r * len(scales) + c, None])[0])
     for r in np.flatnonzero(~fits):
         noise[r] = [np.random.default_rng([seeds[r], c]).normal(0.0, scale)
                     for c, scale in enumerate(scales.tolist())]

@@ -82,7 +82,12 @@ def craft_stealth_attack(h_matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _image(h: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Hc of a finite H and c, or InvalidArgument (unwarned) if it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        a = h @ c
+        return _finite_image(h @ c)
+
+
+def _finite_image(a: np.ndarray) -> np.ndarray:
+    """a, an attack Hc or readings with Hc added, if every entry is finite,
+    else InvalidArgument."""
     if not np.isfinite(a).all():
         raise InvalidArgument("Hc overflows: the attack is too large for a float")
     return a

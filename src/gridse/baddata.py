@@ -4,6 +4,8 @@ Three single-pass detectors over the estimation residual r = z - h(x'),
 each a function of the :class:`EstimationResult` alone: its residual,
 weighted objective and gain factor G = H^T W H at x' (for ac, H is the
 Jacobian there) hold all a detector reads, so no detector factors a gain.
+Each statistic is one private function of the residual and the factor's
+cached terms; a Monte Carlo trial calls it directly and builds no result.
 
 * ``norm_threshold``: flag when ||r|| exceeds a caller-chosen tau (no
   sensible default exists, so tau is mandatory).
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.stats import chi2
@@ -44,7 +47,7 @@ from .errors import (
     _real,
 )
 # OMEGA_FLOOR lives with the factor that applies it; baddata.OMEGA_FLOOR stays
-from .estimation import OMEGA_FLOOR, EstimationResult, GainFactor
+from .estimation import OMEGA_FLOOR, EstimationResult, GainFactor, _weighted
 
 TIE_TOLERANCE = 1e-9
 
@@ -115,18 +118,34 @@ def _factor(estimate: EstimationResult) -> GainFactor:
     return _instance(estimate.factor, GainFactor, "estimate.factor")
 
 
+def _norm(r: np.ndarray) -> float:
+    """||r||, as np.linalg.norm computes it, under the caller's np.errstate
+    ignoring overflow; where r . r overflows but ||r|| does not, taken at a
+    power-of-two scale."""
+    statistic = math.sqrt(r.dot(r))
+    if statistic == math.inf and np.isfinite(r).all():
+        shift = int(np.frexp(np.max(np.abs(r)))[1])
+        statistic = float(np.ldexp(np.linalg.norm(np.ldexp(r, -shift)), shift))
+    return statistic
+
+
+def _normalized(r: np.ndarray, usable: np.ndarray,
+                root: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest normalized residual and |r_i| / sqrt(Omega_ii) on the
+    usable rows, under the caller's np.errstate ignoring overflow: a
+    quotient too large for a float reads inf."""
+    normalized = np.abs(r[usable]) / root
+    return float(normalized.max()), normalized
+
+
 def norm_threshold_test(estimate: EstimationResult,
                         tau: float) -> DetectionResult:
     """Detected iff the Euclidean norm of the estimate's residual exceeds
     tau, which must be positive and finite (else InvalidArgument)."""
     tau = _real(tau, "tau", 0.0)
     _factor(estimate)
-    r = estimate.residual
     with np.errstate(over="ignore"):  # r . r may overflow where ||r|| does not
-        statistic = float(np.linalg.norm(r))
-        if statistic == np.inf and np.isfinite(r).all():
-            shift = int(np.frexp(np.max(np.abs(r)))[1])
-            statistic = float(np.ldexp(np.linalg.norm(np.ldexp(r, -shift)), shift))
+        statistic = _norm(estimate.residual)
     return DetectionResult(
         method="norm_threshold",
         detected=statistic > tau,
@@ -141,6 +160,15 @@ def _chi2_threshold(alpha: float, dof: int) -> float:
     return float(chi2.ppf(1.0 - alpha, dof))
 
 
+def _chi_square_threshold(factor: GainFactor, alpha: float) -> float:
+    """The chi-square quantile for the m x k H of the factor, or
+    NoRedundancy when m <= k."""
+    m, k = factor.h.shape
+    if m <= k:
+        raise NoRedundancy(f"{m} meters cannot test a {k}-dimensional state")
+    return _chi2_threshold(alpha, m - k)
+
+
 def chi_square_test(estimate: EstimationResult,
                     alpha: float = 0.05) -> DetectionResult:
     """The estimate's weighted objective against the chi-square upper-alpha
@@ -149,17 +177,25 @@ def chi_square_test(estimate: EstimationResult,
     undefined and NoRedundancy is raised; an ``alpha`` outside (0, 1)
     raises InvalidArgument."""
     alpha = _real(alpha, "alpha", 0.0, 1.0)
-    m, k = _factor(estimate).h.shape
-    if m <= k:
-        raise NoRedundancy(f"{m} meters cannot test a {k}-dimensional state")
+    threshold = _chi_square_threshold(_factor(estimate), alpha)
     statistic = estimate.objective_weighted
-    threshold = _chi2_threshold(alpha, m - k)
     return DetectionResult(
         method="chi_square",
         detected=statistic > threshold,
         statistic=statistic,
         threshold_used=threshold,
     )
+
+
+def _usable_rows(factor: GainFactor) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the LNR test ranks and their sqrt(Omega_ii), or
+    NumericallySingularOmega when every meter is critical."""
+    _, _, usable, root = factor.omega_terms
+    if not len(usable):
+        raise NumericallySingularOmega(
+            "every meter is critical; normalized residuals are undefined"
+        )
+    return usable, root
 
 
 def largest_normalized_residual(estimate: EstimationResult,
@@ -176,15 +212,10 @@ def largest_normalized_residual(estimate: EstimationResult,
     InvalidArgument.
     """
     lnr_threshold = _real(lnr_threshold, "lnr_threshold", 0.0)
-    _, critical_meters, usable, root = _factor(estimate).omega_terms
-    if not len(usable):
-        raise NumericallySingularOmega(
-            "every meter is critical; normalized residuals are undefined"
-        )
+    factor = _factor(estimate)
+    usable, root = _usable_rows(factor)
     with np.errstate(over="ignore"):  # a quotient too large reads inf
-        normalized = np.abs(estimate.residual[usable]) / root
-
-    statistic = float(np.max(normalized))
+        statistic, normalized = _normalized(estimate.residual, usable, root)
     top = usable[normalized >= statistic - TIE_TOLERANCE]
     return DetectionResult(
         method="lnr",
@@ -193,8 +224,26 @@ def largest_normalized_residual(estimate: EstimationResult,
         threshold_used=lnr_threshold,
         suspect_meter=int(top[0]) + 1,
         ambiguous=len(top) > 1,
-        critical_meters=critical_meters,
+        critical_meters=factor.omega_terms[1],
     )
+
+
+def _trial_test(config: DetectorConfig, factor: GainFactor
+                ) -> tuple[Callable[[np.ndarray], float], float]:
+    """The statistic of ``config``'s method as a function of a residual of
+    ``factor``, and its threshold, both taken once per factor: for any
+    estimate through ``factor``, the statistic of its residual is
+    :func:`run_detector`'s and ``statistic > threshold`` its verdict. Call
+    the statistic under np.errstate ignoring overflow. Raises NoRedundancy
+    or NumericallySingularOmega as run_detector would."""
+    if config.method == "norm_threshold":
+        return _norm, config.tau
+    if config.method == "chi_square":
+        weights = factor.weights
+        return (lambda r: _weighted(r, weights),
+                _chi_square_threshold(factor, config.alpha))
+    usable, root = _usable_rows(factor)
+    return lambda r: _normalized(r, usable, root)[0], config.lnr_threshold
 
 
 def run_detector(config: DetectorConfig,

@@ -22,8 +22,9 @@ the guard's 1-norm of the leading block is summed from |G| at the gain's
 nonzeros, read before the factor overwrites them, bit for bit the dense
 block's column sums. A sparse gain thus makes no second k x k array; a
 dense one's gather (its columns and |G|) is the size of the ``pstrf`` copy
-and dense |G| it replaces. Below full rank ``pocon`` still gets a copy of
-the leading block of U, since f2py passes only contiguous arrays.
+and dense |G| it replaces, and below full rank it is freed once the leading
+rows' runs are gathered from it. Below full rank ``pocon`` still gets a
+copy of the leading block of U, since f2py passes only contiguous arrays.
 :func:`factor_gain` is the full-rank case and raises UnobservableNetwork on
 any other rank. Its factor serves every solve with that (H, W), and every
 estimate, dc or ac, carries the factor of the gain at the state it
@@ -113,16 +114,28 @@ class GainFactor:
         x[self.piv] = lapack.dpotrs(self.upper, b[self.piv], lower=0)[0]
         return x
 
-    def estimate(self, z: np.ndarray) -> EstimationResult:
-        """The exact linear WLS estimate from readings z; a residual too
-        large for a float raises InvalidArgument, as the solve does."""
-        z = _array(z, "z", (self.h.shape[0],))
+    def _fit(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The estimate x of readings z, its residual r = z - Hx and r^T r,
+        with z unchecked: a float vector of H's row count, under the
+        caller's np.errstate ignoring overflow and invalid values. A
+        residual that is not finite raises InvalidArgument, as the solve
+        does for readings that are not."""
         x = self.solve(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = z - self.h @ x
-            raw, weighted = float(r @ r), float(self.weights @ (r * r))
+        r = z - self.h @ x
+        raw = float(r @ r)
         if not raw < np.inf and not np.isfinite(r).all():  # r.r overflows on its own
             raise InvalidArgument("residual z - Hx is not finite")
+        return x, r, raw
+
+    def estimate(self, z: np.ndarray) -> EstimationResult:
+        """The exact linear WLS estimate from readings z; readings or a
+        residual too large for a float raise InvalidArgument, unwarned.
+        A Monte Carlo trial runs the same arithmetic (``_fit``) with no
+        result built."""
+        z = _array(z, "z", (self.h.shape[0],))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, r, raw = self._fit(z)
+            weighted = _weighted(r, self.weights)
         return EstimationResult(
             state=x, residual=r, squared_error_raw=raw,
             objective_weighted=weighted, converged=True, iterations=1,
@@ -201,10 +214,16 @@ def weights_from_config(config: MeasurementConfig) -> np.ndarray:
     return 1.0 / config.sigmas() ** 2
 
 
+def _weighted(r: np.ndarray, weights: np.ndarray) -> float:
+    """r^T W r, the weighted objective and chi-square statistic, under the
+    caller's np.errstate: a square too large for a float reads inf."""
+    return float(weights @ (r * r))
+
+
 def _squares(r: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """r^T r and r^T W r; a square too large for a float reads inf, unwarned."""
     with np.errstate(over="ignore"):
-        return float(r @ r), float(weights @ (r * r))
+        return float(r @ r), _weighted(r, weights)
 
 
 def _lead_norms(col: np.ndarray, size: np.ndarray, starts: np.ndarray,
@@ -297,6 +316,9 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
                                             overwrite_a=1)
         piv = piv.astype(np.intp) - 1  # intp indexes faster than LAPACK's int32
         norms = _lead_norms(g_col, g_abs, g_starts, piv, rank)
+        # below full rank the generator frees them once it has gathered
+        # the leading rows' runs
+        del g_col, g_abs
     while rank:
         rcond = lapack.dpocon(upper[:rank, :rank], next(norms))[0]
         condition = 1.0 / rcond if rcond > 0.0 else np.inf

@@ -398,6 +398,7 @@ def simulate_measurements(model: MeterModel, true_state: StateVector,
             clean = model.values(free_vector(model.network, true_state, "ac"))
         scales = model.config.sigmas() * noise_scale
     _array(clean, "h(true state)", finite=True)
-    noise = _meter_noise([seed], _array(scales, "sigma * noise_scale", finite=True))
-    with np.errstate(over="ignore"):
-        return _array(clean + noise[0], "simulated readings", finite=True)
+    scales = _array(scales, "sigma * noise_scale", finite=True)
+    with np.errstate(over="ignore"):  # a draw times its sigma may overflow
+        return _array(clean + _meter_noise([seed], scales)[0],
+                      "simulated readings", finite=True)

@@ -50,14 +50,14 @@ import numpy as np
 from ._streams import _meter_noise
 from .attack import (
     DEFAULT_MAGNITUDE,
-    _image,
+    _finite_image,
     _stealth_shifts,
     apply_attack,
     constrained_stealth_attack,
     craft_stealth_attack,
     random_stealth_attack,
 )
-from .baddata import DetectionResult, DetectorConfig, run_detector
+from .baddata import DetectionResult, DetectorConfig, _trial_test, run_detector
 from .errors import (
     InvalidArgument,
     LengthMismatch,
@@ -402,9 +402,16 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     on the same noisy readings, so with ``attack="stealth"`` the two arms
     differ only by the added Hc. H, its gain factor and the noiseless
     readings are computed once per call; each trial adds its own noise to
-    them and estimates through that one factor, which the detector reads
-    from the estimate. Serial and deterministic; trials are independent, so
-    any parallel split over t aggregates identically.
+    them and estimates through that one factor. The detector is resolved
+    once per call too: its threshold and, for LNR, the factor's Omega
+    terms, with NoRedundancy or NumericallySingularOmega raised before any
+    noise is drawn. A trial then runs the arithmetic of
+    ``GainFactor.estimate`` and of the detector's public test, shared with
+    them and so bit for bit theirs, but builds no EstimationResult or
+    DetectionResult: it keeps the statistic and compares it with the
+    threshold. One np.errstate covers a whole block of trials. Serial and
+    deterministic; trials are independent, so any parallel split over t
+    aggregates identically.
 
     Trial t reads exactly what ``simulate_measurements`` gives for seed
     ``noise_seed_base + t`` at the state estimated from the case's readings
@@ -416,10 +423,9 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     instead of one ``default_rng`` per draw.
 
     Trial t's stealth shift is the c of ``random_stealth_attack(H,
-    magnitude, noise_seed_base + t)`` bit for bit. H is checked and
-    factored once per call, and the LNR terms are computed once, on that
-    factor; the stealth directions of a block are seeded in one pass too,
-    and numpy draws each from one reused generator.
+    magnitude, noise_seed_base + t)`` bit for bit. The stealth directions
+    of a block are seeded in one pass too, and numpy draws each from one
+    reused generator.
 
     A ``trials`` that is not an integer >= 1, a ``noise_seed_base`` that is
     not a non-negative integer, a ``magnitude`` that is not a positive
@@ -427,7 +433,8 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     non-negative finite number (a bool is neither, and an int too large for
     a float is not finite) or a ``detector`` that is not a DetectorConfig
     raises InvalidArgument before the case is read, and a sigma times
-    ``noise_scale`` or readings too large for a float raise it too.
+    ``noise_scale``, readings, readings with Hc added or a residual too
+    large for a float raise it too, unwarned.
     """
     trials = _count(trials, "trials")
     if not trials:
@@ -453,33 +460,31 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
         factor, truth_free = factor_gain(h, weights), np.zeros(h.shape[1])
     clean = h @ truth_free
 
-    base_detected = 0
-    attack_detected = 0
-    base_stats = []
-    attack_stats = []
     with np.errstate(over="ignore"):
         scales = _array(config.sigmas() * noise_scale, "sigma * noise_scale",
                         finite=True)
+    statistic, threshold = _trial_test(detector, factor)
+    base_stats = []
+    attack_stats = []
     block = max(1, _NOISE_BLOCK_DRAWS // len(scales))
     for start in range(0, trials, block):
         seeds = range(noise_seed_base + start,
                       noise_seed_base + min(trials, start + block))
-        noise = _meter_noise(seeds, scales)
-        with np.errstate(over="ignore"):
-            readings = _array(clean + noise, "simulated readings", finite=True)
         shifts = (_stealth_shifts(seeds, h.shape[1], magnitude)
-                  if attack == "stealth" else [None] * len(seeds))
-        for z, c in zip(readings, shifts):
-            base = run_detector(detector, factor.estimate(z))
-            base_detected += base.detected
-            base_stats.append(base.statistic)
-            if c is None:
-                hit = base
-            else:
-                hit = run_detector(detector, factor.estimate(z + _image(h, c)))
-            attack_detected += hit.detected
-            attack_stats.append(hit.statistic)
+                  if attack == "stealth" else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            readings = _array(clean + _meter_noise(seeds, scales),
+                              "simulated readings", finite=True)
+            for t, z in enumerate(readings):
+                value = statistic(factor._fit(z)[1])
+                base_stats.append(value)
+                if shifts is not None:
+                    z = _finite_image(z + h @ shifts[t])
+                    value = statistic(factor._fit(z)[1])
+                attack_stats.append(value)
 
+    base_detected = sum(s > threshold for s in base_stats)
+    attack_detected = sum(s > threshold for s in attack_stats)
     rate = attack_detected / trials
     half_width = 1.96 * float(np.sqrt(rate * (1.0 - rate) / trials))
     return MonteCarloStats(

@@ -660,7 +660,7 @@ def test_lead_norms_from_the_nonzeros_are_the_dense_block_norms():
     assert orders_matter
 
 
-@pytest.mark.parametrize("kind", ["full", "subset", "dense"])
+@pytest.mark.parametrize("kind", ["full", "subset", "dense", "dense-deficient"])
 def test_pivoted_gain_makes_no_second_gain_sized_array(kind):
     # peak traced memory of one factor, in units of the gain's 8 k^2 bytes.
     # On a 400-bus grid the gain, its nonzero mask and gather and the row
@@ -672,18 +672,23 @@ def test_pivoted_gain_makes_no_second_gain_sized_array(kind):
     # peak at about 5.0 in both. The rows are freed after the product, and
     # a dense gain's gather (its columns and |G|) is as large as the pstrf
     # copy and |G| of the oracle, so one more gain-sized array (the
-    # gathered row indices, say) would read 6.0.
+    # gathered row indices, say) would read 6.0. A dense k/2 x k H (rank
+    # k/2) reads about 5.0 too: the gather's runs of the leading rows are
+    # taken while the full gather is still held, and the full gather is
+    # freed right after (held to the end, the peak is about 5.3); the
+    # oracle's block copies read about 3.2.
     rng = np.random.default_rng(43)
-    if kind == "dense":
+    if kind.startswith("dense"):
         k = 200
-        h = rng.normal(size=(2 * k, k))
+        h = rng.normal(size=(2 * k if kind == "dense" else k // 2, k))
     else:
         h = all_meters_h(rng, 400)
         m, k = h.shape
         if kind == "subset":
             h = h[np.sort(rng.choice(m, int(0.6 * m), replace=False))]
     w = np.ones(len(h))
-    bound = {"full": 2.5, "subset": 3.0, "dense": 5.25}[kind]
+    bound = {"full": 2.5, "subset": 3.0, "dense": 5.25,
+             "dense-deficient": 5.15}[kind]
     for factor_of in (_pivoted_gain, pivoted_gain_with_copies):
         tracemalloc.start()
         try:
@@ -691,7 +696,7 @@ def test_pivoted_gain_makes_no_second_gain_sized_array(kind):
             peak = tracemalloc.get_traced_memory()[1] / (8 * k * k)
         finally:
             tracemalloc.stop()
-        assert (factor.pattern is None) == (kind == "dense")
-        assert (factor.rank == k) == (kind != "subset")
+        assert (factor.pattern is None) == kind.startswith("dense")
+        assert (factor.rank == k) == (kind in ("full", "dense"))
         assert (peak < bound) == (factor_of is _pivoted_gain
-                                  or kind == "dense"), peak
+                                  or kind.startswith("dense")), peak

@@ -496,6 +496,27 @@ def test_noisy_readings_too_large_for_a_float_are_rejected():
         simulate_measurements(model, state, "dc", 3, noise_scale=1e306)
 
 
+def test_noise_too_large_for_a_float_is_rejected_unwarned(tmp_path):
+    # sigma 1e10 times noise_scale 1e298 is a finite scale, but seed 3 draws
+    # meter 1 about +2.04 times it, past the largest float: InvalidArgument,
+    # with no RuntimeWarning (the suite turns those into errors), from a
+    # simulation and from a Monte Carlo trial alike
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text((CASES_DIR / "three_bus.json").read_text()
+                      .replace('"sigma": 0.01', '"sigma": 1e10'))
+    parsed = parse_case(coarse.read_text())
+    assert set(parsed.config.sigmas()) == {1e10}
+    model = build_meter_model(parsed.network, parsed.config)
+    state = StateVector(angles=TRUE_ANGLES)
+    assert np.isfinite(simulate_measurements(model, state, "dc", 3,
+                                             noise_scale=1e297)).all()
+    with pytest.raises(InvalidArgument, match="simulated readings must be"):
+        simulate_measurements(model, state, "dc", 3, noise_scale=1e298)
+    with pytest.raises(InvalidArgument, match="simulated readings must be"):
+        gridse.run_monte_carlo(coarse, trials=1, noise_seed_base=3,
+                               noise_scale=1e298)
+
+
 @pytest.mark.parametrize("call", [
     lambda net, config: StateVector(angles=[0, 1, 2]),
     lambda net, config: StateVector(angles=TRUE_ANGLES, magnitudes={1: "1.0"}),

@@ -18,18 +18,30 @@ from gridse import (
     Scenario,
     ScenarioReport,
     emit_report,
+    build_meter_model,
     estimate_dc,
+    factor_gain,
     largest_normalized_residual,
     load_scenario,
+    MeasurementConfig,
+    MeasurementSpec,
+    parse_case,
     random_stealth_attack,
     run_detector,
     run_monte_carlo,
     run_scenario,
+    serialize_case,
     simulate_measurements,
     state_from_free,
     weights_from_config,
 )
-from helpers import CASES_DIR, SCENARIO_FILES, THREE_BUS, load_three_bus
+from helpers import (
+    CASES_DIR,
+    SCENARIO_FILES,
+    THREE_BUS,
+    load_three_bus,
+    random_network,
+)
 
 EXPECTED_ROWS = {
     "base-case": (False, (0.02857142857142857, -0.09428571428571429),
@@ -439,6 +451,76 @@ def test_monte_carlo_lnr_trials_match_a_fresh_estimate():
             expected = largest_normalized_residual(
                 estimate_dc(h, readings, weights))
             assert statistic == expected.statistic
+
+
+def grid_case(tmp_path, dense):
+    """A seeded 30-bus case with readings: a flow meter on every branch and
+    an injection meter at each bus of at most four branches, so that H's
+    widest row has w nonzeros with w^2 <= 29 and the gain is summed from
+    H's row pattern; with ``dense``, also one at the bus of the most
+    branches, whose row is too wide for that, so the gain is the dense
+    product."""
+    rng = np.random.default_rng(2023)
+    net = random_network(rng, 30)
+    degree = {b.id: len(net.branches_at(b.id)) for b in net.buses}
+    hub = max(degree, key=degree.get)
+    specs = [MeasurementSpec(kind="flow_p", from_bus=br.from_bus,
+                             to_bus=br.to_bus, sigma=0.01)
+             for br in net.branches]
+    specs += [MeasurementSpec(kind="injection_p", bus=bus, sigma=0.02)
+              for bus, d in degree.items() if d <= 4 or (dense and bus == hub)]
+    config = MeasurementConfig(specs=tuple(specs))
+    h = build_meter_model(net, config).dc_matrix
+    z = h @ rng.normal(0.0, 0.1, h.shape[1]) + config.sigmas() * rng.normal(
+        size=len(h))
+    path = tmp_path / "grid.json"
+    path.write_text(serialize_case(net, config, z))
+    return path
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["row-pattern", "dense"])
+@pytest.mark.parametrize("method", ["chi_square", "norm_threshold", "lnr"])
+def test_monte_carlo_trials_are_the_public_detectors_bit_for_bit(
+        tmp_path, dense, method):
+    # each trial runs the estimator's and the detector's own arithmetic
+    # without building their results: every statistic and verdict of both
+    # arms must be the public detector's on a fresh estimate_dc
+    parsed = parse_case(grid_case(tmp_path, dense).read_text())
+    model = build_meter_model(parsed.network, parsed.config)
+    h = model.dc_matrix
+    weights = weights_from_config(parsed.config)
+    assert (factor_gain(h, weights).pattern is None) == dense
+    truth = state_from_free(
+        parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
+    detector = {"chi_square": DetectorConfig(method="chi_square", alpha=0.3),
+                "norm_threshold": DetectorConfig(method="norm_threshold",
+                                                 tau=0.1),
+                "lnr": DetectorConfig(method="lnr", lnr_threshold=2.5)}[method]
+    trials, base, magnitude = 30, 2**32 - 10, 0.05
+    stats = run_monte_carlo(grid_case(tmp_path, dense), trials=trials,
+                            noise_seed_base=base, attack="stealth",
+                            magnitude=magnitude, detector=detector)
+    verdicts = {"clean": [], "attacked": []}
+    for t in range(trials):
+        z = simulate_measurements(model, truth, "dc", base + t)
+        z_a = z + random_stealth_attack(h, magnitude, base + t)[1]
+        for arm, readings, statistic in (
+                ("clean", z, stats.unattacked_statistics[t]),
+                ("attacked", z_a, stats.attacked_statistics[t])):
+            expected = run_detector(detector, estimate_dc(h, readings, weights))
+            assert float.hex(statistic) == float.hex(expected.statistic)
+            verdicts[arm].append(expected.detected)
+    assert stats.false_alarm_rate == sum(verdicts["clean"]) / trials
+    assert stats.detection_rate == sum(verdicts["attacked"]) / trials
+    # the thresholds split the trials, so a verdict could go either way
+    assert 0 < sum(verdicts["clean"]) < trials
+
+
+def test_monte_carlo_rejects_an_attack_whose_hc_overflows():
+    # the attacked readings are checked once per trial, unwarned (the suite
+    # turns a RuntimeWarning into an error)
+    with pytest.raises(InvalidArgument, match="overflows"):
+        run_monte_carlo(THREE_BUS, trials=3, attack="stealth", magnitude=1e308)
 
 
 # SHA-256 of the float.hex of every attacked, then every unattacked,
