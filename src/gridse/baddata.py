@@ -1,17 +1,20 @@
 """Residual-based bad data detection.
 
 Three single-pass detectors over the estimation residual r = z - h(x'),
-each a function of the :class:`EstimationResult` alone: its residual,
-weighted objective and gain factor G = H^T W H at x' (for ac, H is the
-Jacobian there) hold all a detector reads, so no detector factors a gain.
-Each statistic is one private function of the residual and the factor's
-cached terms; a Monte Carlo trial calls it directly and builds no result.
+each a function of the :class:`EstimationResult` alone: its residual and
+gain factor G = H^T W H at x' (for ac, H is the Jacobian there) hold all a
+detector reads, so no detector factors a gain. One private resolution per
+factor gives a method's threshold and its statistic as a function of a
+residual: :func:`run_detector`, which the three public tests call, and a
+Monte Carlo trial, which builds no result, evaluate that one function.
 
 * ``norm_threshold``: flag when ||r|| exceeds a caller-chosen tau (no
   sensible default exists, so tau is mandatory).
-* ``chi_square``: flag when the weighted objective sum w_i r_i^2 exceeds the
+* ``chi_square``: flag when the weighted sum w_i r_i^2 exceeds the
   upper-alpha quantile of chi-square with m - k degrees of freedom, for the
-  m x k matrix H of the factor.
+  m x k matrix H of the factor. The sum is taken from the residual and the
+  factor's weights, as ``GainFactor.estimate`` (dc) and ``estimate_ac``
+  take ``objective_weighted``, so the two are equal bit for bit.
 * ``lnr``: largest normalized residual. With the residual sensitivity
   S = I - H G^-1 H^T W and residual covariance Omega = S R
   (R = diag(sigma^2)), each r_i^N = |r_i| / sqrt(Omega_ii); flag when the
@@ -23,17 +26,18 @@ cached terms; a Monte Carlo trial calls it directly and builds no result.
   computed once however many estimates share it, so the test itself only
   divides and ranks.
 
-Meters whose Omega_ii vanishes (at most ``OMEGA_FLOOR``) are critical:
-their residual is structurally zero, so they are excluded from the lnr
-argmax and reported instead. All meter indices in results and
-configurations are 1-based file order.
+Meters whose sensitivity S_ii = 1 - w_i hat_ii is at most 1e-10
+(``estimation.SENSITIVITY_FLOOR``) are critical: their residual is
+structurally zero, so they are excluded from the lnr argmax and reported
+instead. S has no units, so no common scale of sigma changes which meters
+are critical. All meter indices in results and configurations are 1-based
+file order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,9 +50,9 @@ from .errors import (
     _instance,
     _real,
 )
-# OMEGA_FLOOR lives with the factor that applies it; baddata.OMEGA_FLOOR stays
-from .estimation import OMEGA_FLOOR, EstimationResult, GainFactor, _weighted
+from .estimation import EstimationResult, GainFactor, _weighted
 
+# Normalized residuals within this relative gap of the largest tie with it.
 TIE_TOLERANCE = 1e-9
 
 DETECTOR_METHODS = ("norm_threshold", "chi_square", "lnr")
@@ -98,7 +102,8 @@ class DetectionResult:
     """Verdict of one detector run.
 
     ``suspect_meter`` is set by lnr only (1-based; lowest index on ties, with
-    ``ambiguous`` true when the top normalized residuals tie within 1e-9).
+    ``ambiguous`` true when the top normalized residuals tie within a
+    relative 1e-9).
     ``critical_meters`` lists meters excluded from the lnr ranking because
     their residual variance is structurally zero.
     """
@@ -110,12 +115,6 @@ class DetectionResult:
     suspect_meter: int | None = None
     ambiguous: bool = False
     critical_meters: tuple[int, ...] = ()
-
-
-def _factor(estimate: EstimationResult) -> GainFactor:
-    """The estimate's GainFactor, both checked (else InvalidArgument)."""
-    _instance(estimate, EstimationResult, "estimate")
-    return _instance(estimate.factor, GainFactor, "estimate.factor")
 
 
 def _norm(r: np.ndarray) -> float:
@@ -130,43 +129,69 @@ def _norm(r: np.ndarray) -> float:
 
 
 def _normalized(r: np.ndarray, usable: np.ndarray,
-                root: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest normalized residual and |r_i| / sqrt(Omega_ii) on the
-    usable rows, under the caller's np.errstate ignoring overflow: a
-    quotient too large for a float reads inf."""
-    normalized = np.abs(r[usable]) / root
-    return float(normalized.max()), normalized
+                root: np.ndarray) -> np.ndarray:
+    """|r_i| / sqrt(Omega_ii) on the usable rows, under the caller's
+    np.errstate ignoring overflow: a quotient too large for a float reads
+    inf."""
+    return np.abs(r[usable]) / root
+
+
+def _resolve(config: DetectorConfig, factor: GainFactor
+             ) -> tuple[Callable[[np.ndarray], float], float]:
+    """The statistic of ``config``'s method as a function of a residual of
+    ``factor``, and its threshold, both taken once per factor: the one
+    per-method dispatch of the detectors. :func:`run_detector` and each
+    Monte Carlo trial evaluate the statistic, under np.errstate ignoring
+    overflow, and compare it with the threshold. Raises NoRedundancy for
+    chi-square without redundancy (m <= k) and NumericallySingularOmega
+    for lnr when every meter is critical."""
+    if config.method == "norm_threshold":
+        return _norm, config.tau
+    if config.method == "chi_square":
+        m, k = factor.h.shape
+        if m <= k:
+            raise NoRedundancy(f"{m} meters cannot test a {k}-dimensional state")
+        return (lambda r: _weighted(r, factor.weights),
+                float(chi2.ppf(1.0 - config.alpha, m - k)))
+    _, _, usable, root = factor.omega_terms
+    if not len(usable):
+        raise NumericallySingularOmega(
+            "every meter is critical; normalized residuals are undefined")
+    return (lambda r: float(_normalized(r, usable, root).max()),
+            config.lnr_threshold)
+
+
+def run_detector(config: DetectorConfig,
+                 estimate: EstimationResult) -> DetectionResult:
+    """Run one DetectorConfig against an estimation result, which holds all
+    a detector reads. A ``config`` that is not a DetectorConfig, or an
+    ``estimate`` that is not an EstimationResult with a GainFactor, raises
+    InvalidArgument; a method that cannot test the estimate raises as its
+    public test says.
+    """
+    _instance(config, DetectorConfig, "config")
+    _instance(estimate, EstimationResult, "estimate")
+    factor = _instance(estimate.factor, GainFactor, "estimate.factor")
+    statistic, threshold = _resolve(config, factor)
+    r, lnr = estimate.residual, {}
+    with np.errstate(over="ignore"):  # a square or quotient too large reads inf
+        value = statistic(r)
+        if config.method == "lnr":
+            _, critical, usable, root = factor.omega_terms
+            tied = value * (1.0 - TIE_TOLERANCE)
+            top = usable[_normalized(r, usable, root) >= tied]
+            lnr = dict(suspect_meter=int(top[0]) + 1, ambiguous=len(top) > 1,
+                       critical_meters=critical)
+    return DetectionResult(method=config.method, detected=value > threshold,
+                           statistic=value, threshold_used=threshold, **lnr)
 
 
 def norm_threshold_test(estimate: EstimationResult,
                         tau: float) -> DetectionResult:
     """Detected iff the Euclidean norm of the estimate's residual exceeds
     tau, which must be positive and finite (else InvalidArgument)."""
-    tau = _real(tau, "tau", 0.0)
-    _factor(estimate)
-    with np.errstate(over="ignore"):  # r . r may overflow where ||r|| does not
-        statistic = _norm(estimate.residual)
-    return DetectionResult(
-        method="norm_threshold",
-        detected=statistic > tau,
-        statistic=statistic,
-        threshold_used=tau,
-    )
-
-
-@lru_cache
-def _chi2_threshold(alpha: float, dof: int) -> float:
-    """The upper-alpha quantile of chi-square with dof degrees of freedom."""
-    return float(chi2.ppf(1.0 - alpha, dof))
-
-
-def _chi_square_threshold(factor: GainFactor, alpha: float) -> float:
-    """The chi-square quantile for the m x k H of the factor, or
-    NoRedundancy when m <= k."""
-    m, k = factor.h.shape
-    if m <= k:
-        raise NoRedundancy(f"{m} meters cannot test a {k}-dimensional state")
-    return _chi2_threshold(alpha, m - k)
+    return run_detector(DetectorConfig(method="norm_threshold",
+                                       tau=_real(tau, "tau", 0.0)), estimate)
 
 
 def chi_square_test(estimate: EstimationResult,
@@ -176,26 +201,9 @@ def chi_square_test(estimate: EstimationResult,
     estimate's gain factor. Without redundancy (m <= k) the test is
     undefined and NoRedundancy is raised; an ``alpha`` outside (0, 1)
     raises InvalidArgument."""
-    alpha = _real(alpha, "alpha", 0.0, 1.0)
-    threshold = _chi_square_threshold(_factor(estimate), alpha)
-    statistic = estimate.objective_weighted
-    return DetectionResult(
-        method="chi_square",
-        detected=statistic > threshold,
-        statistic=statistic,
-        threshold_used=threshold,
-    )
-
-
-def _usable_rows(factor: GainFactor) -> tuple[np.ndarray, np.ndarray]:
-    """The rows the LNR test ranks and their sqrt(Omega_ii), or
-    NumericallySingularOmega when every meter is critical."""
-    _, _, usable, root = factor.omega_terms
-    if not len(usable):
-        raise NumericallySingularOmega(
-            "every meter is critical; normalized residuals are undefined"
-        )
-    return usable, root
+    return run_detector(DetectorConfig(method="chi_square",
+                                       alpha=_real(alpha, "alpha", 0.0, 1.0)),
+                        estimate)
 
 
 def largest_normalized_residual(estimate: EstimationResult,
@@ -205,57 +213,13 @@ def largest_normalized_residual(estimate: EstimationResult,
     Omega_ii = S_ii * sigma_i^2 with S = I - H (H^T W H)^-1 H^T W, computed
     as (1 - w_i * hat_ii) / w_i from the weights and the hat diagonal
     hat_ii of H (H^T W H)^-1 H^T, once per gain factor
-    (``GainFactor.omega_terms``). Meters with Omega_ii <= 1e-14 are
-    critical and skipped; if every meter is critical there is nothing to
-    normalize and NumericallySingularOmega is raised, on every call. An
-    ``lnr_threshold`` that is not positive and finite raises
+    (``GainFactor.omega_terms``). Meters with S_ii = 1 - w_i * hat_ii <=
+    1e-10 are critical and skipped; S_ii has no units, so scaling every
+    sigma moves no meter in or out. If every meter is critical there is
+    nothing to normalize and NumericallySingularOmega is raised, on every
+    call. An ``lnr_threshold`` that is not positive and finite raises
     InvalidArgument.
     """
-    lnr_threshold = _real(lnr_threshold, "lnr_threshold", 0.0)
-    factor = _factor(estimate)
-    usable, root = _usable_rows(factor)
-    with np.errstate(over="ignore"):  # a quotient too large reads inf
-        statistic, normalized = _normalized(estimate.residual, usable, root)
-    top = usable[normalized >= statistic - TIE_TOLERANCE]
-    return DetectionResult(
-        method="lnr",
-        detected=statistic > lnr_threshold,
-        statistic=statistic,
-        threshold_used=lnr_threshold,
-        suspect_meter=int(top[0]) + 1,
-        ambiguous=len(top) > 1,
-        critical_meters=factor.omega_terms[1],
-    )
-
-
-def _trial_test(config: DetectorConfig, factor: GainFactor
-                ) -> tuple[Callable[[np.ndarray], float], float]:
-    """The statistic of ``config``'s method as a function of a residual of
-    ``factor``, and its threshold, both taken once per factor: for any
-    estimate through ``factor``, the statistic of its residual is
-    :func:`run_detector`'s and ``statistic > threshold`` its verdict. Call
-    the statistic under np.errstate ignoring overflow. Raises NoRedundancy
-    or NumericallySingularOmega as run_detector would."""
-    if config.method == "norm_threshold":
-        return _norm, config.tau
-    if config.method == "chi_square":
-        weights = factor.weights
-        return (lambda r: _weighted(r, weights),
-                _chi_square_threshold(factor, config.alpha))
-    usable, root = _usable_rows(factor)
-    return lambda r: _normalized(r, usable, root)[0], config.lnr_threshold
-
-
-def run_detector(config: DetectorConfig,
-                 estimate: EstimationResult) -> DetectionResult:
-    """Dispatch one DetectorConfig against an estimation result, which
-    holds all a detector reads. A ``config`` that is not a DetectorConfig,
-    or an ``estimate`` that is not an EstimationResult with a GainFactor,
-    raises InvalidArgument.
-    """
-    _instance(config, DetectorConfig, "config")
-    if config.method == "norm_threshold":
-        return norm_threshold_test(estimate, config.tau)
-    if config.method == "chi_square":
-        return chi_square_test(estimate, config.alpha)
-    return largest_normalized_residual(estimate, config.lnr_threshold)
+    return run_detector(DetectorConfig(
+        method="lnr", lnr_threshold=_real(lnr_threshold, "lnr_threshold", 0.0)),
+        estimate)

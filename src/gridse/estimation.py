@@ -61,8 +61,10 @@ from .measurement import (
 from .network import MeasurementConfig, NetworkModel
 
 CONDITION_LIMIT = 1e12
-# A meter whose residual variance Omega_ii is at most this is critical.
-OMEGA_FLOOR = 1e-14
+# A meter whose residual sensitivity S_ii = 1 - w_i hat_ii is at most this
+# is critical. S has no units, so no common scale of sigma moves a meter
+# into or out of the critical set.
+SENSITIVITY_FLOOR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +175,16 @@ class GainFactor:
     def omega_terms(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray,
                                    np.ndarray]:
         """What the largest normalized residual test divides by, once per
-        factor: the diagonal of the residual covariance Omega, (1 - w_i
-        hat_ii) / w_i; the critical meters, whose Omega_ii is at most
-        OMEGA_FLOOR (1-based); the other, usable rows (0-based); and
-        sqrt(Omega_ii) on those rows. The arrays are read-only."""
-        omega = (1.0 - self.weights * self.hat_diagonal) / self.weights
-        critical = omega <= OMEGA_FLOOR
+        factor: the diagonal of the residual covariance Omega, S_ii / w_i
+        for the residual sensitivity S_ii = 1 - w_i hat_ii; the critical
+        meters, whose S_ii is at most SENSITIVITY_FLOOR (1-based); the
+        other, usable rows (0-based); and sqrt(Omega_ii) on those rows.
+        S_ii is unchanged, bit for bit, when every sigma is scaled by a
+        power of two, so the critical meters are too. The arrays are
+        read-only."""
+        sensitivity = 1.0 - self.weights * self.hat_diagonal
+        omega = sensitivity / self.weights
+        critical = sensitivity <= SENSITIVITY_FLOOR
         usable = np.flatnonzero(~critical)
         root = np.sqrt(omega[usable])
         for array in (omega, usable, root):

@@ -57,7 +57,7 @@ from .attack import (
     craft_stealth_attack,
     random_stealth_attack,
 )
-from .baddata import DetectionResult, DetectorConfig, _trial_test, run_detector
+from .baddata import DetectionResult, DetectorConfig, _resolve, run_detector
 from .errors import (
     InvalidArgument,
     LengthMismatch,
@@ -406,12 +406,12 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     once per call too: its threshold and, for LNR, the factor's Omega
     terms, with NoRedundancy or NumericallySingularOmega raised before any
     noise is drawn. A trial then runs the arithmetic of
-    ``GainFactor.estimate`` and of the detector's public test, shared with
-    them and so bit for bit theirs, but builds no EstimationResult or
-    DetectionResult: it keeps the statistic and compares it with the
-    threshold. One np.errstate covers a whole block of trials. Serial and
-    deterministic; trials are independent, so any parallel split over t
-    aggregates identically.
+    ``GainFactor.estimate`` and of ``run_detector``, which the public tests
+    call, shared with them and so bit for bit theirs, but builds no
+    EstimationResult or DetectionResult: it keeps the statistic and
+    compares it with the threshold. One np.errstate covers a whole block
+    of trials. Serial and deterministic; trials are independent, so any
+    parallel split over t aggregates identically.
 
     Trial t reads exactly what ``simulate_measurements`` gives for seed
     ``noise_seed_base + t`` at the state estimated from the case's readings
@@ -463,7 +463,7 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     with np.errstate(over="ignore"):
         scales = _array(config.sigmas() * noise_scale, "sigma * noise_scale",
                         finite=True)
-    statistic, threshold = _trial_test(detector, factor)
+    statistic, threshold = _resolve(detector, factor)
     base_stats = []
     attack_stats = []
     block = max(1, _NOISE_BLOCK_DRAWS // len(scales))

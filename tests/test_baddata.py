@@ -192,12 +192,14 @@ def test_lnr_zero_residual():
     assert not verdict.detected
 
 
+# meter 1 twice and one lone meter, whose residual is structurally zero
+CRITICAL_H = np.array([[5.0, -5.0], [5.0, -5.0], [2.5, 0.0]])
+CRITICAL_Z = np.array([0.62, 0.63, 0.06])
+
+
 def test_lnr_excludes_critical_meters():
-    # duplicate meter 1 and keep one lone meter: the lone meter's residual
-    # is structurally zero, so it must be excluded and reported
-    h = np.array([[5.0, -5.0], [5.0, -5.0], [2.5, 0.0]])
-    z = np.array([0.62, 0.63, 0.06])
-    verdict = largest_normalized_residual(estimate_dc(h, z, W))
+    # the lone meter must be excluded and reported
+    verdict = largest_normalized_residual(estimate_dc(CRITICAL_H, CRITICAL_Z, W))
     assert verdict.critical_meters == (3,)
     assert verdict.suspect_meter in (1, 2)
     assert verdict.ambiguous
@@ -210,6 +212,40 @@ def test_lnr_all_critical_raises():
     est = estimate_dc(h, z, np.full(2, 1e4))
     with pytest.raises(NumericallySingularOmega):
         largest_normalized_residual(est)
+
+
+@pytest.mark.parametrize("sigma", [1e-7, 1e3])
+def test_lnr_judges_critical_meters_at_any_sigma(sigma):
+    # S_11 = S_22 = 0.5 and S_33 = 0 at every sigma, so meter 3 alone is
+    # critical: a floor on Omega_ii = S_ii sigma^2 calls all three critical
+    # at sigma 1e-7 and none at sigma 1e3
+    verdict = largest_normalized_residual(
+        estimate_dc(CRITICAL_H, CRITICAL_Z, np.full(3, sigma ** -2.0)))
+    assert verdict.critical_meters == (3,)
+    assert verdict.suspect_meter == 1
+    assert verdict.ambiguous
+
+
+def test_lnr_verdict_does_not_move_when_every_sigma_scales():
+    # dividing every sigma by 2^j multiplies W by 4^j: the estimate, the
+    # residual and S_ii = 1 - w_i hat_ii stay bit for bit and each
+    # sqrt(Omega_ii) is divided by exactly 2^j, so the statistic is
+    # multiplied by exactly 2^j and the critical meters, the suspect and
+    # the tie do not move, from sigma near 1e-14 to near 1e10
+    rng = np.random.default_rng(47)
+    h = with_radial_bus(rng, 1)
+    z = h @ rng.uniform(-0.2, 0.2, h.shape[1])
+    z[0] += 0.5  # one clear suspect, tied with no other meter
+    for h, z, w in ((CRITICAL_H, CRITICAL_Z, W),
+                    (h, z, rng.uniform(1e3, 1e5, size=len(z)))):
+        base = largest_normalized_residual(estimate_dc(h, z, w))
+        for j in range(-40, 41):
+            verdict = largest_normalized_residual(estimate_dc(h, z, w * 4.0 ** j))
+            assert verdict.statistic == math.ldexp(base.statistic, j)
+            assert (verdict.critical_meters, verdict.suspect_meter,
+                    verdict.ambiguous) == (base.critical_meters,
+                                           base.suspect_meter, base.ambiguous)
+    assert len(z) in base.critical_meters and not base.ambiguous
 
 
 def test_normalized_residuals_invariant_under_sigma_rescaling():
@@ -368,8 +404,9 @@ def lnr_by_hand(estimate):
     """Omega's diagonal, the critical meters and the LNR statistic, from
     the factor's hat diagonal and weights alone."""
     w = estimate.factor.weights
-    omega = (1.0 - w * estimate.factor.hat_diagonal) / w
-    usable = omega > 1e-14
+    sensitivity = 1.0 - w * estimate.factor.hat_diagonal
+    omega = sensitivity / w
+    usable = sensitivity > 1e-10
     normalized = np.abs(estimate.residual[usable]) / np.sqrt(omega[usable])
     critical = tuple(int(i) + 1 for i in np.flatnonzero(~usable))
     return omega, critical, float(np.max(normalized))

@@ -11,12 +11,14 @@ so every run checks the same examples.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridse import (
     DetectorConfig,
     MeasurementConfig,
+    UnobservableNetwork,
     build_meter_model,
     estimate_dc,
     factor_gain,
@@ -24,7 +26,7 @@ from gridse import (
     run_detector,
     weights_from_config,
 )
-from gridse.baddata import OMEGA_FLOOR, TIE_TOLERANCE
+from gridse.baddata import TIE_TOLERANCE
 from helpers import dc_meter_candidates, estimator_accepts, random_network
 
 EXAMPLES = settings(derandomize=True, database=None, deadline=None,
@@ -80,8 +82,9 @@ def test_lnr_names_the_meter_of_a_single_gross_error(grid, data):
     # that ties it (a critical pair) must make the verdict ambiguous
     h, w, sigmas, rng = grid
     factor = factor_gain(h, w)
-    omega = (1.0 - w * factor.hat_diagonal) / w
-    i = data.draw(st.sampled_from(np.flatnonzero(omega > OMEGA_FLOOR).tolist()))
+    omega, critical = factor.omega_terms[:2]
+    i = data.draw(st.sampled_from([i for i in range(len(w))
+                                   if i + 1 not in critical]))
     z = h @ rng.uniform(-0.2, 0.2, h.shape[1])
     z[i] += 50.0 * sigmas[i]
     estimate = factor.estimate(z)
@@ -89,3 +92,28 @@ def test_lnr_names_the_meter_of_a_single_gross_error(grid, data):
     own = abs(estimate.residual[i]) / np.sqrt(omega[i])
     assert own >= verdict.statistic - TIE_TOLERANCE
     assert verdict.suspect_meter == i + 1 or verdict.ambiguous
+
+
+@EXAMPLES
+@given(metered_grids())
+def test_lnr_critical_meters_are_the_rows_the_gain_cannot_lose(grid):
+    # LNR calls a meter critical when S_ii = 1 - w_i hat_ii vanishes, and
+    # factor_gain accepts rows by pivoted rank and condition: the two rules
+    # must agree. A critical meter's residual stays zero whatever its
+    # reading, and H without its row is refused; H without any other
+    # meter's row is accepted.
+    h, w, sigmas, rng = grid
+    factor = factor_gain(h, w)
+    critical = factor.omega_terms[1]
+    z = h @ rng.uniform(-0.2, 0.2, h.shape[1]) + rng.normal(size=len(w)) * sigmas
+    for i in range(len(w)):
+        rest = np.arange(len(w)) != i
+        if i + 1 not in critical:
+            factor_gain(h[rest], w[rest])
+            continue
+        moved = z.copy()
+        moved[i] += rng.uniform(-1e3, 1e3)
+        assert abs(factor.estimate(moved).residual[i]) \
+            <= RESIDUAL_RTOL * np.max(np.abs(moved))
+        with pytest.raises(UnobservableNetwork):
+            factor_gain(h[rest], w[rest])

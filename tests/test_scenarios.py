@@ -19,6 +19,8 @@ from gridse import (
     ScenarioReport,
     emit_report,
     build_meter_model,
+    chi_square_test,
+    estimate_ac,
     estimate_dc,
     factor_gain,
     largest_normalized_residual,
@@ -39,7 +41,9 @@ from helpers import (
     CASES_DIR,
     SCENARIO_FILES,
     THREE_BUS,
+    full_ac_config,
     load_three_bus,
+    random_ac_state,
     random_network,
 )
 
@@ -514,6 +518,52 @@ def test_monte_carlo_trials_are_the_public_detectors_bit_for_bit(
     assert stats.detection_rate == sum(verdicts["attacked"]) / trials
     # the thresholds split the trials, so a verdict could go either way
     assert 0 < sum(verdicts["clean"]) < trials
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["row-pattern", "dense"])
+def test_chi_square_statistic_is_the_dc_weighted_objective_bit_for_bit(
+        tmp_path, dense):
+    # the detector sums r^T W r from the residual and the factor's weights,
+    # as the estimator sums objective_weighted, on either gain path
+    parsed = parse_case(grid_case(tmp_path, dense).read_text())
+    h = build_meter_model(parsed.network, parsed.config).dc_matrix
+    estimate = estimate_dc(h, parsed.values, weights_from_config(parsed.config))
+    assert (estimate.factor.pattern is None) == dense
+    assert float.hex(chi_square_test(estimate).statistic) \
+        == float.hex(estimate.objective_weighted)
+
+
+def test_chi_square_statistic_is_the_ac_weighted_objective_bit_for_bit():
+    rng = np.random.default_rng(48)
+    net = random_network(rng, 6, lossy=True)
+    model = build_meter_model(net, full_ac_config(net))
+    z = simulate_measurements(model, random_ac_state(rng, net), "ac", seed=9)
+    estimate = estimate_ac(model, z, weights_from_config(model.config))
+    assert float.hex(chi_square_test(estimate).statistic) \
+        == float.hex(estimate.objective_weighted)
+
+
+# Two-sided normal tail probability below which a gap between the mean
+# statistic and its expectation fails the test, as bench/workloads.py
+# bounds false alarms.
+CALIBRATION_P_FLOOR = 1e-6
+# About one second of trials on the 30-bus case below.
+CALIBRATION_TRIALS = 10_000
+
+
+def test_chi_square_statistic_has_mean_m_minus_k_under_noise_alone(tmp_path):
+    # with Gaussian noise alone r^T W r is chi-square with m - k degrees of
+    # freedom: mean m - k and variance 2 (m - k), so the mean of N trials
+    # is m - k within a normal quantile times sqrt(2 (m - k) / N)
+    from scipy.stats import norm
+
+    path = grid_case(tmp_path, dense=False)
+    parsed = parse_case(path.read_text())
+    m, k = build_meter_model(parsed.network, parsed.config).dc_matrix.shape
+    stats = run_monte_carlo(path, trials=CALIBRATION_TRIALS)
+    bound = norm.isf(CALIBRATION_P_FLOOR / 2) \
+        * np.sqrt(2.0 * (m - k) / CALIBRATION_TRIALS)
+    assert abs(np.mean(stats.unattacked_statistics) - (m - k)) <= bound
 
 
 def test_monte_carlo_rejects_an_attack_whose_hc_overflows():
