@@ -196,7 +196,7 @@ def _first_outputs(words: np.ndarray) -> np.ndarray:
     return (word >> rot) | (word << ((u[64] - rot) & u[63]))
 
 
-def _normals(outputs: np.ndarray, scales: np.ndarray, state) -> np.ndarray:
+def _normals(outputs: np.ndarray, scales: np.ndarray, states) -> np.ndarray:
     """out[r, c] = 0.0 + scales[c] * x, numpy's ``random_standard_normal``
     of a stream whose next output is outputs[r, c], as
     ``Generator.normal(0.0, scales[c])`` computes it.
@@ -205,8 +205,9 @@ def _normals(outputs: np.ndarray, scales: np.ndarray, state) -> np.ndarray:
     8 and rabs from bits 9..60. It returns x = rabs * wi[layer], negated
     when the sign bit is set, if rabs < ki[layer] (about 99 % of draws).
     Any other draw (the base layer's tail and the wedges) reads more
-    outputs, so it is made by ``normal`` itself, from ``state(r, c)``: that
-    stream's ``PCG64.state`` before the output.
+    outputs, so it is made by ``normal`` itself. ``states`` is called once,
+    with the rows and the columns of all those draws, and gives each one's
+    stream's ``PCG64.state`` before its output.
     """
     u = _U64
     layer = outputs & u[0xFF]
@@ -216,11 +217,12 @@ def _normals(outputs: np.ndarray, scales: np.ndarray, state) -> np.ndarray:
     # loc + scale * x with loc = 0, which turns -0.0 into +0.0; a fused
     # multiply-add in numpy's C would give the same bits
     noise = 0.0 + scales * x
-    rejected = np.argwhere(rabs >= _KI[layer])
-    if len(rejected):
+    rows, cols = np.nonzero(rabs >= _KI[layer])
+    if len(rows):
         generator = np.random.Generator(np.random.PCG64(0))
-        for r, c in rejected.tolist():
-            generator.bit_generator.state = state(r, c)
+        for r, c, state in zip(rows.tolist(), cols.tolist(),
+                               states(rows, cols)):
+            generator.bit_generator.state = state
             noise[r, c] = generator.normal(0.0, scales[c])
     return noise
 
@@ -243,8 +245,8 @@ def _meter_noise(seeds, scales: np.ndarray) -> np.ndarray:
     entropy[counts[fits], fits] = np.arange(len(scales), dtype=np.uint32)
     words = _seed_words(entropy.reshape(_POOL_WORDS, -1))
     outputs = _first_outputs(words).reshape(len(seeds), len(scales))
-    noise = _normals(outputs, scales, lambda r, c: _pcg64_states(
-        words[:, r * len(scales) + c, None])[0])
+    noise = _normals(outputs, scales, lambda rows, cols: _pcg64_states(
+        words[:, rows * len(scales) + cols]))
     for r in np.flatnonzero(~fits):
         noise[r] = [np.random.default_rng([seeds[r], c]).normal(0.0, scale)
                     for c, scale in enumerate(scales.tolist())]

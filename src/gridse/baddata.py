@@ -14,7 +14,11 @@ Monte Carlo trial, which builds no result, evaluate that one function.
   upper-alpha quantile of chi-square with m - k degrees of freedom, for the
   m x k matrix H of the factor. The sum is taken from the residual and the
   factor's weights, as ``GainFactor.estimate`` (dc) and ``estimate_ac``
-  take ``objective_weighted``, so the two are equal bit for bit.
+  take ``objective_weighted``, so the two are equal bit for bit. The
+  quantile is 2 * gammaincinv((m - k) / 2, 1 - alpha) from scipy.special,
+  the expression SciPy's ``chi2.ppf(1 - alpha, m - k)`` evaluates, so it
+  is that quantile bit for bit, and SciPy's statistics package, which
+  would double the package's start-up, is never imported.
 * ``lnr``: largest normalized residual. With the residual sensitivity
   S = I - H G^-1 H^T W and residual covariance Omega = S R
   (R = diag(sigma^2)), each r_i^N = |r_i| / sqrt(Omega_ii); flag when the
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import (
     MalformedDocument,
@@ -152,7 +156,7 @@ def _resolve(config: DetectorConfig, factor: GainFactor
         if m <= k:
             raise NoRedundancy(f"{m} meters cannot test a {k}-dimensional state")
         return (lambda r: _weighted(r, factor.weights),
-                float(chi2.ppf(1.0 - config.alpha, m - k)))
+                float(2.0 * gammaincinv((m - k) / 2, 1.0 - config.alpha)))
     _, _, usable, root = factor.omega_terms
     if not len(usable):
         raise NumericallySingularOmega(
@@ -198,7 +202,9 @@ def chi_square_test(estimate: EstimationResult,
                     alpha: float = 0.05) -> DetectionResult:
     """The estimate's weighted objective against the chi-square upper-alpha
     quantile with m - k degrees of freedom, for the m x k H of the
-    estimate's gain factor. Without redundancy (m <= k) the test is
+    estimate's gain factor. The quantile is taken as 2 * gammaincinv((m -
+    k) / 2, 1 - alpha) (scipy.special), which is SciPy's ``chi2.ppf(1 -
+    alpha, m - k)`` bit for bit. Without redundancy (m <= k) the test is
     undefined and NoRedundancy is raised; an ``alpha`` outside (0, 1)
     raises InvalidArgument."""
     return run_detector(DetectorConfig(method="chi_square",

@@ -34,12 +34,14 @@ an ac scenario with one of them is rejected.
 Reports render as a fixed-width table (columns: Case, False Data Injection
 Attack, State Variables, Squared Error, Bad Data Detection, followed by
 per-detector detail lines) or as one JSON object with stable keys; floats
-are printed with 6 significant digits in both.
+are printed with 6 significant digits in both, and one that is not finite
+is inf in the table and null in the JSON, which stays RFC 8259 JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,7 +130,8 @@ class ScenarioReport:
     converged: bool = True
 
     def as_dict(self) -> dict:
-        """The machine rendering, floats rounded to 6 significant digits."""
+        """The machine rendering, floats rounded to 6 significant digits and
+        a non-finite one (an overflowed residual or statistic) as None."""
         return {
             "name": self.name,
             "attacked": self.attacked,
@@ -170,6 +173,8 @@ class MonteCarloStats:
     unattacked_statistics: tuple[float, ...] = ()
 
     def as_dict(self) -> dict:
+        """The machine rendering, floats rounded to 6 significant digits and
+        a non-finite one (a mean statistic that overflowed) as None."""
         return {
             "trials": self.trials,
             "detection_rate": _round6(self.detection_rate),
@@ -180,8 +185,10 @@ class MonteCarloStats:
         }
 
 
-def _round6(x: float) -> float:
-    return float(f"{float(x):.6g}")
+def _round6(x: float) -> float | None:
+    """x to 6 significant digits; None, JSON's null, if it is not finite."""
+    x = float(x)
+    return float(f"{x:.6g}") if math.isfinite(x) else None
 
 
 def _fmt(x: float) -> str:
@@ -540,24 +547,29 @@ def _render_table(reports: Sequence[ScenarioReport]) -> str:
 
 
 def _render_monte_carlo(stats: MonteCarloStats) -> str:
-    pairs = stats.as_dict()
+    # the machine report's keys, each float printed from its own field, so
+    # one that is not finite reads inf, not None
+    pairs = {key: _fmt(getattr(stats, key)) if key != "trials" else stats.trials
+             for key in stats.as_dict()}
     width = max(len(k) for k in pairs)
-    return "".join(f"{k.ljust(width)}  {_fmt(v) if isinstance(v, float) else v}\n"
-                   for k, v in pairs.items())
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in pairs.items())
 
 
 def emit_report(report, format: str = "table") -> str:
     """Render a scenario report, a sequence of them, or Monte Carlo stats.
 
     ``table`` is the fixed-width human layout; ``machine`` is a single JSON
-    object with stable keys. Identical inputs give byte-identical output.
-    Anything else to render, or another format, raises InvalidArgument.
+    object with stable keys. It is always RFC 8259 JSON: a float that is
+    not finite (a residual or statistic that overflowed) is written as
+    null, while the table prints it as inf. Identical inputs give
+    byte-identical output. Anything else to render, or another format,
+    raises InvalidArgument.
     """
     if format not in ("table", "machine"):
         raise InvalidArgument(f"format must be 'table' or 'machine', got {format!r}")
     if isinstance(report, MonteCarloStats):
         if format == "machine":
-            return json.dumps(report.as_dict()) + "\n"
+            return json.dumps(report.as_dict(), allow_nan=False) + "\n"
         return _render_monte_carlo(report)
     reports = [report] if isinstance(report, ScenarioReport) else report
     if not isinstance(reports, Sequence) or not all(
@@ -565,6 +577,7 @@ def emit_report(report, format: str = "table") -> str:
         raise InvalidArgument(f"cannot render {report!r} as a report")
     if format == "machine":
         if len(reports) == 1 and isinstance(report, ScenarioReport):
-            return json.dumps(reports[0].as_dict()) + "\n"
-        return json.dumps({"scenarios": [r.as_dict() for r in reports]}) + "\n"
+            return json.dumps(reports[0].as_dict(), allow_nan=False) + "\n"
+        return json.dumps({"scenarios": [r.as_dict() for r in reports]},
+                          allow_nan=False) + "\n"
     return _render_table(reports)

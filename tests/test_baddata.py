@@ -165,6 +165,28 @@ def test_chi_square_quantiles_match_oracle():
             )
 
 
+@pytest.fixture(scope="module")
+def chi2_estimates():
+    """An estimate with m - k = dof for each dof the threshold test covers."""
+    dofs = (*range(1, 201), 10**3, 10**5, 10**6)
+    return {dof: estimate_dc(np.ones((dof + 1, 1)), np.zeros(dof + 1),
+                             np.ones(dof + 1)) for dof in dofs}
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 1e-3, 0.05, 0.5, 0.999999])
+def test_chi_square_threshold_is_scipy_stats_chi2_ppf_bit_for_bit(
+        alpha, chi2_estimates):
+    # the library takes the quantile from scipy.special; it must be the
+    # number scipy.stats' chi2.ppf gives, to the last bit
+    from scipy.stats import chi2
+
+    config = DetectorConfig(method="chi_square", alpha=alpha)
+    differ = [dof for dof, est in chi2_estimates.items()
+              if run_detector(config, est).threshold_used.hex()
+              != float(chi2.ppf(1 - alpha, dof)).hex()]
+    assert differ == []
+
+
 def test_lnr_base_case_ties_below_threshold():
     _, _, h = load_three_bus()
     verdict = largest_normalized_residual(base_estimate(h))

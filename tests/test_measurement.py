@@ -423,7 +423,7 @@ def test_noise_of_a_forced_word_is_numpys_normal(word, scale, reads):
     expected, read = normal_of(word, scale)
     assert read == reads
     noise = _normals(np.array([[word]], dtype=np.uint64), np.array([scale]),
-                     lambda r, c: state_before(word))
+                     lambda rows, cols: [state_before(word)] * len(rows))
     # bit for bit, so a negative zero would fail
     assert noise.tobytes() == np.float64(expected).tobytes()
 

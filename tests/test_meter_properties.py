@@ -1,10 +1,13 @@
 """Properties of the compiled linear meter model and the estimate, on
 generated networks.
 
-Each example is a random connected grid of 3 to 30 buses, some of its
+Each dc example is a random connected grid of 3 to 30 buses, some of its
 branches doubled by a parallel one, metered by every dc meter (both flow
 ends and every injection) in a random order, with readings H x + noise.
-Runs are derandomized, so every run checks the same examples.
+Each ac example is a lossy grid of the same sizes with line shunts and
+parallel branches, metered by every ac meter (p and q flows at both ends,
+injections, voltages and both ends' currents), at a random state. Runs are
+derandomized, so every run checks the same examples.
 """
 
 import dataclasses
@@ -18,9 +21,16 @@ from gridse import (
     build_meter_model,
     chi_square_test,
     estimate_dc,
+    free_vector,
     weights_from_config,
 )
-from helpers import dc_meter_candidates, random_network
+from helpers import (
+    dc_meter_candidates,
+    full_ac_config,
+    random_ac_state,
+    random_network,
+)
+from test_measurement import finite_difference_jacobian
 
 EXAMPLES = settings(derandomize=True, database=None, deadline=None,
                     max_examples=40)
@@ -71,3 +81,24 @@ def test_reversing_a_flow_meter_negates_its_row(grid, data):
     np.testing.assert_array_equal(reversed_h[i], -h[i])
     others = np.arange(len(specs)) != i
     np.testing.assert_array_equal(reversed_h[others], h[others])
+
+
+@st.composite
+def ac_metered_grids(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = random_network(rng, draw(st.integers(3, 30)), lossy=True,
+                         shunts=True, parallel=draw(st.integers(0, 3)))
+    model = build_meter_model(net, full_ac_config(net, currents=True))
+    state = random_ac_state(rng, net, angle_span=0.3, mag_span=0.1)
+    return model, free_vector(net, state, "ac")
+
+
+@EXAMPLES
+@given(ac_metered_grids())
+def test_ac_jacobian_matches_finite_differences(grid):
+    # central differences of h(x) at step 1e-6 agree with the analytic J(x)
+    # to 1e-6, scaled by the largest reading where that exceeds 1
+    model, x0 = grid
+    bound = 1e-6 * max(1.0, np.max(np.abs(model.values(x0))))
+    error = np.abs(model.jacobian(x0) - finite_difference_jacobian(model, x0))
+    assert np.max(error) <= bound

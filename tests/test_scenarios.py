@@ -37,6 +37,7 @@ from gridse import (
     state_from_free,
     weights_from_config,
 )
+from gridse.errors import _decode_json
 from helpers import (
     CASES_DIR,
     SCENARIO_FILES,
@@ -189,6 +190,52 @@ def test_machine_report_keeps_convergence_and_lnr_details():
     assert clean["converged"] is True
     assert clean["verdicts"][0]["suspect_meter"] is None
     assert clean["verdicts"][0]["critical_meters"] == []
+
+
+def test_machine_report_of_overflowed_statistics_is_strict_json(tmp_path):
+    # squared residuals past float range give inf statistics: the machine
+    # report writes them as null, so gridse's own strict reader parses it,
+    # and the table still prints inf
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "overflow", "case": str(THREE_BUS),
+        "measurements": {"values": [1e308, 1e308, -1e308]},
+        "detectors": [{"method": "chi_square"},
+                      {"method": "norm_threshold", "tau": 1.0},
+                      {"method": "lnr"}]}))
+    report = run_scenario(load_scenario(path))
+    parsed = _decode_json(emit_report(report, format="machine"))
+    assert parsed["squared_error_raw"] is None
+    assert parsed["objective_weighted"] is None
+    assert [v["statistic"] is None for v in parsed["verdicts"]] == [
+        True, False, True]
+    assert [v["detected"] for v in parsed["verdicts"]] == [
+        v.detected for v in report.verdicts] == [True, True, True]
+    assert parsed["verdicts"][1]["statistic"] == 9.759e306
+    table = emit_report(report, format="table").splitlines()
+    assert table[2].split()[4] == "inf"
+    assert table[3:] == [
+        "  overflow: chi_square statistic=inf threshold=3.84146 -> Detected",
+        "  overflow: norm_threshold statistic=9.759e+306 threshold=1 -> "
+        "Detected",
+        "  overflow: lnr statistic=inf threshold=3 -> Detected"]
+
+
+def test_monte_carlo_report_of_an_overflowed_mean_is_strict_json():
+    stats = MonteCarloStats(trials=2, detection_rate=1.0,
+                            false_alarm_rate=0.5, mean_statistic=np.inf,
+                            interval_low=0.2, interval_high=1.0)
+    parsed = _decode_json(emit_report(stats, format="machine"))
+    assert parsed == {"trials": 2, "detection_rate": 1.0,
+                      "false_alarm_rate": 0.5, "mean_statistic": None,
+                      "interval_low": 0.2, "interval_high": 1.0}
+    assert emit_report(stats, format="table") == (
+        "trials            2\n"
+        "detection_rate    1\n"
+        "false_alarm_rate  0.5\n"
+        "mean_statistic    inf\n"
+        "interval_low      0.2\n"
+        "interval_high     1\n")
 
 
 def test_table_report_matches_known_rows():
