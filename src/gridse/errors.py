@@ -102,6 +102,8 @@ class NumericallySingularOmega(NumericalError):
 # numbers.Real alone would do, but its ABC check is slow on hot paths.
 _REAL_TYPES = (float, int, np.floating, np.integer, numbers.Real)
 _INTEGER_TYPES = (int, np.integer)
+# The largest float whose reciprocal overflows: 1/x is finite for x above it.
+_RECIPROCAL_FLOOR = 2.0 ** -1024
 
 
 def _shown(value) -> str:
@@ -149,23 +151,32 @@ def _array(value, name: str, shape: tuple | None = None, *,
            positive: bool = False, error: type = DimensionMismatch) -> np.ndarray:
     """value as a float array.
 
-    Entries that do not convert (not numbers, ragged, or too large for a
-    float) raise InvalidArgument, and so do entries that are not finite with
-    ``finite``, or not positive and finite with ``positive``. A shape other
-    than ``shape``, or a dimension count other than ``ndim``, raises error.
+    Entries that do not convert (not numbers, complex, ragged, or too large
+    for a float) raise InvalidArgument, unwarned, and so do entries that
+    are not finite with ``finite``, or with ``positive`` entries that are
+    not finite and above 2^-1024, the positive floats whose reciprocal is
+    finite too. A shape other than ``shape``, or a dimension count other
+    than ``ndim``, raises error.
     """
     try:
-        array = np.asarray(value, dtype=float)
+        array = np.asarray(value)
+        # a cast to float would drop a complex entry's imaginary part
+        real = array.dtype.kind != "c"
+        array = array.astype(float, copy=False) if real else array
     except (TypeError, ValueError, OverflowError):
         raise InvalidArgument(f"{name} must be an array of numbers") from None
+    if not real:
+        raise InvalidArgument(f"{name} must be an array of real numbers, "
+                              f"got {array.dtype}")
     if shape is not None and array.shape != shape \
             or ndim is not None and array.ndim != ndim:
         expected = shape if shape is not None else f"{ndim} dimensions"
         raise error(f"{name} has shape {array.shape}, expected {expected}")
-    if positive and not np.all((array > 0.0) & (array < np.inf)) \
-            or finite and not np.isfinite(array).all():
-        raise InvalidArgument(
-            f"{name} must be {'positive and ' if positive else ''}finite")
+    if positive and not np.all((array > _RECIPROCAL_FLOOR) & (array < np.inf)):
+        raise InvalidArgument(f"{name} must be finite and above 2^-1024, "
+                              f"so that its reciprocal is finite")
+    if finite and not np.isfinite(array).all():
+        raise InvalidArgument(f"{name} must be finite")
     return array
 
 

@@ -17,10 +17,17 @@ diagonal gathered from the inverse gain at each row's nonzeros, never from
 the dense m x k H; a denser H takes the dense product and triangular solve.
 The two paths sum in another order, so their results agree to rounding
 (about 1e-16 relative for a gain, 1e-13 for the hat diagonal), not bit for
-bit. The gain is exactly symmetric, so ``pstrf`` factors it in place, and
-the guard's 1-norm of the leading block is summed from |G| at the gain's
-nonzeros, read before the factor overwrites them, bit for bit the dense
-block's column sums. A sparse gain thus makes no second k x k array; a
+bit. The row pattern is an input of the one gain routine: found from a
+dense H's nonzeros (dc estimates, attacks, protection), or the one the
+meter model compiled for every Jacobian (each Gauss-Newton iterate and the
+returned state of :func:`estimate_ac`), whose pairs of entries are
+enumerated once per model. A compiled pattern may hold zeros of H; each
+adds exactly +-0 to a sum, so the factor is bit for bit the one the found
+pattern gives, and the path is chosen by H's own nonzeros. The gain is
+exactly symmetric, so ``pstrf`` factors it in place, and the guard's
+1-norm of the leading block is summed from |G| at the gain's nonzeros,
+read before the factor overwrites them, bit for bit the dense block's
+column sums. A sparse gain thus makes no second k x k array; a
 dense one's gather (its columns and |G|) is the size of the ``pstrf`` copy
 and dense |G| it replaces, and below full rank it is freed once the leading
 rows' runs are gathered from it. Below full rank ``pocon`` still gets a
@@ -53,6 +60,7 @@ from .errors import (
 )
 from .measurement import (
     MeterModel,
+    RowPattern,
     StateVector,
     build_meter_model,
     flat_state,
@@ -89,11 +97,11 @@ class GainFactor:
     guarantees. H and W are kept by reference and must not be modified
     while the factor is in use.
 
-    ``pattern`` is H's row pattern when the gain was summed from it (the
-    widest row of H has w nonzeros with w^2 <= k), else None: every ordered
-    pair of nonzeros (a, b) that share a row, row by row, as four arrays of
-    their row, column a, column b and the product of their 2^-shift H
-    values.
+    ``pattern`` is the row pattern the gain was summed from (the widest row
+    of H has w nonzeros with w^2 <= k), else None. It covers every nonzero
+    of H and may hold zeros of H too, when the meter model compiled it.
+    ``products`` holds, for each of its ``pairs`` in order, the product of
+    the pair's two 2^-shift H values, +-0 at a zero of H.
     """
 
     h: np.ndarray
@@ -104,7 +112,8 @@ class GainFactor:
     piv: np.ndarray
     rank: int
     condition: float
-    pattern: tuple[np.ndarray, ...] | None = None
+    pattern: RowPattern | None = None
+    products: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The weighted least-squares solve of a meter-space vector:
@@ -161,13 +170,13 @@ class GainFactor:
                                  trans="T", lower=False, overwrite_b=True)
             leverage = np.einsum("ij,ij->j", y, y)
         else:
-            rows, a, b, products = self.pattern
+            _, _, rows, a, b, _ = self.pattern.pairs
             inverse = lapack.dpotri(self.upper)[0]  # only its upper triangle
             position = np.empty_like(self.piv)
             position[self.piv] = np.arange(len(self.piv))
             a, b = position[a], position[b]
-            leverage = np.bincount(rows, products * inverse[np.minimum(a, b),
-                                                            np.maximum(a, b)],
+            leverage = np.bincount(rows, self.products
+                                   * inverse[np.minimum(a, b), np.maximum(a, b)],
                                    len(self.h))
         return leverage * np.ldexp(self.scale, self.shift) / self.weights
 
@@ -259,53 +268,53 @@ def _lead_norms(col: np.ndarray, size: np.ndarray, starts: np.ndarray,
         yield np.bincount(col[:ends[r - 1]], size[:ends[r - 1]], k)[:r].max()
 
 
-def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
+def _pivoted_gain(h: np.ndarray, weights: np.ndarray,
+                  pattern: RowPattern | None = None) -> GainFactor:
     """The scaled, pivoted gain factor of (h, weights), of any rank: ``pstrf``
     stops at a pivot of at most max diag(G) / CONDITION_LIMIT, then the rank
     drops until the leading block's condition estimate is at most
     CONDITION_LIMIT. A zero or column-free gain has rank 0 and piv 0..k-1;
     an h that is not finite raises UnobservableNetwork.
 
-    The gain is summed from h's row pattern when its widest row has w
-    nonzeros with w^2 <= k: one ``bincount`` over the products of every
-    pair of nonzeros in a row, in row order, so the sum is deterministic.
-    There are at most m w^2 <= m k such pairs, never more than h has
-    entries. A denser h takes ``rows.T @ rows``, which numpy runs as SYRK.
-    The two sum the same products in another order, so a gain differs
-    between them only in the last bits; the guard is the same on both.
-    Either gain is exactly symmetric, so its transpose is itself in Fortran
-    order and ``pstrf``, which reads and writes only the upper triangle,
-    factors it without a copy; the guard's 1-norms come from
+    ``pattern`` is h's row pattern when the caller has one compiled (every
+    nonzero of h must lie in it), else it is found from h's nonzeros. The
+    gain is summed from the pattern when h's widest row has w nonzeros
+    (counted in h, not in the pattern) with w^2 <= k: one ``bincount`` over
+    the products of the pattern's pairs (see ``RowPattern.pairs``, cached
+    on the pattern), in row order, so the sum is deterministic. There are
+    at most m w^2 <= m k pairs of nonzeros, never more than h has entries.
+    A pair at a zero of h adds a product of exactly +-0, which leaves every
+    partial sum as it is, so a compiled pattern and the found one give the
+    same gain bit for bit. A denser h takes ``rows.T @ rows``, which numpy
+    runs as SYRK. The two sum the same products in another order, so a gain
+    differs between them only in the last bits; the guard is the same on
+    both. Either gain is exactly symmetric, so its transpose is itself in
+    Fortran order and ``pstrf``, which reads and writes only the upper
+    triangle, factors it without a copy; the guard's 1-norms come from
     :func:`_lead_norms`, on |G| gathered at the nonzeros first.
     """
     m, k = h.shape
-    flat = np.flatnonzero(h != 0.0)  # NaN and inf are nonzero too
-    starts = np.searchsorted(flat, np.arange(m + 1) * k)
-    counts = np.diff(starts)
-    sparse = int(counts.max(initial=0)) ** 2 <= k
-    values = np.take(h, flat) if sparse else h
+    if pattern is None:
+        pattern = RowPattern.of(h)
+        width = int(np.diff(pattern.starts).max(initial=0))
+        values = np.take(h, pattern.flat) if width * width <= k else h
+    else:
+        values = np.take(h, pattern.flat)
+        width = int(np.bincount(pattern.row, values != 0.0, m).max(initial=0))
     top = max(values.max(initial=0.0), -values.min(initial=0.0))  # or NaN
     if not top < np.inf:
         raise UnobservableNetwork("H is not finite")
     shift = int(np.frexp(top)[1])
     even = np.frexp(np.max(weights, initial=0.0))[1] // 2 * 2
-    pattern = None
-    if sparse:
-        # every ordered pair (a, b) of nonzeros in one row, row by row
-        row = np.repeat(np.arange(m), counts)
-        col = flat - row * k
-        length = counts[row]
-        a = np.repeat(np.arange(len(flat)), length)
-        b = np.arange(len(a)) + np.repeat(starts[row] - np.cumsum(length) + length,
-                                          length)
+    if width * width <= k:
+        first, second, pair_row, _, _, key = pattern.pairs
         scaled = np.ldexp(values, -shift)
-        pattern = pair_row, left, right, products = \
-            row[a], col[a], col[b], scaled[a] * scaled[b]
+        products = scaled[first] * scaled[second]
         # no pairs at all sum to integer zeros
-        gain = np.bincount(left * k + right, products
-                           * np.ldexp(weights, -even)[pair_row], k * k) \
-            .reshape(k, k).astype(float, copy=False)
+        gain = np.bincount(key, products * np.ldexp(weights, -even)[pair_row],
+                           k * k).reshape(k, k).astype(float, copy=False)
     else:
+        pattern = products = None
         rows = h * np.ldexp(np.sqrt(np.ldexp(weights, -even)), -shift)[:, None]
         gain = rows.T @ rows  # numpy takes SYRK for this product
         del rows
@@ -332,7 +341,17 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray) -> GainFactor:
             break
         rank -= 1
     return GainFactor(h, weights, np.ldexp(weights, -(even + shift)), shift,
-                      upper, piv, rank, condition, pattern)
+                      upper, piv, rank, condition, pattern, products)
+
+
+def _full_rank(factor: GainFactor) -> GainFactor:
+    """factor when its rank is its state count k > 0; else
+    UnobservableNetwork."""
+    k = factor.h.shape[1]
+    if not 0 < factor.rank == k:
+        raise UnobservableNetwork(f"gain matrix has numerical rank "
+                                  f"{factor.rank} of {k}")
+    return factor
 
 
 def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
@@ -342,15 +361,13 @@ def factor_gain(h_matrix: np.ndarray, weights: np.ndarray) -> GainFactor:
     gain passes the guard at rank k > 0 is accepted. Raises
     UnobservableNetwork when H is not finite, or the gain is empty, zero,
     not numerically positive definite or its 1-norm condition estimate
-    exceeds CONDITION_LIMIT. No singular value decomposition is taken.
+    exceeds CONDITION_LIMIT, and InvalidArgument for a weight that is not
+    positive and finite with a finite reciprocal. No singular value
+    decomposition is taken.
     """
     h = _array(h_matrix, "H", ndim=2)
-    w = _array(weights, "weights", (h.shape[0],), positive=True)
-    factor = _pivoted_gain(h, w)
-    if not 0 < factor.rank == h.shape[1]:
-        raise UnobservableNetwork(f"gain matrix has numerical rank "
-                                  f"{factor.rank} of {h.shape[1]}")
-    return factor
+    return _full_rank(_pivoted_gain(
+        h, _array(weights, "weights", (h.shape[0],), positive=True)))
 
 
 @dataclass(frozen=True)
@@ -416,6 +433,10 @@ def estimate_ac(model: MeterModel, z: np.ndarray, weights: np.ndarray, *,
             raise InvalidArgument("readings or model values are not finite")
         return r, obj
 
+    def factor_at(vec):  # every J(vec) summed from the model's one pattern
+        return _full_rank(_pivoted_gain(model.jacobian(vec), w,
+                                        model.jacobian_pattern))
+
     r, obj = evaluate(x)
     best = (obj, x, r)
     converged = False
@@ -423,7 +444,7 @@ def estimate_ac(model: MeterModel, z: np.ndarray, weights: np.ndarray, *,
     for iterations in range(1, max_iter + 1):
         # the last step's factor is freed only once this one is built, so
         # glibc does not trim the heap and fault it in again every step
-        factor = factor_gain(model.jacobian(x), w)
+        factor = factor_at(x)
         dx = factor.solve(r)
         x = x + dx
         r, obj = evaluate(x)
@@ -439,4 +460,4 @@ def estimate_ac(model: MeterModel, z: np.ndarray, weights: np.ndarray, *,
     return EstimationResult(
         state=x, residual=r, squared_error_raw=raw,
         objective_weighted=weighted, converged=converged,
-        iterations=iterations, factor=factor_gain(model.jacobian(x), w))
+        iterations=iterations, factor=factor_at(x))

@@ -23,7 +23,11 @@ its meter row, its two ends and the branch parameters; terms come in meter
 order, and voltage meters are a separate row/bus list. The dc matrix H and
 the ac h(x) and J(x) are numpy expressions over these arrays, summed into
 rows with ``np.bincount`` in term order, so each row adds its terms in the
-same order as a meter-by-meter loop would.
+same order as a meter-by-meter loop would. J(x) has one sparsity pattern
+for every x, which the model compiles once, on first use, into a
+:class:`RowPattern` (``jacobian_pattern``); J sums each term into its slot
+of the pattern and scatters the slots into the dense m x k J, and the
+estimator sums every ac gain from that pattern.
 
 Every path builds one model per (network, meter set).
 :func:`simulate_measurements` and ``estimation.estimate_ac`` take the model
@@ -156,6 +160,50 @@ def flat_state(network: NetworkModel, mode: str = "ac") -> StateVector:
 
 
 @dataclass(frozen=True, eq=False)
+class RowPattern:
+    """Where an m x k matrix (``shape``) may hold nonzeros: the row-major
+    flat positions ``flat``, ascending, row i's in
+    ``flat[starts[i]:starts[i + 1]]``. Every nonzero lies at one of them,
+    and a position may hold a zero. Build it from a matrix's own nonzeros
+    with :meth:`of`, or compile it once for every value of a matrix whose
+    pattern is fixed, as :attr:`MeterModel.jacobian_pattern` does. The
+    arrays must not be modified."""
+
+    shape: tuple[int, int]
+    flat: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> RowPattern:
+        """The pattern of h's nonzeros; NaN and inf are nonzero too."""
+        m, k = h.shape
+        flat = np.flatnonzero(h != 0.0)
+        return cls((m, k), flat, np.searchsorted(flat, np.arange(m + 1) * k))
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The row of each position."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.starts))
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, ...]:
+        """Every ordered pair (a, b) of positions in one row, row by row and
+        within a row in position order, enumerated once per pattern: six
+        arrays of a and b (indices into ``flat``), their row, their columns
+        i and j, and the flat position i * k + j of the k x k product H^T H
+        that the pair adds to."""
+        k = self.shape[1]
+        starts, row = self.starts, self.row
+        col = self.flat - row * k
+        length = np.diff(starts)[row]
+        first = np.repeat(np.arange(len(row)), length)
+        second = np.arange(len(first)) \
+            + np.repeat(starts[row] - np.cumsum(length) + length, length)
+        left, right = col[first], col[second]
+        return first, second, row[first], left, right, left * k + right
+
+
+@dataclass(frozen=True, eq=False)
 class MeterModel:
     """One meter set compiled against one network, as flat per-term arrays.
 
@@ -165,7 +213,9 @@ class MeterModel:
     magnitude, and ``g``/``b``/``gs``/``bs``/``inv_x`` hold that branch's
     series admittance, shunt and 1/X. ``columns[t]`` holds the state columns
     of (angle i, angle j, magnitude i, magnitude j), with -1 for the
-    reference angle.
+    reference angle. ``jacobian_pattern`` is where J(x) may hold nonzeros
+    at any x, compiled on first use with the slot of the pattern each term
+    entry sums into, so that no evaluation of J searches for its pattern.
     """
 
     network: NetworkModel
@@ -233,13 +283,39 @@ class MeterModel:
         d_cur[:, 2] -= apparent / (v_cur * v_cur)
         grad[current] = d_cur
 
+        pattern, keep, term_slot, voltage_slot = self._jacobian_slots
+        slots = _sum_at(term_slot, grad[keep], len(pattern.flat))
+        slots[voltage_slot] = 1.0
+        jac = np.zeros(pattern.shape)
+        jac.put(pattern.flat, slots)
+        return jac
+
+    @property
+    def jacobian_pattern(self) -> RowPattern:
+        """Where J(x) may hold nonzeros at any x, compiled once per model:
+        each term's angle and magnitude columns (not the reference angle's)
+        and each voltage meter's magnitude column. A position may hold a
+        zero at some x, as on a lossless branch at the flat start or on a
+        current meter at |S| = 0."""
+        return self._jacobian_slots[0]
+
+    @cached_property
+    def _jacobian_slots(self) -> tuple[RowPattern, np.ndarray, np.ndarray,
+                                       np.ndarray]:
+        """J's row pattern; which of the term x column entries are kept
+        (those not at the reference angle); the slot of the pattern each
+        kept entry sums into; and the slot of each voltage meter's entry."""
         m, n = len(self.config), self.network.n_buses
         k = 2 * n - 1
         keep = self.columns >= 0
-        index = (self.row[:, None] * k + self.columns)[keep]
-        jac = _sum_at(index, grad[keep], m * k).reshape(m, k)
-        jac[self.voltage_rows, n - 1 + self.voltage_buses] = 1.0
-        return jac
+        entries = np.concatenate([(self.row[:, None] * k + self.columns)[keep],
+                                  self.voltage_rows * k + n - 1
+                                  + self.voltage_buses])
+        flat, slot = np.unique(entries, return_inverse=True)
+        terms = len(entries) - len(self.voltage_rows)
+        return (RowPattern((m, k), flat,
+                           np.searchsorted(flat, np.arange(m + 1) * k)),
+                keep, slot[:terms], slot[terms:])
 
     def _branch_flows(self, x):
         """Bus magnitudes v, then per term v_i, v_j, the P and Q leaving the

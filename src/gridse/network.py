@@ -20,6 +20,7 @@ bus ids or ends that are not non-negative integers are rejected.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -120,10 +121,17 @@ class Branch:
             raise ZeroReactance(
                 f"branch {self.from_bus}-{self.to_bus} has zero reactance"
             )
+        if not (math.isfinite(1.0 / self.reactance_x) and cmath.isfinite(
+                1.0 / complex(self.resistance_r, self.reactance_x))):
+            raise ZeroReactance(
+                f"branch {self.from_bus}-{self.to_bus}: reactance "
+                f"{self.reactance_x!r} is too small for 1/X and the series "
+                f"admittance to be finite")
 
     @property
     def series_admittance(self) -> tuple[float, float]:
-        """(g, b) of 1 / (r + jX); with r = 0 this is (0, -1/X)."""
+        """(g, b) of 1 / (r + jX); with r = 0 this is (0, -1/X). Finite for
+        every Branch."""
         y = 1.0 / complex(self.resistance_r, self.reactance_x)
         return (y.real, y.imag)
 

@@ -20,7 +20,7 @@ from scipy.linalg import lapack
 
 from gridse.errors import UnobservableNetwork
 from gridse.estimation import CONDITION_LIMIT, GainFactor
-from gridse.measurement import _TERM_CODES, MeterModel
+from gridse.measurement import _TERM_CODES, MeterModel, RowPattern
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -212,7 +212,7 @@ def pivoted_gain_with_copies(h: np.ndarray, weights: np.ndarray) -> GainFactor:
         raise UnobservableNetwork("H is not finite")
     shift = int(np.frexp(top)[1])
     even = np.frexp(np.max(weights, initial=0.0))[1] // 2 * 2
-    pattern = None
+    pattern = products = None
     if sparse:
         # every ordered pair (a, b) of nonzeros in one row, row by row
         row = np.repeat(np.arange(m), counts)
@@ -222,8 +222,12 @@ def pivoted_gain_with_copies(h: np.ndarray, weights: np.ndarray) -> GainFactor:
         b = np.arange(len(a)) + np.repeat(starts[row] - np.cumsum(length) + length,
                                           length)
         scaled = np.ldexp(values, -shift)
-        pattern = pair_row, left, right, products = \
+        pair_row, left, right, products = \
             row[a], col[a], col[b], scaled[a] * scaled[b]
+        # the pattern's pair list is this one, not the package's
+        pattern = RowPattern((m, k), flat, starts)
+        pattern.__dict__["pairs"] = (a, b, pair_row, left, right,
+                                     left * k + right)
         # no pairs at all sum to integer zeros
         gain = np.bincount(left * k + right, products
                            * np.ldexp(weights, -even)[pair_row], k * k) \
@@ -246,4 +250,4 @@ def pivoted_gain_with_copies(h: np.ndarray, weights: np.ndarray) -> GainFactor:
             break
         rank -= 1
     return GainFactor(h, weights, np.ldexp(weights, -(even + shift)), shift,
-                      upper, piv, rank, condition, pattern)
+                      upper, piv, rank, condition, pattern, products)

@@ -626,6 +626,18 @@ def test_attack_functions_reject_non_finite_inputs(bad):
         random_stealth_attack(h, magnitude=0.01, seed=1)
 
 
+def test_a_complex_attack_vector_is_refused_not_cast():
+    # a cast to float would drop the imaginary part and call it stealthy
+    _, _, h = load_three_bus()
+    a = h @ SHIFT_SMALL
+    assert verify_stealth(h, a)
+    for bad in (a + 1j, a.astype(complex), [complex(v) for v in a]):
+        with pytest.raises(InvalidArgument, match="real numbers"):
+            verify_stealth(h, bad)
+    with pytest.raises(InvalidArgument, match="real numbers"):
+        verify_stealth(h.astype(complex), a)
+
+
 @pytest.mark.parametrize("bad", ["x", [0.0], 10**400],
                          ids=["text", "ragged", "huge-int"])
 def test_attack_functions_reject_entries_that_are_not_numbers(bad):

@@ -45,6 +45,25 @@ def test_estimate_ac_runs(tmp_path, capsys):
     assert "converged = yes" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("estimate",), ("estimate", "--mode", "ac"),
+    ("detect", "--z", "0.62,0.06,0.37", "--method", "lnr"),
+    ("montecarlo", "--trials", "3", "--attack", "stealth"),
+])
+def test_a_reactance_whose_reciprocal_overflows_is_an_input_error(
+        tmp_path, capsys, argv):
+    # x = 1e-310 makes 1/x overflow: refused at parse time, exit 2, with no
+    # RuntimeWarning on the way (the suite turns those into errors)
+    doc = json.loads(THREE_BUS.read_text())
+    doc["branches"][0]["x"] = 1e-310
+    path = tmp_path / "tiny_x.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, argv[0], "--case", str(path), *argv[1:])
+    assert code == 2
+    assert "reactance 1e-310" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_estimate_ac_underdetermined_is_numerical_error(capsys):
     # flows alone cannot pin the three voltage magnitudes, also at the start
     # when no Gauss-Newton step runs

@@ -12,10 +12,12 @@ equations (gain [[31.25, -25], [-25, 41]], determinant 656.25):
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import gridse.estimation
 from gridse import (
     DimensionMismatch,
     InvalidArgument,
@@ -28,6 +30,7 @@ from gridse import (
     factor_gain,
     flat_state,
     free_vector,
+    largest_normalized_residual,
     simulate_measurements,
     weights_from_config,
 )
@@ -700,3 +703,181 @@ def test_pivoted_gain_makes_no_second_gain_sized_array(kind):
         assert (factor.rank == k) == (kind in ("full", "dense"))
         assert (peak < bound) == (factor_of is _pivoted_gain
                                   or kind.startswith("dense")), peak
+
+
+def assert_compiled_pattern_factor_is_the_found_ones(model, x, w):
+    """The factor of J(x) summed from the model's compiled pattern equals
+    _pivoted_gain(J, w), whose pattern is found from J's nonzeros, bit for
+    bit: the path taken, rank, piv, the leading rank rows of upper (the
+    gain's own memory) and, at full rank, the hat diagonal; the condition
+    estimate to 1e-12. Returns whether the gain was summed from a pattern."""
+    jac = model.jacobian(x)
+    pattern = model.jacobian_pattern
+    assert pattern.shape == jac.shape
+    assert np.isin(np.flatnonzero(jac), pattern.flat).all()
+    found, compiled = _pivoted_gain(jac, w), _pivoted_gain(jac, w, pattern)
+    assert (compiled.pattern is None) == (found.pattern is None)
+    assert compiled.pattern in (None, pattern)
+    assert compiled.rank == found.rank
+    assert compiled.piv.tolist() == found.piv.tolist()
+    assert hexes(compiled.upper[:compiled.rank]) \
+        == hexes(found.upper[:found.rank])
+    if 0 < found.rank == jac.shape[1]:
+        assert hexes(compiled.hat_diagonal) == hexes(found.hat_diagonal)
+    np.testing.assert_allclose(compiled.condition, found.condition,
+                               rtol=1e-12)
+    return compiled.pattern is not None
+
+
+def test_the_compiled_jacobian_pattern_gives_the_found_patterns_factor():
+    rng = np.random.default_rng(44)
+    paths = set()
+    # lossy grids with shunts and parallel branches, away from the flat
+    # start: the pattern holds no zeros
+    for n in (12, 30, 60):
+        net = random_network(rng, n, lossy=True, shunts=True, parallel=2)
+        x = free_vector(net, random_ac_state(rng, net), "ac")
+        for config in (narrow_meters(net, ac=True),
+                       full_ac_config(net, currents=True)):
+            model = build_meter_model(net, config)
+            w = weights_from_config(config) * rng.uniform(0.5, 4.0, len(config))
+            paths.add(assert_compiled_pattern_factor_is_the_found_ones(
+                model, x, w))
+    # lossless branches at the flat start: P reads no magnitude and Q no
+    # angle, so J holds structural zeros, and every current meter reads
+    # |S| = 0 and has a zero row
+    for n in (12, 30):
+        net = random_network(rng, n, parallel=1)
+        model = build_meter_model(net, full_ac_config(net, currents=True))
+        x = free_vector(net, flat_state(net), "ac")
+        jac = model.jacobian(x)
+        assert np.count_nonzero(jac) < len(model.jacobian_pattern.flat)
+        assert not jac.any(axis=1).all()
+        paths.add(assert_compiled_pattern_factor_is_the_found_ones(
+            model, x, weights_from_config(model.config)))
+    assert paths == {True, False}
+
+
+def test_a_compiled_pattern_wider_than_its_matrix_takes_the_matrixs_path():
+    # injections at buses of 4 to 7 neighbours and themselves, on a
+    # lossless 30-bus grid: the pattern's rows are up to 14 wide, more than
+    # sqrt(k) = sqrt(59), but at the flat start J's are at most 7 wide
+    rng = np.random.default_rng(45)
+    net = random_network(rng, 30)
+    k = 2 * 30 - 1
+    near = {bus.id: {bus.id} for bus in net.buses}
+    for br in net.branches:
+        near[br.from_bus].add(br.to_bus)
+        near[br.to_bus].add(br.from_bus)
+    wide = [bus for bus, ends in near.items() if 4 <= len(ends) <= 7]
+    assert wide
+    specs = list(full_ac_config(net).specs)
+    config = MeasurementConfig(specs=tuple(
+        spec for spec in specs if not spec.kind.startswith("injection")
+        or spec.bus in wide))
+    model = build_meter_model(net, config)
+    w = weights_from_config(config)
+    widths = np.diff(model.jacobian_pattern.starts)
+    assert widths.max() ** 2 > k
+    flat = free_vector(net, flat_state(net), "ac")
+    assert np.count_nonzero(model.jacobian(flat), axis=1).max() ** 2 <= k
+    assert assert_compiled_pattern_factor_is_the_found_ones(model, flat, w)
+    # away from the flat start the same rows are as wide as the pattern's,
+    # and both take the dense product
+    moved = free_vector(net, random_ac_state(rng, net), "ac")
+    assert not assert_compiled_pattern_factor_is_the_found_ones(model, moved,
+                                                                w)
+
+
+def test_every_gauss_newton_factor_shares_the_models_pair_list(monkeypatch):
+    rng = np.random.default_rng(46)
+    net = random_network(rng, 60, lossy=True, shunts=True)
+    model = build_meter_model(net, narrow_meters(net, ac=True))
+    z = simulate_measurements(model, random_ac_state(rng, net), "ac", seed=7)
+    factors = []
+
+    def spy(h, weights, pattern=None):
+        factors.append((pattern, _pivoted_gain(h, weights, pattern)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(gridse.estimation, "_pivoted_gain", spy)
+    result = estimate_ac(model, z, weights_from_config(model.config))
+    assert result.converged
+    # one factor per iteration, and one at the returned state
+    assert len(factors) == result.iterations + 1
+    assert result.factor is factors[-1][1]
+    pattern = model.jacobian_pattern
+    pairs = pattern.pairs
+    for given, factor in factors:
+        assert given is pattern and factor.pattern is pattern
+        assert factor.pattern.pairs is pairs
+
+
+def test_complex_arrays_are_refused_not_cast():
+    # a cast to float would drop the imaginary part and estimate z itself
+    _, _, h = load_three_bus()
+    w = np.ones(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((h, BASE_Z + 1j, w), (h, BASE_Z.astype(complex), w),
+                     (h.astype(complex), BASE_Z, w),
+                     (h, BASE_Z, w + 0j)):
+            with pytest.raises(InvalidArgument, match="real numbers"):
+                estimate_dc(*args)
+
+
+def lnr_problem():
+    """A dc problem with one gross error that the LNR test finds, at unit
+    weights: (H, z)."""
+    rng = np.random.default_rng(47)
+    net = random_network(rng, 14)
+    config = random_observable_config(rng, net, min_redundancy=8)
+    h = build_meter_model(net, config).dc_matrix
+    z = h @ rng.normal(0.0, 0.1, h.shape[1]) \
+        + rng.normal(0.0, 0.01, h.shape[0])
+    factor = factor_gain(h, np.ones(len(z)))
+    usable = factor.omega_terms[2]
+    z[usable[0]] += 50.0
+    return h, z
+
+
+@pytest.mark.parametrize("weight", [2.0 ** -1030, 2.0 ** -1074, 2.0 ** -1024])
+def test_weights_whose_reciprocal_overflows_are_refused(weight):
+    h, z = lnr_problem()
+    w = np.full(len(z), 1.0)
+    w[3] = weight
+    rng = np.random.default_rng(48)
+    net = random_network(rng, 5, lossy=True)
+    model = build_meter_model(net, full_ac_config(net))
+    w_ac = np.full(len(model.config), weight)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: factor_gain(h, w), lambda: estimate_dc(h, z, w),
+                     lambda: estimate_ac(model, np.zeros(len(w_ac)), w_ac)):
+            with pytest.raises(InvalidArgument, match="reciprocal"):
+                call()
+
+
+def test_the_smallest_weights_keep_the_lnr_verdict():
+    # 1/w is finite down to just above 2^-1024. At uniform weights w the
+    # LNR statistic scales by sqrt(w) and the suspect, the ambiguity and
+    # the critical meters stay, unwarned; at w = 4^-511 = 2^-1022 with
+    # readings 2^511 z the whole verdict is the one at w = 1, bit for bit
+    h, z = lnr_problem()
+    base = largest_normalized_residual(estimate_dc(h, z, np.ones(len(z))))
+    assert base.detected and base.critical_meters
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = largest_normalized_residual(
+            estimate_dc(h, np.ldexp(z, 511), np.full(len(z), 2.0 ** -1022)))
+        assert scaled == base
+        for weight in (2.0 ** -1022, 2.0 ** -1023, 1.5 * 2.0 ** -1024,
+                       np.nextafter(2.0 ** -1024, 1.0)):
+            verdict = largest_normalized_residual(
+                estimate_dc(h, z, np.full(len(z), weight)))
+            assert (verdict.suspect_meter, verdict.ambiguous,
+                    verdict.critical_meters) \
+                == (base.suspect_meter, base.ambiguous, base.critical_meters)
+            np.testing.assert_allclose(verdict.statistic,
+                                       base.statistic * np.sqrt(weight),
+                                       rtol=1e-12)

@@ -80,11 +80,24 @@ def test_parse_minimal_two_bus_case():
     assert parsed.values is None
 
 
-def test_parse_zero_reactance_is_an_error():
+@pytest.mark.parametrize("x", [0.0, -0.0, 1e-310, -1e-310, 2.0 ** -1024,
+                               5e-324])
+def test_parse_zero_reactance_is_an_error(x):
+    # a reactance whose 1/X or series admittance 1/(r + jX) is not finite
+    # is refused as zero is, in the case file and in code
     doc = three_bus_doc()
-    doc["branches"][0]["x"] = 0.0
+    doc["branches"][0]["x"] = x
     with pytest.raises(ZeroReactance):
         parse_case(json.dumps(doc))
+    with pytest.raises(ZeroReactance):
+        Branch(from_bus=1, to_bus=2, resistance_r=0.05, reactance_x=x)
+
+
+def test_the_smallest_reactance_with_a_finite_reciprocal_is_accepted():
+    x = math.nextafter(2.0 ** -1024, 1.0)
+    for r in (0.0, x, 1.0, 1e308):
+        branch = Branch(from_bus=1, to_bus=2, resistance_r=r, reactance_x=x)
+        assert all(map(math.isfinite, branch.series_admittance))
 
 
 @pytest.mark.parametrize("mutate, error", [
