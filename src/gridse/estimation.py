@@ -296,17 +296,18 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray,
     m, k = h.shape
     if pattern is None:
         pattern = RowPattern.of(h)
-        width = int(np.diff(pattern.starts).max(initial=0))
-        values = np.take(h, pattern.flat) if width * width <= k else h
-    else:
+        sparse = int(np.diff(pattern.starts).max(initial=0)) ** 2 <= k
+        values = np.take(h, pattern.flat) if sparse else h
+    else:  # it may hold zeros of h, so h's own nonzeros are counted
         values = np.take(h, pattern.flat)
-        width = int(np.bincount(pattern.row, values != 0.0, m).max(initial=0))
+        sparse = int(np.bincount(pattern.row, values != 0.0, m)
+                     .max(initial=0)) ** 2 <= k
     top = max(values.max(initial=0.0), -values.min(initial=0.0))  # or NaN
     if not top < np.inf:
         raise UnobservableNetwork("H is not finite")
     shift = int(np.frexp(top)[1])
     even = np.frexp(np.max(weights, initial=0.0))[1] // 2 * 2
-    if width * width <= k:
+    if sparse:
         first, second, pair_row, _, _, key = pattern.pairs
         scaled = np.ldexp(values, -shift)
         products = scaled[first] * scaled[second]

@@ -23,11 +23,9 @@ its meter row, its two ends and the branch parameters; terms come in meter
 order, and voltage meters are a separate row/bus list. The dc matrix H and
 the ac h(x) and J(x) are numpy expressions over these arrays, summed into
 rows with ``np.bincount`` in term order, so each row adds its terms in the
-same order as a meter-by-meter loop would. J(x) has one sparsity pattern
-for every x, which the model compiles once, on first use, into a
-:class:`RowPattern` (``jacobian_pattern``); J sums each term into its slot
-of the pattern and scatters the slots into the dense m x k J, and the
-estimator sums every ac gain from that pattern.
+same order as a meter-by-meter loop would. J(x) has the same sparsity
+pattern at every x; the model compiles it once (``jacobian_pattern``), and
+the estimator sums every ac gain from it.
 
 Every path builds one model per (network, meter set).
 :func:`simulate_measurements` and ``estimation.estimate_ac`` take the model
