@@ -7,7 +7,8 @@ statistic, stays identical. All constructions here work against the constant
 linear meter matrix H (m x k, k = angle state dimension); meter index sets
 are 1-based file order. An H or vector whose entries are not finite
 numbers, or a meter index that is not a non-negative integer (a bool is
-not one), raises InvalidArgument.
+not one), raises InvalidArgument; a non-finite H does so before any
+meter index is read.
 
 Every rank question is the estimator's: the rank of the rows' unit-weight
 gain factor from :func:`estimation._pivoted_gain`, the one routine that
@@ -16,7 +17,11 @@ column rank exactly when ``factor_gain(rows, ones)`` accepts them, at any
 finite scale, and a direction whose singular value is below about 1e-6 of
 the largest counts as unseen. The rank answers :func:`protection_check`,
 the factor's null vectors :func:`constrained_stealth_attack` and the
-accepted factor's solve :func:`verify_stealth`.
+accepted factor's solve :func:`verify_stealth`. Each of the three scans
+the dense H once, for the pattern of its nonzeros (``RowPattern.of``),
+and judges H finite from the values found there. The blocked or protected
+rows are factored from that pattern's row subset (``RowPattern.rows``) at
+H's own memory, with no copy of the rows unless their gain is dense.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from .errors import (
     _count,
     _real,
 )
-from .estimation import _pivoted_gain, factor_gain
+from .estimation import _full_rank, _pivoted_gain
+from .measurement import RowPattern
 
 STEALTH_RTOL = 1e-9
 DEFAULT_MAGNITUDE = 0.01
@@ -54,6 +60,17 @@ class ProtectionReport:
 
     protected: bool
     residual_attack_dim: int
+
+
+def _scanned(h_matrix: np.ndarray) -> tuple[np.ndarray, RowPattern]:
+    """H as a float matrix and the pattern of its nonzeros, from one scan;
+    NaN and inf are nonzero, so an H that is not finite raises
+    InvalidArgument here."""
+    h = _array(h_matrix, "H", ndim=2)
+    pattern = RowPattern.of(h)
+    if not np.isfinite(np.take(h, pattern.flat)).all():
+        raise InvalidArgument("H must be finite")
+    return h, pattern
 
 
 def _meter_rows(meters: Iterable[int], m: int) -> np.ndarray:
@@ -152,21 +169,23 @@ def constrained_stealth_attack(h_matrix: np.ndarray,
     only where the condition guard cut the rank below ``pstrf``'s.
     """
     magnitude = _real(magnitude, "magnitude", 0.0)
-    h = _array(h_matrix, "H", ndim=2, finite=True)
+    h, pattern = _scanned(h_matrix)
     m, k = h.shape
-    sub = h[np.setdiff1d(np.arange(m), _meter_rows(accessible_meters, m))]
-    f = _pivoted_gain(sub, np.ones(len(sub)))
+    blocked = np.setdiff1d(np.arange(m), _meter_rows(accessible_meters, m))
+    f = _pivoted_gain(h, np.ones(len(blocked)), pattern, blocked)
     rank, upper, piv = f.rank, f.upper, f.piv
     if rank == k:
         return None
     free = piv[rank:]
-    zero = free[~np.any(sub[:, free], axis=0)]
+    zero = free[~np.any(h[np.ix_(blocked, free)], axis=0)]
     c = np.zeros(k)
     if zero.size:
         c[zero.max()] = magnitude
     else:
         c[free[-1]] = 1.0
-        c[piv[:rank]] = -solve_triangular(upper[:rank, :rank], upper[:rank, -1])
+        # U11 is finite: the factor of a finite, scaled gain
+        c[piv[:rank]] = -solve_triangular(upper[:rank, :rank], upper[:rank, -1],
+                                          check_finite=False)
         c *= magnitude / np.linalg.norm(c)
     return c, _image(h, c)
 
@@ -183,18 +202,25 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     a is first scaled by the power of two that brings max |a_i| into
     [0.5, 1); the projection residual ||a - Hc|| of the scaled a must then
     be at most 1e-9 * ||a||, with c = ``factor_gain(H, ones).solve(a)``.
-    The factor scales H too, so the bound is relative, no power-of-two
-    scale of H or a changes a decision and no product overflows. An H the
+    Where the factor scales H up (its ``shift`` is negative), c and the
+    residual are computed for 2^shift a, at H's own scale, and the residual
+    is scaled back, so that c stays a float. The factor scales H too, so
+    the bound is relative, no product overflows and no power-of-two scale
+    of H or a changes a decision while H's nonzeros are normal floats (the
+    solve's H^T products round a subnormal one's low bits away). An H the
     estimator rejects raises UnobservableNetwork, as
     :func:`estimation.estimate_dc` does; a non-finite H or attack vector
     raises InvalidArgument.
     """
-    h = _array(h_matrix, "H", ndim=2, finite=True)
+    h, pattern = _scanned(h_matrix)
     a = _array(a, "attack vector", (h.shape[0],), finite=True)
-    factor = factor_gain(h, np.ones(h.shape[0]))
+    factor = _full_rank(_pivoted_gain(h, np.ones(h.shape[0]), pattern))
     a = np.ldexp(a, -np.frexp(np.max(np.abs(a), initial=0.0))[1])
     bound = STEALTH_RTOL * np.linalg.norm(a)
-    return bool(np.linalg.norm(a - h @ factor.solve(a)) <= bound)
+    low = min(factor.shift, 0)
+    near = np.ldexp(a, low)
+    return bool(np.linalg.norm(np.ldexp(near - h @ factor.solve(near), -low))
+                <= bound)
 
 
 def protection_check(h_matrix: np.ndarray,
@@ -207,8 +233,8 @@ def protection_check(h_matrix: np.ndarray,
     the rank rule of the module docstring, exactly when
     ``factor_gain(rows, ones)`` accepts the protected rows.
     """
-    h = _array(h_matrix, "H", ndim=2, finite=True)
+    h, pattern = _scanned(h_matrix)
     m, k = h.shape
     rows = _meter_rows(protected_meters, m)
-    rank = _pivoted_gain(h[rows], np.ones(len(rows))).rank
+    rank = _pivoted_gain(h, np.ones(len(rows)), pattern, rows).rank
     return ProtectionReport(protected=rank == k, residual_attack_dim=k - rank)

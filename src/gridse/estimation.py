@@ -18,10 +18,11 @@ the dense m x k H; a denser H takes the dense product and triangular solve.
 The two paths sum in another order, so their results agree to rounding
 (about 1e-16 relative for a gain, 1e-13 for the hat diagonal), not bit for
 bit. The row pattern is an input of the one gain routine: found from a
-dense H's nonzeros (dc estimates, attacks, protection), or the one the
-meter model compiled for every Jacobian (each Gauss-Newton iterate and the
-returned state of :func:`estimate_ac`), whose pairs of entries are
-enumerated once per model. A compiled pattern may hold zeros of H; each
+dense H's nonzeros (dc estimates; the attack module finds it once per call
+and factors its row subsets from it), or the one the meter model compiled
+for every Jacobian (each Gauss-Newton iterate and the returned state of
+:func:`estimate_ac`), whose pairs of entries are enumerated once per
+model. A compiled pattern may hold zeros of H; each
 adds exactly +-0 to a sum, so the factor is bit for bit the one the found
 pattern gives, and the path is chosen by H's own nonzeros. The gain is
 exactly symmetric, so ``pstrf`` factors it in place, and the guard's
@@ -79,8 +80,10 @@ SENSITIVITY_FLOOR = 1e-10
 class GainFactor:
     """The gain H^T W H of one (H, W) pair, scaled, pivoted and factored once.
 
-    H is scaled by 2^-``shift`` into max |H| in [0.5, 1) and W by 2^-e, e
-    even, into [0.5, 2); the scaled gain G = R^T R is formed from the rows
+    H is scaled by 2^-``shift`` into max |H| in [0.5, 1), or by 2^1022 when
+    max |H| is below 2^-1022, so that ``scale`` stays a float and no rank
+    answer depends on a power-of-two scale of H; W is scaled by 2^-e, e
+    even, into [0.5, 2). The scaled gain G = R^T R is formed from the rows
     R = (2^-e W)^1/2 2^-shift H, whose square roots are exact. ``scale``
     is 2^-(e + shift) W, so that a solve's right-hand side
     2^-shift H^T (scale * rhs) stays near the size of its answer.
@@ -269,15 +272,21 @@ def _lead_norms(col: np.ndarray, size: np.ndarray, starts: np.ndarray,
 
 
 def _pivoted_gain(h: np.ndarray, weights: np.ndarray,
-                  pattern: RowPattern | None = None) -> GainFactor:
+                  pattern: RowPattern | None = None,
+                  rows: np.ndarray | None = None) -> GainFactor:
     """The scaled, pivoted gain factor of (h, weights), of any rank: ``pstrf``
     stops at a pivot of at most max diag(G) / CONDITION_LIMIT, then the rank
     drops until the leading block's condition estimate is at most
     CONDITION_LIMIT. A zero or column-free gain has rank 0 and piv 0..k-1;
     an h that is not finite raises UnobservableNetwork.
 
-    ``pattern`` is h's row pattern when the caller has one compiled (every
-    nonzero of h must lie in it), else it is found from h's nonzeros. The
+    ``pattern`` is h's row pattern when the caller has one (every nonzero
+    of h must lie in it), else it is found from h's nonzeros. With
+    ``rows`` (0-based, ascending, distinct; ``pattern`` required), the gain
+    is that of h[rows], factored from ``pattern.rows(rows)`` at h's own
+    memory, bit for bit the factor of the copy; only the dense path copies
+    the rows. Its ``h`` is still the whole h, so only its rank, ``upper``,
+    ``piv`` and ``condition`` describe the rows. The
     gain is summed from the pattern when h's widest row has w nonzeros
     (counted in h, not in the pattern) with w^2 <= k: one ``bincount`` over
     the products of the pattern's pairs (see ``RowPattern.pairs``, cached
@@ -293,19 +302,23 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray,
     triangle, factors it without a copy; the guard's 1-norms come from
     :func:`_lead_norms`, on |G| gathered at the nonzeros first.
     """
-    m, k = h.shape
+    k = h.shape[1]
     if pattern is None:
         pattern = RowPattern.of(h)
         sparse = int(np.diff(pattern.starts).max(initial=0)) ** 2 <= k
         values = np.take(h, pattern.flat) if sparse else h
     else:  # it may hold zeros of h, so h's own nonzeros are counted
-        values = np.take(h, pattern.flat)
-        sparse = int(np.bincount(pattern.row, values != 0.0, m)
+        at = pattern.flat
+        if rows is not None:
+            pattern, at = pattern.rows(rows)
+        values = np.take(h, at)
+        sparse = int(np.bincount(pattern.row, values != 0.0, pattern.shape[0])
                      .max(initial=0)) ** 2 <= k
     top = max(values.max(initial=0.0), -values.min(initial=0.0))  # or NaN
     if not top < np.inf:
         raise UnobservableNetwork("H is not finite")
-    shift = int(np.frexp(top)[1])
+    # -shift <= 1022, so 2^-shift times a scaled weight (below 2) is a float
+    shift = max(int(np.frexp(top)[1]), -1022)
     even = np.frexp(np.max(weights, initial=0.0))[1] // 2 * 2
     if sparse:
         first, second, pair_row, _, _, key = pattern.pairs
@@ -316,9 +329,14 @@ def _pivoted_gain(h: np.ndarray, weights: np.ndarray,
                            k * k).reshape(k, k).astype(float, copy=False)
     else:
         pattern = products = None
-        rows = h * np.ldexp(np.sqrt(np.ldexp(weights, -even)), -shift)[:, None]
-        gain = rows.T @ rows  # numpy takes SYRK for this product
-        del rows
+        root = np.ldexp(np.sqrt(np.ldexp(weights, -even)), -shift)[:, None]
+        if rows is None:
+            scaled = h * root
+        else:  # the rows' one copy, scaled in place
+            scaled = np.take(h, rows, axis=0)
+            scaled *= root
+        gain = scaled.T @ scaled  # numpy takes SYRK for this product
+        del scaled
     top = float(np.max(np.diag(gain), initial=0.0))
     upper, piv, rank, condition = gain, np.arange(k), 0, np.inf
     if top > 0.0:

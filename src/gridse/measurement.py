@@ -164,7 +164,8 @@ class RowPattern:
     ``flat[starts[i]:starts[i + 1]]``. Every nonzero lies at one of them,
     and a position may hold a zero. Build it from a matrix's own nonzeros
     with :meth:`of`, or compile it once for every value of a matrix whose
-    pattern is fixed, as :attr:`MeterModel.jacobian_pattern` does. The
+    pattern is fixed, as :attr:`MeterModel.jacobian_pattern` does; take a
+    row subset's with :meth:`rows`, which copies no row of the matrix. The
     arrays must not be modified."""
 
     shape: tuple[int, int]
@@ -182,6 +183,24 @@ class RowPattern:
     def row(self) -> np.ndarray:
         """The row of each position."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.starts))
+
+    def rows(self, index: np.ndarray) -> tuple[RowPattern, np.ndarray]:
+        """The pattern of the rows ``index`` (0-based, ascending, distinct)
+        of the matrix, and the flat positions in the matrix of its entries,
+        in its order. Of a pattern found by :meth:`of`, it is the one
+        ``of(h[index])`` finds, and h at those positions are its values."""
+        m, k = self.shape
+        keep = np.zeros(m, dtype=bool)
+        keep[index] = True
+        row = self.row
+        taken = keep[row]
+        at = self.flat[taken]
+        # each kept row moves up by the rows dropped above it
+        dropped = np.cumsum(~keep)[row[taken]]
+        counts = np.diff(self.starts)[index]
+        starts = np.zeros(len(counts) + 1, dtype=self.starts.dtype)
+        np.cumsum(counts, out=starts[1:])
+        return RowPattern((len(counts), k), at - dropped * k, starts), at
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, ...]:

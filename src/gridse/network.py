@@ -418,16 +418,24 @@ def build_admittance(network: NetworkModel) -> AdmittanceMatrix:
     Per branch i-j with series admittance y = 1/(r + jX) and per-end shunt
     gs + j*bs: the off-diagonal assembly entry is -y and each diagonal picks
     up y plus the end's shunt. ``g`` is the real part; ``b`` is the negated
-    imaginary part (see AdmittanceMatrix for the sign convention).
+    imaginary part (see AdmittanceMatrix for the sign convention). Each
+    entry sums its branches' terms in file order, one ``bincount`` for the
+    real parts and one for the imaginary, bit for bit the sums of a
+    branch-by-branch loop.
     """
     n = network.n_buses
-    y_bus = np.zeros((n, n), dtype=complex)
-    for br in network.branches:
-        i, j = br.from_bus - 1, br.to_bus - 1
-        y = 1.0 / complex(br.resistance_r, br.reactance_x)
-        shunt = complex(br.shunt_conductance_gs, br.shunt_susceptance_bs)
-        y_bus[i, i] += y + shunt
-        y_bus[j, j] += y + shunt
-        y_bus[i, j] -= y
-        y_bus[j, i] -= y
-    return AdmittanceMatrix(g=y_bus.real.copy(), b=(-y_bus.imag).copy())
+    table = np.array([(br.from_bus, br.to_bus, *br.series_admittance,
+                       br.shunt_conductance_gs, br.shunt_susceptance_bs)
+                      for br in network.branches], dtype=float).reshape(-1, 6)
+    i, j = table[:, 0].astype(np.intp) - 1, table[:, 1].astype(np.intp) - 1
+    # per branch in file order: its entries ii, jj, ij and ji
+    key = np.stack([i * n + i, j * n + j, i * n + j, j * n + i], axis=1).ravel()
+
+    def assemble(series, shunt):
+        end = series + shunt
+        return np.bincount(key, np.stack([end, end, -series, -series], axis=1)
+                           .ravel(), n * n).reshape(n, n)
+
+    b = assemble(table[:, 3], table[:, 5])
+    return AdmittanceMatrix(g=assemble(table[:, 2], table[:, 4]),
+                            b=np.negative(b, out=b))

@@ -5,9 +5,11 @@ paths: inversion by Gauss-Jordan elimination, the gain as one dense product
 and the hat diagonal through that inverse, rank by row reduction, the
 chi-square distribution through the classic erf/exponential recurrence,
 branch power flows from complex phasors, and the meter model compiled meter
-by meter. Slow and simple on purpose. The one exception is the gain factor
-made the way it was made before it was factored in place: the same LAPACK
-calls on copies of the gain, which its in-place form must match bit for bit.
+by meter. Slow and simple on purpose. The exceptions are made the way the
+package made them before, for its faster forms to match bit for bit: the
+gain factor with the same LAPACK calls on copies of the gain, the attack
+analysis on copies of the rows it factors, and the bus admittance summed
+branch by branch.
 """
 
 from __future__ import annotations
@@ -18,9 +20,17 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
+from scipy.linalg import solve_triangular
+
 from gridse.errors import UnobservableNetwork
-from gridse.estimation import CONDITION_LIMIT, GainFactor
+from gridse.estimation import (
+    CONDITION_LIMIT,
+    GainFactor,
+    _pivoted_gain,
+    factor_gain,
+)
 from gridse.measurement import _TERM_CODES, MeterModel, RowPattern
+from gridse.network import AdmittanceMatrix
 
 
 def gauss_jordan_inverse(a: np.ndarray) -> np.ndarray:
@@ -251,3 +261,64 @@ def pivoted_gain_with_copies(h: np.ndarray, weights: np.ndarray) -> GainFactor:
         rank -= 1
     return GainFactor(h, weights, np.ldexp(weights, -(even + shift)), shift,
                       upper, piv, rank, condition, pattern, products)
+
+
+# The attack analysis as it was before it factored row subsets in place: a
+# copy of the rows, h[rows], handed to the gain routine, which finds their
+# pattern again. H is finite and the meter indices are checked.
+def rows_by_copy(h: np.ndarray, rows) -> GainFactor:
+    """The unit-weight gain factor of the copied rows h[rows] (0-based)."""
+    sub = h[np.asarray(rows, dtype=int)]
+    return _pivoted_gain(sub, np.ones(len(sub)))
+
+
+def constrained_attack_by_copy(h: np.ndarray, accessible, magnitude=0.01):
+    """(c, Hc) of a constrained stealth attack on the accessible meters
+    (1-based), or None, from the copied blocked rows."""
+    m, k = h.shape
+    blocked = np.setdiff1d(np.arange(m), np.asarray(accessible, dtype=int) - 1)
+    f = rows_by_copy(h, blocked)
+    if f.rank == k:
+        return None
+    free = f.piv[f.rank:]
+    zero = free[~np.any(h[blocked][:, free], axis=0)]
+    c = np.zeros(k)
+    if zero.size:
+        c[zero.max()] = magnitude
+    else:
+        c[free[-1]] = 1.0
+        c[f.piv[:f.rank]] = -solve_triangular(f.upper[:f.rank, :f.rank],
+                                              f.upper[:f.rank, -1])
+        c *= magnitude / np.linalg.norm(c)
+    return c, h @ c
+
+
+def verify_stealth_by_copy(h: np.ndarray, a: np.ndarray) -> bool:
+    """Whether a lies in H's column space: the residual of a, scaled into
+    [0.5, 1), after factor_gain(H, ones)'s solve, within 1e-9 of ||a||."""
+    factor = factor_gain(h, np.ones(len(h)))
+    a = np.ldexp(a, -np.frexp(np.max(np.abs(a), initial=0.0))[1])
+    return bool(np.linalg.norm(a - h @ factor.solve(a))
+                <= 1e-9 * np.linalg.norm(a))
+
+
+def protection_rank_by_copy(h: np.ndarray, protected) -> int:
+    """The rank of the copied protected rows (1-based meters)."""
+    return rows_by_copy(h, np.asarray(sorted(set(protected)), dtype=int) - 1).rank
+
+
+def admittance_by_loop(network) -> AdmittanceMatrix:
+    """The bus admittance summed branch by branch into a complex matrix:
+    y = 1/(r + jX) off the diagonal as -y, and y plus the end's shunt on
+    each end's diagonal; g is the real part, b the negated imaginary."""
+    n = network.n_buses
+    y_bus = np.zeros((n, n), dtype=complex)
+    for br in network.branches:
+        i, j = br.from_bus - 1, br.to_bus - 1
+        y = 1.0 / complex(br.resistance_r, br.reactance_x)
+        shunt = complex(br.shunt_conductance_gs, br.shunt_susceptance_bs)
+        y_bus[i, i] += y + shunt
+        y_bus[j, j] += y + shunt
+        y_bus[i, j] -= y
+        y_bus[j, i] -= y
+    return AdmittanceMatrix(g=y_bus.real.copy(), b=(-y_bus.imag).copy())

@@ -1,7 +1,11 @@
 """Stealth attack construction, verification, and protection analysis."""
 
+import importlib.util
+import sys
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,8 @@ from gridse import (
     verify_stealth,
 )
 from gridse._streams import _seeded_generators
+from gridse.attack import ProtectionReport
+from gridse.estimation import _pivoted_gain
 from helpers import (
     dc_meter_candidates,
     estimator_accepts,
@@ -39,7 +45,13 @@ from helpers import (
     state_before,
     ziggurat_word,
 )
-from oracles import row_reduction_rank
+from oracles import (
+    constrained_attack_by_copy,
+    protection_rank_by_copy,
+    row_reduction_rank,
+    rows_by_copy,
+    verify_stealth_by_copy,
+)
 
 BASE_Z = np.array([0.62, 0.06, 0.37])
 W = np.full(3, 1e4)
@@ -676,3 +688,161 @@ def test_numpy_integer_meter_indices_are_accepted():
     assert protection_check(h, [np.int32(2)]).residual_attack_dim == 1
     c, _ = constrained_stealth_attack(h, np.array([1, 3], dtype=np.int64))
     np.testing.assert_array_equal(c, constrained_stealth_attack(h, (1, 3))[0])
+
+
+def all_meters_h(rng, n):
+    """The dc H of every flow (both ends) and injection meter of a seeded
+    random n-bus grid."""
+    net = random_network(rng, n)
+    config = MeasurementConfig(specs=tuple(dc_meter_candidates(net)))
+    return build_meter_model(net, config).dc_matrix
+
+
+def assert_subset_answers_are_the_copying_oracles(h, accessible, protected):
+    """constrained_stealth_attack (c and a), verify_stealth and
+    protection_check on h equal the oracle's, which copies the rows it
+    factors, by float.hex. Returns the (full rank, row pattern) kinds of the
+    blocked and the protected rows' factors."""
+    m, k = h.shape
+    found = constrained_stealth_attack(h, accessible)
+    expected = constrained_attack_by_copy(h, accessible)
+    assert (found is None) == (expected is None)
+    vectors = [h @ np.linspace(-1.0, 1.0, k), np.linspace(1.0, 2.0, m)]
+    if found is not None:
+        assert hexes(found[0]) == hexes(expected[0])
+        assert hexes(found[1]) == hexes(expected[1])
+        vectors.append(found[1])
+    for a in vectors:
+        if estimator_accepts(h):
+            assert verify_stealth(h, a) is verify_stealth_by_copy(h, a)
+        else:
+            with pytest.raises(UnobservableNetwork):
+                verify_stealth(h, a)
+    rank = protection_rank_by_copy(h, protected)
+    assert protection_check(h, protected) == ProtectionReport(rank == k, k - rank)
+    blocked = np.setdiff1d(np.arange(m), np.asarray(accessible, dtype=int) - 1)
+    return {(f.rank == k, f.pattern is not None)
+            for f in (rows_by_copy(h, blocked),
+                      rows_by_copy(h, np.asarray(protected, dtype=int) - 1))}
+
+
+def test_subset_answers_are_the_copying_oracles_bit_for_bit():
+    rng = np.random.default_rng(47)
+    matrices = [all_meters_h(rng, n) for n in (30, 120, 250)]
+    # dense (w^2 > k): full rank, and of rank k/2 + 1 below k
+    matrices += [rng.normal(size=(2 * k, k)) for k in (3, 9, 40)]
+    matrices += [rng.normal(size=(2 * k, k // 2 + 1)) @ rng.normal(size=(k // 2 + 1, k))
+                 for k in (6, 30)]
+    kinds = set()
+    for h in matrices:
+        m = len(h)
+        # every meter accessible leaves no blocked row, and () protects none
+        for share in (0.0, 0.25, 0.75, 1.0):
+            accessible = sorted(int(i) + 1 for i in
+                                rng.choice(m, int(share * m), replace=False))
+            protected = sorted(int(i) + 1 for i in
+                               rng.choice(m, int((1 - share) * m), replace=False))
+            kinds |= assert_subset_answers_are_the_copying_oracles(
+                h, accessible, protected)
+    # full rank and below it, each from the row pattern and from SYRK
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_h_is_refused_before_any_meter_index(bad):
+    # the entry sits in the last row, outside every subset factored here,
+    # once where H is zero and once on a nonzero
+    h = all_meters_h(np.random.default_rng(48), 30)
+    m = len(h)
+    with pytest.raises(DimensionMismatch):
+        protection_check(h, (1, m + 1))
+    for column in (np.flatnonzero(h[-1] == 0.0)[0], np.flatnonzero(h[-1])[0]):
+        bad_h = h.copy()
+        bad_h[-1, column] = bad
+        calls = [
+            lambda: protection_check(bad_h, (1, 2)),
+            lambda: protection_check(bad_h, (1, m + 1)),
+            lambda: protection_check(bad_h, ()),
+            lambda: constrained_stealth_attack(bad_h, (m,)),
+            lambda: constrained_stealth_attack(bad_h, (m, m + 1)),
+            lambda: verify_stealth(bad_h, np.zeros(m)),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgument, match="H must be finite"):
+                call()
+
+
+def bench_generator():
+    """bench/gen.py, the benchmark's seeded grid generator (it imports no
+    gridse)."""
+    path = Path(__file__).parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_bench_gen", path)
+    gen = sys.modules.setdefault("_bench_gen", importlib.util.module_from_spec(spec))
+    if not hasattr(gen, "dc_grid"):
+        spec.loader.exec_module(gen)
+    return gen
+
+
+@pytest.mark.parametrize("call", ["protection", "constrained"])
+def test_subset_answers_copy_no_rows(call):
+    # peak traced memory of one call, in units of the gain's 8 k^2 bytes,
+    # on the 900 x 399 H of the benchmark generator's 400-bus grid (w^2 <=
+    # k, so the gain is summed from the row pattern). The gain, its gather
+    # and H's nonzero mask (m k bytes, 0.28) read about 2.34, both for the
+    # check of three quarters of the rows and for an attack with a quarter
+    # of the meters accessible. A copy of those rows would add about 0.8
+    # at the peak: the copying oracle reads about 3.13 on both.
+    h = bench_generator().dc_grid(5, 400, 100).p_matrix()
+    m, k = h.shape
+    assert (m, k) == (900, 399)
+    rng = np.random.default_rng(49)
+    if call == "protection":
+        meters = sorted(int(i) + 1 for i in rng.choice(m, 3 * m // 4, replace=False))
+        calls = (lambda: protection_check(h, meters),
+                 lambda: protection_rank_by_copy(h, meters))
+    else:
+        meters = sorted(int(i) + 1 for i in rng.choice(m, m // 4, replace=False))
+        calls = (lambda: constrained_stealth_attack(h, meters),
+                 lambda: constrained_attack_by_copy(h, meters))
+    for run in calls:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1] / (8 * k * k)
+        finally:
+            tracemalloc.stop()
+        assert (peak < 2.7) == (run is calls[0]), peak
+
+
+@pytest.mark.parametrize("power", [-1020, -1030, -1074])
+def test_rank_answers_hold_at_the_bottom_of_the_float_range(power):
+    # below 2^-1022 the gain's scale 2^-shift would leave the float range
+    # (2^1029 at 2^-1030), which read rank 0 and called the meters
+    # unprotected; the shift stops at -1022, so every rank answer is that of
+    # the same H scaled back up by exactly 2^-power. At 2^-1074 the entries
+    # round to integers times 2^-1074, so that H is no longer the case's.
+    _, _, h = load_three_bus()
+    tiny = np.ldexp(h, power)
+    ref = np.ldexp(tiny, -power)
+    assert np.array_equal(ref, h) == (power > -1074)
+    f, g = _pivoted_gain(tiny, np.ones(3)), _pivoted_gain(ref, np.ones(3))
+    assert f.rank == g.rank == 2
+    assert f.piv.tolist() == g.piv.tolist()
+    assert f.condition == g.condition
+    # U scales with H, exactly
+    assert np.array_equal(np.ldexp(np.triu(f.upper), f.shift - g.shift - power),
+                          np.triu(g.upper))
+    for meters in ((1, 2), (2,), (1, 2, 3), ()):
+        assert protection_check(tiny, meters) == protection_check(ref, meters)
+    for accessible in ((1, 3), (2, 3), (1, 2, 3), ()):
+        found, expected = (constrained_stealth_attack(x, accessible)
+                           for x in (tiny, ref))
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert hexes(found[0]) == hexes(expected[0])
+    # the solve's H^T products round subnormal entries' low bits away, so
+    # only an H whose nonzeros keep enough of them is judged as at unit scale
+    if power > -1074:
+        assert verify_stealth(tiny, tiny @ np.array([1.0, 2.0]))
+        assert not verify_stealth(tiny, np.array([1.0, 2.0, 3.0]))

@@ -35,6 +35,7 @@ from gridse import (
     weights_from_config,
 )
 from gridse.estimation import _lead_norms, _pivoted_gain
+from gridse.measurement import RowPattern
 from helpers import (
     dc_meter_candidates,
     full_ac_config,
@@ -615,6 +616,26 @@ def test_pivoted_gain_is_the_copying_oracles_bit_for_bit():
     # full rank and below it, each from the row pattern and from SYRK
     assert kinds == {(True, True), (True, False), (False, True),
                      (False, False)}
+
+
+def test_a_row_subset_of_a_pattern_is_the_copied_rows_own():
+    # RowPattern.rows is the pattern RowPattern.of finds in the copied rows,
+    # and its positions in H hold their values; a pattern that also holds
+    # zeros of H (as a compiled one may) keeps them
+    rng = np.random.default_rng(51)
+    h = all_meters_h(rng, 40)
+    m, k = h.shape
+    wider = h.copy()
+    wider[(rng.random((m, k)) < 0.05) & (h == 0.0)] = 1.0
+    for index in (np.arange(0), np.arange(m), np.array([m - 1]),
+                  np.sort(rng.choice(m, m // 3, replace=False))):
+        for g in (h, wider):
+            sub, at = RowPattern.of(g).rows(index)
+            own = RowPattern.of(g[index])
+            assert sub.shape == own.shape == (len(index), k)
+            assert sub.flat.tolist() == own.flat.tolist()
+            assert sub.starts.tolist() == own.starts.tolist()
+            assert hexes(np.take(h, at)) == hexes(np.take(h[index], sub.flat))
 
 
 def dense_lead_norm(gain, piv, rank):

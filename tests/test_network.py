@@ -48,7 +48,7 @@ from helpers import (
     load_three_bus,
     random_network,
 )
-from oracles import row_reduction_rank
+from oracles import admittance_by_loop, row_reduction_rank
 
 
 def three_bus_doc():
@@ -316,6 +316,19 @@ def test_admittance_symmetry_and_sparsity_pattern():
                 joined = net.branch_between(i + 1, j + 1) is not None
                 entry = abs(adm.b[i, j]) + abs(adm.g[i, j])
                 assert (entry != 0.0) == joined
+
+
+def test_admittance_is_the_branch_loops_byte_for_byte():
+    # every entry sums its branches' terms in file order, as the loop does,
+    # parallel branches and shunts included; signed zeros count too
+    rng = np.random.default_rng(50)
+    for n in range(2, 121):
+        net = random_network(rng, n, lossy=True, shunts=True, parallel=2)
+        got, expected = build_admittance(net), admittance_by_loop(net)
+        assert got.g.shape == got.b.shape == (n, n)
+        assert got.g.dtype == got.b.dtype == np.float64
+        assert got.g.tobytes() == expected.g.tobytes()
+        assert got.b.tobytes() == expected.b.tobytes()
 
 
 def test_lossless_network_has_zero_conductance():
