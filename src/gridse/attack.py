@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -130,20 +130,20 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
     return c, _image(h, c)
 
 
-def _stealth_shifts(seeds: Iterable[int], k: int,
-                    magnitude: float) -> list[np.ndarray]:
+def _stealth_shifts(seeds: Sequence[int], k: int,
+                    magnitude: float) -> np.ndarray:
     """The shift c of :func:`random_stealth_attack` for each seed, bit for
-    bit, with the streams of the whole block seeded in one pass. The caller
-    has checked the seeds, k >= 1 and the magnitude."""
-    shifts = []
-    for rng in _seeded_generators(seeds):
+    bit, one row each, with the streams of the whole block seeded in one
+    pass. The caller has checked the seeds, k >= 1 and the magnitude."""
+    shifts = np.empty((len(seeds), k))
+    for row, rng in zip(shifts, _seeded_generators(seeds)):
         direction = rng.normal(size=k)
         # the sqrt of x.dot(x), as np.linalg.norm computes it
         norm = math.sqrt(direction.dot(direction))
         while not norm > 0:
             direction = rng.normal(size=k)
             norm = math.sqrt(direction.dot(direction))
-        shifts.append(direction / norm * magnitude)
+        row[:] = direction / norm * magnitude
     return shifts
 
 
@@ -206,11 +206,11 @@ def verify_stealth(h_matrix: np.ndarray, a: np.ndarray) -> bool:
     residual are computed for 2^shift a, at H's own scale, and the residual
     is scaled back, so that c stays a float. The factor scales H too, so
     the bound is relative, no product overflows and no power-of-two scale
-    of H or a changes a decision while H's nonzeros are normal floats (the
-    solve's H^T products round a subnormal one's low bits away). An H the
-    estimator rejects raises UnobservableNetwork, as
-    :func:`estimation.estimate_dc` does; a non-finite H or attack vector
-    raises InvalidArgument.
+    of H or a changes a decision while H's nonzeros are normal floats; a
+    subnormal H's H^T products are taken at the scaled-up right-hand side,
+    so an exact a = Hc is still accepted there. An H the estimator rejects
+    raises UnobservableNetwork, as :func:`estimation.estimate_dc` does; a
+    non-finite H or attack vector raises InvalidArgument.
     """
     h, pattern = _scanned(h_matrix)
     a = _array(a, "attack vector", (h.shape[0],), finite=True)

@@ -5,8 +5,9 @@ each a function of the :class:`EstimationResult` alone: its residual and
 gain factor G = H^T W H at x' (for ac, H is the Jacobian there) hold all a
 detector reads, so no detector factors a gain. One private resolution per
 factor gives a method's threshold and its statistic as a function of a
-residual: :func:`run_detector`, which the three public tests call, and a
-Monte Carlo trial, which builds no result, evaluate that one function.
+block of residuals, one value per residual: :func:`run_detector`, which
+the three public tests call, evaluates it on a block of one, and a Monte
+Carlo call on each block of trials, building no result.
 
 * ``norm_threshold``: flag when ||r|| exceeds a caller-chosen tau (no
   sensible default exists, so tau is mandatory).
@@ -121,34 +122,44 @@ class DetectionResult:
     critical_meters: tuple[int, ...] = ()
 
 
-def _norm(r: np.ndarray) -> float:
-    """||r||, as np.linalg.norm computes it, under the caller's np.errstate
-    ignoring overflow; where r . r overflows but ||r|| does not, taken at a
-    power-of-two scale."""
-    statistic = math.sqrt(r.dot(r))
-    if statistic == math.inf and np.isfinite(r).all():
-        shift = int(np.frexp(np.max(np.abs(r)))[1])
-        statistic = float(np.ldexp(np.linalg.norm(np.ldexp(r, -shift)), shift))
-    return statistic
+def _row_squares(r: np.ndarray) -> np.ndarray:
+    """r . r of each row of a block, one dot product per row, as ``r.dot(r)``
+    takes it of the row alone."""
+    return np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+
+
+def _norm(r: np.ndarray) -> np.ndarray:
+    """||r|| of each row of a block, as np.linalg.norm computes it of the
+    row alone, under the caller's np.errstate ignoring overflow; where r . r
+    overflows but ||r|| does not, taken at a power-of-two scale."""
+    norms = np.sqrt(_row_squares(r))
+    over = np.flatnonzero(norms == np.inf)
+    over = over[np.isfinite(r[over]).all(axis=1)]
+    if over.size:
+        shift = np.frexp(np.abs(r[over]).max(axis=1))[1]
+        norms[over] = np.ldexp(
+            np.sqrt(_row_squares(np.ldexp(r[over], -shift[:, None]))), shift)
+    return norms
 
 
 def _normalized(r: np.ndarray, usable: np.ndarray,
                 root: np.ndarray) -> np.ndarray:
-    """|r_i| / sqrt(Omega_ii) on the usable rows, under the caller's
-    np.errstate ignoring overflow: a quotient too large for a float reads
-    inf."""
-    return np.abs(r[usable]) / root
+    """|r_i| / sqrt(Omega_ii) on the usable rows of a residual or of each
+    residual of a block, under the caller's np.errstate ignoring overflow:
+    a quotient too large for a float reads inf."""
+    return np.abs(r[..., usable]) / root
 
 
 def _resolve(config: DetectorConfig, factor: GainFactor
-             ) -> tuple[Callable[[np.ndarray], float], float]:
-    """The statistic of ``config``'s method as a function of a residual of
-    ``factor``, and its threshold, both taken once per factor: the one
-    per-method dispatch of the detectors. :func:`run_detector` and each
-    Monte Carlo trial evaluate the statistic, under np.errstate ignoring
-    overflow, and compare it with the threshold. Raises NoRedundancy for
-    chi-square without redundancy (m <= k) and NumericallySingularOmega
-    for lnr when every meter is critical."""
+             ) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """The statistic of ``config``'s method as a function of a (T, m) block
+    of residuals of ``factor``, giving one value per row, bit for bit that
+    of the row alone, and its threshold, both taken once per factor: the
+    one per-method dispatch of the detectors. :func:`run_detector`, on a
+    1-row block, and each Monte Carlo block evaluate the statistic, under
+    np.errstate ignoring overflow, and compare it with the threshold.
+    Raises NoRedundancy for chi-square without redundancy (m <= k) and
+    NumericallySingularOmega for lnr when every meter is critical."""
     if config.method == "norm_threshold":
         return _norm, config.tau
     if config.method == "chi_square":
@@ -161,7 +172,7 @@ def _resolve(config: DetectorConfig, factor: GainFactor
     if not len(usable):
         raise NumericallySingularOmega(
             "every meter is critical; normalized residuals are undefined")
-    return (lambda r: float(_normalized(r, usable, root).max()),
+    return (lambda r: _normalized(r, usable, root).max(axis=1),
             config.lnr_threshold)
 
 
@@ -179,7 +190,7 @@ def run_detector(config: DetectorConfig,
     statistic, threshold = _resolve(config, factor)
     r, lnr = estimate.residual, {}
     with np.errstate(over="ignore"):  # a square or quotient too large reads inf
-        value = statistic(r)
+        value = float(statistic(r[None])[0])
         if config.method == "lnr":
             _, critical, usable, root = factor.omega_terms
             tied = value * (1.0 - TIE_TOLERANCE)

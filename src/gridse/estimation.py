@@ -119,39 +119,53 @@ class GainFactor:
     products: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The weighted least-squares solve of a meter-space vector:
-        (H^T W H)^-1 H^T W rhs."""
-        b = np.ldexp(self.h.T @ (self.scale * rhs), -self.shift)
+        """The weighted least-squares solve (H^T W H)^-1 H^T W rhs of a
+        meter-space vector, or of each row of a (T, m) block of them, bit
+        for bit the solve of that row alone: H^T takes one matrix-vector
+        product per row (stacked ``matmul``), and one ``potrs`` call solves
+        every row's right-hand side as a column. The power of two 2^-shift
+        goes on the right-hand side before the product where it scales up
+        (shift < 0), so that a subnormal H's products keep their bits, and
+        on the product after it elsewhere; being exact, either order gives
+        the same bits on a normal H."""
+        rhs = self.scale * rhs
+        if self.shift < 0:
+            np.ldexp(rhs, -self.shift, out=rhs)
+        b = np.matmul(self.h.T, rhs[..., None])[..., 0]
+        if self.shift > 0:
+            np.ldexp(b, -self.shift, out=b)
         if not np.isfinite(b).all():
             raise InvalidArgument("readings or model values are not finite")
-        x = np.empty(len(b))
-        x[self.piv] = lapack.dpotrs(self.upper, b[self.piv], lower=0)[0]
+        x = np.empty_like(b)
+        x[..., self.piv] = lapack.dpotrs(self.upper, b[..., self.piv].T,
+                                         lower=0, overwrite_b=1)[0].T
         return x
 
-    def _fit(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """The estimate x of readings z, its residual r = z - Hx and r^T r,
-        with z unchecked: a float vector of H's row count, under the
-        caller's np.errstate ignoring overflow and invalid values. A
-        residual that is not finite raises InvalidArgument, as the solve
-        does for readings that are not."""
+    def _fit(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The estimate x of readings z and its residual r = z - Hx, for
+        one vector or each row of a (T, m) block, with z unchecked: floats
+        of H's row count, under the caller's np.errstate ignoring overflow
+        and invalid values. Hx is one matrix-vector product per row, so a
+        row's results are bit for bit those of the row alone. A residual
+        that is not finite raises InvalidArgument, as the solve does for
+        readings that are not."""
         x = self.solve(z)
-        r = z - self.h @ x
-        raw = float(r @ r)
-        if not raw < np.inf and not np.isfinite(r).all():  # r.r overflows on its own
+        r = z - np.matmul(self.h, x[..., None])[..., 0]
+        if not np.isfinite(r).all():
             raise InvalidArgument("residual z - Hx is not finite")
-        return x, r, raw
+        return x, r
 
     def estimate(self, z: np.ndarray) -> EstimationResult:
         """The exact linear WLS estimate from readings z; readings or a
         residual too large for a float raise InvalidArgument, unwarned.
-        A Monte Carlo trial runs the same arithmetic (``_fit``) with no
-        result built."""
+        A Monte Carlo trial runs the same arithmetic (``_fit``) on a block
+        of readings with no result built."""
         z = _array(z, "z", (self.h.shape[0],))
         with np.errstate(over="ignore", invalid="ignore"):
-            x, r, raw = self._fit(z)
-            weighted = _weighted(r, self.weights)
+            x, r = self._fit(z[None])
+        raw, weighted = _squares(r[0], self.weights)
         return EstimationResult(
-            state=x, residual=r, squared_error_raw=raw,
+            state=x[0], residual=r[0], squared_error_raw=raw,
             objective_weighted=weighted, converged=True, iterations=1,
             factor=self)
 
@@ -232,16 +246,19 @@ def weights_from_config(config: MeasurementConfig) -> np.ndarray:
     return 1.0 / config.sigmas() ** 2
 
 
-def _weighted(r: np.ndarray, weights: np.ndarray) -> float:
-    """r^T W r, the weighted objective and chi-square statistic, under the
-    caller's np.errstate: a square too large for a float reads inf."""
-    return float(weights @ (r * r))
+def _weighted(r: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """r^T W r of a residual, or of each row of a block of them, under the
+    caller's np.errstate: the weighted objective and chi-square statistic.
+    Each is one dot product of the weights and the row's squares, so a
+    row's is bit for bit its own; a square too large for a float reads
+    inf."""
+    return np.matmul(weights, (r * r)[..., None])[..., 0]
 
 
 def _squares(r: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
     """r^T r and r^T W r; a square too large for a float reads inf, unwarned."""
     with np.errstate(over="ignore"):
-        return float(r @ r), _weighted(r, weights)
+        return float(r @ r), float(_weighted(r, weights))
 
 
 def _lead_norms(col: np.ndarray, size: np.ndarray, starts: np.ndarray,

@@ -403,36 +403,20 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
                     noise_scale: float = 1.0) -> MonteCarloStats:
     """Seeded detection-rate experiment on the linear model.
 
-    Trial t draws meter noise with seed ``noise_seed_base + t``, optionally
-    adds a random stealth attack of the given magnitude (same per-trial
-    seed), estimates, and runs the detector. The unattacked arm always runs
-    on the same noisy readings, so with ``attack="stealth"`` the two arms
-    differ only by the added Hc. H, its gain factor and the noiseless
-    readings are computed once per call; each trial adds its own noise to
-    them and estimates through that one factor. The detector is resolved
-    once per call too: its threshold and, for LNR, the factor's Omega
-    terms, with NoRedundancy or NumericallySingularOmega raised before any
-    noise is drawn. A trial then runs the arithmetic of
-    ``GainFactor.estimate`` and of ``run_detector``, which the public tests
-    call, shared with them and so bit for bit theirs, but builds no
-    EstimationResult or DetectionResult: it keeps the statistic and
-    compares it with the threshold. One np.errstate covers a whole block
-    of trials. Serial and deterministic; trials are independent, so any
-    parallel split over t aggregates identically.
-
     Trial t reads exactly what ``simulate_measurements`` gives for seed
     ``noise_seed_base + t`` at the state estimated from the case's readings
-    (the flat state when it has none): meter i's noise
-    is ``np.random.default_rng([noise_seed_base + t, i]).normal(0.0,
-    sigma_i * noise_scale)`` bit for bit. Under NEP 19 numpy keeps that
-    stream's seeding stable. The noise of a block of trials is seeded and
-    drawn in one vectorized pass, as ``simulate_measurements`` draws it,
-    instead of one ``default_rng`` per draw.
-
-    Trial t's stealth shift is the c of ``random_stealth_attack(H,
-    magnitude, noise_seed_base + t)`` bit for bit. The stealth directions
-    of a block are seeded in one pass too, and numpy draws each from one
-    reused generator.
+    (the flat state when it has none). With ``attack="stealth"`` it also
+    adds Hc for the c of ``random_stealth_attack(H, magnitude,
+    noise_seed_base + t)``; the unattacked arm always runs on the same
+    noisy readings, so the two arms differ only by Hc. Each arm of a trial
+    is estimated and tested as ``estimate_dc`` and ``run_detector`` would
+    (the default detector is chi-square), and each statistic is bit for
+    bit theirs. H, its gain factor and the detector's threshold are taken
+    once per call, so NoRedundancy or NumericallySingularOmega is raised
+    before any noise is drawn. Trials are run in blocks of up to
+    ``_NOISE_BLOCK_DRAWS`` noise draws, each block as whole-array
+    operations; serial and deterministic, and no block boundary changes a
+    trial.
 
     A ``trials`` that is not an integer >= 1, a ``noise_seed_base`` that is
     not a non-negative integer, a ``magnitude`` that is not a positive
@@ -441,7 +425,9 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     a float is not finite) or a ``detector`` that is not a DetectorConfig
     raises InvalidArgument before the case is read, and a sigma times
     ``noise_scale``, readings, readings with Hc added or a residual too
-    large for a float raise it too, unwarned.
+    large for a float raise it too, unwarned. A block runs each check on
+    all its trials at once, so where two trials of one block fail
+    different checks, the message may be that of the later trial's.
     """
     trials = _count(trials, "trials")
     if not trials:
@@ -477,21 +463,22 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     for start in range(0, trials, block):
         seeds = range(noise_seed_base + start,
                       noise_seed_base + min(trials, start + block))
-        shifts = (_stealth_shifts(seeds, h.shape[1], magnitude)
-                  if attack == "stealth" else None)
         with np.errstate(over="ignore", invalid="ignore"):
             readings = _array(clean + _meter_noise(seeds, scales),
                               "simulated readings", finite=True)
-            for t, z in enumerate(readings):
-                value = statistic(factor._fit(z)[1])
-                base_stats.append(value)
-                if shifts is not None:
-                    z = _finite_image(z + h @ shifts[t])
-                    value = statistic(factor._fit(z)[1])
-                attack_stats.append(value)
+            base_stats.append(statistic(factor._fit(readings)[1]))
+            if attack == "stealth":
+                shifts = _stealth_shifts(seeds, h.shape[1], magnitude)
+                readings = _finite_image(
+                    readings + np.matmul(h, shifts[:, :, None])[:, :, 0])
+                attack_stats.append(statistic(factor._fit(readings)[1]))
+            else:
+                attack_stats.append(base_stats[-1])
+    base_stats = np.concatenate(base_stats)
+    attack_stats = np.concatenate(attack_stats)
 
-    base_detected = sum(s > threshold for s in base_stats)
-    attack_detected = sum(s > threshold for s in attack_stats)
+    base_detected = np.count_nonzero(base_stats > threshold)
+    attack_detected = np.count_nonzero(attack_stats > threshold)
     rate = attack_detected / trials
     half_width = 1.96 * float(np.sqrt(rate * (1.0 - rate) / trials))
     return MonteCarloStats(
@@ -501,8 +488,8 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
         mean_statistic=float(np.mean(attack_stats)),
         interval_low=max(0.0, rate - half_width),
         interval_high=min(1.0, rate + half_width),
-        attacked_statistics=tuple(attack_stats),
-        unattacked_statistics=tuple(base_stats),
+        attacked_statistics=tuple(attack_stats.tolist()),
+        unattacked_statistics=tuple(base_stats.tolist()),
     )
 
 

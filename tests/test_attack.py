@@ -841,8 +841,18 @@ def test_rank_answers_hold_at_the_bottom_of_the_float_range(power):
         assert (found is None) == (expected is None)
         if found is not None:
             assert hexes(found[0]) == hexes(expected[0])
-    # the solve's H^T products round subnormal entries' low bits away, so
-    # only an H whose nonzeros keep enough of them is judged as at unit scale
-    if power > -1074:
-        assert verify_stealth(tiny, tiny @ np.array([1.0, 2.0]))
-        assert not verify_stealth(tiny, np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("power", [-1020, -1030, -1074])
+def test_verify_stealth_accepts_an_exact_attack_on_a_subnormal_h(power):
+    # where the factor scales H up, the solve takes H^T products at the
+    # scaled-up right-hand side, so a subnormal H's products keep their bits
+    # and an exact a = Hc (integer c, so Hc is exact) is judged as at unit
+    # scale; at 2^-1074 every entry is an integer times 2^-1074
+    _, _, h = load_three_bus()
+    tiny = np.ldexp(h, power)
+    for c in ([1.0, 2.0], [-3.0, 1.0], [0.0, 7.0]):
+        assert verify_stealth(tiny, tiny @ np.array(c))
+    assert not verify_stealth(tiny, np.array([1.0, 2.0, 3.0]))
+    assert not verify_stealth(tiny, tiny @ np.array([1.0, 2.0])
+                              + np.ldexp(np.array([0.0, 0.0, 1.0]), power))

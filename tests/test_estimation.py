@@ -11,6 +11,7 @@ equations (gain [[31.25, -25], [-25, 41]], determinant 656.25):
         residual (148, -296, -185)/10500, squared error 143745/110250000
 """
 
+import math
 import tracemalloc
 import warnings
 
@@ -902,3 +903,45 @@ def test_the_smallest_weights_keep_the_lnr_verdict():
             np.testing.assert_allclose(verdict.statistic,
                                        base.statistic * np.sqrt(weight),
                                        rtol=1e-12)
+
+
+def block_solve_h(rng, k, dense):
+    """A seeded 2k + 3 by k H of full column rank: dense, or with at most
+    isqrt(k) nonzeros a row, so that its gain is summed from the row
+    pattern."""
+    m = 2 * k + 3
+    if dense:
+        return rng.normal(size=(m, k))
+    h = np.zeros((m, k))
+    h[np.arange(k), np.arange(k)] = rng.uniform(0.5, 2.0, k)
+    width = math.isqrt(k)
+    for row in h[k:]:
+        row[rng.choice(k, width, replace=False)] = rng.normal(size=width)
+    return h
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["row-pattern", "dense"])
+@pytest.mark.parametrize("k", [2, 29, 300])
+def test_a_block_solve_is_each_rows_own_solve_bit_for_bit(dense, k):
+    # a Monte Carlo block is solved at once: H^T times each row is one
+    # stacked matrix-vector product, and potrs solves every row's
+    # right-hand side as one column; each row must come out as the solve
+    # of that row alone, also where the factor scales H up (2^-600)
+    rng = np.random.default_rng(k)
+    for power in (0, -600):
+        h = np.ldexp(block_solve_h(rng, k, dense), power)
+        m = len(h)
+        factor = factor_gain(h, rng.uniform(0.5, 4.0, m))
+        assert (factor.pattern is None) == dense
+        assert (factor.shift < 0) == (power < 0)
+        for trials in (1, 2, 7, 61, 1000):
+            z = np.ldexp(rng.normal(size=(trials, m)), power)
+            x = factor.solve(z)
+            for t in range(trials):
+                assert hexes(x[t]) == hexes(factor.solve(z[t]))
+            if trials <= 61:
+                x, r = factor._fit(z)
+                for t in range(trials):
+                    estimate = factor.estimate(z[t])
+                    assert hexes(x[t]) == hexes(estimate.state)
+                    assert hexes(r[t]) == hexes(estimate.residual)

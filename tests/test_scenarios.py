@@ -27,6 +27,7 @@ from gridse import (
     load_scenario,
     MeasurementConfig,
     MeasurementSpec,
+    norm_threshold_test,
     parse_case,
     random_stealth_attack,
     run_detector,
@@ -529,16 +530,22 @@ def grid_case(tmp_path, dense):
     return path
 
 
+@pytest.mark.parametrize("block", [None, 8], ids=["one-block", "blocks-of-8"])
 @pytest.mark.parametrize("dense", [False, True], ids=["row-pattern", "dense"])
 @pytest.mark.parametrize("method", ["chi_square", "norm_threshold", "lnr"])
 def test_monte_carlo_trials_are_the_public_detectors_bit_for_bit(
-        tmp_path, dense, method):
-    # each trial runs the estimator's and the detector's own arithmetic
-    # without building their results: every statistic and verdict of both
-    # arms must be the public detector's on a fresh estimate_dc
+        tmp_path, monkeypatch, dense, method, block):
+    # each block of trials runs the estimator's and the detector's own
+    # arithmetic on all its trials at once, without building their results:
+    # every statistic and verdict of both arms must be the public detector's
+    # on a fresh estimate_dc, also where the 30 trials span blocks of 8
+    # ending in a block of 6
     parsed = parse_case(grid_case(tmp_path, dense).read_text())
     model = build_meter_model(parsed.network, parsed.config)
     h = model.dc_matrix
+    if block is not None:
+        monkeypatch.setattr(gridse.scenarios, "_NOISE_BLOCK_DRAWS",
+                            block * len(h))
     weights = weights_from_config(parsed.config)
     assert (factor_gain(h, weights).pattern is None) == dense
     truth = state_from_free(
@@ -565,6 +572,41 @@ def test_monte_carlo_trials_are_the_public_detectors_bit_for_bit(
     assert stats.detection_rate == sum(verdicts["attacked"]) / trials
     # the thresholds split the trials, so a verdict could go either way
     assert 0 < sum(verdicts["clean"]) < trials
+
+
+@pytest.mark.parametrize("noise_scale", [1e160, 2e156])
+def test_monte_carlo_norms_whose_squares_overflow_are_the_public_tests(
+        noise_scale):
+    # r . r overflows while ||r|| does not: a block takes those rows' norms
+    # at a power-of-two scale, as norm_threshold_test does for one residual,
+    # unwarned; at 2e156 only some trials overflow, so a block mixes both
+    parsed, model, h = load_three_bus()
+    weights = weights_from_config(parsed.config)
+    truth = state_from_free(
+        parsed.network, estimate_dc(h, parsed.values, weights).state, "dc")
+    detector = DetectorConfig(method="norm_threshold", tau=1.0)
+    trials, base = 40, 5
+    stats = run_monte_carlo(THREE_BUS, trials=trials, noise_seed_base=base,
+                            attack="stealth", detector=detector,
+                            noise_scale=noise_scale)
+    overflowed = []
+    for t in range(trials):
+        z = simulate_measurements(model, truth, "dc", base + t,
+                                  noise_scale=noise_scale)
+        z_a = z + random_stealth_attack(h, 0.01, base + t)[1]
+        for readings, statistic in ((z, stats.unattacked_statistics[t]),
+                                    (z_a, stats.attacked_statistics[t])):
+            estimate = estimate_dc(h, readings, weights)
+            expected = norm_threshold_test(estimate, 1.0).statistic
+            assert float.hex(statistic) == float.hex(expected)
+            assert np.isfinite(statistic)
+            with np.errstate(over="ignore"):
+                overflowed.append(estimate.residual @ estimate.residual
+                                  == np.inf)
+    if noise_scale == 1e160:
+        assert all(overflowed)
+    else:
+        assert 0 < sum(overflowed) < len(overflowed)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["row-pattern", "dense"])
