@@ -530,16 +530,32 @@ def grid_case(tmp_path, dense):
     return path
 
 
-@pytest.mark.parametrize("block", [None, 8], ids=["one-block", "blocks-of-8"])
 @pytest.mark.parametrize("dense", [False, True], ids=["row-pattern", "dense"])
 @pytest.mark.parametrize("method", ["chi_square", "norm_threshold", "lnr"])
 def test_monte_carlo_trials_are_the_public_detectors_bit_for_bit(
-        tmp_path, monkeypatch, dense, method, block):
+        tmp_path, dense, method):
     # each block of trials runs the estimator's and the detector's own
     # arithmetic on all its trials at once, without building their results:
     # every statistic and verdict of both arms must be the public detector's
-    # on a fresh estimate_dc, also where the 30 trials span blocks of 8
-    # ending in a block of 6
+    # on a fresh estimate_dc; the 30 trials here are one block
+    assert_trials_are_the_public_detectors(tmp_path, dense, method)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["row-pattern", "dense"])
+@pytest.mark.parametrize("method", ["chi_square", "norm_threshold", "lnr"])
+def test_monte_carlo_trials_across_blocks_are_the_public_detectors_bit_for_bit(
+        tmp_path, monkeypatch, dense, method):
+    # as above, with the 30 trials spanning blocks of 8 ending in a block of 6
+    assert_trials_are_the_public_detectors(tmp_path, dense, method, block=8,
+                                           monkeypatch=monkeypatch)
+
+
+def assert_trials_are_the_public_detectors(tmp_path, dense, method,
+                                           block=None, monkeypatch=None):
+    """Run 30 stealth Monte Carlo trials on ``grid_case`` and compare every
+    statistic and verdict of both arms with ``run_detector`` on a fresh
+    ``estimate_dc``; with ``block``, each noise block holds that many
+    trials."""
     parsed = parse_case(grid_case(tmp_path, dense).read_text())
     model = build_meter_model(parsed.network, parsed.config)
     h = model.dc_matrix
