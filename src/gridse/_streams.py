@@ -4,15 +4,17 @@ numpy seeds every ``default_rng(entropy)`` stream the same way (NEP 19):
 SeedSequence hashes the entropy's 32-bit words into a 4-word pool and
 generates PCG64's 128-bit seed and stream from it. This module repeats
 that seeding as uint32 array arithmetic over a whole block of seeds at
-once, then either sets one reused PCG64's state and lets numpy draw
-(:func:`_seeded_generators`), or steps PCG64 once and reads numpy's
-ziggurat by table (:func:`_meter_noise`). Every draw is bit-identical to
-numpy's own; entropy too wide for the pool goes through ``default_rng``.
+once, steps every stream through its first outputs with one float64
+matrix product and reads numpy's ziggurat by table: one draw per stream
+for meter noise (:func:`_meter_noise`), k for a stealth direction
+(:func:`_stealth_shifts`). Every draw is bit-identical to numpy's own; a
+draw that reads more than one output, and entropy too wide for the pool,
+are left to numpy's own generator.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
 
 import numpy as np
 
@@ -120,71 +122,51 @@ def _pcg64_states(words: np.ndarray) -> list[dict]:
     return states
 
 
-def _seeded_generators(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
-    """For each non-negative integer seed in turn, a Generator in the state
-    of ``np.random.default_rng(seed)``.
-
-    The whole block is seeded in one :func:`_seed_words` pass. A seed below
-    2**128 has at most 4 words, whose zero padding is what SeedSequence
-    hashes in place of the missing ones, so its words set the state of one
-    reused PCG64 and numpy makes every draw from there. A wider seed gets
-    ``default_rng`` itself. A yielded Generator is valid only until the next
-    one is asked for.
-    """
-    seeds = [int(s) for s in seeds]
-    states = _pcg64_states(_seed_words(_words(seeds)))
-    generator = np.random.Generator(np.random.PCG64(0))
-    for seed, state in zip(seeds, states):
-        if _word_count(seed) > _POOL_WORDS:
-            yield np.random.default_rng(seed)
-        else:
-            generator.bit_generator.state = state
-            yield generator
-
-
-def _step_products() -> tuple[np.ndarray, np.ndarray]:
-    """The state of each stream's first draw as a product of its 8 seed
-    words.
+@functools.lru_cache(maxsize=16)
+def _step_table(steps: int) -> np.ndarray:
+    """The states of each stream's first ``steps`` draws as products of its
+    8 seed words and a ninth word 1, as a read-only (8 steps, 9) matrix.
 
     With s and i the seed's and the stream's 128-bit words, seeding sets
-    inc = 2i + 1 and state = (inc + s) M + inc, and the draw steps the
-    state once more, to s M**2 + i 2C + C with C = M**2 + M + 1, all mod
-    2**128. Each 32-bit word times each 16-bit digit of its multiplier
-    (M**2 or 2C) lands on a 16-bit place of that state. The matrix sums
-    these partial products into places 0, 2, 4, 6 and then 1, 3, 5, 7, one
-    row per place, and the column adds C's digits there. Every sum is an
-    integer below 2**52, so one float64 matrix product computes them all
-    exactly.
+    inc = 2i + 1 and state = (inc + s) M + inc, and draw n steps the state
+    to s M**(n+1) + i 2C + C with C = M**0 + ... + M**(n+1), all mod 2**128.
+    Each 32-bit word times each 16-bit digit of its multiplier (M**(n+1) or
+    2C) lands on a 16-bit place of that state, and the ninth column adds
+    C's digit there. Row j steps + n - 1 sums draw n's state at the j-th of
+    the places 0, 2, 4, 6, 1, 3, 5, 7. Every sum is an integer below 2**52,
+    so one float64 matrix product computes them all exactly.
     """
-    square = _PCG_MULT * _PCG_MULT & _MASK128
-    const = (square + _PCG_MULT + 1) & _MASK128
-    # the 32-bit place of each seed word: generate_state(4, uint64) gives
-    # the seed's high then low half, then the stream's, low word first
-    places = (2, 3, 0, 1)
-    column = [q // 2 + 4 * (q % 2) for q in range(8)]
-    products = np.zeros((8, 8))
-    for word in range(8):
-        mult = square if word < 4 else 2 * const & _MASK128
-        place = 2 * places[word % 4]
-        for digit in range(8 - place):
-            products[column[place + digit], word] = mult >> 16 * digit & 0xFFFF
-    offset = np.zeros((8, 1))
-    offset[column, 0] = [const >> 16 * q & 0xFFFF for q in range(8)]
-    return products, offset
+    power, const, mults = _PCG_MULT, _PCG_MULT + 1, []
+    for _ in range(steps):
+        power = power * _PCG_MULT & _MASK128
+        const = const + power & _MASK128
+        mults += (power, 2 * const & _MASK128, const)
+    digits = np.frombuffer(b"".join(v.to_bytes(16, "little") for v in mults),
+                           dtype="<u2").reshape(steps, 3, 8)
+    # the 16-bit place of each word: generate_state(4, uint64) gives the
+    # seed's high then low half, then the stream's, low word first; C's
+    # ninth word 1 sits at place 0
+    digit = np.array([0, 2, 4, 6, 1, 3, 5, 7])[:, None] \
+        - np.array([4, 6, 0, 2, 4, 6, 0, 2, 0])
+    table = np.where(digit >= 0, digits[:, [0, 0, 0, 0, 1, 1, 1, 1, 2],
+                                        np.maximum(digit, 0)], 0)
+    table = table.transpose(1, 0, 2).reshape(8 * steps, 9).astype(np.float64)
+    table.setflags(write=False)
+    return table
 
 
-_STEP_PRODUCTS, _STEP_OFFSET = _step_products()
 _U64 = {n: np.uint64(n) for n in (9, 16, 32, 55, 58, 63, 64, 0xFF, 0xFFFF)}
 _MASK52, _SIGN = np.uint64((1 << 52) - 1), np.uint64(1 << 63)
 
 
-def _first_outputs(words: np.ndarray) -> np.ndarray:
-    """The first uint64 that PCG64 outputs when seeded from each column of
-    a (8, P) block of seed words: the state from :func:`_step_products`,
-    then XSL-RR, rotr(hi ^ lo, hi >> 58)."""
+def _outputs(words: np.ndarray, steps: int) -> np.ndarray:
+    """The first ``steps`` uint64 outputs of PCG64 seeded from each column
+    of a (8, P) block of seed words, as a (steps, P) array: the states from
+    :func:`_step_table`, then XSL-RR, rotr(hi ^ lo, hi >> 58)."""
     u = _U64
-    sums = (_STEP_PRODUCTS @ words.astype(np.float64)
-            + _STEP_OFFSET).astype(np.uint64)
+    ones = np.ones((1, words.shape[1]), np.uint32)
+    sums = (_step_table(steps) @ np.concatenate((words, ones), dtype=float)) \
+        .astype(np.int64).view(np.uint64).reshape(8, -1)
     even, odd = sums[:4], sums[4:]
     # the sum at each 32-bit place, below 2**53
     places = even + ((odd & u[0xFFFF]) << u[16])
@@ -193,38 +175,64 @@ def _first_outputs(words: np.ndarray) -> np.ndarray:
     lo = halves[0]
     hi = halves[1] + ((places[1] + (places[0] >> u[32])) >> u[32])
     word, rot = hi ^ lo, hi >> u[58]
-    return (word >> rot) | (word << ((u[64] - rot) & u[63]))
+    return ((word >> rot) | (word << ((u[64] - rot) & u[63]))) \
+        .reshape(steps, -1)
 
 
-def _normals(outputs: np.ndarray, scales: np.ndarray, states) -> np.ndarray:
-    """out[r, c] = 0.0 + scales[c] * x, numpy's ``random_standard_normal``
-    of a stream whose next output is outputs[r, c], as
-    ``Generator.normal(0.0, scales[c])`` computes it.
+def _ziggurat(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``random_standard_normal`` x of a stream whose next output is
+    each word, and a mask of the words it reads more outputs for.
 
     numpy's ziggurat takes the layer from the low byte, the sign from bit
     8 and rabs from bits 9..60. It returns x = rabs * wi[layer], negated
     when the sign bit is set, if rabs < ki[layer] (about 99 % of draws).
     Any other draw (the base layer's tail and the wedges) reads more
-    outputs, so it is made by ``normal`` itself. ``states`` is called once,
-    with the rows and the columns of all those draws, and gives each one's
-    stream's ``PCG64.state`` before its output.
+    outputs; its x here is not numpy's, and the mask is set.
     """
     u = _U64
-    layer = outputs & u[0xFF]
+    layer = (outputs & u[0xFF]).astype(np.intp)
     rabs = (outputs >> u[9]) & _MASK52
     x = rabs.astype(np.float64) * _WI[layer]
     x = (x.view(np.uint64) | ((outputs << u[55]) & _SIGN)).view(np.float64)
-    # loc + scale * x with loc = 0, which turns -0.0 into +0.0; a fused
-    # multiply-add in numpy's C would give the same bits
-    noise = 0.0 + scales * x
-    rows, cols = np.nonzero(rabs >= _KI[layer])
-    if len(rows):
-        generator = np.random.Generator(np.random.PCG64(0))
-        for r, c, state in zip(rows.tolist(), cols.tolist(),
-                               states(rows, cols)):
-            generator.bit_generator.state = state
-            noise[r, c] = generator.normal(0.0, scales[c])
-    return noise
+    return x, rabs >= _KI[layer]
+
+
+def _stealth_shifts(seeds, k: int, magnitude: float) -> np.ndarray:
+    """Row r: the shift c of ``random_stealth_attack(H, magnitude,
+    seeds[r])`` for an H with k columns, bit for bit. That is d / ||d|| *
+    magnitude, where d is ``default_rng(seeds[r]).normal(size=k)``, drawn
+    again from the same generator while its norm is 0, and ||d|| the sqrt
+    of d.dot(d). The caller has checked the seeds, k >= 1 and the magnitude.
+
+    Every seed below 2**128 is seeded, stepped k times and read through
+    numpy's ziggurat in one vectorized pass; a row whose draw j reads more
+    than one output is drawn by ``normal`` from j on, from its stream
+    advanced by j. Wider seeds and rows of zeros are drawn by numpy whole.
+    The norms are one BLAS dot per C-contiguous row, as d.dot(d) takes them.
+    """
+    seeds = [int(s) for s in seeds]
+    words = _seed_words(_words(seeds))
+    directions, long = _ziggurat(np.ascontiguousarray(_outputs(words, k).T))
+    directions += 0.0  # normal's loc: -0.0 becomes +0.0
+    wide = np.array([s > _MASK128 for s in seeds], dtype=bool)
+    long[wide] = False
+    rows = np.flatnonzero(long.any(axis=1))
+    generator = np.random.Generator(np.random.PCG64(0)) if len(rows) else None
+    for r, j, state in zip(rows.tolist(), long[rows].argmax(axis=1).tolist(),
+                           _pcg64_states(words[:, rows])):
+        generator.bit_generator.state = state
+        generator.bit_generator.advance(j)
+        directions[r, j:] = generator.normal(size=k - j)
+    # a draw that is not 0 has a square far above the subnormals, so a row
+    # has norm 0 exactly when it is all zeros
+    for r in np.flatnonzero(wide | ~directions.any(axis=1)).tolist():
+        rng = np.random.default_rng(seeds[r])
+        directions[r] = rng.normal(size=k)
+        while not directions[r].any():
+            directions[r] = rng.normal(size=k)
+    row = directions[:, None]
+    norms = np.sqrt(np.matmul(row, row.transpose(0, 2, 1)))[:, 0]
+    return directions / norms * magnitude
 
 
 def _meter_noise(seeds, scales: np.ndarray) -> np.ndarray:
@@ -234,8 +242,9 @@ def _meter_noise(seeds, scales: np.ndarray) -> np.ndarray:
     SeedSequence turns the pair into 32-bit words: the seed's (one below
     2**32, two below 2**64, ...), then the meter index's one. Seeds below
     2**96 leave room in its 4-word pool, so every pair's stream is seeded,
-    stepped and read through numpy's ziggurat in one vectorized pass
-    (:func:`_normals`); larger seeds go through default_rng itself.
+    stepped and read through numpy's ziggurat in one vectorized pass, and
+    numpy's ``normal`` makes each draw that reads more than one output from
+    its stream's state; larger seeds go through default_rng itself.
     """
     seeds = [int(s) for s in seeds]
     counts = np.array([_word_count(s) for s in seeds], dtype=np.intp)
@@ -244,9 +253,16 @@ def _meter_noise(seeds, scales: np.ndarray) -> np.ndarray:
     entropy = np.repeat(_words(seeds)[:, :, None], len(scales), axis=2)
     entropy[counts[fits], fits] = np.arange(len(scales), dtype=np.uint32)
     words = _seed_words(entropy.reshape(_POOL_WORDS, -1))
-    outputs = _first_outputs(words).reshape(len(seeds), len(scales))
-    noise = _normals(outputs, scales, lambda rows, cols: _pcg64_states(
-        words[:, rows * len(scales) + cols]))
+    x, long = _ziggurat(_outputs(words, 1).reshape(len(seeds), len(scales)))
+    # loc + scale * x with loc = 0, which turns -0.0 into +0.0; a fused
+    # multiply-add in numpy's C would give the same bits
+    noise = 0.0 + scales * x
+    rows, cols = np.nonzero(long)
+    generator = np.random.Generator(np.random.PCG64(0)) if len(rows) else None
+    for r, c, state in zip(rows.tolist(), cols.tolist(), _pcg64_states(
+            words[:, rows * len(scales) + cols])):
+        generator.bit_generator.state = state
+        noise[r, c] = generator.normal(0.0, scales[c])
     for r in np.flatnonzero(~fits):
         noise[r] = [np.random.default_rng([seeds[r], c]).normal(0.0, scale)
                     for c, scale in enumerate(scales.tolist())]

@@ -26,14 +26,13 @@ H's own memory, with no copy of the rows unless their gain is dense.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._streams import _seeded_generators
+from ._streams import _stealth_shifts
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -128,23 +127,6 @@ def random_stealth_attack(h_matrix: np.ndarray, magnitude: float,
         raise DimensionMismatch("H has no columns, so there is no state to shift")
     c, = _stealth_shifts([_count(seed, "seed")], h.shape[1], magnitude)
     return c, _image(h, c)
-
-
-def _stealth_shifts(seeds: Sequence[int], k: int,
-                    magnitude: float) -> np.ndarray:
-    """The shift c of :func:`random_stealth_attack` for each seed, bit for
-    bit, one row each, with the streams of the whole block seeded in one
-    pass. The caller has checked the seeds, k >= 1 and the magnitude."""
-    shifts = np.empty((len(seeds), k))
-    for row, rng in zip(shifts, _seeded_generators(seeds)):
-        direction = rng.normal(size=k)
-        # the sqrt of x.dot(x), as np.linalg.norm computes it
-        norm = math.sqrt(direction.dot(direction))
-        while not norm > 0:
-            direction = rng.normal(size=k)
-            norm = math.sqrt(direction.dot(direction))
-        row[:] = direction / norm * magnitude
-    return shifts
 
 
 def constrained_stealth_attack(h_matrix: np.ndarray,

@@ -93,10 +93,8 @@ class GainFactor:
     factored in place and read in Fortran order, so its strictly lower
     triangle still holds the gain's. ``condition`` is 1/rcond, LAPACK's
     1-norm condition estimate of the leading rank x rank block (inf at rank
-    0). It is not reproducible in its last bits at every size: ``pocon``
-    has returned two values 2 ulps apart for the same U and 1-norm (a
-    299-state gain, factored again and again in one process), so compare
-    it to rounding. The solves need full rank, which :func:`factor_gain`
+    0); its last bits are not reproducible at every size, so compare it to
+    rounding. The solves need full rank, which :func:`factor_gain`
     guarantees. H and W are kept by reference and must not be modified
     while the factor is in use.
 

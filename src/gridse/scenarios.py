@@ -49,11 +49,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._streams import _meter_noise
+from ._streams import _meter_noise, _stealth_shifts
 from .attack import (
     DEFAULT_MAGNITUDE,
     _finite_image,
-    _stealth_shifts,
     apply_attack,
     constrained_stealth_attack,
     craft_stealth_attack,
@@ -425,9 +424,11 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     a float is not finite) or a ``detector`` that is not a DetectorConfig
     raises InvalidArgument before the case is read, and a sigma times
     ``noise_scale``, readings, readings with Hc added or a residual too
-    large for a float raise it too, unwarned. A block runs each check on
-    all its trials at once, so where two trials of one block fail
-    different checks, the message may be that of the later trial's.
+    large for a float raise it too, unwarned. Where the attacked
+    statistics' sum overflows, the mean statistic is inf, unwarned. A
+    block runs each check on all its trials at once, so where two trials
+    of one block fail different checks, the message may be that of the
+    later trial's.
     """
     trials = _count(trials, "trials")
     if not trials:
@@ -477,6 +478,8 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
     base_stats = np.concatenate(base_stats)
     attack_stats = np.concatenate(attack_stats)
 
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(attack_stats))
     base_detected = np.count_nonzero(base_stats > threshold)
     attack_detected = np.count_nonzero(attack_stats > threshold)
     rate = attack_detected / trials
@@ -485,7 +488,7 @@ def run_monte_carlo(case_path: str | Path, *, trials: int,
         trials=trials,
         detection_rate=rate,
         false_alarm_rate=base_detected / trials,
-        mean_statistic=float(np.mean(attack_stats)),
+        mean_statistic=mean,
         interval_low=max(0.0, rate - half_width),
         interval_high=min(1.0, rate + half_width),
         attacked_statistics=tuple(attack_stats.tolist()),

@@ -1,6 +1,7 @@
 """Stealth attack construction, verification, and protection analysis."""
 
 import importlib.util
+import itertools
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gridse._streams
 import gridse.attack
 from gridse import (
     Branch,
@@ -33,7 +35,7 @@ from gridse import (
     run_detector,
     verify_stealth,
 )
-from gridse._streams import _seeded_generators
+from gridse._streams import _outputs, _seed_words, _stealth_shifts, _words
 from gridse.attack import ProtectionReport
 from gridse.estimation import _pivoted_gain
 from helpers import (
@@ -194,21 +196,36 @@ def hexes(values):
     return [float.hex(v) for v in np.ravel(values).tolist()]
 
 
-def default_rng_stealth_attack(h, magnitude, seed):
-    """The reference: one default_rng per call, as random_stealth_attack
-    drew its direction before stealth directions were seeded in blocks."""
+def default_rng_shift(seed, k, magnitude):
+    """The reference: one default_rng per shift, as random_stealth_attack
+    drew its direction before stealth directions were drawn in blocks."""
     rng = np.random.default_rng(seed)
-    direction = rng.normal(size=h.shape[1])
+    direction = rng.normal(size=k)
     while not np.linalg.norm(direction) > 0:
-        direction = rng.normal(size=h.shape[1])
-    c = direction / np.linalg.norm(direction) * magnitude
+        direction = rng.normal(size=k)
+    return direction / np.linalg.norm(direction) * magnitude
+
+
+def default_rng_stealth_attack(h, magnitude, seed):
+    c = default_rng_shift(seed, h.shape[1], magnitude)
     return c, h @ c
 
 
+@pytest.mark.parametrize("k", [1, 7, 300])
+def test_stream_outputs_are_pcg64s(k):
+    # the k-step table gives every stream's first k outputs exactly
+    seeds = [s for s in STREAM_SEEDS if s < 2**128]
+    outputs = _outputs(_seed_words(_words(seeds)), k)
+    for seed, column in zip(seeds, outputs.T):
+        np.testing.assert_array_equal(column,
+                                      np.random.PCG64(seed).random_raw(k))
+
+
 @pytest.mark.parametrize("k", [1, 29, 300])
-def test_seeded_generators_are_the_default_rng_streams(monkeypatch, k):
-    # each Generator must continue exactly as default_rng(seed) does, and
-    # only the seeds too wide for the pool may build a default_rng
+def test_stealth_streams_continue_as_default_rng(monkeypatch, k):
+    # each stream must go on exactly as default_rng(seed) does: the shift
+    # of 2k states is that of its first two normal(size=k) draws, and only
+    # the seeds too wide for the pool may build a default_rng
     default_rng = np.random.default_rng
     built = []
 
@@ -217,14 +234,45 @@ def test_seeded_generators_are_the_default_rng_streams(monkeypatch, k):
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", spy)
-    draws = [(rng.normal(size=k), rng.normal(size=k))
-             for rng in _seeded_generators(STREAM_SEEDS)]
+    shifts = _stealth_shifts(STREAM_SEEDS, 2 * k, 1.0)
     monkeypatch.undo()
     assert built == WIDE_SEEDS
-    for seed, (first, second) in zip(STREAM_SEEDS, draws):
+    for seed, shift in zip(STREAM_SEEDS, shifts):
         reference = default_rng(seed)
-        assert hexes(first) == hexes(reference.normal(size=k))
-        assert hexes(second) == hexes(reference.normal(size=k))
+        first, second = reference.normal(size=k), reference.normal(size=k)
+        direction = np.concatenate((first, second))
+        assert hexes(shift) == hexes(direction / np.linalg.norm(direction))
+
+
+def reads_one_output_each(seed, n):
+    """Whether the first n draws of default_rng(seed).normal read one PCG64
+    output each."""
+    rng = np.random.default_rng(seed)
+    rng.normal(size=n)
+    stepped = np.random.PCG64(seed)
+    stepped.advance(n)
+    return rng.bit_generator.state == stepped.state
+
+
+def first_long_draw_seed(j):
+    """The least seed whose stream's draw j is its first to read more than
+    one output (the ziggurat's tail or a wedge)."""
+    return next(s for s in itertools.count()
+                if reads_one_output_each(s, j)
+                and not reads_one_output_each(s, j + 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 29, 300])
+def test_stealth_shifts_with_long_draws_are_the_default_rng_streams(k):
+    # rows whose first long draw is the first, a middle and the last one
+    # are drawn by numpy from there on, beside rows drawn by table alone;
+    # the norms are BLAS dots too, so this runs again with 2 BLAS threads
+    long = [first_long_draw_seed(j) for j in sorted({0, k // 2, k - 1})]
+    seeds = long + list(STREAM_SEEDS) + list(range(913 * 10**9,
+                                                  913 * 10**9 + 60))
+    shifts = _stealth_shifts(seeds, k, 0.05)
+    for seed, shift in zip(seeds, shifts):
+        assert hexes(shift) == hexes(default_rng_shift(seed, k, 0.05))
 
 
 @pytest.mark.parametrize("k", [1, 29, 300])
@@ -240,23 +288,48 @@ def test_random_stealth_attack_is_the_default_rng_stream(k):
 def test_a_zero_direction_is_drawn_again_from_the_same_generator(monkeypatch):
     # a stream whose first draw is exactly 0.0 (layer 2, rabs 0): with k = 1
     # the direction has norm 0, so the next draw of that stream is taken
-    zero = state_before(ziggurat_word(2, 0))
-
-    def generators(seeds):
-        for _ in seeds:
-            rng = np.random.Generator(np.random.PCG64(0))
-            rng.bit_generator.state = zero
-            yield rng
-
+    word = ziggurat_word(2, 0)
+    zero = state_before(word)
     reference = np.random.Generator(np.random.PCG64(0))
     reference.bit_generator.state = zero
     assert reference.normal(size=1)[0] == 0.0
     second = reference.normal(size=1)[0]
-    monkeypatch.setattr(gridse.attack, "_seeded_generators", generators)
+    # the table gives seed 3's stream that word first, and default_rng(3)
+    # starts from the state before it
+    built = []
+
+    def stream(seed):
+        built.append(seed)
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = zero
+        return rng
+
+    monkeypatch.setattr(gridse._streams, "_outputs", lambda words, steps:
+                        np.full((steps, words.shape[1]), word, np.uint64))
+    monkeypatch.setattr(np.random, "default_rng", stream)
     h = np.array([[2.0], [-1.0]])
     c, a = random_stealth_attack(h, 0.5, 3)
+    assert built == [3]
     assert c.tolist() == [np.copysign(0.5, second)]
     assert a.tolist() == [2.0 * c[0], -c[0]]
+
+
+def test_a_negative_zero_draw_gives_normals_positive_zero(monkeypatch):
+    # a stream whose first draw is -0.0 (rabs 0, sign bit set), and whose
+    # second is read from one output: normal adds its loc 0.0, so the
+    # direction, and the shift, start with +0.0
+    start = state_before(ziggurat_word(7, 0, sign=1))
+    stream = np.random.PCG64(0)
+    stream.state = start
+    words = stream.random_raw(2)
+    monkeypatch.setattr(gridse._streams, "_outputs", lambda block, steps:
+                        np.repeat(words[:steps, None], block.shape[1], 1))
+    reference = np.random.Generator(np.random.PCG64(0))
+    reference.bit_generator.state = start
+    direction = reference.normal(size=2)
+    c, _ = random_stealth_attack(np.eye(2), 0.5, 3)
+    assert hexes(c) == hexes(direction / np.linalg.norm(direction) * 0.5)
+    assert hexes(c[:1]) == ["0x0.0p+0"]
 
 
 def test_random_stealth_attack_on_h_without_columns_is_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gridse
+import gridse._streams
 from gridse import (
     Bus,
     DanglingReference,
@@ -31,7 +32,7 @@ from gridse import (
     state_dimension,
     state_from_free,
 )
-from gridse._streams import _KI, _WI, _meter_noise, _normals
+from gridse._streams import _KI, _WI, _meter_noise
 from helpers import (
     CASES_DIR,
     PCG_MULT,
@@ -417,13 +418,18 @@ LARGEST_RABS = (1 << 52) - 1
         "wedge-accept", "wedge-reject", "below-ki", "at-ki",
         "last-layer-below-ki", "last-layer-at-ki", "zero-scale-negative",
         "negative-zero"])
-def test_noise_of_a_forced_word_is_numpys_normal(word, scale, reads):
+def test_noise_of_a_forced_word_is_numpys_normal(monkeypatch, word, scale,
+                                                 reads):
     # each word takes the path its name says: the tail (layer 0) and the
     # wedges read more outputs, which numpy's normal draws from the state
     expected, read = normal_of(word, scale)
     assert read == reads
-    noise = _normals(np.array([[word]], dtype=np.uint64), np.array([scale]),
-                     lambda rows, cols: [state_before(word)] * len(rows))
+    # the stream of (seed 0, meter 0) outputs the word first
+    monkeypatch.setattr(gridse._streams, "_outputs", lambda words, steps:
+                        np.full((steps, words.shape[1]), word, np.uint64))
+    monkeypatch.setattr(gridse._streams, "_pcg64_states",
+                        lambda words: [state_before(word)] * words.shape[1])
+    noise = _meter_noise([0], np.array([scale]))
     # bit for bit, so a negative zero would fail
     assert noise.tobytes() == np.float64(expected).tobytes()
 

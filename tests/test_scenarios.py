@@ -239,6 +239,18 @@ def test_monte_carlo_report_of_an_overflowed_mean_is_strict_json():
         "interval_high     1\n")
 
 
+def test_monte_carlo_mean_whose_sum_overflows_is_inf():
+    # each attacked statistic is finite or inf on its own, and their sum
+    # overflows: the mean reads inf, with no overflow warning (the suite
+    # turns those into errors), and the machine report writes it as null
+    stats = run_monte_carlo(THREE_BUS, trials=50, noise_scale=1e154)
+    finite = np.isfinite(stats.attacked_statistics)
+    assert finite.any() and not finite.all()
+    assert stats.mean_statistic == np.inf
+    assert _decode_json(emit_report(stats, format="machine"))[
+        "mean_statistic"] is None
+
+
 def test_table_report_matches_known_rows():
     text = emit_report(shipped_reports(), format="table")
     lines = text.splitlines()
